@@ -637,13 +637,14 @@ class Pipeline:
         idents = stage_identities([w.t for w in self.wrappers])
         accounts = []
         for ident, w in zip(idents, self.wrappers):
-            cells, regions = w.account()
+            cells, regions, entries = w.account()
             accounts.append({
                 "index": ident.index,
                 "label": ident.label,
                 "calls": w.calls,
                 "state_cells": cells,
                 "live_regions": regions,
+                "region_entries": entries,
             })
         return accounts
 

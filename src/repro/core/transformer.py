@@ -137,10 +137,11 @@ class StateTransformer:
     #: Set by the wrapper before each process() call: the update region the
     #: event is content of (None for live content).
     current_region = None
-    #: Set by the wrapper before each process() call: the positional
-    #: ancestor chain of current_region, innermost first (empty for live
-    #: content).  Operators that slave output regions to input visibility
-    #: register against every enclosing region.
+    #: Set by the wrapper before each process() call: current_region and
+    #: its positionally enclosing regions that are not yet frozen,
+    #: innermost first (empty for live content).  Operators that slave
+    #: output regions to input visibility register against every one of
+    #: them; a frozen region can never change visibility again.
     current_region_chain = ()
 
     def __init__(self, ctx: Context, input_ids: Sequence[int],

@@ -115,6 +115,15 @@ def _rat_mid(a: _Rat, b: _Rat) -> _Rat:
     return _Rat(n, d)
 
 
+#: Every :class:`UpdateWrapper` container keyed (or filled) by region id.
+#: ``freeze`` must leave none of them mentioning the frozen region.
+PER_REGION_MAPS = (
+    "start", "end", "shadow", "order", "_order_sorted", "tracked",
+    "_regions", "_alias_live", "_raw", "_shared", "_frozen_kept",
+    "_root", "_rpolicy", "_out_region", "_region_info", "_inner",
+    "_parent", "_children", "_open", "_rcfg")
+
+
 class UpdateWrapper:
     """Wrap a :class:`StateTransformer`, handling update events generically.
 
@@ -154,13 +163,20 @@ class UpdateWrapper:
         self._shared: set = set()      # SHARED-policy regions: live state
         self._root: Dict[int, int] = {}        # region -> root input stream
         self._out_region: Dict[int, int] = {}  # region -> output-space id
-        self._anchor_at_open: Dict[int, int] = {}  # region -> anchor then
         # region -> (j_out, (output_id, anchor), translate?) — everything
         # _relabel_out needs, precomputed once at bracket open.
         self._region_info: Dict[int, tuple] = {}
         self._inner: Dict[int, set] = {}  # region -> subs opened within it
-        self._parent: Dict[int, Optional[int]] = {}  # bracket nesting
-        self._bracket_stack: List[int] = []          # open tracked brackets
+        # Positional nesting of the *live* regions: region -> nearest live
+        # enclosing region (None = top level), and its inverse.  Freeze
+        # splices a region out of both (see _unlink), so every ancestor
+        # walk is bounded by live nesting depth, not stream position.
+        self._parent: Dict[int, Optional[int]] = {}
+        self._children: Dict[int, set] = {}
+        # Open tracked bracket -> its target in output space (None when
+        # the bracket is not re-emitted there), so that the bracket's end
+        # names the target its start did even if that froze in between.
+        self._open: Dict[int, Optional[int]] = {}
         self._policy_cache: Dict[int, UpdatePolicy] = {}
         # region/alias id -> its policy, recorded once at bracket open so
         # the close / freeze / hide / show paths skip the root lookup.
@@ -180,10 +196,10 @@ class UpdateWrapper:
         # Sorted mirror of the non-None values in self.order, so the
         # between-timestamp searches are O(log n) instead of a full scan.
         self._order_sorted: List[_Rat] = []
-        self._chain_cache: Dict[int, tuple] = {}
-        # Per-region (input_root, region_chain) pairs for the data hot
-        # path: both are fixed when the bracket opens, so one dict probe
-        # replaces two.  Entries die with the region (freeze).
+        # Per-region (input_root, region_chain, region_info) triples for
+        # the data hot path, filled on a region's first data event so one
+        # dict probe replaces three.  An entry dies with its region, and
+        # with any enclosing region its chain mentions (see _unlink).
         self._rcfg: Dict[int, tuple] = {}
         # Every stream id whose *data* events this stage processes (rather
         # than passes through), mapped to its facet: 0 = live (input or
@@ -455,12 +471,6 @@ class UpdateWrapper:
             return _Rat(1)  # the paper: order of sS(stream, i) is 1
         return self.order[key] or _Rat(1)
 
-    def _out_target(self, i: int) -> int:
-        """Map an input-space update target to output space."""
-        if i in self.input_ids or i in self._alias_live:
-            return self.t.bracket_anchor()
-        return self._out_region.get(i, self.t.output_id)
-
     def _on_update_start(self, e: Event) -> List[Event]:
         self.calls += 1
         i, j = e.id, e.sub
@@ -523,12 +533,20 @@ class UpdateWrapper:
         # Positional containment, not temporal nesting: a mutable region
         # lives inside its target; replace/insert content occupies a spot
         # inside the target's own container (brackets may interleave).
-        if e.kind in (SM, SR):
-            self._parent[j] = i if i in self._regions else None
+        if i not in self._regions:
+            parent = None
+        elif e.kind in (SM, SR):
+            parent = i
         else:
-            self._parent[j] = (self._parent.get(i)
-                               if i in self._regions else None)
-        self._bracket_stack.append(j)
+            parent = self._parent.get(i)
+        self._parent[j] = parent
+        if parent is not None:
+            kids = self._children.get(parent)
+            if kids is None:
+                self._children[parent] = {j}
+            else:
+                kids.add(j)
+        self._open[j] = None
         self.peak_states = max(self.peak_states, len(self._regions) + 1)
         # Bracket emission per policy.
         if policy == UpdatePolicy.TRANSPARENT:
@@ -538,14 +556,13 @@ class UpdateWrapper:
         j_out = self.ctx.fresh_id()
         self._out_region[j] = j_out
         anchor = self.t.bracket_anchor()
-        self._anchor_at_open[j] = anchor
         self._region_info[j] = (j_out, (self.t.output_id, anchor),
                                 policy == UpdatePolicy.TRANSLATE)
-        # _out_target(i), inlined with the anchor reused.
         if i in self.input_ids or i in self._alias_live:
             target = anchor
         else:
             target = self._out_region.get(i, self.t.output_id)
+        self._open[j] = target
         if e.kind == SM:
             fix.declare_mutable(j_out)
         else:
@@ -577,13 +594,7 @@ class UpdateWrapper:
             return []
         if j not in self._regions:
             return self.t.on_other(e)
-        bs = self._bracket_stack
-        if bs:
-            # Brackets almost always close LIFO; pop beats a scan+remove.
-            if bs[-1] == j:
-                bs.pop()
-            elif j in bs:
-                bs.remove(j)
+        target = self._open.pop(j, None)
         self._save()
         out: List[Event] = []
         policy = (self._rpolicy.get(j)
@@ -594,10 +605,10 @@ class UpdateWrapper:
             out.append(e)
         elif policy == UpdatePolicy.TEE:
             if j_out is not None:
-                out.append(Event(e.kind, self._out_target(i), sub=j_out))
+                out.append(Event(e.kind, target, sub=j_out))
             out.append(e)
         elif policy == UpdatePolicy.TRANSLATE and j_out is not None:
-            out.append(Event(e.kind, self._out_target(i), sub=j_out))
+            out.append(Event(e.kind, target, sub=j_out))
         kind = e.kind
         key_i = self._key_of(i)
         if key_i not in self.end or j not in self.end:
@@ -803,17 +814,21 @@ class UpdateWrapper:
                     if s is not None:
                         reclaimed += cells(s)
                 obs.on_freeze(reclaimed)
+            # A frozen region is closed to everything: it leaves the
+            # nesting tree and the open brackets in either mode.
+            self._unlink(uid)
+            self._open.pop(uid, None)
+            t = self.t
+            if uid in t.current_region_chain:
+                # Rewritten before every read, so only a stale mention.
+                t.current_region_chain = ()
+            if t.current_region == uid:
+                t.current_region = None
             if not self._reclaim:
                 # Freeze ablation: identical event output and mutability
                 # bookkeeping, but the state copies stay resident — the
                 # footprint a system without Section V's pruning pays.
                 self._frozen_kept.add(uid)
-                bs = self._bracket_stack
-                if bs:
-                    if bs[-1] == uid:
-                        bs.pop()
-                    elif uid in bs:
-                        bs.remove(uid)
                 return out
             self._regions.discard(uid)
             self._alias_live.discard(uid)
@@ -823,17 +838,9 @@ class UpdateWrapper:
             self.shadow.pop(uid, None)
             self._order_discard(self.order.pop(uid, None))
             self._root.pop(uid, None)
-            self._rcfg.pop(uid, None)
             self._rpolicy.pop(uid, None)
-            self._anchor_at_open.pop(uid, None)
             self._region_info.pop(uid, None)
             self._inner.pop(uid, None)
-            bs = self._bracket_stack
-            if bs:
-                if bs[-1] == uid:
-                    bs.pop()
-                elif uid in bs:
-                    bs.remove(uid)
             return out
         return self.t.on_other(e)
 
@@ -846,19 +853,52 @@ class UpdateWrapper:
     # -- adjustment --------------------------------------------------------------------
 
     def _region_chain(self, eid: int) -> tuple:
-        # Parent links are assigned once when a bracket opens and never
-        # reassigned, so the chain of a region is immutable and cacheable.
-        chain = self._chain_cache.get(eid)
-        if chain is not None:
-            return chain
-        parts = []
-        k: Optional[int] = eid
+        """``eid`` and its live enclosing regions, innermost first.
+
+        Computed on an ``_rcfg`` miss only; :meth:`_unlink` drops the
+        cached copy of every region whose chain a freeze shortens.
+        """
+        parts = [eid]
+        parent = self._parent.get
+        k = parent(eid)
         while k is not None:
             parts.append(k)
-            k = self._parent.get(k)
-        chain = tuple(parts)
-        self._chain_cache[eid] = chain
-        return chain
+            k = parent(k)
+        return tuple(parts)
+
+    def _unlink(self, uid: int) -> None:
+        """Splice a frozen region out of the nesting tree.
+
+        Its still-live children move up to its nearest live ancestor, and
+        the cached chain of everything live below it is dropped.  A
+        frozen region is never hidden, shown or an open bracket again
+        (its shadow goes with it), so no ancestor walk could have stopped
+        at it: skipping it changes no answer.  Cost: O(1) for a leaf,
+        O(live descendants) otherwise.
+        """
+        rcfg = self._rcfg
+        rcfg.pop(uid, None)
+        children = self._children
+        parent = self._parent.pop(uid, None)
+        kids = children.pop(uid, None)
+        if parent is not None:
+            siblings = children[parent]
+            siblings.discard(uid)
+            if kids:
+                siblings |= kids
+            elif not siblings:
+                del children[parent]
+        if kids:
+            parents = self._parent
+            for k in kids:
+                parents[k] = parent
+            below = list(kids)
+            while below:
+                k = below.pop()
+                rcfg.pop(k, None)
+                sub = children.get(k)
+                if sub:
+                    below.extend(sub)
 
     def _hidden_anchor(self, key: object) -> Optional[int]:
         """The nearest positionally-enclosing hidden region (or None)."""
@@ -872,7 +912,7 @@ class UpdateWrapper:
     def _nearest_open(self, uid: int) -> Optional[int]:
         """The innermost still-open bracket enclosing ``uid`` (None=live)."""
         p = self._parent.get(uid)
-        while p is not None and p not in self._bracket_stack:
+        while p is not None and p not in self._open:
             p = self._parent.get(p)
         return p
 
@@ -982,14 +1022,24 @@ class UpdateWrapper:
     def live_regions(self) -> int:
         return len(self._regions)
 
+    def region_entries(self) -> int:
+        """Entries across every per-region container of this wrapper.
+
+        State copies are what ``state_cells`` sizes; this counts the
+        bookkeeping around them, which must also be bounded by the
+        regions still addressable rather than by stream position.
+        """
+        return sum(len(getattr(self, name)) for name in PER_REGION_MAPS)
+
     def account(self) -> tuple:
-        """``(state_cells, live_regions)`` in one call.
+        """``(state_cells, live_regions, region_entries)`` in one call.
 
         The single accounting walk every consumer shares — pipeline
         totals, per-stage stats, and metrics samples all read state
         through here, so the numbers can never disagree.
         """
-        return self.state_cells(), self.live_regions()
+        return (self.state_cells(), self.live_regions(),
+                self.region_entries())
 
     def __repr__(self) -> str:
         return "UpdateWrapper({!r})".format(self.t)

@@ -34,7 +34,11 @@ import sys
 from typing import Tuple
 
 MAGIC = b"XFCK"
-VERSION = 1
+#: 2: UpdateWrapper pickles its live nesting tree (``_parent`` plus the
+#: ``_children`` inverse) and an ``_open`` bracket map where version 1
+#: had ``_chain_cache``, ``_anchor_at_open`` and ``_bracket_stack``; a
+#: version-1 blob restored into this code would lack the new fields.
+VERSION = 2
 
 #: Kinds the current code base writes; decode rejects unknown kinds.
 KNOWN_KINDS = ("pipeline", "queryrun", "multiquery")

@@ -223,7 +223,7 @@ class MetricsRecorder:
         """Take one footprint sample of every attached stage."""
         seq = self.source_events
         for wrapper, sm in zip(self._wrappers, self.stages):
-            cells, regions = wrapper.account()
+            cells, regions, _ = wrapper.account()
             sm.sample(seq, cells, regions)
 
     def count_source(self, n: int = 1) -> bool:

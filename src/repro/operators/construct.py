@@ -73,7 +73,14 @@ class TupleRegionMixin:
         return out
 
     def _register_content(self, e: Event) -> None:
-        """Track element depth; link enclosing input regions to wid."""
+        """Track element depth; link enclosing input regions to wid.
+
+        The wrapper's chain holds the regions that are not yet frozen
+        only, so every source registered here can still seal (and is
+        dropped from both maps when it does): the maps stay bounded by
+        the live regions, and a tuple region is never held open by a
+        source that can no longer change.
+        """
         if (self.current_region is not None and self.depth == 0
                 and self.wid is not None):
             sources = self._wid_sources.setdefault(self.wid, set())

@@ -178,6 +178,10 @@ class ForTuples(StateTransformer):
         # hide / show / freeze
         if e.id in self._spanning:
             return self._toggle_spanning(e)
+        if kind == FREEZE:
+            # A frozen region is never targeted or fed again (the wrapper
+            # stops routing it here), so its membership can go.
+            self._forwarded.discard(e.id)
         return [e]  # forwarded (within-item) regions keep their updates
 
     def _update_start(self, e: Event) -> List[Event]:

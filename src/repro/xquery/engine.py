@@ -194,13 +194,15 @@ class QueryRun:
         aggregates are exact sums over it); ``metrics`` appears when the
         run has a telemetry recorder attached.
         """
+        per_stage = self.pipeline.stage_accounts()
         out = {
             "transformer_calls": self.pipeline.total_calls(),
-            "state_cells": self.pipeline.state_cells(),
-            "live_regions": self.pipeline.live_regions(),
+            "state_cells": sum(a["state_cells"] for a in per_stage),
+            "live_regions": sum(a["live_regions"] for a in per_stage),
+            "region_entries": sum(a["region_entries"] for a in per_stage),
             "display": self.display.stats(),
             "stages": len(self.pipeline.wrappers),
-            "per_stage": self.pipeline.stage_accounts(),
+            "per_stage": per_stage,
         }
         fusion = self.pipeline.fusion_info()
         if fusion is not None:

@@ -239,6 +239,15 @@ class TestEnvelopeDiagnostics:
         assert info.value.field == "version"
         assert info.value.offset == 4
 
+    def test_previous_version_is_refused(self):
+        # Version 1 pickled wrappers without the live nesting tree's
+        # inverse index; restoring one would fail later, far from here.
+        blob = encode_checkpoint("pipeline", {}, {})
+        assert blob[4] == 2
+        with pytest.raises(CheckpointError) as info:
+            decode_checkpoint(blob[:4] + b"\x01" + blob[5:], "pipeline")
+        assert info.value.field == "version"
+
     def test_corrupt_payload_reports_payload_offset(self):
         blob = encode_checkpoint("pipeline", {}, {"k": "v"})
         mangled = blob[:5] + b"\x00" + blob[6:]

@@ -159,3 +159,66 @@ class TestAdjustLaws:
         t = self._make(ctx)
         s1, s2, s3 = (4, 0), (1, 0), (7, 0)
         assert t.adjust(f_star(s1), s2, s3) == f_star(t.adjust(s1, s2, s3))
+
+
+class TestFreezeSplicesTheNestingTree:
+    """freeze(uid) removes uid from the live nesting tree: its children
+    move up to its nearest live ancestor and cached chains are redone."""
+
+    NESTED = ('sS(0) sM(0,1) sE(1,"a") sM(1,2) sE(2,"b") sM(2,3) sE(3,"c") '
+              'eE(3,"c") eM(2,3) eE(2,"b") eM(1,2) sM(1,4) sE(4,"d") '
+              'eE(4,"d") eM(1,4) eE(1,"a") eM(0,1) ')
+
+    def feed(self, ctx, src):
+        out_id = ctx.ids.reserve(900)
+        pipe = Pipeline(ctx, [CountItems(ctx, 0, out_id)], Display(out_id))
+        for e in loads(src):
+            pipe.feed(e)
+        return pipe.wrappers[0]
+
+    def test_chain_is_the_live_enclosing_regions(self, ctx):
+        w = self.feed(ctx, self.NESTED)
+        assert w._region_chain(3) == (3, 2, 1)
+        assert w._children == {1: {2, 4}, 2: {3}}
+
+    def test_outer_freeze_reparents_children(self, ctx):
+        w = self.feed(ctx, self.NESTED + "freeze(1)")
+        assert w._parent == {2: None, 3: 2, 4: None}
+        assert w._children == {2: {3}}
+        assert w._region_chain(3) == (3, 2)
+        # Chains cached while region 1 was live are gone with it.
+        assert not w._rcfg
+
+    def test_middle_freeze_splices_grandchild_onto_grandparent(self, ctx):
+        w = self.feed(ctx, self.NESTED + "freeze(2)")
+        assert w._parent == {1: None, 3: 1, 4: 1}
+        assert w._children == {1: {3, 4}}
+        assert w._region_chain(3) == (3, 1)
+        assert 3 not in w._rcfg and 2 not in w._rcfg
+
+    def test_leaf_freeze_drops_the_empty_child_set(self, ctx):
+        w = self.feed(ctx, self.NESTED + "freeze(3)")
+        assert w._parent == {1: None, 2: 1, 4: 1}
+        assert w._children == {1: {2, 4}}
+
+    def test_freezing_everything_leaves_no_entry(self, ctx):
+        w = self.feed(ctx, self.NESTED + "freeze(1) freeze(3) freeze(2) "
+                                         "freeze(4)")
+        assert w.region_entries() == len(w.input_ids) + 3  # LIVE states
+        assert not w._parent and not w._children and not w._rcfg
+
+    def test_bracket_end_names_the_target_its_start_did(self, ctx):
+        # Target 1 freezes while its replacement 5 is still open: the
+        # translated eR must close the bracket the translated sR opened.
+        out_id = ctx.ids.reserve(900)
+        collector = Collector()
+        pipe = Pipeline(ctx, [ChildStep(ctx, 0, out_id, "a")], collector)
+        for e in loads('sS(0) sE(0,"r") sM(0,1) sE(1,"a") eE(1,"a") '
+                       'eM(0,1) sR(1,5) sE(5,"a") freeze(1) eE(5,"a") '
+                       'eR(1,5) eE(0,"r") eS(0)'):
+            pipe.feed(e)
+        pipe.finish()
+        starts = [e for e in collector.events if e.abbrev == "sR"]
+        ends = [e for e in collector.events if e.abbrev == "eR"]
+        assert [(e.id, e.sub) for e in starts] == \
+            [(e.id, e.sub) for e in ends]
