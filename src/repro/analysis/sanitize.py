@@ -28,11 +28,20 @@ boundary, event, and substream:
 The checker is deliberately per-boundary: each stage's output must be a
 valid update stream *on its own*, which is exactly the compositionality
 argument of the paper's pipeline construction.
+
+The pipeline's event loop knows nothing about checking:
+:func:`interpose_checkers` wraps the handler tables and the sink the
+loop is bound over, so an event is validated by boundary ``i``'s checker
+on its way into stage ``i`` (boundary ``n``: into the sink).  The shims
+index the table they wrap at call time — handler tables keep their
+identity across a wrapper's dormant -> active flip — and routing is off
+under the sanitizer so that every boundary sees its complete stream.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NoReturn, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, List, NoReturn, Optional, Sequence, Set,
+                    Tuple)
 
 from ..events.errors import ProtocolViolation
 from ..events.model import (EE, ES, ET, FREEZE, HIDE, SE, SHOW, SM, SS, ST,
@@ -260,6 +269,33 @@ def boundary_checkers(stages: Sequence, sink) -> List[BoundaryChecker]:
     endpoints = ["source"] + names + [sink_name]
     return [BoundaryChecker("{} -> {}".format(a, b), stage_index=i)
             for i, (a, b) in enumerate(zip(endpoints, endpoints[1:]))]
+
+
+def interpose_checkers(checkers: Sequence[BoundaryChecker],
+                       tables: Sequence[list], sink: Callable,
+                       fix_freeze: Callable[[int], None]
+                       ) -> Tuple[List[list], Callable]:
+    """Wrap handler tables and the sink so each boundary is checked.
+
+    ``checkers[i]`` sees every event entering ``tables[i]``, the last
+    one every event entering ``sink``.  The fix-map write of ``freeze``
+    — the one global side effect the routed loop performs itself, and
+    which must precede the check of the event's next boundary — rides
+    with the shim, since the sanitizer runs with routing off.
+    """
+    def checked(checker: BoundaryChecker, forward: Callable) -> Callable:
+        feed = checker.feed
+
+        def boundary(ev: Event) -> object:
+            if ev.kind == FREEZE:
+                fix_freeze(ev.id)
+            feed(ev)
+            return forward(ev)
+        return boundary
+
+    return ([[checked(checker, lambda ev, _t=table: _t[ev.kind](ev))]
+             * len(table) for checker, table in zip(checkers, tables)],
+            checked(checkers[-1], sink))
 
 
 def check_stream(events, label: str = "stream",

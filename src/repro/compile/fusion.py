@@ -1,6 +1,6 @@
 """Stage fusion: compile runs of pipeline stages into one closure.
 
-The interpreted driver (:meth:`repro.core.pipeline.Pipeline._drain`)
+The interpreted driver (:func:`repro.core.pipeline.bind_drain`)
 pays a fixed per-event tax at every stage boundary: a work-list
 iteration, a routing-key classification, a handler-table double
 subscript, and stack traffic for multi-output stages.  Profiling the
@@ -24,9 +24,10 @@ inlined.  The generated body replicates the routed interpreter exactly:
   update event can ever arrive, and only while the wrapper really is
   dormant) skips the wrapper shim entirely and calls the transformer's
   ``process`` directly, preserving the ``calls`` accounting;
-* any update-kind event entering a level is handed to an interpreted
-  tail drive (:meth:`FusedSegment._tail`) that mirrors ``_drain`` over
-  the remaining levels; if that event activated a wrapper a
+* any update-kind event entering a dormant level is handed to an
+  interpreted tail drive (:meth:`FusedSegment._tail`: the same
+  ``bind_drain`` loop, bound over this segment's levels with ``emit``
+  as its sink); if that event activated a wrapper a
   dormant-flavor level was generated for, the segment regenerates
   itself with the activated stage demoted to active flavor (a *deopt*),
   so the fast path is never consulted in a stale state.
@@ -40,15 +41,15 @@ the raw event stream — would diverge from the interpreter.
 
 Fusion changes neither the event stream nor the per-stage call counts:
 the differential suite (``tests/test_fusion.py``) holds fused runs
-byte- and call-identical to interpreted runs.  Generated closures are
-rebuilt — never pickled — across checkpoint/restore
-(:meth:`FusedSegment.__setstate__`).
+byte- and call-identical to interpreted runs.  Segments are rebuilt —
+never pickled — across checkpoint/restore (``Pipeline._bind``).
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
+from ..core.pipeline import bind_drain
 from ..core.wrapper import _FIRST_UPDATE, LIVE, UpdateWrapper
 from ..events.model import FREEZE
 
@@ -206,7 +207,7 @@ def _generate_source(wrappers: Sequence[UpdateWrapper],
         put(k, "k{0} = e{0}.kind".format(k))
         if flavor == "dormant":
             put(k, "if k{0} >= {1}:".format(k, _FIRST_UPDATE))
-            put(k + 1, "_tail({0}, e{0}, emit)".format(k))
+            put(k + 1, "_tail({0}, e{0})".format(k))
             if batch and k == 0:
                 # The divert may have deopted this very frame; the rest
                 # of the batch must run against the regenerated code.
@@ -368,28 +369,29 @@ def _generate_source(wrappers: Sequence[UpdateWrapper],
 class FusedSegment:
     """A run of stages compiled into one generated driver closure.
 
-    The pipeline drives the segment as one unit: ``_impl(event, emit)``
-    pushes one event through every fused level, handing each exit to
-    ``emit`` immediately.  All state lives in the wrapped stages; the
-    closure binds only objects whose identity is stable for the
-    wrappers' lifetime (handler tables, tracked maps, transformers), so
-    regenerating it is always safe and checkpoints simply drop it.
+    The pipeline drives the segment as one unit: :meth:`drive` pushes
+    one event through every fused level, :meth:`feed_batch` a whole
+    source batch, each exit handed to ``emit`` (the next segment's
+    ``drive``, or the sink) immediately.  All state lives in the
+    wrapped stages; the closure binds only objects whose identity is
+    stable for the wrappers' lifetime (handler tables, tracked maps,
+    transformers), so regenerating it is always safe and checkpoints
+    simply drop it.
     """
 
     def __init__(self, wrappers: Sequence[UpdateWrapper], start: int,
-                 spec_dormant: Sequence[bool], ctx) -> None:
+                 spec_dormant: Sequence[bool], fix_freeze, emit) -> None:
         self.wrappers = list(wrappers)
         self.start = start
         self.spec_dormant = tuple(spec_dormant)
-        self.ctx = ctx
+        self.fix_freeze = fix_freeze
+        self.emit = emit
         self.deopts = 0
         self._gen = 0
-        self._init_tables()
+        self._drain = bind_drain([w.handlers for w in self.wrappers],
+                                 [w.tracked for w in self.wrappers],
+                                 emit, fix_freeze)
         self._build()
-
-    def _init_tables(self) -> None:
-        self._tables = [w.handlers for w in self.wrappers]
-        self._routes = [w.tracked for w in self.wrappers]
 
     # -- code generation ----------------------------------------------------
 
@@ -404,12 +406,7 @@ class FusedSegment:
             w for g, w in zip(self._gen_dormant, self.wrappers) if g)
         source = _generate_source(self.wrappers, flavors)
         self.source = source
-        # ``fix.freeze`` is exactly a discard on the not-fixed set (see
-        # MutabilityRegistry) and the set is assigned once for the
-        # context's lifetime, so the generated code binds the C-level
-        # method and skips a Python frame per freeze classification.
-        namespace = {"_tail": self._tail,
-                     "fixf": self.ctx.fix._not_fixed.discard,
+        namespace = {"_tail": self._tail, "fixf": self.fix_freeze,
                      "LIVE": LIVE}
         for k, w in enumerate(self.wrappers):
             namespace["w{}".format(k)] = w
@@ -458,11 +455,15 @@ class FusedSegment:
 
     # -- driving ------------------------------------------------------------
 
-    def feed(self, ev) -> list:
-        """Convenience drive: one event in, the flat exit list out."""
-        out: list = []
-        self._impl(ev, out.append)
-        return out
+    def drive(self, ev) -> None:
+        """One event through every level (what an upstream segment
+        emits into).  Re-reads ``_impl`` per event: a deopt swaps it."""
+        self._impl(ev, self.emit)
+
+    def feed_batch(self, events) -> None:
+        """A source batch through the in-frame loop of the current
+        build; a mid-batch deopt hands the rest to :meth:`_resume`."""
+        self._impl_batch(events, self.emit)
 
     def _resume(self, it, emit) -> None:
         """Finish a batch whose generated frame went stale mid-stream.
@@ -474,63 +475,24 @@ class FusedSegment:
         for ev in it:
             self._impl(ev, emit)
 
-    def _tail(self, k: int, ev, emit) -> None:
+    def _tail(self, k: int, ev) -> None:
         """Interpreted drive of ``ev`` through levels ``k..end``.
 
-        The update-kind slow path: an exact mirror of
-        ``Pipeline._drain`` (routing, fix-map writes, LIFO ordering)
-        restricted to this segment's stages, exits handed to ``emit``
-        as they surface.  If handling the event activated a wrapper the
+        The update-kind slow path: the pipeline's own event loop bound
+        over this segment's stages, exits handed to ``emit`` as they
+        surface.  If handling the event activated a wrapper the
         generated code still treats as dormant, the closure is
         regenerated before the next event (deopt) — the fast path never
         runs against a stale dormancy assumption.
         """
-        tables = self._tables
-        routes = self._routes
-        n = len(tables)
-        fix_freeze = self.ctx.fix.freeze
-        stack: List[tuple] = []
-        push = stack.append
-        pop = stack.pop
-        idx = k
-        while True:
-            kind = ev.kind
-            if kind < _FIRST_UPDATE:
-                key = ev.id
-            elif kind >= _FREEZE:
-                if kind == _FREEZE:
-                    fix_freeze(ev.id)
-                key = ev.id
-            elif kind & 1:
-                key = ev.id
-            else:
-                key = ev.sub
-            while idx < n and key not in routes[idx]:
-                idx += 1
-            if idx < n:
-                out = tables[idx][kind](ev)
-                m = len(out)
-                if m:
-                    idx += 1
-                    if m > 1:
-                        i = m - 1
-                        while i > 0:
-                            push((idx, out[i]))
-                            i -= 1
-                    ev = out[0]
-                    continue
-            else:
-                emit(ev)
-            if not stack:
-                break
-            idx, ev = pop()
+        self._drain((ev,), k)
         for w in self._dormant_watch:
             if not w.dormant:
                 self.deopts += 1
                 self._build()
                 break
 
-    # -- introspection / checkpointing --------------------------------------
+    # -- introspection ------------------------------------------------------
 
     def describe(self) -> dict:
         return {
@@ -540,20 +502,6 @@ class FusedSegment:
             "dormant": list(self._gen_dormant),
             "deopts": self.deopts,
         }
-
-    def __getstate__(self) -> dict:
-        # Generated artifacts (the closure, its source, the bound tail)
-        # never travel: a restored segment regenerates them against the
-        # restored wrappers' current dormancy.
-        return {"wrappers": self.wrappers, "start": self.start,
-                "spec_dormant": self.spec_dormant, "ctx": self.ctx,
-                "deopts": self.deopts}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._gen = 0
-        self._init_tables()
-        self._build()
 
     def __repr__(self) -> str:
         return "FusedSegment(stages {}..{}, {} dormant)".format(

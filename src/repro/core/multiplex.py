@@ -122,7 +122,7 @@ class EventMultiplexer:
         self._finished = False
         #: run index -> per-query projection mask (see
         #: :class:`repro.analysis.projection.ProjectionMask`).  Installed
-        #: by the owning executor; empty means the unmasked fast path.
+        #: by the owning executor; a run without one gets the shared batch.
         self._masks: Dict[int, object] = {}
         #: Shared prefix groups (see
         #: :class:`repro.compile.sharing.SharedGroup`).  Member runs are
@@ -150,11 +150,15 @@ class EventMultiplexer:
         their displays stay at the provably correct empty answer.
         """
         self.static_empty = frozenset(indices)
+        self._detach(self.static_empty)
+
+    def _detach(self, indices) -> None:
+        """Take the given run indices out of the direct fan-out."""
         self._raw_pipelines = [(i, p) for i, p in self._raw_pipelines
-                               if i not in self.static_empty]
+                               if i not in indices]
         self._stripped_pipelines = [(i, p)
                                     for i, p in self._stripped_pipelines
-                                    if i not in self.static_empty]
+                                    if i not in indices]
 
     def set_masks(self, masks: Dict[int, object]) -> None:
         """Install per-pipeline projection masks (run index -> mask).
@@ -171,11 +175,7 @@ class EventMultiplexer:
         self._groups = list(groups)
         self._grouped = frozenset(i for g in self._groups
                                   for i in g.member_indices)
-        self._raw_pipelines = [(i, p) for i, p in self._raw_pipelines
-                               if i not in self._grouped]
-        self._stripped_pipelines = [(i, p)
-                                    for i, p in self._stripped_pipelines
-                                    if i not in self._grouped]
+        self._detach(self._grouped)
 
     def feed(self, event: Event) -> None:
         self.feed_batch((event,))
@@ -204,11 +204,7 @@ class EventMultiplexer:
                 fault_plan=self.fault_plan,
                 run_index=run_index, events_in=self.events_in)
         self.quarantined[run_index] = report
-        self._raw_pipelines = [(i, p) for i, p in self._raw_pipelines
-                               if i != run_index]
-        self._stripped_pipelines = [(i, p)
-                                    for i, p in self._stripped_pipelines
-                                    if i != run_index]
+        self._detach((run_index,))
 
     def feed_batch(self, events: Iterable[Event]) -> None:
         """Fan one input batch out to every pipeline.
@@ -225,66 +221,31 @@ class EventMultiplexer:
         self.batches += 1
         if self.guard is not None:
             self.guard.check_batch(batch)
-        quarantine = self.quarantine
         if self._groups:
             self._feed_groups(batch)
-        if self._masks:
-            self._feed_batch_masked(batch)
-            return
         if self._stripper is not None:
             stripper_feed = self._stripper.feed
             stripped = [out for e in batch for out in stripper_feed(e)]
-            self.stripped_events_out += (len(stripped)
-                                         * len(self._stripped_pipelines))
-            if quarantine:
-                for i, pipeline in list(self._stripped_pipelines):
-                    try:
-                        pipeline.feed_batch(stripped)
-                    except Exception as exc:
-                        self._quarantine(i, exc)
-            else:
-                for _, pipeline in self._stripped_pipelines:
-                    pipeline.feed_batch(stripped)
-        self.raw_events_out += len(batch) * len(self._raw_pipelines)
-        if quarantine:
-            for i, pipeline in list(self._raw_pipelines):
-                try:
-                    pipeline.feed_batch(batch)
-                except Exception as exc:
-                    self._quarantine(i, exc)
-        else:
-            for _, pipeline in self._raw_pipelines:
-                pipeline.feed_batch(batch)
+            self.stripped_events_out += self._fan_out(
+                self._stripped_pipelines, stripped)
+        self.raw_events_out += self._fan_out(self._raw_pipelines, batch)
 
-    def _feed_batch_masked(self, batch: Sequence[Event]) -> None:
-        """Mask-aware fan-out: per-pipeline filtering and counters."""
+    def _fan_out(self, pipelines: Sequence, batch: Sequence[Event]) -> int:
+        """Feed ``batch`` to each pipeline, through its projection mask
+        if it has one; returns the number of events handed over."""
         masks = self._masks
-        quarantine = self.quarantine
-        if self._stripper is not None:
-            stripper_feed = self._stripper.feed
-            stripped = [out for e in batch for out in stripper_feed(e)]
-            for i, pipeline in list(self._stripped_pipelines):
-                mask = masks.get(i)
-                feed = stripped if mask is None else mask.filter(stripped)
-                self.stripped_events_out += len(feed)
-                if quarantine:
-                    try:
-                        pipeline.feed_batch(feed)
-                    except Exception as exc:
-                        self._quarantine(i, exc)
-                else:
-                    pipeline.feed_batch(feed)
-        for i, pipeline in list(self._raw_pipelines):
+        delivered = 0
+        for i, pipeline in list(pipelines):
             mask = masks.get(i)
             feed = batch if mask is None else mask.filter(batch)
-            self.raw_events_out += len(feed)
-            if quarantine:
-                try:
-                    pipeline.feed_batch(feed)
-                except Exception as exc:
-                    self._quarantine(i, exc)
-            else:
+            delivered += len(feed)
+            try:
                 pipeline.feed_batch(feed)
+            except Exception as exc:
+                if not self.quarantine:
+                    raise
+                self._quarantine(i, exc)
+        return delivered
 
     def finish(self) -> None:
         if self._finished:

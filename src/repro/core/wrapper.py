@@ -206,8 +206,8 @@ class UpdateWrapper:
         # fixed-sM alias), 1 = raw/shared, 2 = region with own state copy.
         # One dict probe classifies an event completely (the facets are
         # disjoint by construction — update-region ids are fresh).  The
-        # batched pipeline driver consults the key set to skip stages an
-        # event would traverse unchanged (see Pipeline._drain for how
+        # pipeline's event loop consults the key set to skip stages an
+        # event would traverse unchanged (see pipeline.bind_drain for how
         # update events are keyed).
         self.tracked: Dict[int, int] = dict.fromkeys(self.input_ids, 0)
         #: Kind-indexed handler list; fixed identity, mutated in place on
@@ -276,11 +276,12 @@ class UpdateWrapper:
     # -- dispatch -----------------------------------------------------------------
     #
     # Dispatch is a fixed list of handlers indexed by ``int(e.kind)`` (the
-    # Kind enum is laid out for exactly this).  The batched pipeline driver
+    # Kind enum is laid out for exactly this).  The pipeline's event loop
     # calls ``wrapper.handlers[e.kind](e)`` directly, skipping even the
     # dispatch shim; each handler keeps its own ``calls`` accounting.  The
     # list object never changes identity — the dormant -> active transition
-    # mutates it in place, so drivers may cache it once per run.
+    # mutates it in place — which is what lets the loop bind it once and
+    # lets observers wrap it (their shims index it at call time).
 
     def dispatch(self, e: Event) -> List[Event]:
         """The effective state transformer ``f'`` extended with updates."""

@@ -38,7 +38,10 @@ MAGIC = b"XFCK"
 #: ``_children`` inverse) and an ``_open`` bracket map where version 1
 #: had ``_chain_cache``, ``_anchor_at_open`` and ``_bracket_stack``; a
 #: version-1 blob restored into this code would lack the new fields.
-VERSION = 2
+#: 3: a pickled Pipeline (inside ``multiquery`` envelopes) carries a
+#: ``_routing`` flag where version 2 had the ``_tables`` / ``_routes``
+#: lists and the ``_drive`` / ``_fast_seg`` / ``_fast_emit`` slots.
+VERSION = 3
 
 #: Kinds the current code base writes; decode rejects unknown kinds.
 KNOWN_KINDS = ("pipeline", "queryrun", "multiquery")

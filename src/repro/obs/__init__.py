@@ -1,7 +1,8 @@
 """Pipeline telemetry: per-stage metrics, footprint timelines, tracing.
 
-Opt-in observability over the update-stream pipeline, with a strict
-zero-overhead-when-disabled contract (see :mod:`repro.obs.recorder`).
+Opt-in observability over the update-stream pipeline, interposed on
+the one event loop rather than written into it, so a run without a
+recorder pays nothing (see :mod:`repro.obs.recorder`).
 
 * :class:`MetricsRecorder` — per-stage event-flow counters, wrapper
   life-cycle events, and memory-footprint time series;
@@ -27,20 +28,18 @@ from .flightrec import (DEFAULT_CAPACITY, FlightRecorder, build_bundle,
 from .histogram import (DRAIN_BATCH, TOKENIZER_CHUNK, UPDATE_LATENCY,
                         LogHistogram, merge_histogram_dicts,
                         summarize_histogram_dict)
-from .recorder import (EVENT_CLASSES, KIND_CLASS, NULL_RECORDER,
-                       MetricsRecorder, StageIdentity, StageMetrics,
-                       merge_metrics, metrics_default, stage_identities)
+from .recorder import (EVENT_CLASSES, KIND_CLASS, MetricsRecorder,
+                       StageIdentity, StageMetrics, merge_metrics,
+                       stage_identities)
 from .trace import SINK_STAGE, Hop, TraceLog, merge_trace_dicts
 
 __all__ = [
     "EVENT_CLASSES",
     "KIND_CLASS",
-    "NULL_RECORDER",
     "MetricsRecorder",
     "StageIdentity",
     "StageMetrics",
     "merge_metrics",
-    "metrics_default",
     "stage_identities",
     "SINK_STAGE",
     "Hop",

@@ -4,9 +4,9 @@ When a pipeline is quarantined or a shard worker dies, the error report
 says *what* broke but not what the stream looked like on the way in.
 The flight recorder fills that gap: a ``collections.deque(maxlen=N)``
 of the most recent source events, kept by reference (one append per
-event, no rendering) on the instrumented drain only — the unobserved
-hot path never sees it, preserving the zero-overhead-when-disabled
-contract of :mod:`repro.obs.recorder`.
+event, no rendering) by the recorder's source generator only — a
+pipeline without a recorder never sees it (the interposition contract
+of :mod:`repro.obs.recorder`).
 
 On ``ProtocolViolation``, an injected fault, or any other quarantine,
 :func:`build_bundle` renders the ring plus the stage identities

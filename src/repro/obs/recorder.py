@@ -16,14 +16,23 @@ module records what happens *while* the stream flows:
   (plus one final sample at end-of-stream), giving the footprint
   trajectory that ``BENCH_memory.json`` exports.
 
-**Zero overhead when disabled.**  A pipeline without a recorder runs
-the exact same batched drain loop as before — the *only* cost is one
-``is None`` test per batch when the driver picks the drain variant.
-No per-event branch, no null-object method calls on the hot path.  The
-:class:`MetricsRecorder` is attached at pipeline construction
+**Interposed, not inlined.**  The pipeline has one event loop
+(:func:`repro.core.pipeline.bind_drain`) and it knows nothing about
+telemetry.  A :class:`MetricsRecorder` attached at pipeline construction
 (``Pipeline(..., recorder=...)``, ``QueryRun(..., metrics=True)``, the
-``--metrics`` flag, or ``REPRO_METRICS=1``); the instrumented drain is
-a separate method used only then.
+``--metrics`` flag, or ``REPRO_METRICS=1``) wraps what that loop calls:
+:meth:`MetricsRecorder.interpose` puts a counting (and, when tracing, a
+hop-recording) shim around every stage's handler table and around the
+sink, and :meth:`MetricsRecorder.observe_source` wraps the source
+iterable in a generator.  Two invariants make that sufficient.  Handler
+tables keep their identity for the wrappers' lifetime — the dormant ->
+active flip mutates them in place — so a shim that indexes the real
+table at call time always reaches the current handler.  And propagation
+is depth-first, so the loop asks the source generator for its next
+event only after the previous event's whole cascade has landed in the
+sink: the generator's resume point *is* the end-to-end update-latency,
+flight-ring and footprint-sample boundary.  Without a recorder nothing
+is wrapped, so the plain path carries no telemetry test at all.
 
 Recorders serialize to plain dicts (:meth:`MetricsRecorder.to_dict`)
 so shard workers can ship them over the frame-protocol result pipe;
@@ -34,15 +43,17 @@ timelines stay per-pipeline).
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Sequence
+from time import perf_counter_ns as _perf_ns
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
+    Sequence, Tuple
 
-from ..events.model import FREEZE, SHOW, SM
+from ..events.model import FREEZE, SHOW, SM, UPDATE_STARTS
 from .histogram import DRAIN_BATCH, UPDATE_LATENCY, LogHistogram
 
 _FIRST_UPDATE = int(SM)
 _FREEZE = int(FREEZE)
 _N_KINDS = int(SHOW) + 1
+_UPDATE_START_KINDS = frozenset(int(k) for k in UPDATE_STARTS)
 
 #: Event-class labels, index-aligned with ``Kind`` values: regular data
 #: events, update brackets (sU/eU), control events (freeze/hide/show).
@@ -52,11 +63,6 @@ KIND_CLASS = tuple(
     for k in range(_N_KINDS))
 
 EVENT_CLASSES = ("data", "bracket", "control")
-
-
-def metrics_default() -> bool:
-    """Opt into metrics recording via the REPRO_METRICS env variable."""
-    return os.environ.get("REPRO_METRICS", "") not in ("", "0")
 
 
 class StageIdentity:
@@ -78,6 +84,14 @@ class StageIdentity:
 
     def __repr__(self) -> str:
         return "StageIdentity({})".format(self.label)
+
+
+def _classed(counts: List[int]) -> Dict[str, int]:
+    """Kind-indexed counts summed per event class."""
+    by_class = dict.fromkeys(EVENT_CLASSES, 0)
+    for kind, n in enumerate(counts):
+        by_class[KIND_CLASS[kind]] += n
+    return by_class
 
 
 def stage_identities(stages: Sequence) -> List[StageIdentity]:
@@ -131,18 +145,12 @@ class StageMetrics:
 
     # -- serialization ----------------------------------------------------
 
-    def _classed(self, counts: List[int]) -> Dict[str, int]:
-        by_class = dict.fromkeys(EVENT_CLASSES, 0)
-        for kind, n in enumerate(counts):
-            by_class[KIND_CLASS[kind]] += n
-        return by_class
-
     def to_dict(self) -> dict:
         return {
             "index": self.identity.index,
             "label": self.identity.label,
-            "events_in": self._classed(self.in_counts),
-            "events_out": self._classed(self.out_counts),
+            "events_in": _classed(self.in_counts),
+            "events_out": _classed(self.out_counts),
             "activations": self.activations,
             "activated_at": self.activated_at,
             "freezes": self.freezes,
@@ -168,8 +176,6 @@ class MetricsRecorder:
             ``True`` uses the default capacity; an int sets it.
     """
 
-    enabled = True
-
     def __init__(self, sample_interval: int = 256,
                  trace: bool = False,
                  flight=False) -> None:
@@ -185,7 +191,7 @@ class MetricsRecorder:
         #: executor, so counter mutations show up in to_dict() without a
         #: per-event hook here.  None when no projection is active.
         self.projection: Optional[Dict[str, int]] = None
-        #: Latency histograms the instrumented drain feeds.  Executors
+        #: Latency histograms :meth:`observe_source` feeds.  Executors
         #: may add more (the tokenizer chunk histogram lives at the
         #: executor level, exactly like the projection counters, so
         #: shared-tokenizer latencies are counted once).
@@ -194,7 +200,6 @@ class MetricsRecorder:
             UPDATE_LATENCY: LogHistogram(),
         }
         self._wrappers: Sequence = ()
-        self.tracing = trace
         if trace:
             from .trace import TraceLog
             self.trace: Optional["TraceLog"] = TraceLog()
@@ -217,6 +222,90 @@ class MetricsRecorder:
         for wrapper, sm in zip(wrappers, self.stages):
             wrapper.obs = sm
 
+    # -- interposition ----------------------------------------------------
+
+    def interpose(self, tables: Sequence[list],
+                  sink: Callable) -> Tuple[List[list], Callable]:
+        """Wrap the attached stages' handler tables and the sink.
+
+        Returns kind-indexed shim tables (and a sink shim) the event
+        loop calls in place of the real ones: each counts the event in,
+        calls the real handler — looked up in the real table *at call
+        time*, so the in-place dormant -> active flip is seen — and
+        counts what came out.  With tracing on, the update-start kinds
+        get a second shim recording the provenance hops.
+        """
+        trace = self.trace
+
+        def stage(idx: int, table: list) -> list:
+            sm = self.stages[idx]
+            in_counts, out_counts = sm.in_counts, sm.out_counts
+
+            def hop(ev):
+                kind = ev.kind
+                in_counts[kind] += 1
+                out = table[kind](ev)
+                for o in out:
+                    out_counts[o.kind] += 1
+                return out
+
+            if trace is None:
+                return [hop] * _N_KINDS
+
+            def traced_hop(ev):
+                sub, kind = ev.sub, ev.kind
+                trace.record(sub, kind, idx, "enter")
+                out = hop(ev)
+                for o in out:
+                    if o.kind in _UPDATE_START_KINDS and o.sub != sub:
+                        trace.record(sub, kind, idx, "translate",
+                                     to_region=o.sub)
+                return out
+
+            return [traced_hop if kind in _UPDATE_START_KINDS else hop
+                    for kind in range(_N_KINDS)]
+
+        sink_counts = self.sink_counts
+
+        def counted_sink(ev):
+            kind = ev.kind
+            sink_counts[kind] += 1
+            if trace is not None and kind in _UPDATE_START_KINDS:
+                trace.record(ev.sub, kind, -1, "emit")
+            sink(ev)
+
+        return ([stage(idx, table) for idx, table in enumerate(tables)],
+                counted_sink)
+
+    def observe_source(self, events: Iterable) -> Iterator:
+        """Yield a source batch's events, observing between them.
+
+        Runs *inside* the event loop's ``for`` statement: everything
+        before a ``yield`` happens before the event enters stage 0,
+        everything after it once that event's depth-first cascade has
+        drained.  ``on_end`` flushes do not come through here, which
+        keeps observation counts deterministic — the sharded
+        differential holds merged counts equal to single-process.
+        """
+        flight = self.flight
+        update_latency = self.histograms[UPDATE_LATENCY]
+        t_batch = _perf_ns()
+        for e in events:
+            if flight is not None:
+                flight.note(e)
+            if self.count_source():
+                self.sample_now()
+            if e.kind in _UPDATE_START_KINDS:
+                # End-to-end update latency: by the time the loop comes
+                # back for the next source event, every display delta
+                # of this update start has landed.
+                t_update = _perf_ns()
+                yield e
+                update_latency.record(_perf_ns() - t_update)
+            else:
+                yield e
+        self.histograms[DRAIN_BATCH].record(_perf_ns() - t_batch)
+
     # -- sampling ---------------------------------------------------------
 
     def sample_now(self) -> None:
@@ -235,17 +324,11 @@ class MetricsRecorder:
 
     # -- serialization ----------------------------------------------------
 
-    def sink_dict(self) -> Dict[str, int]:
-        by_class = dict.fromkeys(EVENT_CLASSES, 0)
-        for kind, n in enumerate(self.sink_counts):
-            by_class[KIND_CLASS[kind]] += n
-        return by_class
-
     def to_dict(self) -> dict:
         out = {
             "sample_interval": self.sample_interval,
             "source_events": self.source_events,
-            "sink_events": self.sink_dict(),
+            "sink_events": _classed(self.sink_counts),
             "stages": [sm.to_dict() for sm in self.stages],
             "peak_cells_total": sum(sm.peak_cells for sm in self.stages),
             "cells_reclaimed_total": sum(sm.cells_reclaimed
@@ -263,21 +346,6 @@ class MetricsRecorder:
         if self.flight is not None:
             out["flight"] = self.flight.to_dict()
         return out
-
-
-class _NullRecorder:
-    """Disabled-path sentinel: drivers test ``recorder is None`` or this
-    flag once per batch and never touch telemetry again."""
-
-    enabled = False
-    tracing = False
-    flight = None
-
-    def __repr__(self) -> str:
-        return "NULL_RECORDER"
-
-
-NULL_RECORDER = _NullRecorder()
 
 
 def _sum_classed(a: Dict[str, int], b: Dict[str, int]) -> Dict[str, int]:

@@ -20,8 +20,8 @@ totally ordered, and chains across translations can be reassembled from
 the links — the JSON the ``python -m repro trace`` subcommand prints
 groups both views.
 
-Tracing rides on the instrumented drain (it implies metrics recording)
-and obeys the same contract: with tracing off there is no per-event
+Tracing rides on the recorder's handler-table shims (it implies metrics
+recording) and obeys the same contract: with tracing off there is no per-event
 cost, and with it on the output stream is untouched.
 """
 

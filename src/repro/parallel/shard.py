@@ -56,8 +56,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..events import codec
 from ..events.model import Event
 from ..fault import FaultPlan, arm_stage_fault, error_report
-from ..xmlio.tokenizer import tokenize
-from ..xquery.engine import MultiQueryRun, _metrics_default
+from ..xquery.engine import (MultiQueryRun, _metrics_default,
+                             _tokenize_document)
 
 
 class ShardError(RuntimeError):
@@ -1147,25 +1147,10 @@ class ShardedMultiQueryRun:
         if self._parent_metrics:
             from ..obs.histogram import LogHistogram
             tok_hist = LogHistogram()
-        if self._projection_matcher is not None:
-            from ..xmlio.tokenizer import XMLTokenizer
-            tok = XMLTokenizer(stream_id=self.source_id,
-                               projection=self._projection_matcher)
-            tok.chunk_histogram = tok_hist
-            events = list(tok.tokenize(text))
-            self.projection_stats = tok.projection_stats
-            self.chunk_latency = tok_hist
-            return self.run(events)
-        if tok_hist is not None:
-            from ..xmlio.tokenizer import XMLTokenizer
-            tok = XMLTokenizer(stream_id=self.source_id,
-                               emit_oids=self.needs_oids)
-            tok.chunk_histogram = tok_hist
-            events = list(tok.tokenize(text))
-            self.chunk_latency = tok_hist
-            return self.run(events)
-        events = tokenize(text, stream_id=self.source_id,
-                          emit_oids=self.needs_oids)
+        events, self.projection_stats = _tokenize_document(
+            text, self.source_id, self.needs_oids,
+            matcher=self._projection_matcher, chunk_histogram=tok_hist)
+        self.chunk_latency = tok_hist
         return self.run(events)
 
     def abort(self) -> None:

@@ -32,7 +32,7 @@ from ..core.display import Display
 from ..core.pipeline import Pipeline
 from ..core.transformer import Context
 from ..events.model import Event
-from ..xmlio.tokenizer import tokenize
+from ..xmlio.tokenizer import XMLTokenizer, tokenize
 from .ast import Expr
 from .compiler import Compiler, Plan
 from .parser import parse_cached
@@ -61,6 +61,25 @@ def _share_default() -> bool:
 def _flight_default() -> bool:
     """Opt into flight recording via the REPRO_FLIGHT env variable."""
     return os.environ.get("REPRO_FLIGHT", "") not in ("", "0")
+
+
+def _tokenize_document(text: str, source_id: int, needs_oids: bool,
+                       matcher=None, chunk_histogram=None):
+    """Tokenize one whole document for a ``run_xml``.
+
+    Returns ``(events, projection_stats)``.  ``matcher`` (a prunable
+    :class:`~repro.analysis.projection.ProjectionMatcher`) turns on the
+    tokenizer's subtree skipping — it never combines with oids, which
+    skipping would renumber — and ``chunk_histogram`` times the scan;
+    with neither the plain :func:`tokenize` path runs.
+    """
+    if matcher is None and chunk_histogram is None:
+        return tokenize(text, stream_id=source_id,
+                        emit_oids=needs_oids), None
+    tok = XMLTokenizer(stream_id=source_id, projection=matcher,
+                       emit_oids=needs_oids and matcher is None)
+    tok.chunk_histogram = chunk_histogram
+    return list(tok.tokenize(text)), tok.projection_stats
 
 
 class QueryRun:
@@ -93,8 +112,8 @@ class QueryRun:
         self.display = Display(plan.result_id, on_change=on_change,
                                track_snapshots=track_snapshots)
         if metrics or trace or flight:
-            # Flight recording rides the instrumented drain, so it
-            # implies a recorder (same rule as tracing).
+            # The flight ring is fed by the recorder's source generator,
+            # so it implies a recorder (same rule as tracing).
             from ..obs import MetricsRecorder
             self.recorder: Optional["MetricsRecorder"] = MetricsRecorder(
                 sample_interval=sample_interval, trace=trace,
@@ -549,36 +568,21 @@ class MultiQueryRun:
         not combinable with durability (the log must hold the full
         event stream a recovery can resume from).
         """
-        if durable is not None:
-            if self.projection_matcher is not None:
-                raise ValueError("durable runs do not combine with "
-                                 "tokenizer projection")
-            events = list(tokenize(text, stream_id=self.source_id,
-                                   emit_oids=self.needs_oids))
-            return self.run_durable(events, durable, **durable_opts)
+        if durable is not None and self.projection_matcher is not None:
+            raise ValueError("durable runs do not combine with "
+                             "tokenizer projection")
         tok_hist = None
-        if any(r.recorder is not None for r in self.runs):
+        if durable is None and any(r.recorder is not None
+                                   for r in self.runs):
             from ..obs.histogram import LogHistogram
             tok_hist = LogHistogram()
-        if self.projection_matcher is not None:
-            from ..xmlio.tokenizer import XMLTokenizer
-            tok = XMLTokenizer(stream_id=self.source_id,
-                               projection=self.projection_matcher)
-            tok.chunk_histogram = tok_hist
-            events = list(tok.tokenize(text))
-            self.projection_stats = tok.projection_stats
-            self.chunk_latency = tok_hist
-            return self.run(events)
-        if tok_hist is not None:
-            from ..xmlio.tokenizer import XMLTokenizer
-            tok = XMLTokenizer(stream_id=self.source_id,
-                               emit_oids=self.needs_oids)
-            tok.chunk_histogram = tok_hist
-            events = list(tok.tokenize(text))
-            self.chunk_latency = tok_hist
-            return self.run(events)
-        events = tokenize(text, stream_id=self.source_id,
-                          emit_oids=self.needs_oids)
+        events, stats = _tokenize_document(
+            text, self.source_id, self.needs_oids,
+            matcher=self.projection_matcher, chunk_histogram=tok_hist)
+        if durable is not None:
+            return self.run_durable(events, durable, **durable_opts)
+        self.projection_stats = stats
+        self.chunk_latency = tok_hist
         return self.run(events)
 
     # -- checkpoint / restore --------------------------------------------------
@@ -875,16 +879,15 @@ class XFlux:
         through).  Durability does not combine with projection — the
         log must hold the full stream a recovery can resume from.
         """
+        if durable is not None and projection:
+            raise ValueError("durable runs do not combine with "
+                             "tokenizer projection")
+        plan_probe = self.compile()
         if durable is not None:
-            if projection:
-                raise ValueError("durable runs do not combine with "
-                                 "tokenizer projection")
-            plan_probe = self.compile()
-            events = list(tokenize(text, stream_id=plan_probe.source_id,
-                                   emit_oids=plan_probe.needs_oids))
+            events, _ = _tokenize_document(text, plan_probe.source_id,
+                                           plan_probe.needs_oids)
             return self.run_durable(events, durable, run_kwargs=kwargs,
                                     **(durable_opts or {}))
-        plan_probe = self.compile()
         run = QueryRun(plan_probe, **kwargs)
         matcher = None
         if projection:
@@ -899,26 +902,13 @@ class XFlux:
             from ..obs.histogram import TOKENIZER_CHUNK, LogHistogram
             tok_hist = run.recorder.histograms.setdefault(
                 TOKENIZER_CHUNK, LogHistogram())
-        if matcher is None:
-            if tok_hist is None:
-                events = tokenize(text, stream_id=plan_probe.source_id,
-                                  emit_oids=plan_probe.needs_oids)
-            else:
-                from ..xmlio.tokenizer import XMLTokenizer
-                tok = XMLTokenizer(stream_id=plan_probe.source_id,
-                                   emit_oids=plan_probe.needs_oids)
-                tok.chunk_histogram = tok_hist
-                events = list(tok.tokenize(text))
-        else:
-            from ..xmlio.tokenizer import XMLTokenizer
-            tok = XMLTokenizer(stream_id=plan_probe.source_id,
-                               projection=matcher)
-            tok.chunk_histogram = tok_hist
-            events = list(tok.tokenize(text))
-            run.projection_stats = tok.projection_stats
+        events, stats = _tokenize_document(
+            text, plan_probe.source_id, plan_probe.needs_oids,
+            matcher=matcher, chunk_histogram=tok_hist)
+        if stats is not None:
+            run.projection_stats = stats
             if run.recorder is not None:
-                run.recorder.projection = \
-                    tok.projection_stats.counter_dict()
+                run.recorder.projection = stats.counter_dict()
         run.feed_all(events)
         return run.finish()
 

@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro import XFlux, parse_xml, tokenize
 from repro.baselines.dom_eval import evaluate_to_xml
 from repro.core import Context
 from repro.xquery.parser import parse as parse_query
+
+# Tier-1 must be decidable: by default hypothesis draws the same examples
+# on every run (and replays nothing from a local example database).  The
+# random search stays available to the nightly schedule:
+# HYPOTHESIS_PROFILE=random.  Test tooling, not an engine option.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("random")
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 AUCTION_XML = """<site><regions><europe>
 <item><location>Albania</location><quantity>5</quantity>\

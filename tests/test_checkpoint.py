@@ -240,12 +240,13 @@ class TestEnvelopeDiagnostics:
         assert info.value.offset == 4
 
     def test_previous_version_is_refused(self):
-        # Version 1 pickled wrappers without the live nesting tree's
-        # inverse index; restoring one would fail later, far from here.
+        # Version 2 pickled pipelines with their handler-table and
+        # routing lists instead of the ``_routing`` flag; restoring one
+        # would fail later, far from here.
         blob = encode_checkpoint("pipeline", {}, {})
-        assert blob[4] == 2
+        assert blob[4] == 3
         with pytest.raises(CheckpointError) as info:
-            decode_checkpoint(blob[:4] + b"\x01" + blob[5:], "pipeline")
+            decode_checkpoint(blob[:4] + b"\x02" + blob[5:], "pipeline")
         assert info.value.field == "version"
 
     def test_corrupt_payload_reports_payload_offset(self):

@@ -109,6 +109,28 @@ class TestPipelinePlumbing:
         pipe.feed(cdata(0, "x"))
         assert order == ["x", "sink:x", "x", "sink:x"]
 
+    def test_failed_feed_leaves_no_work_behind(self, ctx):
+        # A stage emitted [a, b] and a failed downstream: b was still
+        # waiting its turn.  It must die with the failed feed, not run
+        # ahead of the next one (a quarantined or sanitizer-stopped
+        # pipeline may be fed again, e.g. to flush it).
+        class Dup(Identity):
+            def process(self, e):
+                return [e, e.relabel(e.id)]
+
+        class Fuse(Identity):
+            def process(self, e):
+                if e.text == "boom":
+                    raise RuntimeError("boom")
+                return [e]
+
+        col = Collector()
+        pipe = Pipeline(ctx, [Dup(ctx, (0,), 0), Fuse(ctx, (0,), 0)], col)
+        with pytest.raises(RuntimeError):
+            pipe.feed(cdata(0, "boom"))
+        pipe.feed(cdata(0, "ok"))
+        assert [e.text for e in col.events] == ["ok", "ok"]
+
     def test_finish_flushes_on_end(self, ctx):
         class Flusher(Identity):
             def on_end(self):
