@@ -16,10 +16,14 @@ streaming stages; each run of two or more becomes a
 inlined.  The generated body replicates the routed interpreter exactly:
 
 * an **active-flavor** level performs the same ``id in tracked`` probe
-  and ``handlers[kind]`` dispatch the interpreter performs — against the
-  *live* wrapper tables, whose identities never change (the dormant ->
-  active transition mutates them in place) — so it is valid in every
-  wrapper state;
+  and ``handlers[kind]`` dispatch the interpreter performs, for data
+  events and update kinds alike — against the *live* wrapper tables,
+  whose identities never change (the dormant -> active transition
+  mutates them in place) — so it is valid in every wrapper state and
+  the wrapper's handlers stay the only implementation of what a stage
+  does with an event: the generated code reads nothing of a wrapper
+  beyond ``handlers``, ``tracked``, ``input_ids``, ``t``, ``calls`` and
+  its dormancy;
 * a **dormant-flavor** level (only where the analyzer guarantees no
   update event can ever arrive, and only while the wrapper really is
   dormant) skips the wrapper shim entirely and calls the transformer's
@@ -50,7 +54,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from ..core.pipeline import bind_drain
-from ..core.wrapper import _FIRST_UPDATE, LIVE, UpdateWrapper
+from ..core.wrapper import _FIRST_UPDATE, UpdateWrapper
 from ..events.model import FREEZE
 
 _FREEZE = int(FREEZE)
@@ -149,20 +153,15 @@ def _generate_source(wrappers: Sequence[UpdateWrapper],
 
     Active levels inline the interpreter's complete routing block for
     *every* event kind — key classification, the freeze fix-map write,
-    the tracked-probe, the handler-table dispatch — so update traffic
-    (predicate item brackets, freezes, hides) stays on the generated
-    path; ``_tail`` is reached only through dormant levels, where an
-    update's arrival falsifies the dormancy assumption and forces a
-    deopt.  For data events the tracked-probe returns the facet, and
-    all three facet bodies of ``UpdateWrapper._active_data`` — live
-    input (0), region with its own state copy (2), raw/shared region
-    content (1) — are transcribed inline, eliminating the wrapper shim
-    call for the entire data stream: the probe's facet feeds the state
-    swap, region configuration, and relabel logic directly.  The
-    handler table remains the dispatch for every update kind (where it
-    also performs the dormant wrapper's activation).  The exit level
-    applies the sink-position freeze fix, making the segment safe to
-    aim straight at the sink.
+    the tracked-probe, the handler-table dispatch — so data and update
+    traffic alike (predicate item brackets, freezes, hides) stay on the
+    generated path and go through the one implementation of each
+    handler, the wrapper's own; the table entry is also what performs a
+    dormant wrapper's activation.  ``_tail`` is reached only through
+    dormant levels, where an update's arrival falsifies the dormancy
+    assumption and forces a deopt.  The exit level applies the
+    sink-position freeze fix, making the segment safe to aim straight
+    at the sink.
     """
     n = len(wrappers)
     head = ("def _fused_batch(events, emit," if batch
@@ -170,18 +169,14 @@ def _generate_source(wrappers: Sequence[UpdateWrapper],
     extra = ""
     if batch and "dormant" in flavors:
         extra = " SEG=SEG, G=G, _res=_res,"
-    lines = [head + " _tail=_tail, fixf=fixf, LIVE=LIVE," + extra]
+    lines = [head + " _tail=_tail, fixf=fixf," + extra]
     binds = []
-    for k, (w, flavor) in enumerate(zip(wrappers, flavors)):
+    for k, flavor in enumerate(flavors):
         if flavor == "dormant":
             binds.append("w{0}=w{0}, t{0}=t{0}, p{0}=p{0}, I{0}=I{0}"
                          .format(k))
         else:
-            binds.append(
-                "H{0}=H{0}, R{0}=R{0}, w{0}=w{0}, t{0}=t{0}, p{0}=p{0}, "
-                "E{0}=E{0}, RC{0}=RC{0}, RT{0}=RT{0}, RI{0}=RI{0}, "
-                "IN{0}=IN{0}, g{0}=g{0}, ss{0}=ss{0}, rc{0}=rc{0}, "
-                "rl{0}=rl{0}, L{0}=L{0}".format(k))
+            binds.append("H{0}=H{0}, R{0}=R{0}".format(k))
     lines.append("           " + ",\n           ".join(binds) + "):")
     indent = "    "
     # The batch variant hoists the per-event driver call into the
@@ -232,101 +227,6 @@ def _generate_source(wrappers: Sequence[UpdateWrapper],
             put(k, "else:")
             put(k + 1, "r{0} = (e{0},)".format(k))
         else:
-            put(k, "if k{0} < {1}:".format(k, _FIRST_UPDATE))
-            # Data path: one tracked-probe yields the facet (or a skip),
-            # and each facet branch transcribes the corresponding body
-            # of _active_data verbatim — including `calls` accounting
-            # and the lazy state swap.  The facet-0 branch is also the
-            # dormant wrapper's data path: while dormant, `tracked`
-            # still maps exactly the input ids to facet 0, `_loaded`
-            # stays LIVE, and the extra writes are no-ops by the
-            # wrapper's init invariants.
-            put(k + 1, "f{0} = R{0}.get(e{0}.id)".format(k))
-            put(k + 1, "if f{0} is None:".format(k))
-            put(k + 2, "r{0} = (e{0},)".format(k))
-            put(k + 1, "elif f{0} == 0:".format(k))
-            put(k + 2, "w{0}.calls += 1".format(k))
-            # Runtime-dormant short-circuit: an active *flavor* only
-            # means the analyzer could not rule updates out; until one
-            # actually arrives the wrapper is still dormant and this is
-            # exactly `_dormant_data`'s tracked branch (the facet body
-            # below degenerates to it — `_loaded` is LIVE, the region
-            # fields hold their class defaults — so the extra loads and
-            # stores are pure overhead on the no-update fast path).
-            put(k + 2, "if w{0}._dormant:".format(k))
-            put(k + 3, "t{0}.current_input_root = e{0}.id".format(k))
-            put(k + 3, "r{0} = p{0}(e{0})".format(k))
-            put(k + 2, "else:")
-            put(k + 3, "ld{0} = w{0}._loaded".format(k))
-            put(k + 3, "if ld{0} is not LIVE:".format(k))
-            put(k + 4, "rs{0} = w{0}._resident".format(k))
-            put(k + 4, "if rs{0} is None:".format(k))
-            put(k + 5, "rs{0} = g{0}()".format(k))
-            put(k + 4, "E{0}[ld{0}] = rs{0}".format(k))
-            put(k + 4, "s{0} = E{0}[LIVE]".format(k))
-            put(k + 4, "if s{0} is not rs{0}:".format(k))
-            put(k + 5, "ss{0}(s{0})".format(k))
-            put(k + 4, "w{0}._loaded = LIVE".format(k))
-            put(k + 3, "t{0}.region_mutable = False".format(k))
-            put(k + 3, "t{0}.current_input_root = e{0}.id".format(k))
-            put(k + 3, "t{0}.current_region = None".format(k))
-            put(k + 3, "w{0}._resident = None".format(k))
-            put(k + 3, "r{0} = p{0}(e{0})".format(k))
-            put(k + 1, "elif f{0} == 2:".format(k))
-            put(k + 2, "w{0}.calls += 1".format(k))
-            put(k + 2, "ld{0} = w{0}._loaded".format(k))
-            put(k + 2, "if e{0}.id != ld{0}:".format(k))
-            put(k + 3, "rs{0} = w{0}._resident".format(k))
-            put(k + 3, "if rs{0} is None:".format(k))
-            put(k + 4, "rs{0} = g{0}()".format(k))
-            put(k + 3, "E{0}[ld{0}] = rs{0}".format(k))
-            put(k + 3, "s{0} = E{0}[e{0}.id]".format(k))
-            put(k + 3, "if s{0} is not rs{0}:".format(k))
-            put(k + 4, "ss{0}(s{0})".format(k))
-            put(k + 3, "w{0}._loaded = e{0}.id".format(k))
-            put(k + 2, "t{0}.region_mutable = True".format(k))
-            put(k + 2, "cfg{0} = RC{0}.get(e{0}.id)".format(k))
-            put(k + 2, "if cfg{0} is None:".format(k))
-            put(k + 3, "cfg{0} = RC{0}[e{0}.id] = (RT{0}.get(e{0}.id), "
-                       "rc{0}(e{0}.id), RI{0}.get(e{0}.id))".format(k))
-            put(k + 2, "t{0}.current_input_root, "
-                       "t{0}.current_region_chain, info{0} = cfg{0}"
-                .format(k))
-            put(k + 2, "t{0}.current_region = e{0}.id".format(k))
-            put(k + 2, "w{0}._resident = None".format(k))
-            put(k + 2, "o{0} = p{0}(e{0})".format(k))
-            put(k + 2, "if not o{0} or t{0}.suppress_region_output:"
-                .format(k))
-            put(k + 3, "r{0} = ()".format(k))
-            put(k + 2, "elif info{0} is None:".format(k))
-            put(k + 3, "r{0} = o{0}".format(k))
-            put(k + 2, "elif len(o{0}) == 1:".format(k))
-            put(k + 3, "v{0} = o{0}[0]".format(k))
-            put(k + 3, "if v{0}.kind < {1}:".format(k, _FIRST_UPDATE))
-            put(k + 4, "N{0} = IN{0}.get(e{0}.id)".format(k))
-            put(k + 4, "if N{0} is not None and v{0}.id in N{0}:"
-                .format(k))
-            put(k + 5, "r{0} = o{0}".format(k))
-            put(k + 4, "elif info{0}[2] or v{0}.id in info{0}[1]:"
-                .format(k))
-            put(k + 5, "r{0} = (v{0}.relabel(info{0}[0]),)".format(k))
-            put(k + 4, "else:")
-            put(k + 5, "r{0} = o{0}".format(k))
-            put(k + 3, "else:")
-            put(k + 4, "r{0} = rl{0}(o{0}, e{0}.id)".format(k))
-            put(k + 2, "else:")
-            put(k + 3, "r{0} = rl{0}(o{0}, e{0}.id)".format(k))
-            put(k + 1, "else:")
-            put(k + 2, "w{0}.calls += 1".format(k))
-            put(k + 2, "if w{0}._loaded is not LIVE:".format(k))
-            put(k + 3, "L{0}(LIVE)".format(k))
-            put(k + 2, "t{0}.region_mutable = True".format(k))
-            put(k + 2, "t{0}.current_input_root = RT{0}.get(e{0}.id)"
-                .format(k))
-            put(k + 2, "t{0}.current_region = e{0}.id".format(k))
-            put(k + 2, "w{0}._resident = None".format(k))
-            put(k + 2, "r{0} = p{0}(e{0})".format(k))
-            put(k, "else:")
             # Key carry: when the event object is unchanged from the
             # previous level (a passthrough, or a handler returning the
             # event itself), its routing key is too, and a FREEZE was
@@ -335,22 +235,21 @@ def _generate_source(wrappers: Sequence[UpdateWrapper],
             # the repeat is exact).  Only valid after an active level:
             # a dormant level diverts update kinds to the tail drive,
             # so the carried key would never have been computed.
-            carry = k > 0 and flavors[k - 1] != "dormant"
-            if carry:
-                put(k + 1, "if e{0} is e{1}:".format(k, k - 1))
-                put(k + 2, "key{0} = key{1}".format(k, k - 1))
-                put(k + 1, "elif k{0} >= {1}:".format(k, _FREEZE))
-            else:
-                put(k + 1, "if k{0} >= {1}:".format(k, _FREEZE))
-            put(k + 2, "if k{0} == {1}:".format(k, _FREEZE))
-            put(k + 3, "fixf(e{0}.id)".format(k))
-            put(k + 2, "key{0} = e{0}.id".format(k))
-            put(k + 1, "elif k{0} & 1:".format(k))
-            put(k + 2, "key{0} = e{0}.id".format(k))
-            put(k + 1, "else:")
-            put(k + 2, "key{0} = e{0}.sub".format(k))
-            put(k + 1, "r{0} = H{0}[k{0}](e{0}) "
-                       "if key{0} in R{0} else (e{0},)".format(k))
+            put(k, "if k{0} < {1}:".format(k, _FIRST_UPDATE))
+            put(k + 1, "key{0} = e{0}.id".format(k))
+            if k > 0 and flavors[k - 1] != "dormant":
+                put(k, "elif e{0} is e{1}:".format(k, k - 1))
+                put(k + 1, "key{0} = key{1}".format(k, k - 1))
+            put(k, "elif k{0} >= {1}:".format(k, _FREEZE))
+            put(k + 1, "if k{0} == {1}:".format(k, _FREEZE))
+            put(k + 2, "fixf(e{0}.id)".format(k))
+            put(k + 1, "key{0} = e{0}.id".format(k))
+            put(k, "elif k{0} & 1:".format(k))
+            put(k + 1, "key{0} = e{0}.id".format(k))
+            put(k, "else:")
+            put(k + 1, "key{0} = e{0}.sub".format(k))
+            put(k, "r{0} = H{0}[k{0}](e{0}) "
+                   "if key{0} in R{0} else (e{0},)".format(k))
         put(k, "for e{0} in r{1}:".format(k + 1, k))
     put(n, "if e{0}.kind == {1}:".format(n, _FREEZE))
     put(n + 1, "fixf(e{0}.id)".format(n))
@@ -406,8 +305,10 @@ class FusedSegment:
             w for g, w in zip(self._gen_dormant, self.wrappers) if g)
         source = _generate_source(self.wrappers, flavors)
         self.source = source
-        namespace = {"_tail": self._tail, "fixf": self.fix_freeze,
-                     "LIVE": LIVE}
+        # Everything bound keeps its identity for the wrappers' lifetime
+        # (handler tables and tracked maps are only ever mutated in
+        # place — the contract the routed interpreter relies on too).
+        namespace = {"_tail": self._tail, "fixf": self.fix_freeze}
         for k, w in enumerate(self.wrappers):
             namespace["w{}".format(k)] = w
             namespace["t{}".format(k)] = w.t
@@ -415,20 +316,6 @@ class FusedSegment:
             namespace["I{}".format(k)] = w.input_ids
             namespace["H{}".format(k)] = w.handlers
             namespace["R{}".format(k)] = w.tracked
-            # Facet-inline binds: every dict was assigned exactly once
-            # in UpdateWrapper.__init__ and is only ever mutated in
-            # place, so capturing the objects is safe for the wrapper's
-            # lifetime (same contract the routed interpreter relies on).
-            namespace["E{}".format(k)] = w.end
-            namespace["RC{}".format(k)] = w._rcfg
-            namespace["RT{}".format(k)] = w._root
-            namespace["RI{}".format(k)] = w._region_info
-            namespace["IN{}".format(k)] = w._inner
-            namespace["g{}".format(k)] = w.t.get_state
-            namespace["ss{}".format(k)] = w.t.set_state
-            namespace["rc{}".format(k)] = w._region_chain
-            namespace["rl{}".format(k)] = w._relabel_out
-            namespace["L{}".format(k)] = w._load
         exec(compile(source, "<fused-segment>", "exec"), namespace)
         self._impl = namespace["_fused"]
         # The whole-batch entry point runs the source-event loop inside

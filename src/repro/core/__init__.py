@@ -7,12 +7,12 @@ from .pipeline import (Collector, Filter, Pipeline, SinkFilter,
 from .regions import Region, RegionTree, apply_updates
 from .transformer import (Context, Drop, Identity, MutabilityRegistry,
                           Relabel, StateTransformer, run_sequence)
-from .wrapper import LIVE, UpdateWrapper
+from .wrapper import UpdateWrapper
 
 __all__ = [
     "StateTransformer", "Context", "MutabilityRegistry",
     "Identity", "Relabel", "Drop", "run_sequence",
-    "UpdateWrapper", "LIVE",
+    "UpdateWrapper",
     "Pipeline", "Filter", "SinkFilter", "build_filter_chain", "Collector",
     "run_stages",
     "Region", "RegionTree", "apply_updates",

@@ -62,9 +62,11 @@ class Display:
         self._sample_peaks()
 
     def _sample_peaks(self) -> None:
-        stats = self.tree.stats()
-        self.peak_regions = max(self.peak_regions, stats["regions"])
-        self.peak_events = max(self.peak_events, stats["events"])
+        # The tree's running totals, not its recount: a walk of the
+        # whole answer every 256 events is quadratic in answer size.
+        tree = self.tree
+        self.peak_regions = max(self.peak_regions, tree.regions)
+        self.peak_events = max(self.peak_events, tree.events)
 
     # -- snapshots -------------------------------------------------------------
 

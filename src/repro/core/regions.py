@@ -32,7 +32,7 @@ eager oracle ``apply_updates`` used by tests, and the memory accounting
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..events.model import (CD, EA, EB, EE, EM, ER, ES, ET, FREEZE, HIDE, SA,
                             SB, SE, SHOW, SM, SR, SS, ST, Event)
@@ -87,29 +87,28 @@ class Region(_Link):
     def append_child(self, child: "Region") -> None:
         _insert_before(self.tail, child)
 
-    def clear_content(self) -> List["Region"]:
-        """Detach all content; return the child regions that were dropped."""
+    def clear_content(self) -> Tuple[List["Region"], int]:
+        """Detach all content; return the regions that were dropped with
+        it and the number of events they and this region's runs held."""
         dropped: List[Region] = []
-        node = self.head.next
-        while node is not self.tail:
-            if isinstance(node, Region):
-                dropped.append(node)
-                dropped.extend(node.all_subregions())
-            node = node.next
+        events = self._contents(dropped)
         self.head.next = self.tail
         self.tail.prev = self.head
-        return dropped
+        return dropped, events
 
-    def all_subregions(self) -> List["Region"]:
-        """Every region strictly inside this one."""
-        out: List[Region] = []
+    def _contents(self, regions: List["Region"]) -> int:
+        """Append every region strictly inside this one to ``regions``
+        (preorder); return the number of events inside, hidden or not."""
+        events = 0
         node = self.head.next
         while node is not self.tail:
-            if isinstance(node, Region):
-                out.append(node)
-                out.extend(node.all_subregions())
+            if isinstance(node, Run):
+                events += len(node.events)
+            elif isinstance(node, Region):
+                regions.append(node)
+                events += node._contents(regions)
             node = node.next
-        return out
+        return events
 
     def iter_events(self) -> Iterator[Event]:
         """Flatten visible content into the event sequence it denotes."""
@@ -143,19 +142,9 @@ class Region(_Link):
 
     def counts(self) -> Dict[str, int]:
         """(regions, events) contained in this region, recursively."""
-        regions = 0
-        events = 0
-        node = self.head.next
-        while node is not self.tail:
-            if isinstance(node, Run):
-                events += len(node.events)
-            elif isinstance(node, Region):
-                regions += 1
-                sub = node.counts()
-                regions += sub["regions"]
-                events += sub["events"]
-            node = node.next
-        return {"regions": regions, "events": events}
+        regions: List[Region] = []
+        events = self._contents(regions)
+        return {"regions": len(regions), "events": events}
 
     def __repr__(self) -> str:
         return "Region(id={}, hidden={}, frozen={})".format(
@@ -210,6 +199,11 @@ class RegionTree:
         self.registry: Dict[int, Region] = {}
         self.open: Dict[int, Region] = {}
         self.ignored_updates = 0
+        #: Running totals of what :meth:`stats` recounts — regions in the
+        #: tree (roots included) and buffered events, hidden or not —
+        #: kept current by every edit so that sampling them is O(1).
+        self.regions = 0
+        self.events = 0
         for rid in self._wanted:
             self._open_root(rid)
 
@@ -217,6 +211,7 @@ class RegionTree:
 
     def _open_root(self, rid: int) -> Region:
         root = Region(rid)
+        self.regions += 1
         self.roots[rid] = root
         self.root_order.append(rid)
         self.registry[rid] = root
@@ -237,6 +232,7 @@ class RegionTree:
             region = self.open.get(e.id)
             if region is not None:
                 region.append_event(e)
+                self.events += 1
             return
         if kind in (ST, ET):
             region = self.open.get(e.id)
@@ -246,6 +242,7 @@ class RegionTree:
                 region = self._open_root(e.id)
             if region is not None and self.keep_tuples:
                 region.append_event(e)
+                self.events += 1
             return
         if kind == SM:
             target = self.open.get(e.id)
@@ -253,6 +250,7 @@ class RegionTree:
                 self.ignored_updates += 1
                 return
             region = Region(e.sub)  # type: ignore[arg-type]
+            self.regions += 1
             target.append_child(region)
             self.registry[e.sub] = region  # type: ignore[index]
             self.open[e.sub] = region  # type: ignore[index]
@@ -263,9 +261,9 @@ class RegionTree:
                 self.ignored_updates += 1
                 return
             region = Region(e.sub)  # type: ignore[arg-type]
+            self.regions += 1
             if kind == SR:
-                for dropped in target.clear_content():
-                    self._purge(dropped)
+                self._drop_content(target)
                 target.append_child(region)
             elif kind == SB:
                 _insert_before(target, region)
@@ -306,14 +304,23 @@ class RegionTree:
             return  # stream roots are never dissolved
         del self.registry[rid]
         self.open.pop(rid, None)
+        self.regions -= 1  # unlinked or dissolved: gone either way
         if region.hidden:
-            for dropped in region.clear_content():
-                self._purge(dropped)
+            self._drop_content(region)
             _unlink(region)
         else:
             # Frozen subregions inside keep their registry entries only if
             # still reachable; dissolving preserves flattened output.
             region.dissolve()
+
+    def _drop_content(self, region: Region) -> None:
+        """Discard everything inside ``region``: off the running totals
+        and, the regions among it, out of the registries."""
+        dropped, events = region.clear_content()
+        self.regions -= len(dropped)
+        self.events -= events
+        for gone in dropped:
+            self._purge(gone)
 
     def _purge(self, region: Region) -> None:
         """Remove a discarded region from the registries."""
@@ -342,7 +349,11 @@ class RegionTree:
         return out
 
     def stats(self) -> Dict[str, int]:
-        """Buffering metrics: live regions and buffered events."""
+        """Buffering metrics: live regions and buffered events.
+
+        A full recount — the reference the running ``regions`` /
+        ``events`` totals are tested against.
+        """
         regions = 0
         events = 0
         for root in self.roots.values():

@@ -3,9 +3,10 @@
 Given a state transformer that understands plain stream data, the wrapper
 makes it update-aware without any operator-specific code:
 
-* it keeps one copy of the transformer state per update region
-  (``start``/``end``/``shadow`` maps), creating them when an update bracket
-  opens inside a tracked stream;
+* it keeps one copy of the transformer state per update region — the
+  paper's ``start``/``end``/``shadow``/``order``, here four fields of the
+  region's :class:`RegionRecord` — creating the record when an update
+  bracket opens inside a tracked stream;
 * content events of a region are processed against that region's own state
   copy (necessary so e.g. a counter counts a replacement's content and the
   delta becomes visible at the bracket's end);
@@ -14,7 +15,15 @@ makes it update-aware without any operator-specific code:
   and the live state are fixed up through the transformer's pure
   :meth:`~repro.core.transformer.StateTransformer.adjust` function;
 * the mutability analysis of Section V prunes state: regions whose id is
-  *fixed* get no state copies at all, and ``freeze`` drops existing ones.
+  *fixed* get no record at all, and ``freeze`` drops an existing one.
+
+**One record, one handle.**  Everything a stage keeps about a tracked
+stream id — state copies, routing facet, bracket translation, positional
+nesting, the cached region chain — lives in its :class:`RegionRecord`,
+and the record is reachable only as the value of ``tracked[id]`` (plus
+the ``parent``/``children`` links between live records).  Deleting that
+one entry at ``freeze`` therefore reclaims everything: what is kept is
+exactly what can still be addressed.
 
 **Update-bracket translation.**  The paper's pseudo-code leaves implicit
 how an update travels through a stage whose output is a different virtual
@@ -44,19 +53,23 @@ from bisect import bisect_left, bisect_right, insort
 from math import gcd
 from typing import Dict, List, Optional
 
-from ..events.model import (EA, EB, EM, ER, FREEZE, HIDE, SA, SB, SHOW, SM,
-                            SR, UPDATE_ENDS, UPDATE_STARTS, Event, freeze as
-                            freeze_event, hide as hide_event,
-                            matching_end, show as show_event)
+from ..events.model import (EM, ER, FREEZE, HIDE, SA, SHOW, SM, SR,
+                            UPDATE_ENDS, UPDATE_STARTS, Event)
 from .transformer import State, StateTransformer, UpdatePolicy
-
-#: State-map key for the live (main stream) state.
-LIVE = "live"
 
 #: Every Kind below START_MUTABLE is plain stream data (see events.model;
 #: the enum is laid out so one integer compare classifies an event).
 _FIRST_UPDATE = int(SM)
 _N_KINDS = int(SHOW) + 1
+
+#: A region's policy is one of these six objects, recorded once at bracket
+#: open; every later test is an identity compare.
+_TRANSLATE = UpdatePolicy.TRANSLATE
+_TRANSPARENT = UpdatePolicy.TRANSPARENT
+_CONSUME = UpdatePolicy.CONSUME
+_TEE = UpdatePolicy.TEE
+_RAW = UpdatePolicy.RAW
+_SHARED = UpdatePolicy.SHARED
 
 
 class _Rat:
@@ -115,13 +128,72 @@ def _rat_mid(a: _Rat, b: _Rat) -> _Rat:
     return _Rat(n, d)
 
 
-#: Every :class:`UpdateWrapper` container keyed (or filled) by region id.
-#: ``freeze`` must leave none of them mentioning the frozen region.
-PER_REGION_MAPS = (
-    "start", "end", "shadow", "order", "_order_sorted", "tracked",
-    "_regions", "_alias_live", "_raw", "_shared", "_frozen_kept",
-    "_root", "_rpolicy", "_out_region", "_region_info", "_inner",
-    "_parent", "_children", "_open", "_rcfg")
+_ONE = _Rat(1)  # the paper: order of sS(stream, i) is 1
+
+
+class RegionRecord:
+    """Everything one stage keeps about one tracked stream id.
+
+    The value of ``UpdateWrapper.tracked[id]`` and the only handle on what
+    it holds.  ``facet`` says how the id's *data* events are processed:
+
+    * 0 — against the live state: the one record shared by every input
+      stream id (``id`` None; its ``start``/``end`` are the live state's
+      snapshots, its ``order`` None = +infinity: always adjusted), or a
+      fixed-``sM`` alias, which holds no state at all;
+    * 1 — RAW / SHARED region content, live state as well;
+    * 2 — an update region with its own state copies: the paper's
+      ``start``/``end``/``shadow`` (``shadow`` None while visible) and
+      ``order``.
+
+    Every record knows its ``root`` input stream and that stream's
+    ``policy``.  A facet-2 record also carries the bracket translation
+    (``out``: the output-space region id; ``info``: ``(out, (output_id,
+    anchor), translate?)``, all :meth:`UpdateWrapper._relabel_out` needs;
+    ``inner``: sub-containers the operator opened inside the region), the
+    positional nesting among live regions (``parent``: nearest enclosing
+    region not yet frozen, ``children`` its exact inverse, None when
+    empty), the open bracket (``open``, and ``target``: what the re-emitted
+    bracket names in output space, so that its end names the target its
+    start did even if that froze in between), the cached region ``chain``
+    (None = recompute), and ``kept``: frozen under the ablation, state
+    copies retained.
+    """
+
+    __slots__ = ("id", "facet", "root", "policy", "start", "end", "shadow",
+                 "order", "out", "info", "inner", "parent", "children",
+                 "open", "target", "chain", "kept")
+
+    def __init__(self, id: Optional[int], facet: int, root: Optional[int],
+                 policy: Optional[UpdatePolicy], state: Optional[State] = None,
+                 order: Optional[_Rat] = None,
+                 parent: Optional["RegionRecord"] = None) -> None:
+        self.id = id
+        self.facet = facet
+        self.root = root
+        self.policy = policy
+        self.start = self.end = state
+        self.shadow = None
+        self.order = order
+        self.out = self.info = self.inner = None
+        self.parent = parent
+        self.children = None
+        self.open = facet == 2
+        self.target = None
+        self.chain = None
+        self.kept = False
+
+    # One tuple per record instead of the default per-object slot dict:
+    # a checkpoint holds one record per live region per stage.
+    def __getstate__(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            setattr(self, name, value)
+
+    def __repr__(self) -> str:
+        return "RegionRecord({}, facet={})".format(self.id, self.facet)
 
 
 class UpdateWrapper:
@@ -134,9 +206,14 @@ class UpdateWrapper:
     counter.  Pure-query streams never pay for the Section-IV machinery.
     The first update event permanently activates the full path; the
     transition is lossless because the dormant path maintains exactly the
-    invariants the active path expects (live state loaded, ``start[LIVE]``
-    holding the construction-time snapshot).  ``always_active=True``
-    disables the fast path (used by differential tests).
+    invariants the active path expects (live state loaded, the live
+    record's ``start`` holding the construction-time snapshot).
+    ``always_active=True`` disables the fast path (used by differential
+    tests).
+
+    All per-region bookkeeping is in the :class:`RegionRecord` values of
+    ``tracked``; besides that map the wrapper holds only the lazily built
+    order mirror and scalars.
     """
 
     #: Optional telemetry sink (a :class:`repro.obs.StageMetrics`),
@@ -149,41 +226,26 @@ class UpdateWrapper:
         self.t = transformer
         self.ctx = transformer.ctx
         self.input_ids = frozenset(transformer.input_ids)
-        # Per-region state copies (region id -> state snapshot).
-        self.start: Dict[object, State] = {}
-        self.end: Dict[object, State] = {}
-        self.shadow: Dict[object, State] = {}
-        self.order: Dict[object, Optional[_Rat]] = {}
-        self.start[LIVE] = transformer.get_state()
-        self.end[LIVE] = self.start[LIVE]
-        self.order[LIVE] = None  # None = +infinity: always adjusted
-        self._regions: set = set()
-        self._alias_live: set = set()  # fixed sM regions: plain content
-        self._raw: set = set()         # RAW-policy regions: fed to process
-        self._shared: set = set()      # SHARED-policy regions: live state
-        self._root: Dict[int, int] = {}        # region -> root input stream
-        self._out_region: Dict[int, int] = {}  # region -> output-space id
-        # region -> (j_out, (output_id, anchor), translate?) — everything
-        # _relabel_out needs, precomputed once at bracket open.
-        self._region_info: Dict[int, tuple] = {}
-        self._inner: Dict[int, set] = {}  # region -> subs opened within it
-        # Positional nesting of the *live* regions: region -> nearest live
-        # enclosing region (None = top level), and its inverse.  Freeze
-        # splices a region out of both (see _unlink), so every ancestor
-        # walk is bounded by live nesting depth, not stream position.
-        self._parent: Dict[int, Optional[int]] = {}
-        self._children: Dict[int, set] = {}
-        # Open tracked bracket -> its target in output space (None when
-        # the bracket is not re-emitted there), so that the bracket's end
-        # names the target its start did even if that froze in between.
-        self._open: Dict[int, Optional[int]] = {}
+        live = self._live = RegionRecord(None, 0, None, None,
+                                         transformer.get_state())
+        # Every stream id whose *data* events this stage processes (rather
+        # than passes through), mapped to its record; every input stream
+        # id maps to the one live record.  One dict probe classifies an
+        # event completely and hands the handler all it keeps about the
+        # region (an id has one record, hence one facet: update-region ids
+        # are fresh, and one that an operator opens again keeps its
+        # record — see _on_update_start).  The pipeline's event loop
+        # consults the key set to skip stages an event would traverse
+        # unchanged (see pipeline.bind_drain for how update events are
+        # keyed).
+        self.tracked: Dict[int, RegionRecord] = dict.fromkeys(
+            self.input_ids, live)
         self._policy_cache: Dict[int, UpdatePolicy] = {}
-        # region/alias id -> its policy, recorded once at bracket open so
-        # the close / freeze / hide / show paths skip the root lookup.
-        self._rpolicy: Dict[int, UpdatePolicy] = {}
-        self._loaded: object = LIVE
+        #: The record whose ``end`` the transformer's in-object state is.
+        self._loaded = live
         self._resident: Optional[State] = None
         self._tick = 1
+        self._n_regions = 0
         self.calls = 0
         self.peak_states = 1
         self._dormant = not always_active
@@ -192,24 +254,11 @@ class UpdateWrapper:
         #: keeps the region's state copies resident (the bench memory
         #: ablation measures exactly this difference).
         self._reclaim = reclaim_on_freeze
-        self._frozen_kept: set = set()
-        # Sorted mirror of the non-None values in self.order, so the
-        # between-timestamp searches are O(log n) instead of a full scan.
-        self._order_sorted: List[_Rat] = []
-        # Per-region (input_root, region_chain, region_info) triples for
-        # the data hot path, filled on a region's first data event so one
-        # dict probe replaces three.  An entry dies with its region, and
-        # with any enclosing region its chain mentions (see _unlink).
-        self._rcfg: Dict[int, tuple] = {}
-        # Every stream id whose *data* events this stage processes (rather
-        # than passes through), mapped to its facet: 0 = live (input or
-        # fixed-sM alias), 1 = raw/shared, 2 = region with own state copy.
-        # One dict probe classifies an event completely (the facets are
-        # disjoint by construction — update-region ids are fresh).  The
-        # pipeline's event loop consults the key set to skip stages an
-        # event would traverse unchanged (see pipeline.bind_drain for how
-        # update events are keyed).
-        self.tracked: Dict[int, int] = dict.fromkeys(self.input_ids, 0)
+        # Sorted mirror of the region records' ``order`` values, so the
+        # between-timestamp searches of sA/sB are O(log n).  Nothing else
+        # reads it: it is built at the first sA/sB (see _order_mirror)
+        # and maintained only from then on.
+        self._mirror: Optional[List[_Rat]] = None
         #: Kind-indexed handler list; fixed identity, mutated in place on
         #: the dormant -> active transition (see _activate_on).
         self.handlers: List = self._build_handler_table()
@@ -219,17 +268,10 @@ class UpdateWrapper:
         """True while the update-free fast path is in effect."""
         return self._dormant
 
-    # -- policy ---------------------------------------------------------------
-
-    def _policy(self, region: int) -> UpdatePolicy:
-        root = self._root.get(region)
-        if root is None:
-            return UpdatePolicy.TRANSLATE
-        cached = self._policy_cache.get(root)
-        if cached is None:
-            cached = self.t.update_policy(root)
-            self._policy_cache[root] = cached
-        return cached
+    def region(self, uid: int) -> Optional[RegionRecord]:
+        """The record of tracked id ``uid`` (the shared live record for
+        an input stream id); None when this stage does not track it."""
+        return self.tracked.get(uid)
 
     # -- state residency --------------------------------------------------------
     #
@@ -242,36 +284,42 @@ class UpdateWrapper:
     # already holds.
 
     def _save(self) -> None:
-        """Flush the transformer's in-object state into the end map."""
+        """Flush the transformer's in-object state into the loaded record."""
         r = self._resident
         if r is None:
-            r = self.t.get_state()
-            self._resident = r
-        self.end[self._loaded] = r
-
-    def _load(self, key: object) -> None:
-        if key is self._loaded or key == self._loaded:
-            return
-        # _save(), inlined: this runs a couple hundred thousand times per
-        # query on region-interleaved streams.
-        r = self._resident
-        if r is None:
-            r = self.t.get_state()
-            self._resident = r
-        self.end[self._loaded] = r
-        s = self.end[key]
-        if s is not r:
-            self.t.set_state(s)
-            self._resident = s
-        self._loaded = key
+            r = self._resident = self.t.get_state()
+        self._loaded.end = r
 
     def _load_live(self) -> None:
-        """Make LIVE the loaded key (caller has already saved)."""
-        s = self.end[LIVE]
+        """Make the live record the loaded one (caller has already saved)."""
+        live = self._live
+        s = live.end
         if s is not self._resident:
             self.t.set_state(s)
             self._resident = s
-        self._loaded = LIVE
+        self._loaded = live
+
+    def _reload(self) -> None:
+        s = self._loaded.end
+        if s is not self._resident:
+            self.t.set_state(s)
+            self._resident = s
+
+    def _to_live(self) -> None:
+        """Save the loaded region's state and load the live one."""
+        if self._loaded is not self._live:
+            self._save()
+            self._load_live()
+
+    def _live_process(self, e: Event, root: Optional[int]) -> List[Event]:
+        """``process(e)`` against the live state, outside any region: how
+        RAW-policy update events reach the transformer."""
+        self._to_live()
+        t = self.t
+        t.current_input_root = root
+        t.current_region = None
+        self._resident = None
+        return t.process(e)
 
     # -- dispatch -----------------------------------------------------------------
     #
@@ -308,7 +356,7 @@ class UpdateWrapper:
 
         The transition is lossless because the dormant path maintains the
         invariants the active path expects (live state loaded, its snapshot
-        in ``start``/``end``).  The table is mutated *in place* so cached
+        in the live record).  The table is mutated *in place* so cached
         references see the active handlers immediately.
         """
         self._dormant = False
@@ -334,50 +382,36 @@ class UpdateWrapper:
         self.calls += 1
         eid = e.id
         t = self.t
-        facet = self.tracked.get(eid)
-        if facet is None:
+        rec = self.tracked.get(eid)
+        if rec is None:
             return t.on_other(e)
-        if facet == 0:  # input stream or fixed-sM alias: live state
-            loaded = self._loaded
-            if loaded is not LIVE:
-                # _load(LIVE), inlined; the final resident write is folded
-                # into the pre-process() invalidation below.
-                r = self._resident
-                if r is None:
-                    r = t.get_state()
-                self.end[loaded] = r
-                s = self.end[LIVE]
-                if s is not r:
-                    t.set_state(s)
-                self._loaded = LIVE
-            t.region_mutable = False
-            t.current_input_root = eid
-            t.current_region = None
-            self._resident = None
-            return t.process(e)
+        facet = rec.facet
         if facet == 2:  # region with its own state copy
             loaded = self._loaded
-            if eid != loaded:
+            if rec is not loaded:
+                # The state swap; the final resident write is folded into
+                # the pre-process() invalidation below.
                 r = self._resident
                 if r is None:
                     r = t.get_state()
-                self.end[loaded] = r
-                s = self.end[eid]
+                loaded.end = r
+                s = rec.end
                 if s is not r:
                     t.set_state(s)
-                self._loaded = eid
+                self._loaded = rec
+            chain = rec.chain
+            if chain is None:
+                chain = rec.chain = ((eid,) if rec.parent is None
+                                     else self._region_chain(rec))
             t.region_mutable = True
-            cfg = self._rcfg.get(eid)
-            if cfg is None:
-                cfg = self._rcfg[eid] = (self._root.get(eid),
-                                         self._region_chain(eid),
-                                         self._region_info.get(eid))
-            t.current_input_root, t.current_region_chain, info = cfg
+            t.current_input_root = rec.root
+            t.current_region_chain = chain
             t.current_region = eid
             self._resident = None
             out = t.process(e)
             if not out or t.suppress_region_output:
                 return []
+            info = rec.info
             if info is None:
                 return out
             # _relabel_out, specialized for the dominant shape: exactly
@@ -385,28 +419,42 @@ class UpdateWrapper:
             if len(out) == 1:
                 ev = out[0]
                 if ev.kind < _FIRST_UPDATE:
-                    inner = self._inner.get(eid)
+                    inner = rec.inner
                     if inner is not None and ev.id in inner:
                         return out
                     if info[2] or ev.id in info[1]:  # translate / own
                         return [ev.relabel(info[0])]
                     return out
-            return self._relabel_out(out, eid)
-        # facet == 1: RAW / SHARED region content against the live state
-        if self._loaded is not LIVE:
-            self._load(LIVE)
-        t.region_mutable = True
-        t.current_input_root = self._root.get(eid)
-        t.current_region = eid
+            return self._relabel_out(out, rec)
+        live = self._live
+        loaded = self._loaded
+        if loaded is not live:
+            r = self._resident
+            if r is None:
+                r = t.get_state()
+            loaded.end = r
+            s = live.end
+            if s is not r:
+                t.set_state(s)
+            self._loaded = live
+        if facet == 0:  # input stream or fixed-sM alias: live state
+            t.region_mutable = False
+            t.current_input_root = eid
+            t.current_region = None
+        else:  # RAW / SHARED region content against the live state
+            t.region_mutable = True
+            t.current_input_root = rec.root
+            t.current_region = eid
         self._resident = None
         return t.process(e)
 
     def on_end(self) -> List[Event]:
-        self._load(LIVE)
+        self._to_live()
         self._resident = None
         return self.t.on_end()
 
-    def _relabel_out(self, out: List[Event], region: int) -> List[Event]:
+    def _relabel_out(self, out: List[Event],
+                     rec: RegionRecord) -> List[Event]:
         """Route events emitted during region processing into the bracket.
 
         Non-update events the transformer emits on its output stream (or
@@ -415,11 +463,11 @@ class UpdateWrapper:
         retargeted the same way, so operator-generated sub-brackets nest
         inside the translated bracket.
         """
-        info = self._region_info.get(region)
+        info = rec.info
         if info is None:
             return out
         j_out, own, translate = info
-        inner = self._inner.get(region)
+        inner = rec.inner
         result: List[Event] = []
         append = result.append
         for ev in out:
@@ -432,7 +480,7 @@ class UpdateWrapper:
                     append(ev)
                 if ev.kind in UPDATE_STARTS and ev.sub is not None:
                     if inner is None:
-                        inner = self._inner[region] = set()
+                        inner = rec.inner = set()
                     inner.add(ev.sub)
             elif inner is not None and ev.id in inner:
                 # Content of a container the operator opened inside this
@@ -453,190 +501,200 @@ class UpdateWrapper:
 
     # -- update bookkeeping ----------------------------------------------------------
 
-    def _tracks(self, i: int) -> bool:
-        return (i in self.input_ids or i in self._regions
-                or i in self._alias_live or i in self._raw
-                or i in self._shared)
-
-    def _untrack(self, i: int) -> None:
-        """Drop ``i`` from the routing map unless some facet still uses it."""
-        if not self._tracks(i):
-            self.tracked.pop(i, None)
-
-    def _key_of(self, i: int) -> object:
-        return LIVE if (i in self.input_ids or i in self._alias_live) else i
-
-    def _order_of(self, i: int) -> _Rat:
-        key = self._key_of(i)
-        if key is LIVE:
-            return _Rat(1)  # the paper: order of sS(stream, i) is 1
-        return self.order[key] or _Rat(1)
-
     def _on_update_start(self, e: Event) -> List[Event]:
         self.calls += 1
         i, j = e.id, e.sub
-        if i not in self.tracked:  # == _tracks(i); one set probe
+        target = self.tracked.get(i)
+        if target is None:
             return self.t.on_other(e)
+        kind = e.kind
         fix = self.ctx.fix
-        if e.kind == SM:
+        # ``inherit`` and ``is_fixed`` are membership tests on the
+        # registry's not-fixed set (see MutabilityRegistry), written out
+        # here: this handler runs once per region per stage.
+        not_fixed = fix._not_fixed
+        if kind == SM:
             fix.declare_mutable(j)
+        elif i in not_fixed:
+            not_fixed.add(j)
+        # The target's record names the root input stream and its policy;
+        # the shared live record stands for every input stream, so there
+        # the event's own id is the root.
+        root = target.root
+        if root is None:
+            root = i
+            policy = self._policy_cache.get(i)
+            if policy is None:
+                policy = self._policy_cache[i] = self.t.update_policy(i)
         else:
-            fix.inherit(i, j)
-        root = self._root.get(i, i if i in self.input_ids else None)
-        if root is not None:
-            self._root[j] = root
-        policy = (self._policy_cache.get(self._root.get(j))
-                  or self._policy(j))
-        self._rpolicy[j] = policy
-        if policy == UpdatePolicy.RAW:
-            self._raw.add(j)
-            self.tracked[j] = 1
-            self._load(LIVE)
-            self.t.current_input_root = root
-            self.t.current_region = None
-            self._resident = None
-            return self.t.process(e)
-        if policy == UpdatePolicy.SHARED:
-            self._shared.add(j)
-            self.tracked[j] = 1
+            policy = target.policy
+        if policy is _RAW:
+            self.tracked[j] = RegionRecord(j, 1, root, policy)
+            return self._live_process(e, root)
+        if policy is _SHARED:
+            self.tracked[j] = RegionRecord(j, 1, root, policy)
             return []
-        if fix.is_fixed(j):
-            if e.kind == SM:
+        if j not in not_fixed:
+            if kind == SM:
                 # The consumer ignores updates here: the content is ordinary
                 # stream data, processed against the live state, no copies,
                 # and the bracket disappears from the output.
-                self._alias_live.add(j)
-                self.tracked[j] = 0
-                if policy in (UpdatePolicy.TRANSPARENT, UpdatePolicy.TEE):
+                self.tracked[j] = RegionRecord(j, 0, root, policy)
+                if policy is _TRANSPARENT or policy is _TEE:
                     return [e]
-                return []
             # A fixed sR/sB/sA target means the update is void: its content
-            # stays untracked and is ignored downstream.
-            self._rpolicy.pop(j, None)
+            # stays untracked and is ignored downstream, and nothing is
+            # registered for it.
             return []
         self._save()
-        if e.kind == SM:
-            base = self.end[self._key_of(i)]
-            self._order_insert(j, self._next_tick())
-        elif e.kind == SA:
-            base = self.end[self._key_of(i)]
-            self._order_insert(j, self._between_above(self._order_of(i)))
-        elif e.kind == SR:
-            base = self.start[self._key_of(i)]
-            self._order_insert(j, self._order_of(i))
-        else:  # SB
-            base = self.start[self._key_of(i)]
-            self._order_insert(j, self._between_below(self._order_of(i)))
-        self.start[j] = base
-        self.end[j] = base
-        self._regions.add(j)
-        self.tracked[j] = 2
-        # Positional containment, not temporal nesting: a mutable region
-        # lives inside its target; replace/insert content occupies a spot
-        # inside the target's own container (brackets may interleave).
-        if i not in self._regions:
+        # The state the new region starts from is its target's: the
+        # region's own copies, or the live state for an input stream or
+        # an alias.  Positional containment, not temporal nesting: a
+        # mutable region lives inside its target; replace/insert content
+        # occupies a spot inside the target's own container (brackets may
+        # interleave).
+        if target.facet == 2:
+            src = target
+            parent = target if kind == SM or kind == SR else target.parent
+        else:
+            src = self._live
             parent = None
-        elif e.kind in (SM, SR):
-            parent = i
+        if kind == SM:
+            base = src.end
+            self._tick += 1
+            order = _Rat(self._tick)
+        elif kind == SR:
+            base = src.start
+            order = src.order or _ONE
+        elif kind == SA:
+            base = src.end
+            order = self._between_above(src.order or _ONE)
+        else:  # SB
+            base = src.start
+            order = self._between_below(src.order or _ONE)
+        mirror = self._mirror
+        rec = self.tracked.get(j)
+        if rec is None or rec.facet != 2:
+            rec = self.tracked[j] = RegionRecord(j, 2, root, policy, base,
+                                                 order, parent)
+            n = self._n_regions = self._n_regions + 1
+            if n >= self.peak_states:
+                self.peak_states = n + 1
         else:
-            parent = self._parent.get(i)
-        self._parent[j] = parent
-        if parent is not None:
-            kids = self._children.get(parent)
-            if kids is None:
-                self._children[parent] = {j}
+            # The id is opened again: sorting and concatenation move an
+            # item by inserting its region anew.  It stays the one record
+            # of that id — what hangs on the id (children, shadow, inner
+            # containers) stays with it — in a new place, with new state.
+            was = rec.parent
+            if was is not None:
+                was.children.discard(rec)
+                if not was.children:
+                    was.children = None
+            self._drop_chains([rec])
+            if mirror is not None:
+                self._order_discard(rec.order)
+            rec.root, rec.policy, rec.order, rec.parent = (root, policy,
+                                                           order, parent)
+            rec.start = rec.end = base
+            rec.open = True
+        if mirror is not None:
+            # sM timestamps are monotone ticks, so appends dominate; one
+            # comparison beats an O(log n) insort of Python-level __lt__
+            # calls.
+            if mirror and order < mirror[-1]:
+                insort(mirror, order)
             else:
-                kids.add(j)
-        self._open[j] = None
-        self.peak_states = max(self.peak_states, len(self._regions) + 1)
+                mirror.append(order)
+        if parent is not None:
+            kids = parent.children
+            if kids is None:
+                parent.children = {rec}
+            else:
+                kids.add(rec)
         # Bracket emission per policy.
-        if policy == UpdatePolicy.TRANSPARENT:
+        if policy is _TRANSPARENT:
             return [e]
-        if policy == UpdatePolicy.CONSUME:
+        if policy is _CONSUME:
             return []
-        j_out = self.ctx.fresh_id()
-        self._out_region[j] = j_out
-        anchor = self.t.bracket_anchor()
-        self._region_info[j] = (j_out, (self.t.output_id, anchor),
-                                policy == UpdatePolicy.TRANSLATE)
-        if i in self.input_ids or i in self._alias_live:
-            target = anchor
+        t = self.t
+        j_out = rec.out = self.ctx.ids.fresh()
+        anchor = t.bracket_anchor()
+        rec.info = (j_out, (t.output_id, anchor), policy is _TRANSLATE)
+        if target.facet == 0:
+            out_target = anchor
         else:
-            target = self._out_region.get(i, self.t.output_id)
-        self._open[j] = target
-        if e.kind == SM:
+            out_target = target.out
+            if out_target is None:
+                out_target = t.output_id
+        rec.target = out_target
+        if kind == SM:
             fix.declare_mutable(j_out)
-        else:
-            fix.inherit(target, j_out)
-        translated = Event(e.kind, target, sub=j_out)
-        if policy == UpdatePolicy.TEE:
+        elif out_target in not_fixed:
+            not_fixed.add(j_out)
+        translated = Event(kind, out_target, sub=j_out)
+        if policy is _TEE:
             return [e, translated]
         return [translated]
 
     def _on_update_end(self, e: Event) -> List[Event]:
         self.calls += 1
-        i, j = e.id, e.sub
-        if j in self._raw:
-            self._load(LIVE)
-            self.t.current_input_root = self._root.get(j)
-            self.t.current_region = None
-            self._resident = None
-            return self.t.process(e)
-        if j in self._shared:
+        j = e.sub
+        rec = self.tracked.get(j)
+        live = self._live
+        if rec is None or rec is live:
+            return self.t.on_other(e)
+        policy = rec.policy
+        if rec.facet == 1:
+            if policy is _RAW:
+                return self._live_process(e, rec.root)
             return []
-        if j in self._alias_live:
-            self._alias_live.discard(j)
-            self._untrack(j)
-            policy = (self._rpolicy.pop(j, None)
-                      or self._policy_cache.get(self._root.get(j))
-                      or self._policy(j))
-            if policy in (UpdatePolicy.TRANSPARENT, UpdatePolicy.TEE):
+        if rec.facet == 0:
+            # A fixed-sM alias closes: its content was plain stream data.
+            del self.tracked[j]
+            if policy is _TRANSPARENT or policy is _TEE:
                 return [e]
             return []
-        if j not in self._regions:
-            return self.t.on_other(e)
-        target = self._open.pop(j, None)
+        target = rec.target
+        rec.open = False
+        rec.target = None
         self._save()
-        out: List[Event] = []
-        policy = (self._rpolicy.get(j)
-                  or self._policy_cache.get(self._root.get(j))
-                  or self._policy(j))
-        j_out = self._out_region.get(j)
-        if policy == UpdatePolicy.TRANSPARENT:
-            out.append(e)
-        elif policy == UpdatePolicy.TEE:
-            if j_out is not None:
-                out.append(Event(e.kind, target, sub=j_out))
-            out.append(e)
-        elif policy == UpdatePolicy.TRANSLATE and j_out is not None:
-            out.append(Event(e.kind, target, sub=j_out))
         kind = e.kind
-        key_i = self._key_of(i)
-        if key_i not in self.end or j not in self.end:
+        out: List[Event] = []
+        j_out = rec.out
+        if policy is _TRANSPARENT:
+            out.append(e)
+        elif policy is _TEE:
+            if j_out is not None:
+                out.append(Event(kind, target, sub=j_out))
+            out.append(e)
+        elif policy is _TRANSLATE and j_out is not None:
+            out.append(Event(kind, target, sub=j_out))
+        enc = self.tracked.get(e.id)
+        if enc is None or enc.facet == 1:
             # The target's state was already pruned (frozen mid-bracket):
             # nothing to commit.
             self._load_live()
             return out
+        if enc.facet == 0:
+            enc = live
+        t = self.t
+        inert = t.inert
         # An update completing inside a *hidden* region contributes to
         # that region's shadow (revealed by a later show), never to the
         # live state: hidden content has no visible effect.
-        anchor = self._hidden_anchor(key_i)
-        if anchor is not None and kind in (EM, ER):
+        anchor = self._hidden_anchor(enc)
+        if anchor is not None and (kind == EM or kind == ER):
             if kind == ER:
-                if key_i == anchor:
+                if enc is anchor:
                     # Wholesale replacement of the hidden region itself.
-                    self.shadow[anchor] = self.end[j]
+                    anchor.shadow = rec.end
                 else:
-                    self.shadow[anchor] = self.t.adjust(
-                        self.shadow[anchor], self.end[key_i], self.end[j])
-                if key_i is not LIVE:
-                    self.end[key_i] = self.end[j]
-            else:  # EM nested below a hidden region: plain commit
-                self.end[key_i] = self.t.adjust(
-                    self.end[key_i], self.start[j], self.end[j]) \
-                    if not self.t.inert else (
-                        self.end[j] if self.end[key_i] == self.start[j]
-                        else self.end[key_i])
+                    anchor.shadow = t.adjust(anchor.shadow, enc.end, rec.end)
+                enc.end = rec.end
+            elif not inert:  # EM nested below a hidden region: plain commit
+                enc.end = t.adjust(enc.end, rec.start, rec.end)
+            elif enc.end == rec.start:
+                enc.end = rec.end
             self._load_live()
             return out
         if kind == EM:
@@ -646,76 +704,72 @@ class UpdateWrapper:
             # region's *transition* rather than its absolute snapshot.
             # (Linear case: end-of(i) == start[j], so the adjust laws give
             # exactly end[j] — the paper's rule.)
-            old_enc = self.end[key_i]
-            becomes = self.t.adjust(old_enc, self.start[j], self.end[j])
-            if self.t.inert:
-                becomes = self.end[j] if old_enc == self.start[j] \
-                    else old_enc
-            self.end[key_i] = becomes
-            if key_i is LIVE:
+            old_enc = enc.end
+            if inert:
+                becomes = rec.end if old_enc == rec.start else old_enc
+            else:
+                becomes = t.adjust(old_enc, rec.start, rec.end)
+            enc.end = becomes
+            if enc is live:
                 # Make the in-object state current *before* asking the
                 # transformer to re-emit its visible value.
                 self._load_live()
-            if (self.t.suppress_region_output and not self.t.inert
-                    and key_i is LIVE and old_enc != becomes):
-                out.extend(self.t.on_live_adjusted(old_enc, becomes))
-                self._resident = None
+                if (t.suppress_region_output and not inert
+                        and old_enc != becomes):
+                    out.extend(t.on_live_adjusted(old_enc, becomes))
+                    self._resident = None
         elif kind == ER:
-            s1, s2 = self.end[key_i], self.end[j]
-            if not self.t.inert:
-                out.extend(self.t.on_transition(j, s1, s2))
+            s1, s2 = enc.end, rec.end
+            if not inert:
+                out.extend(t.on_transition(j, s1, s2))
                 self._resident = None
-                self._adjust_later(j, s1, s2, out)
-            if key_i is not LIVE:
+                self._adjust_later(rec, s1, s2, out)
+            if inert or enc is not live:
                 # The replaced region's own end state is now the
-                # replacement's; the live state was already fixed up by
-                # the adjustment above.
-                self.end[key_i] = self.end[j]
-            elif self.t.inert:
-                self.end[key_i] = self.end[j]
-        else:  # EA / EB
-            s1, s2 = self.start[j], self.end[j]
-            if not self.t.inert:
-                out.extend(self.t.on_transition(j, s1, s2))
-                self._resident = None
-                self._adjust_later(j, s1, s2, out)
+                # replacement's; a non-inert live state was already fixed
+                # up by the adjustment above.
+                enc.end = rec.end
+        elif not inert:  # EA / EB
+            s1, s2 = rec.start, rec.end
+            out.extend(t.on_transition(j, s1, s2))
+            self._resident = None
+            self._adjust_later(rec, s1, s2, out)
         self._load_live()
         return out
 
     def _on_hide(self, e: Event) -> List[Event]:
         self.calls += 1
         uid = e.id
-        if uid in self._raw:
-            self._load(LIVE)
-            self.t.current_input_root = self._root.get(uid)
-            self.t.current_region = None
+        t = self.t
+        rec = self.tracked.get(uid)
+        if rec is None:
+            return t.on_other(e)
+        if rec.facet == 1:
+            if rec.policy is _RAW:
+                return self._live_process(e, rec.root)
             self._resident = None
-            return self.t.process(e)
-        if uid in self._shared:
-            self._resident = None
-            return list(self.t.on_region_hidden(uid))
-        if uid not in self._regions or self.ctx.fix.is_fixed(uid):
-            return self.t.on_other(e)
-        if uid in self.shadow:
+            return list(t.on_region_hidden(uid))
+        if rec.facet == 0 or self.ctx.fix.is_fixed(uid):
+            return t.on_other(e)
+        if rec.shadow is not None:
             # Already hidden: hide is idempotent (a second hide must not
             # overwrite the shadow with the already-hidden state).
-            return self._forward_toggle(e, uid)
+            return self._forward_toggle(e, rec)
         self._save()
-        out = self._forward_toggle(e, uid)
-        s_end, s_start = self.end[uid], self.start[uid]
-        anchor = self._hidden_anchor(self._parent.get(uid))
+        out = self._forward_toggle(e, rec)
+        s_end, s_start = rec.end, rec.start
+        anchor = self._hidden_anchor(rec.parent)
         if anchor is not None:
             # Hiding inside an already-hidden region only shifts shadows.
-            self.shadow[anchor] = self.t.adjust(self.shadow[anchor],
-                                                s_end, s_start)
-        elif not self.t.inert:
-            out.extend(self.t.on_transition(uid, s_end, s_start))
+            anchor.shadow = t.adjust(anchor.shadow, s_end, s_start)
+        elif not t.inert:
+            out.extend(t.on_transition(uid, s_end, s_start))
             self._resident = None
-            self._adjust_later(uid, s_end, s_start, out)
-        self.shadow[uid] = s_end
-        self.end[uid] = s_start
-        if anchor is None and not self.t.inert:
-            out.extend(self.t.on_region_hidden(uid))
+            self._adjust_later(rec, s_end, s_start, out)
+        rec.shadow = s_end
+        rec.end = s_start
+        if anchor is None and not t.inert:
+            out.extend(t.on_region_hidden(uid))
             self._resident = None
         self._reload()
         return out
@@ -723,151 +777,126 @@ class UpdateWrapper:
     def _on_show(self, e: Event) -> List[Event]:
         self.calls += 1
         uid = e.id
-        if uid in self._raw:
-            self._load(LIVE)
-            self.t.current_input_root = self._root.get(uid)
-            self.t.current_region = None
+        t = self.t
+        rec = self.tracked.get(uid)
+        if rec is None:
+            return t.on_other(e)
+        if rec.facet == 1:
+            if rec.policy is _RAW:
+                return self._live_process(e, rec.root)
             self._resident = None
-            return self.t.process(e)
-        if uid in self._shared:
-            self._resident = None
-            return list(self.t.on_region_shown(uid))
-        if uid not in self._regions or self.ctx.fix.is_fixed(uid):
-            return self.t.on_other(e)
-        if uid not in self.shadow:
-            return self._forward_toggle(e, uid)  # show without hide: no-op
+            return list(t.on_region_shown(uid))
+        if rec.facet == 0 or self.ctx.fix.is_fixed(uid):
+            return t.on_other(e)
+        if rec.shadow is None:
+            return self._forward_toggle(e, rec)  # show without hide: no-op
         self._save()
-        out = self._forward_toggle(e, uid)
-        s_end, s_shadow = self.end[uid], self.shadow.pop(uid)
-        anchor = self._hidden_anchor(self._parent.get(uid))
+        out = self._forward_toggle(e, rec)
+        s_end, s_shadow = rec.end, rec.shadow
+        rec.shadow = None
+        anchor = self._hidden_anchor(rec.parent)
         if anchor is not None:
-            self.shadow[anchor] = self.t.adjust(self.shadow[anchor],
-                                                s_end, s_shadow)
-        elif not self.t.inert:
-            out.extend(self.t.on_transition(uid, s_end, s_shadow))
+            anchor.shadow = t.adjust(anchor.shadow, s_end, s_shadow)
+        elif not t.inert:
+            out.extend(t.on_transition(uid, s_end, s_shadow))
             self._resident = None
-            self._adjust_later(uid, s_end, s_shadow, out)
-        self.end[uid] = s_shadow
-        if anchor is None and not self.t.inert:
-            out.extend(self.t.on_region_shown(uid))
+            self._adjust_later(rec, s_end, s_shadow, out)
+        rec.end = s_shadow
+        if anchor is None and not t.inert:
+            out.extend(t.on_region_shown(uid))
             self._resident = None
         self._reload()
         return out
 
-    def _forward_toggle(self, e: Event, uid: int) -> List[Event]:
+    def _forward_toggle(self, e: Event, rec: RegionRecord) -> List[Event]:
         """Forward hide/show/freeze per the region's policy."""
-        policy = (self._rpolicy.get(uid)
-                  or self._policy_cache.get(self._root.get(uid))
-                  or self._policy(uid))
-        if policy == UpdatePolicy.CONSUME:
+        policy = rec.policy
+        if policy is _CONSUME:
             return []
-        if policy == UpdatePolicy.TRANSPARENT:
+        if policy is _TRANSPARENT:
             return [e]
-        j_out = self._out_region.get(uid)
+        j_out = rec.out
         translated = [] if j_out is None else [Event(e.kind, j_out)]
-        if policy == UpdatePolicy.TEE:
+        if policy is _TEE:
             return [e] + translated
         return translated
 
     def _on_freeze(self, e: Event) -> List[Event]:
         self.calls += 1
         uid = e.id
-        self.ctx.fix.freeze(uid)
-        if uid in self._raw:
-            self._load(LIVE)
-            self.t.current_input_root = self._root.get(uid)
-            self.t.current_region = None
-            self._raw.discard(uid)
-            self._untrack(uid)
-            self._root.pop(uid, None)
-            self._rpolicy.pop(uid, None)
-            return self.t.process(e)
-        if uid in self._shared:
-            self._shared.discard(uid)
-            self._untrack(uid)
-            self._root.pop(uid, None)
-            self._rpolicy.pop(uid, None)
+        fix = self.ctx.fix
+        fix.freeze(uid)
+        rec = self.tracked.get(uid)
+        t = self.t
+        if rec is None or rec is self._live or rec.kept:
+            # Untracked, an input stream id, or — ablation mode only — a
+            # region whose state was kept: a repeated freeze must behave
+            # exactly like the reclaiming path (the region is long gone
+            # there): plain forward.
+            return t.on_other(e)
+        if rec.facet == 1:
+            del self.tracked[uid]
+            if rec.policy is _RAW:
+                return self._live_process(e, rec.root)
             return []
-        out: List[Event] = []
-        if uid in self._regions or uid in self._alias_live:
-            if uid in self._frozen_kept:
-                # Ablation mode only: the region's state was kept, but a
-                # repeated freeze must behave exactly like the reclaiming
-                # path (the region is long gone there): plain forward.
-                return self.t.on_other(e)
-            out = self._forward_toggle(e, uid)
-            if not self.t.inert:
-                out.extend(self.t.on_region_frozen(uid))
-                self._resident = None
-            j_out = self._out_region.pop(uid, None)
-            if j_out is not None:
-                self.ctx.fix.freeze(j_out)
-            # Section V: a fixed id's states are removed immediately.
-            self._save()
-            if self._loaded == uid:
-                self._load_live()
-            obs = self.obs
-            if obs is not None:
-                reclaimed = 0
-                cells = self.t.state_cells
-                for m in (self.start, self.end, self.shadow):
-                    s = m.get(uid)
-                    if s is not None:
-                        reclaimed += cells(s)
-                obs.on_freeze(reclaimed)
-            # A frozen region is closed to everything: it leaves the
-            # nesting tree and the open brackets in either mode.
-            self._unlink(uid)
-            self._open.pop(uid, None)
-            t = self.t
-            if uid in t.current_region_chain:
-                # Rewritten before every read, so only a stale mention.
-                t.current_region_chain = ()
-            if t.current_region == uid:
-                t.current_region = None
-            if not self._reclaim:
-                # Freeze ablation: identical event output and mutability
-                # bookkeeping, but the state copies stay resident — the
-                # footprint a system without Section V's pruning pays.
-                self._frozen_kept.add(uid)
-                return out
-            self._regions.discard(uid)
-            self._alias_live.discard(uid)
-            self._untrack(uid)
-            self.start.pop(uid, None)
-            self.end.pop(uid, None)
-            self.shadow.pop(uid, None)
-            self._order_discard(self.order.pop(uid, None))
-            self._root.pop(uid, None)
-            self._rpolicy.pop(uid, None)
-            self._region_info.pop(uid, None)
-            self._inner.pop(uid, None)
+        out = self._forward_toggle(e, rec)
+        if not t.inert:
+            out.extend(t.on_region_frozen(uid))
+            self._resident = None
+        if rec.out is not None:
+            fix.freeze(rec.out)
+            rec.out = None
+        # Section V: a fixed id's states are removed immediately.
+        if self._loaded is rec:
+            self._save()  # its ``end`` is sized below; the ablation keeps it
+            self._load_live()
+        obs = self.obs
+        if obs is not None:
+            cells = t.state_cells
+            obs.on_freeze(sum(cells(s)
+                              for s in (rec.start, rec.end, rec.shadow)
+                              if s is not None))
+        # A frozen region is closed to everything: it leaves the nesting
+        # tree and the open brackets in either mode.
+        self._unlink(rec)
+        rec.open = False
+        rec.target = None
+        if uid in t.current_region_chain:
+            # Rewritten before every read, so only a stale mention.
+            t.current_region_chain = ()
+        if t.current_region == uid:
+            t.current_region = None
+        if not self._reclaim:
+            # Freeze ablation: identical event output and mutability
+            # bookkeeping, but the record and its state copies stay — the
+            # footprint a system without Section V's pruning pays.
+            rec.kept = True
             return out
-        return self.t.on_other(e)
-
-    def _reload(self) -> None:
-        s = self.end[self._loaded]
-        if s is not self._resident:
-            self.t.set_state(s)
-            self._resident = s
+        del self.tracked[uid]
+        if rec.facet == 2:
+            self._n_regions -= 1
+            if self._mirror is not None:
+                self._order_discard(rec.order)
+        return out
 
     # -- adjustment --------------------------------------------------------------------
 
-    def _region_chain(self, eid: int) -> tuple:
-        """``eid`` and its live enclosing regions, innermost first.
+    @staticmethod
+    def _region_chain(rec: RegionRecord) -> tuple:
+        """The region's id and its live enclosing regions', innermost
+        first.
 
-        Computed on an ``_rcfg`` miss only; :meth:`_unlink` drops the
-        cached copy of every region whose chain a freeze shortens.
+        Computed when ``rec.chain`` is None only; :meth:`_unlink` resets
+        the cached copy of every region whose chain a freeze shortens.
         """
-        parts = [eid]
-        parent = self._parent.get
-        k = parent(eid)
-        while k is not None:
-            parts.append(k)
-            k = parent(k)
+        parts = []
+        while rec is not None:
+            parts.append(rec.id)
+            rec = rec.parent
         return tuple(parts)
 
-    def _unlink(self, uid: int) -> None:
+    @staticmethod
+    def _unlink(rec: RegionRecord) -> None:
         """Splice a frozen region out of the nesting tree.
 
         Its still-live children move up to its nearest live ancestor, and
@@ -877,47 +906,49 @@ class UpdateWrapper:
         at it: skipping it changes no answer.  Cost: O(1) for a leaf,
         O(live descendants) otherwise.
         """
-        rcfg = self._rcfg
-        rcfg.pop(uid, None)
-        children = self._children
-        parent = self._parent.pop(uid, None)
-        kids = children.pop(uid, None)
+        parent, kids = rec.parent, rec.children
+        rec.parent = rec.children = rec.chain = None
         if parent is not None:
-            siblings = children[parent]
-            siblings.discard(uid)
+            siblings = parent.children
+            siblings.discard(rec)
             if kids:
                 siblings |= kids
             elif not siblings:
-                del children[parent]
+                parent.children = None
         if kids:
-            parents = self._parent
             for k in kids:
-                parents[k] = parent
-            below = list(kids)
-            while below:
-                k = below.pop()
-                rcfg.pop(k, None)
-                sub = children.get(k)
-                if sub:
-                    below.extend(sub)
+                k.parent = parent
+            UpdateWrapper._drop_chains(kids)
 
-    def _hidden_anchor(self, key: object) -> Optional[int]:
-        """The nearest positionally-enclosing hidden region (or None)."""
-        k = key if key is not LIVE else None
-        while k is not None:
-            if k in self.shadow:
-                return k
-            k = self._parent.get(k)
-        return None
+    @staticmethod
+    def _drop_chains(recs) -> None:
+        """Reset the cached chain of ``recs`` and of every region below."""
+        below = list(recs)
+        while below:
+            k = below.pop()
+            k.chain = None
+            if k.children:
+                below.extend(k.children)
 
-    def _nearest_open(self, uid: int) -> Optional[int]:
-        """The innermost still-open bracket enclosing ``uid`` (None=live)."""
-        p = self._parent.get(uid)
-        while p is not None and p not in self._open:
-            p = self._parent.get(p)
+    @staticmethod
+    def _hidden_anchor(rec: Optional[RegionRecord]
+                       ) -> Optional[RegionRecord]:
+        """The nearest positionally-enclosing hidden region, ``rec``
+        itself included (None for the live record, which has neither a
+        shadow nor a parent)."""
+        while rec is not None and rec.shadow is None:
+            rec = rec.parent
+        return rec
+
+    @staticmethod
+    def _nearest_open(rec: RegionRecord) -> Optional[RegionRecord]:
+        """The innermost still-open bracket enclosing ``rec`` (None=live)."""
+        p = rec.parent
+        while p is not None and not p.open:
+            p = p.parent
         return p
 
-    def _adjust_later(self, uid: int, s1: State, s2: State,
+    def _adjust_later(self, rec: RegionRecord, s1: State, s2: State,
                       out: List[Event]) -> None:
         """The paper's ``adj``, causally scoped.
 
@@ -931,61 +962,58 @@ class UpdateWrapper:
         """
         if s1 == s2:
             return
-        enclosing = self._nearest_open(uid)
-        pivot = self.order[uid]
-        adjust = self.t.adjust
-        for k in self._regions:
-            if k == uid or k == enclosing:
+        nearest_open = self._nearest_open
+        enclosing = nearest_open(rec)
+        pivot = rec.order
+        t = self.t
+        adjust = t.adjust
+        for k in self.tracked.values():
+            if (k.facet != 2 or k is rec or k is enclosing
+                    or nearest_open(k) is not enclosing
+                    or k.order <= pivot):
                 continue
-            if self._nearest_open(k) != enclosing:
-                continue
-            o = self.order[k]
-            if o is not None and pivot is not None and o <= pivot:
-                continue
-            self.start[k] = adjust(self.start[k], s1, s2)
-            self.end[k] = adjust(self.end[k], s1, s2)
-            if k in self.shadow:
-                self.shadow[k] = adjust(self.shadow[k], s1, s2)
+            k.start = adjust(k.start, s1, s2)
+            k.end = adjust(k.end, s1, s2)
+            if k.shadow is not None:
+                k.shadow = adjust(k.shadow, s1, s2)
         if enclosing is None:
-            old = self.end[LIVE]
+            live = self._live
+            old = live.end
             new = adjust(old, s1, s2)
             if new != old:
-                self.end[LIVE] = new
+                live.end = new
                 # Materialize the adjusted live state before the emission
                 # hook: transformers re-emit from their in-object fields.
-                self._loaded = LIVE
-                self.t.set_state(new)
+                self._loaded = live
+                t.set_state(new)
                 self._resident = new
-                out.extend(self.t.on_live_adjusted(old, new))
+                out.extend(t.on_live_adjusted(old, new))
                 self._resident = None
         else:
-            self.end[enclosing] = adjust(self.end[enclosing], s1, s2)
-            if self._loaded == enclosing:
-                self.t.set_state(self.end[enclosing])
-                self._resident = self.end[enclosing]
+            enclosing.end = adjust(enclosing.end, s1, s2)
+            if self._loaded is enclosing:
+                t.set_state(enclosing.end)
+                self._resident = enclosing.end
 
     # -- order timestamps ------------------------------------------------------------------
 
-    def _next_tick(self) -> _Rat:
-        self._tick += 1
-        return _Rat(self._tick)
+    def _order_mirror(self) -> List[_Rat]:
+        """The sorted ``order`` values of every region record.
 
-    def _order_insert(self, j: int, o: _Rat) -> _Rat:
-        """Record region ``j``'s timestamp in both the map and the mirror."""
-        self.order[j] = o
-        mirror = self._order_sorted
-        # sM timestamps are monotone ticks, so appends dominate; one
-        # comparison beats an O(log n) insort of Python-level __lt__ calls.
-        if not mirror or not (o < mirror[-1]):
-            mirror.append(o)
-        else:
-            insort(mirror, o)
-        return o
+        Only the midpoint searches of sA/sB read it, so it is built at the
+        first of those and kept current (``_on_update_start`` inserts,
+        ``_on_freeze`` discards) only from then on: a stage fed nothing
+        but sM/sR brackets — the ticker's, most of the paper queries' —
+        never pays for it.
+        """
+        mirror = self._mirror
+        if mirror is None:
+            mirror = self._mirror = sorted(
+                r.order for r in self.tracked.values() if r.facet == 2)
+        return mirror
 
-    def _order_discard(self, o: Optional[_Rat]) -> None:
-        if o is None:
-            return
-        mirror = self._order_sorted
+    def _order_discard(self, o: _Rat) -> None:
+        mirror = self._mirror
         if mirror and mirror[-1] == o:  # LIFO discard: freeze after close
             mirror.pop()
             return
@@ -995,7 +1023,7 @@ class UpdateWrapper:
 
     def _between_above(self, o: _Rat) -> _Rat:
         """Smallest recorded timestamp above ``o``, halved towards it."""
-        mirror = self._order_sorted
+        mirror = self._order_mirror()
         idx = bisect_right(mirror, o)
         if idx < len(mirror):
             return _rat_mid(o, mirror[idx])
@@ -1003,7 +1031,7 @@ class UpdateWrapper:
 
     def _between_below(self, o: _Rat) -> _Rat:
         """Largest recorded timestamp below ``o``, halved towards it."""
-        mirror = self._order_sorted
+        mirror = self._order_mirror()
         idx = bisect_left(mirror, o)
         if idx > 0:
             return _rat_mid(o, mirror[idx - 1])
@@ -1014,23 +1042,40 @@ class UpdateWrapper:
     def state_cells(self) -> int:
         """Retained state size (cells) across all live copies."""
         self._save()
-        total = 0
-        for m in (self.start, self.end, self.shadow):
-            for state in m.values():
-                total += self.t.state_cells(state)
+        cells = self.t.state_cells
+        live = self._live
+        total = cells(live.start) + cells(live.end)
+        for r in self.tracked.values():
+            if r.facet == 2:
+                total += cells(r.start) + cells(r.end)
+                if r.shadow is not None:
+                    total += cells(r.shadow)
         return total
 
     def live_regions(self) -> int:
-        return len(self._regions)
+        return self._n_regions
 
     def region_entries(self) -> int:
-        """Entries across every per-region container of this wrapper.
+        """Records reachable from ``tracked``, plus order-mirror entries.
 
         State copies are what ``state_cells`` sizes; this counts the
         bookkeeping around them, which must also be bounded by the
-        regions still addressable rather than by stream position.
+        regions still addressable rather than by stream position.  A
+        record that is only reachable through a ``parent``/``children``
+        link, or as the loaded one, is counted too: it would be a leak.
         """
-        return sum(len(getattr(self, name)) for name in PER_REGION_MAPS)
+        seen = set()
+        todo = list(self.tracked.values())
+        todo.append(self._loaded)
+        while todo:
+            r = todo.pop()
+            if r not in seen:
+                seen.add(r)
+                if r.parent is not None:
+                    todo.append(r.parent)
+                if r.children:
+                    todo.extend(r.children)
+        return len(seen) + len(self._mirror or ())
 
     def account(self) -> tuple:
         """``(state_cells, live_regions, region_entries)`` in one call.

@@ -41,7 +41,11 @@ MAGIC = b"XFCK"
 #: 3: a pickled Pipeline (inside ``multiquery`` envelopes) carries a
 #: ``_routing`` flag where version 2 had the ``_tables`` / ``_routes``
 #: lists and the ``_drive`` / ``_fast_seg`` / ``_fast_emit`` slots.
-VERSION = 3
+#: 4: UpdateWrapper pickles one ``RegionRecord`` per tracked id (the
+#: values of ``tracked``, each a 17-field tuple) where version 3 had
+#: twenty maps keyed by region id and integer facets in ``tracked``;
+#: RegionTree carries its running ``regions`` / ``events`` totals.
+VERSION = 4
 
 #: Kinds the current code base writes; decode rejects unknown kinds.
 KNOWN_KINDS = ("pipeline", "queryrun", "multiquery")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro import XFlux, parse_xml
 from repro.baselines.dom_eval import evaluate_to_xml
-from repro.core.wrapper import PER_REGION_MAPS
 from repro.xquery.parser import parse as parse_query
 
 
@@ -30,28 +29,49 @@ def assert_query_matches_naive(query: str, xml: str) -> str:
 
 # -- reclamation invariants (DESIGN.md, wrapper deviations) -------------------
 
-#: Wrapper maps whose *values* are transformer states, timestamps or
-#: routing facets — never region ids.
-KEYED_MAPS = ("start", "end", "shadow", "order", "tracked")
+
+def reachable_records(wrapper) -> list:
+    """Every region record reachable from a wrapper: the values of
+    ``tracked``, the loaded record, and whatever their ``parent`` /
+    ``children`` links lead to."""
+    seen = {}
+    todo = list(wrapper.tracked.values()) + [wrapper._loaded]
+    while todo:
+        rec = todo.pop()
+        if id(rec) not in seen:
+            seen[id(rec)] = rec
+            if rec.parent is not None:
+                todo.append(rec.parent)
+            todo.extend(rec.children or ())
+    return list(seen.values())
+
+
+def record_mentions(rec) -> list:
+    """Everything a record's fields name, its state copies aside: its id
+    and root, the output-space ids of the bracket translation (``info``
+    holds the relabel triple), the chain tuple, the inner containers,
+    and its place in the nesting tree."""
+    return [rec.id, rec.root, rec.out, rec.target, rec.info, rec.chain,
+            rec.inner, rec.parent.id if rec.parent is not None else None,
+            [kid.id for kid in rec.children or ()]]
 
 
 def stage_containers(run) -> dict:
     """``{label: container}`` over every wrapper, operator and the sink.
 
-    Wrappers contribute their per-region maps (those of KEYED_MAPS by
-    key only); operators and the display contribute every dict, set and
-    list they hold.
+    A wrapper contributes the keys of ``tracked`` and the ids its
+    reachable records mention (one flat list); operators and the
+    display contribute every dict, set and list they hold.
     """
     def held_by(obj):
         return {name: value for name, value in vars(obj).items()
                 if isinstance(value, (dict, set, list))}
     out = {}
     for k, w in enumerate(run.pipeline.wrappers):
-        for name in PER_REGION_MAPS:
-            held = getattr(w, name)
-            if name in KEYED_MAPS:
-                held = set(held)
-            out["w{}.{}".format(k, name)] = held
+        out["w{}.tracked".format(k)] = set(w.tracked)
+        out["w{}.records".format(k)] = [
+            i for rec in reachable_records(w)
+            for i in ids_in(record_mentions(rec), 3)]
         for name, held in held_by(w.t).items():
             out["t{}:{}.{}".format(k, type(w.t).__name__, name)] = held
     for name, held in held_by(run.display).items():
@@ -60,8 +80,8 @@ def stage_containers(run) -> dict:
 
 
 def ids_in(value, depth=2):
-    """Every int a container mentions: keys, members, and (one level
-    down) the ints and collections its values hold."""
+    """Every int a container mentions: keys, members, and (``depth`` - 1
+    levels down) the ints and collections its values hold."""
     if isinstance(value, bool):
         return
     if isinstance(value, int):
@@ -84,27 +104,51 @@ def assert_nothing_mentions(run, frozen: set) -> None:
 
 
 def live_depth(wrapper) -> int:
-    """Longest parent path among the wrapper's live regions."""
+    """Longest parent path among the wrapper's region records."""
     deepest = 0
-    for region in wrapper._regions:
+    for rec in wrapper.tracked.values():
         depth, seen = 0, set()
-        while region is not None:
-            assert region not in seen, "cycle in the nesting tree"
-            seen.add(region)
+        while rec is not None and rec.facet == 2:
+            assert id(rec) not in seen, "cycle in the nesting tree"
+            seen.add(id(rec))
             depth += 1
-            region = wrapper._parent.get(region)
+            rec = rec.parent
         deepest = max(deepest, depth)
     return deepest
 
 
 def assert_nesting_tree_consistent(wrapper) -> None:
-    """The live nesting tree: one node per live region, ``_children`` the
-    exact inverse of ``_parent``, and every cached chain current."""
-    assert set(wrapper._parent) == wrapper._regions
-    up = {(p, c) for c, p in wrapper._parent.items() if p is not None}
-    down = {(p, c) for p, kids in wrapper._children.items() for c in kids}
+    """One handle per region and a consistent live nesting tree.
+
+    Every reachable record is the value of ``tracked[its id]`` (nothing
+    hangs on a link or the loaded slot alone); only live region records
+    sit in the tree; ``children`` is the exact inverse of ``parent``;
+    every cached chain is current; the order mirror, once built, holds
+    exactly the regions' timestamps; and the wrapper's own counts agree.
+    """
+    records = reachable_records(wrapper)
+    for rec in records:
+        if rec is wrapper._live:
+            assert rec.id is None and rec.facet == 0
+        else:
+            assert wrapper.tracked.get(rec.id) is rec, rec
+    regions = [rec for rec in records if rec.facet == 2]
+    assert wrapper.live_regions() == len(regions)
+    for rec in records:
+        if rec.facet != 2 or rec.kept:
+            assert rec.parent is None and rec.children is None, rec
+            assert not rec.open
+        assert rec.children is None or rec.children, "empty child set kept"
+    up = {(id(rec.parent), id(rec)) for rec in records
+          if rec.parent is not None}
+    down = {(id(rec), id(kid)) for rec in records
+            for kid in rec.children or ()}
     assert up == down
-    assert all(wrapper._children.values()), "empty child set kept"
     live_depth(wrapper)  # walks every parent path: fails on a cycle
-    for region, cfg in wrapper._rcfg.items():
-        assert cfg[1] == wrapper._region_chain(region)
+    for rec in regions:
+        if rec.chain is not None:
+            assert rec.chain == wrapper._region_chain(rec)
+    mirror = wrapper._mirror
+    if mirror is not None:
+        assert mirror == sorted(rec.order for rec in regions)
+    assert wrapper.region_entries() == len(records) + len(mirror or ())

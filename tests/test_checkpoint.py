@@ -103,6 +103,64 @@ class TestQueryRunRoundTrip:
             other.restore(blob)
 
 
+class TestRegionRecordsRoundTrip:
+    """A wrapper's region records through ``Pipeline.checkpoint()`` /
+    ``restore()``, cut where every kind of field is in use: a bracket
+    still open inside a nested region, a hidden region (shadow), the
+    order mirror (built by the sA), a loaded region."""
+
+    HEAD = ('sS(0) sM(0,1) sE(1,"a") sM(1,2) sE(2,"b") eE(2,"b") eM(1,2) '
+            'sA(2,3) sE(3,"c") eE(3,"c") eA(2,3) hide(3) '
+            'sR(2,4) sE(4,"d") ')
+    TAIL = ('eE(4,"d") sE(4,"e") eE(4,"e") eR(2,4) show(3) eE(1,"a") '
+            'eM(0,1) freeze(2) eS(0)')
+
+    @staticmethod
+    def pipeline(ctx):
+        from repro.core import Collector, Pipeline
+        from repro.operators import ChildStep, CountItems
+        mid, out_id = ctx.ids.reserve(800), ctx.ids.reserve(900)
+        return Pipeline(ctx, [ChildStep(ctx, 0, mid, "a"),
+                              CountItems(ctx, mid, out_id)], Collector())
+
+    @staticmethod
+    def plain(rec):
+        """A record with its links spelled as ids."""
+        fields = dict(zip(type(rec).__slots__, rec.__getstate__()))
+        fields["parent"] = rec.parent and rec.parent.id
+        fields["children"] = rec.children and {k.id for k in rec.children}
+        fields["order"] = repr(rec.order)
+        return fields
+
+    def test_records_links_and_identities_survive(self):
+        from repro.core import Context
+        from repro.events import loads
+        from tests.helpers import assert_nesting_tree_consistent
+        primary = self.pipeline(Context())
+        primary.feed_batch(loads(self.HEAD))
+        resumed = self.pipeline(Context()).restore(primary.checkpoint())
+        for before, after in zip(primary.wrappers, resumed.wrappers):
+            assert set(after.tracked) == set(before.tracked)
+            for uid, rec in before.tracked.items():
+                assert self.plain(after.tracked[uid]) == self.plain(rec)
+            assert all(after.tracked[i] is after._live
+                       for i in after.input_ids)
+            assert after._loaded is (after._live
+                                     if before._loaded is before._live
+                                     else after.region(before._loaded.id))
+            assert [repr(o) for o in after._mirror or ()] == \
+                [repr(o) for o in before._mirror or ()]
+            assert_nesting_tree_consistent(after)
+        first = primary.wrappers[0]
+        assert first.region(4).open and first.region(4).parent.id == 2
+        assert first.region(3).shadow is not None and first._mirror
+        primary.run(loads(self.TAIL))
+        resumed.run(loads(self.TAIL))
+        assert [e.key() for e in resumed.sink.events] == \
+            [e.key() for e in primary.sink.events]
+        assert resumed.state_cells() == primary.state_cells()
+
+
 class TestMultiQueryRunRoundTrip:
     def test_executor_round_trip_with_dedup(self, workloads):
         names = ["Q1", "Q2", "Q5"]
@@ -240,13 +298,13 @@ class TestEnvelopeDiagnostics:
         assert info.value.offset == 4
 
     def test_previous_version_is_refused(self):
-        # Version 2 pickled pipelines with their handler-table and
-        # routing lists instead of the ``_routing`` flag; restoring one
-        # would fail later, far from here.
+        # Version 3 pickled wrappers as twenty maps keyed by region id;
+        # restored into this code they would have no region records,
+        # and fail at the first event, far from here.
         blob = encode_checkpoint("pipeline", {}, {})
-        assert blob[4] == 3
+        assert blob[4] == 4
         with pytest.raises(CheckpointError) as info:
-            decode_checkpoint(blob[:4] + b"\x02" + blob[5:], "pipeline")
+            decode_checkpoint(blob[:4] + b"\x03" + blob[5:], "pipeline")
         assert info.value.field == "version"
 
     def test_corrupt_payload_reports_payload_offset(self):

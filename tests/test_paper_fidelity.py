@@ -77,8 +77,8 @@ class TestSectionIV:
         w = self._wrapped_count(ctx)
         for e in loads('sS(0) sE(0,"a") eE(0,"a") sM(0,7)'):
             w.dispatch(e)
-        assert w.start[7] == w.end[7]
-        assert w.start[7][0] == 1  # the count so far
+        assert w.region(7).start == w.region(7).end
+        assert w.region(7).start[0] == 1  # the count so far
 
     def test_sR_copies_start_state(self, ctx):
         # sR, sB: start[uid] <- start[id]; end[uid] <- start[id]
@@ -86,30 +86,30 @@ class TestSectionIV:
         for e in loads('sS(0) sM(0,7) sE(7,"a") eE(7,"a") eM(0,7) '
                        'sE(0,"b") eE(0,"b") sR(7,8)'):
             w.dispatch(e)
-        assert w.start[8][0] == 0  # the count *before* region 7
-        assert w.end[8] == w.start[8]
+        assert w.region(8).start[0] == 0  # the count *before* region 7
+        assert w.region(8).end == w.region(8).start
 
     def test_hide_moves_end_to_shadow(self, ctx):
         # hide(uid): shadow[uid] <- end[uid]; end[uid] <- start[uid]
         w = self._wrapped_count(ctx)
         for e in loads('sS(0) sM(0,7) sE(7,"a") eE(7,"a") eM(0,7)'):
             w.dispatch(e)
-        end_before = w.end[7]
+        end_before = w.region(7).end
         for e in loads("hide(7)"):
             w.dispatch(e)
-        assert w.shadow[7] == end_before
-        assert w.end[7] == w.start[7]
+        assert w.region(7).shadow == end_before
+        assert w.region(7).end == w.region(7).start
 
     def test_show_restores_shadow(self, ctx):
         w = self._wrapped_count(ctx)
         for e in loads('sS(0) sM(0,7) sE(7,"a") eE(7,"a") eM(0,7) '
                        'hide(7)'):
             w.dispatch(e)
-        shadow = w.shadow[7]
+        shadow = w.region(7).shadow
         for e in loads("show(7)"):
             w.dispatch(e)
-        assert w.end[7] == shadow
-        assert 7 not in w.shadow
+        assert w.region(7).end == shadow
+        assert w.region(7).shadow is None
 
     def test_count_adjustment_formula(self, ctx):
         # "count <- count + (s2.count - s1.count)"
@@ -124,10 +124,10 @@ class TestSectionV:
         w = UpdateWrapper(CountItems(ctx, 0, ctx.fresh_id()))
         for e in loads('sS(0) sM(0,7) sE(7,"a") eE(7,"a") eM(0,7)'):
             w.dispatch(e)
-        assert 7 in w.end
+        assert w.region(7).end is not None
         for e in loads("freeze(7)"):
             w.dispatch(e)
-        assert 7 not in w.end and 7 not in w.start
+        assert w.region(7) is None  # the record is the states
         assert ctx.fix.is_fixed(7)
 
     def test_updates_to_fixed_ids_are_void(self, ctx):

@@ -14,7 +14,9 @@ These pin the reproduction's load-bearing properties:
   every routed configuration reports the same per-stage call counts, on
   both the paper queries and random update streams;
 * freeze splices a region out of every wrapper's nesting tree without
-  changing an answer, on lifecycles with open, hidden and nested regions;
+  changing an answer, on lifecycles with open, hidden and nested regions,
+  and ``tracked`` stays the one handle on everything kept per region;
+* the region tree's running totals equal a recount after every event;
 * inert transformers restore their state over well-formed sequences;
 * the sorted display is sorted after every single event.
 """
@@ -27,9 +29,9 @@ from repro import QueryRun, XFlux, apply_updates, parse_xml, tokenize
 from repro.analysis import check_stream
 from repro.baselines.dom_eval import evaluate_to_xml
 from repro.baselines.spex import run_spex
-from repro.core import Context, Display, Pipeline
+from repro.core import Context, Display, Pipeline, RegionTree
 from repro.events import loads, validate_document_stream
-from repro.events.model import (cdata, end_element, end_insert_after,
+from repro.events.model import (Kind, cdata, end_element, end_insert_after,
                                 end_insert_before, end_mutable, end_replace,
                                 end_stream, freeze, hide, show,
                                 start_element, start_insert_after,
@@ -544,6 +546,25 @@ def lifecycle_events(rng):
     return out
 
 
+def assert_totals_equal_recount(tree):
+    """A RegionTree's running totals against its full recount."""
+    recount = tree.stats()
+    assert (tree.regions, tree.events) == (recount["regions"],
+                                           recount["events"])
+
+
+def assert_one_handle(wrapper):
+    """The only containers of a wrapper whose size depends on regions
+    are ``tracked`` and the order mirror: whatever else it holds as a
+    dict, set or list is sized by its input streams or the event kinds."""
+    held = {name: value for name, value in vars(wrapper).items()
+            if isinstance(value, (dict, set, list))}
+    held.pop("_mirror", None)  # a list once the first sA/sB built it
+    assert set(held) == {"tracked", "_policy_cache", "handlers"}
+    assert set(held["_policy_cache"]) <= wrapper.input_ids
+    assert len(held["handlers"]) == len(Kind)
+
+
 class TestUpdateLifecycles:
     """Freeze splices a region out of every wrapper's nesting tree; these
     lifecycles are where a wrong splice would show."""
@@ -571,7 +592,10 @@ class TestUpdateLifecycles:
             ever_mutable |= not_fixed
             for w in run.pipeline.wrappers:
                 assert_nesting_tree_consistent(w)
+            assert_totals_equal_recount(run.display.tree)
         assert_nothing_mentions(run, ever_mutable - not_fixed)
+        for w in run.pipeline.wrappers:
+            assert_one_handle(w)
         run.finish()
         return run, seen
 
@@ -579,6 +603,16 @@ class TestUpdateLifecycles:
     @settings(max_examples=150, deadline=None)
     def test_generated_streams_obey_the_protocol(self, rng):
         check_stream(lifecycle_events(rng))
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_applier_totals_equal_a_recount_after_every_event(self, rng):
+        # The eager applier sees the source's own sB/sA, hides and
+        # freezes of hidden regions, not a stage's translation of them.
+        tree = RegionTree()
+        for e in lifecycle_events(rng):
+            tree.process(e)
+            assert_totals_equal_recount(tree)
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)

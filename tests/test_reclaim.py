@@ -17,8 +17,11 @@ import os
 import pytest
 
 from repro import QueryRun, XFlux
+from repro.core import Context, UpdateWrapper
 from repro.data.stock import StockTicker
+from repro.events import loads
 from repro.events.model import SR
+from repro.operators import ChildStep
 from tests.helpers import (assert_nesting_tree_consistent,
                            assert_nothing_mentions, live_depth,
                            stage_containers)
@@ -65,16 +68,12 @@ def stream():
 
 
 def sizes(run):
-    """Container sizes; ``shadow`` follows how many quotes are hidden
-    right now, so it is bounded by the live regions instead of pinned."""
-    found = {}
-    for label, held in stage_containers(run).items():
-        if not label.endswith(".shadow"):
-            found[label] = len(held)
+    """Container sizes.  How many quotes are hidden right now moves
+    none of them: a shadow is a field of its region's record."""
+    found = {label: len(held)
+             for label, held in stage_containers(run).items()}
     for k, w in enumerate(run.pipeline.wrappers):
-        assert len(w.shadow) <= w.live_regions()
-        found["w{}.region_entries".format(k)] = \
-            w.region_entries() - len(w.shadow)
+        found["w{}.region_entries".format(k)] = w.region_entries()
     return found
 
 
@@ -97,7 +96,7 @@ def test_bookkeeping_is_flat_in_stream_position(stream, query, config):
         for w in run.pipeline.wrappers:
             chain = w.t.current_region_chain
             assert len(chain) <= live_depth(w) <= LIVE_DEPTH
-            assert set(chain) <= w._regions
+            assert all(w.region(uid).facet == 2 for uid in chain)
         if count in MARKS:
             assert_nothing_mentions(run, ever_mutable - not_fixed)
             for w in run.pipeline.wrappers:
@@ -114,3 +113,65 @@ def test_bookkeeping_is_flat_in_stream_position(stream, query, config):
         # reject its reuse, a recorder keeps its footprint timeline.
         small, large = sorted((seen_checkpoints[0], seen_checkpoints[-1]))
         assert large - small < 0.10 * small
+
+
+class TestNothingIsRegisteredForWhatCannotBeAddressed:
+    """An update that is void on arrival, and a fixed-``sM`` alias once
+    its bracket closes, can never be addressed again: no record."""
+
+    @staticmethod
+    def wrapper():
+        ctx = Context()
+        return ctx, UpdateWrapper(ChildStep(ctx, 1, ctx.ids.reserve(900),
+                                            "a"))
+
+    def test_void_updates_of_a_fixed_target(self):
+        # Stream 1 was never declared mutable, so every update aimed at
+        # it inherits fixedness and is void.
+        _, w = self.wrapper()
+        for e in loads('sS(1) sE(1,"r")'):
+            w.dispatch(e)
+        before = w.region_entries()
+        for k in range(10, 20):
+            for e in loads('sR(1,{0}) sE({0},"a") eE({0},"a") eR(1,{0}) '
+                           'freeze({0})'.format(k)):
+                w.dispatch(e)
+            assert w.region(k) is None
+        assert w.region_entries() == before
+        assert set(w.tracked) == {1}
+
+    def test_closed_aliases_and_void_updates_inside_them(self):
+        # The consumer ignores updates on these ids: each sM is a
+        # fixed alias (plain content), tracked exactly while it is open.
+        ctx, w = self.wrapper()
+        ctx.fix.ignored_streams.update(range(10, 20))
+        for e in loads('sS(1) sE(1,"r")'):
+            w.dispatch(e)
+        before = w.region_entries()
+        for k in range(10, 20):
+            for e in loads('sM(1,{0}) sE({0},"a")'.format(k)):
+                w.dispatch(e)
+            assert w.region(k).facet == 0 and w.region(k).start is None
+            for e in loads('sA({0},{1}) cD({1},"x") eA({0},{1}) '
+                           'eE({0},"a") eM(1,{0})'.format(k, k + 100)):
+                w.dispatch(e)
+            assert w.region(k) is None and w.region(k + 100) is None
+        assert w.region_entries() == before
+        assert set(w.tracked) == {1}
+
+
+@pytest.mark.parametrize("name", ["Q7", "Q9"])
+def test_reopened_ids_leave_one_record_each(name):
+    """Q7's tuple constructor and Q9's sort and concatenation are fed
+    ids that are opened again (an item is moved by inserting its region
+    anew): each wrapper still has exactly one record per id it tracks,
+    and nothing reachable that it does not track."""
+    from repro.bench.harness import PAPER_QUERIES, QUERY_DATASET, Workloads
+    plan = XFlux(PAPER_QUERIES[name]).compile()
+    events = Workloads(xmark_scale=0.02, dblp_scale=0.02).events(
+        QUERY_DATASET[name], oids=plan.needs_oids)
+    run = QueryRun(plan)
+    for i in range(0, len(events), 64):
+        run.feed_all(events[i:i + 64])
+        for w in run.pipeline.wrappers:
+            assert_nesting_tree_consistent(w)

@@ -92,9 +92,12 @@ class TestRegionInternals:
         inner = Region(2)
         deeper = Region(3)
         inner.append_child(deeper)
+        deeper.append_event(cdata(3, "x"))
         region.append_child(inner)
-        dropped = region.clear_content()
+        region.append_event(cdata(1, "y"))
+        dropped, events = region.clear_content()
         assert {r.id for r in dropped} == {2, 3}
+        assert events == 2
         assert list(region.iter_events()) == []
 
     def test_show_on_never_hidden_is_noop(self):

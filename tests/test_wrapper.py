@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core import Collector, Context, Display, Pipeline
-from repro.core.wrapper import LIVE, UpdatePolicy, UpdateWrapper
+from repro.core.transformer import StateTransformer
+from repro.core.wrapper import UpdatePolicy, UpdateWrapper
 from repro.events import loads
 from repro.operators import ChildStep, CountItems, Tee
+from tests.helpers import assert_nesting_tree_consistent
 
 
 def run_count(ctx, src, input_id=0):
@@ -174,38 +176,89 @@ class TestFreezeSplicesTheNestingTree:
         pipe = Pipeline(ctx, [CountItems(ctx, 0, out_id)], Display(out_id))
         for e in loads(src):
             pipe.feed(e)
-        return pipe.wrappers[0]
+        w = pipe.wrappers[0]
+        assert_nesting_tree_consistent(w)
+        return w
+
+    @staticmethod
+    def parents(w):
+        return {uid: rec.parent and rec.parent.id
+                for uid, rec in w.tracked.items() if rec.facet == 2}
+
+    @staticmethod
+    def children(w):
+        return {uid: {kid.id for kid in rec.children}
+                for uid, rec in w.tracked.items() if rec.children}
 
     def test_chain_is_the_live_enclosing_regions(self, ctx):
         w = self.feed(ctx, self.NESTED)
-        assert w._region_chain(3) == (3, 2, 1)
-        assert w._children == {1: {2, 4}, 2: {3}}
+        assert w.region(3).chain == (3, 2, 1)
+        assert self.children(w) == {1: {2, 4}, 2: {3}}
 
     def test_outer_freeze_reparents_children(self, ctx):
         w = self.feed(ctx, self.NESTED + "freeze(1)")
-        assert w._parent == {2: None, 3: 2, 4: None}
-        assert w._children == {2: {3}}
-        assert w._region_chain(3) == (3, 2)
+        assert self.parents(w) == {2: None, 3: 2, 4: None}
+        assert self.children(w) == {2: {3}}
         # Chains cached while region 1 was live are gone with it.
-        assert not w._rcfg
+        assert [w.region(k).chain for k in (2, 3, 4)] == [None] * 3
+        assert w._region_chain(w.region(3)) == (3, 2)
 
     def test_middle_freeze_splices_grandchild_onto_grandparent(self, ctx):
         w = self.feed(ctx, self.NESTED + "freeze(2)")
-        assert w._parent == {1: None, 3: 1, 4: 1}
-        assert w._children == {1: {3, 4}}
-        assert w._region_chain(3) == (3, 1)
-        assert 3 not in w._rcfg and 2 not in w._rcfg
+        assert self.parents(w) == {1: None, 3: 1, 4: 1}
+        assert self.children(w) == {1: {3, 4}}
+        assert w.region(2) is None and w.region(3).chain is None
+        assert w._region_chain(w.region(3)) == (3, 1)
+        # Not below the frozen region: its cached chain stays.
+        assert w.region(4).chain == (4, 1)
 
     def test_leaf_freeze_drops_the_empty_child_set(self, ctx):
         w = self.feed(ctx, self.NESTED + "freeze(3)")
-        assert w._parent == {1: None, 2: 1, 4: 1}
-        assert w._children == {1: {2, 4}}
+        assert self.parents(w) == {1: None, 2: 1, 4: 1}
+        assert self.children(w) == {1: {2, 4}}
+        assert w.region(2).children is None
 
     def test_freezing_everything_leaves_no_entry(self, ctx):
         w = self.feed(ctx, self.NESTED + "freeze(1) freeze(3) freeze(2) "
                                          "freeze(4)")
-        assert w.region_entries() == len(w.input_ids) + 3  # LIVE states
-        assert not w._parent and not w._children and not w._rcfg
+        assert set(w.tracked) == set(w.input_ids)
+        assert w.region_entries() == 1  # the shared live record
+
+    def test_ablation_keeps_the_record_but_not_the_tree_links(self, ctx):
+        # reclaim_on_freeze=False: the record stays in ``tracked`` marked
+        # kept, out of the nesting tree, and a repeated freeze is foreign.
+        out_id = ctx.ids.reserve(900)
+        w = UpdateWrapper(CountItems(ctx, 0, out_id), reclaim_on_freeze=False)
+        for e in loads(self.NESTED + "freeze(2)"):
+            w.dispatch(e)
+        kept = w.region(2)
+        assert kept.kept and kept.parent is None and kept.children is None
+        assert kept.start is not None and w.live_regions() == 4
+        assert self.parents(w) == {1: None, 2: None, 3: 1, 4: 1}
+        assert_nesting_tree_consistent(w)
+        again = loads("freeze(2)")[0]
+        assert w.dispatch(again) == [again]
+
+    def test_an_id_opened_again_is_still_one_record(self, ctx):
+        # Sorting and concatenation move an item by inserting its region
+        # anew under the id it already has: the record moves, with what
+        # hangs on it, and nothing is left behind at the old place.
+        w = self.feed(ctx, self.NESTED + 'sM(0,5) sE(5,"e") eE(5,"e") '
+                                         'eM(0,5)')
+        first = w.region(2)
+        entries, start = w.region_entries(), w.region(5).start
+        for e in loads('sB(5,2) sE(2,"f") eE(2,"f") eB(5,2)'):
+            w.dispatch(e)
+        assert w.region(2) is first
+        # ... but for the order mirror, which the sB built: one entry
+        # per region, the re-opened one's old timestamp not among them.
+        assert w.region_entries() == entries + len(w._mirror) == entries + 5
+        assert w.live_regions() == 5
+        assert self.parents(w) == {1: None, 2: None, 3: 2, 4: 1, 5: None}
+        assert self.children(w) == {1: {4}, 2: {3}}
+        assert first.start == start  # sB: the target's start
+        assert w.region(3).chain is None
+        assert_nesting_tree_consistent(w)
 
     def test_bracket_end_names_the_target_its_start_did(self, ctx):
         # Target 1 freezes while its replacement 5 is still open: the
@@ -222,3 +275,40 @@ class TestFreezeSplicesTheNestingTree:
         ends = [e for e in collector.events if e.abbrev == "eR"]
         assert [(e.id, e.sub) for e in starts] == \
             [(e.id, e.sub) for e in ends]
+
+
+class _Journal(StateTransformer):
+    """State = every event processed, in order; stream 1 is RAW."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx, (1, 2), ctx.ids.reserve(900))
+        self.seen = ()
+
+    def update_policy(self, stream_id):
+        return (UpdatePolicy.RAW if stream_id == 1
+                else UpdatePolicy.TRANSLATE)
+
+    def process(self, e):
+        self.seen += (repr(e),)
+        return []
+
+    def get_state(self):
+        return self.seen
+
+    def set_state(self, state):
+        self.seen = state
+
+
+class TestRawPolicy:
+    def test_state_written_by_a_raw_freeze_survives_the_next_swap(self, ctx):
+        # process(freeze) may mutate state (SortTuples enqueues an
+        # in-tuple freeze): the snapshot taken before it must not be
+        # written back over it when region 20's content swaps states.
+        t = _Journal(ctx)
+        w = UpdateWrapper(t)
+        for e in loads('sM(1,10) eM(1,10) sM(2,20) cD(20,"x") cD(1,"y") '
+                       'sM(2,22) freeze(10) cD(20,"z") eM(2,22) eM(2,20)'):
+            w.dispatch(e)
+        w.on_end()  # loads the live state
+        assert t.seen == tuple(repr(e) for e in loads(
+            'sM(1,10) eM(1,10) cD(1,"y") freeze(10)'))
