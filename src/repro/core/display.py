@@ -11,10 +11,9 @@ is the query answer.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from ..events.model import Event
-from ..xmlio.writer import write_events
 from .regions import RegionTree
 
 
@@ -43,12 +42,10 @@ class Display:
         self.events_seen = 0
         self.peak_regions = 0
         self.peak_events = 0
-        self._text_cache: Optional[str] = None
 
     def process(self, e: Event) -> None:
         self.events_seen += 1
         self.tree.process(e)
-        self._text_cache = None
         if self.track_snapshots:
             text = self.text()
             if not self.snapshots or self.snapshots[-1] != text:
@@ -77,14 +74,14 @@ class Display:
     def text(self) -> str:
         """The currently displayed answer as XML/text.
 
-        Cached between events: continuous-mode consumers poll ``text()``
-        after every fed event, and most events do not reach the display —
-        only :meth:`process` invalidates, so idle polls cost a attribute
-        check instead of a full flatten + render.
+        Always ``write_events(self.events())``, but maintained, not
+        recomputed: the region tree caches the text of every region and
+        a read re-joins only what changed since the last one
+        (:meth:`~repro.core.regions.RegionTree.text`).  Continuous-mode
+        consumers poll after every fed event; a poll with nothing
+        changed costs one probe of the root's cache.
         """
-        if self._text_cache is None:
-            self._text_cache = write_events(self.events())
-        return self._text_cache
+        return self.tree.text()
 
     def stats(self) -> dict:
         s = self.tree.stats()

@@ -25,6 +25,17 @@ are ignored, which also ignores their bracketed content.
 Region content is a doubly-linked chain of *runs* (consecutive plain
 events) and child regions, so appends and region-anchored splices are O(1).
 
+Every run and every region also caches the text it denotes, so that
+reading the document (:meth:`RegionTree.text`) costs what changed since
+the last read, not the document.  A region's cached text is valid iff
+nothing a read can see below it changed since it was built: an edit
+forgets the cache of the region it lands in and of the enclosing regions
+up to the first one that is hidden or already stale (:meth:`Region.touch`);
+an edit a read cannot see — a new empty region, a bracket end, a visible
+region dissolving in place, anything under a hidden region — forgets
+nothing.  :meth:`RegionTree.flatten` followed by ``write_events`` is the
+reference the cached text is tested against.
+
 The same machinery serves three roles: the engine's result display, the
 eager oracle ``apply_updates`` used by tests, and the memory accounting
 (live regions / buffered events) reported by the benchmark harness.
@@ -34,8 +45,14 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..events.model import (CD, EA, EB, EE, EM, ER, ES, ET, FREEZE, HIDE, SA,
-                            SB, SE, SHOW, SM, SR, SS, ST, Event)
+from ..events.model import (ET, FREEZE, HIDE, SB, SE, SM, SR, SS, ST, Event)
+from ..xmlio import writer
+
+# Kind's integer layout: data kinds, then sU/eU pairs (starts odd), then
+# freeze / hide / show — the classification the wrapper and the drain use.
+_FIRST_UPDATE = int(SM)
+_FREEZE = int(FREEZE)
+_SE, _ST = int(SE), int(ST)
 
 
 class _Link:
@@ -49,19 +66,53 @@ class _Link:
 
 
 class Run(_Link):
-    """A maximal run of consecutive plain events inside one region."""
+    """A maximal run of consecutive plain events inside one region.
 
-    __slots__ = ("events",)
+    ``text`` is the rendering of the first ``rendered`` events: a run
+    only ever grows at its end, so each event is serialised once.
+    """
+
+    __slots__ = ("events", "text", "rendered")
+
+    #: Runs are always shown; lets a read treat chain nodes alike.
+    hidden = False
 
     def __init__(self) -> None:
         super().__init__()
         self.events: List[Event] = []
+        self.text = ""
+        self.rendered = 0
+
+    def render(self) -> str:
+        events = self.events
+        if self.rendered != len(events):
+            self.text += "".join(map(writer.event_xml,
+                                     events[self.rendered:]))
+            self.rendered = len(events)
+        return self.text
+
+    # Cached text is derived state: a checkpoint leaves it out and a
+    # restored run rebuilds it at the first read.
+    def __getstate__(self) -> tuple:
+        return self.prev, self.next, self.events
+
+    def __setstate__(self, state: tuple) -> None:
+        self.prev, self.next, self.events = state
+        self.text = ""
+        self.rendered = 0
 
 
 class Region(_Link):
-    """A container in the region tree (stream root or update region)."""
+    """A container in the region tree (stream root or update region).
 
-    __slots__ = ("id", "hidden", "frozen", "head", "tail")
+    ``parent`` is the region whose chain this one sits in (None for a
+    stream root).  ``text`` is the cached rendering of the visible
+    content, None when stale; a stale visible region always has a stale
+    parent, which is what lets :meth:`touch` stop at the first stale
+    region it meets.
+    """
+
+    __slots__ = ("id", "hidden", "frozen", "head", "tail", "parent", "text")
 
     def __init__(self, id: int) -> None:
         super().__init__()
@@ -72,6 +123,55 @@ class Region(_Link):
         self.tail = _Link()
         self.head.next = self.tail
         self.tail.prev = self.head
+        self.parent: Optional[Region] = None
+        self.text: Optional[str] = ""
+
+    # -- cached text --------------------------------------------------------
+
+    def touch(self) -> None:
+        """The visible content of this region changed: forget its cached
+        text and that of every enclosing region a read sees it through —
+        up to a hidden region (nothing above shows the change) or one
+        that is stale already (so is everything above it)."""
+        region: Optional[Region] = self
+        while region is not None and region.text is not None:
+            region.text = None
+            if region.hidden:
+                break
+            region = region.parent
+
+    def render(self) -> str:
+        """The text the visible content denotes: cached pieces joined,
+        re-reading only the nodes whose own cache is stale."""
+        text = self.text
+        if text is None:
+            parts = []
+            node = self.head.next
+            tail = self.tail
+            while node is not tail:
+                if not node.hidden:  # type: ignore[union-attr]
+                    parts.append(node.render())  # type: ignore[union-attr]
+                node = node.next
+            text = self.text = "".join(parts)
+        return text
+
+    def set_hidden(self, hidden: bool) -> None:
+        """Hide or show; enclosing text changes unless nothing does here."""
+        if hidden != self.hidden:
+            self.hidden = hidden
+            if self.text != "" and self.parent is not None:
+                self.parent.touch()
+
+    # Cached text is derived state: a checkpoint leaves it out and a
+    # restored run rebuilds it at the first read.
+    def __getstate__(self) -> tuple:
+        return (self.prev, self.next, self.id, self.hidden, self.frozen,
+                self.head, self.tail, self.parent)
+
+    def __setstate__(self, state: tuple) -> None:
+        (self.prev, self.next, self.id, self.hidden, self.frozen,
+         self.head, self.tail, self.parent) = state
+        self.text = None
 
     # -- chain editing ------------------------------------------------------
 
@@ -83,9 +183,14 @@ class Region(_Link):
             run = Run()
             run.events.append(e)
             _insert_before(self.tail, run)
+        if self.text is not None:
+            self.touch()
 
     def append_child(self, child: "Region") -> None:
+        child.parent = self
         _insert_before(self.tail, child)
+        if child.text != "" and not child.hidden:
+            self.touch()
 
     def clear_content(self) -> Tuple[List["Region"], int]:
         """Detach all content; return the regions that were dropped with
@@ -94,6 +199,9 @@ class Region(_Link):
         events = self._contents(dropped)
         self.head.next = self.tail
         self.tail.prev = self.head
+        if self.text != "":
+            self.touch()
+            self.text = ""
         return dropped, events
 
     def _contents(self, regions: List["Region"]) -> int:
@@ -125,13 +233,21 @@ class Region(_Link):
         """Splice this region's content into its place in the parent chain.
 
         After dissolving, the region object itself is unlinked; its content
-        chain takes its position.  O(1).
+        chain takes its position and its child regions become the parent's
+        (no link keeps a dissolved region reachable).  The region is
+        visible, so the parent denotes what it did and keeps its cached
+        text.  O(nodes in this region's own chain).
         """
         first = self.head.next
         last = self.tail.prev
         if first is self.tail:
             _unlink(self)
             return
+        parent, node = self.parent, first
+        while node is not self.tail:
+            if isinstance(node, Region):
+                node.parent = parent
+            node = node.next
         prev, nxt = self.prev, self.next
         assert prev is not None and nxt is not None
         prev.next = first
@@ -221,73 +337,66 @@ class RegionTree:
     def process(self, e: Event) -> None:
         """Consume one event, updating the materialized document."""
         kind = e.kind
-        if kind == SS:
-            if e.id not in self.roots and (self._track_all
-                                           or e.id in self._wanted):
-                self._open_root(e.id)
-            return
-        if kind == ES:
-            return
-        if kind in (SE, EE, CD):
-            region = self.open.get(e.id)
-            if region is not None:
-                region.append_event(e)
-                self.events += 1
-            return
-        if kind in (ST, ET):
-            region = self.open.get(e.id)
-            if region is None and self._track_all and kind == ST:
-                # A tuple stream created on the fly (e.g. concatenation
-                # output) has no sS; auto-track it in oracle mode.
-                region = self._open_root(e.id)
-            if region is not None and self.keep_tuples:
-                region.append_event(e)
-                self.events += 1
-            return
+        if kind < _FIRST_UPDATE:
+            if kind >= _SE:  # sE, eE, cD
+                region = self.open.get(e.id)
+                if region is not None:
+                    region.append_event(e)
+                    self.events += 1
+            elif kind >= _ST:  # sT, eT
+                region = self.open.get(e.id)
+                if region is None and self._track_all and kind == ST:
+                    # A tuple stream created on the fly (e.g. concatenation
+                    # output) has no sS; auto-track it in oracle mode.
+                    region = self._open_root(e.id)
+                if region is not None and self.keep_tuples:
+                    region.append_event(e)
+                    self.events += 1
+            elif kind == SS:
+                if e.id not in self.roots and (self._track_all
+                                               or e.id in self._wanted):
+                    self._open_root(e.id)
+        elif kind >= _FREEZE:
+            if kind == FREEZE:
+                self._freeze(e.id)
+            else:
+                region = self.registry.get(e.id)
+                if region is not None and not region.frozen:
+                    region.set_hidden(kind == HIDE)
+        elif kind & 1:  # sM, sR, sB, sA
+            self._open_region(kind, e.id, e.sub)  # type: ignore[arg-type]
+        else:  # eM, eR, eB, eA
+            self.open.pop(e.sub, None)
+
+    def _open_region(self, kind: int, target_id: int, rid: int) -> None:
+        """Link the region an sU bracket introduces, or ignore the update:
+        sM needs an open target, the others a registered, unfrozen one,
+        and nothing can be inserted beside a stream root."""
         if kind == SM:
-            target = self.open.get(e.id)
-            if target is None:
-                self.ignored_updates += 1
-                return
-            region = Region(e.sub)  # type: ignore[arg-type]
-            self.regions += 1
-            target.append_child(region)
-            self.registry[e.sub] = region  # type: ignore[index]
-            self.open[e.sub] = region  # type: ignore[index]
+            target = self.open.get(target_id)
+        else:
+            target = self.registry.get(target_id)
+            if target is not None and (
+                    target.frozen or (kind != SR and target.parent is None)):
+                target = None
+        if target is None:
+            self.ignored_updates += 1
             return
-        if kind in (SR, SB, SA):
-            target = self.registry.get(e.id)
-            if target is None or target.frozen:
-                self.ignored_updates += 1
-                return
-            region = Region(e.sub)  # type: ignore[arg-type]
-            self.regions += 1
-            if kind == SR:
-                self._drop_content(target)
-                target.append_child(region)
-            elif kind == SB:
+        region = Region(rid)
+        self.regions += 1
+        if kind == SM:
+            target.append_child(region)
+        elif kind == SR:
+            self._drop_content(target)
+            target.append_child(region)
+        else:
+            region.parent = target.parent
+            if kind == SB:
                 _insert_before(target, region)
             else:
                 _insert_after(target, region)
-            self.registry[e.sub] = region  # type: ignore[index]
-            self.open[e.sub] = region  # type: ignore[index]
-            return
-        if kind in (EM, ER, EB, EA):
-            self.open.pop(e.sub, None)
-            return
-        if kind == HIDE:
-            region = self.registry.get(e.id)
-            if region is not None and not region.frozen:
-                region.hidden = True
-            return
-        if kind == SHOW:
-            region = self.registry.get(e.id)
-            if region is not None and not region.frozen:
-                region.hidden = False
-            return
-        if kind == FREEZE:
-            self._freeze(e.id)
-            return
+        self.registry[rid] = region
+        self.open[rid] = region
 
     def process_all(self, events: Sequence[Event]) -> None:
         for e in events:
@@ -306,6 +415,7 @@ class RegionTree:
         self.open.pop(rid, None)
         self.regions -= 1  # unlinked or dissolved: gone either way
         if region.hidden:
+            # Nothing of it was showing: no enclosing text changes.
             self._drop_content(region)
             _unlink(region)
         else:
@@ -347,6 +457,20 @@ class RegionTree:
                     continue
                 out.append(e.relabel(rid) if relabel and e.id != rid else e)
         return out
+
+    def text(self) -> str:
+        """The denoted document as XML text: ``write_events(flatten())``,
+        from cached pieces.
+
+        Costs the regions whose visible content changed since the last
+        read plus their siblings along the chain of enclosing regions
+        (one ``join`` each); with nothing changed, one probe per root.
+        """
+        parts = []
+        for root in self.roots.values():  # insertion order: root_order
+            if not root.hidden:
+                parts.append(root.render())
+        return "".join(parts)
 
     def stats(self) -> Dict[str, int]:
         """Buffering metrics: live regions and buffered events.

@@ -45,7 +45,11 @@ MAGIC = b"XFCK"
 #: values of ``tracked``, each a 17-field tuple) where version 3 had
 #: twenty maps keyed by region id and integer facets in ``tracked``;
 #: RegionTree carries its running ``regions`` / ``events`` totals.
-VERSION = 4
+#: 5: a display ``Region`` pickles a ``parent`` link and a state tuple
+#: (``Run`` likewise) where version 4 had a slot dict without it; the
+#: cached text of neither is pickled — a restored display rebuilds it
+#: at its first read.  ``Display._text_cache`` is gone.
+VERSION = 5
 
 #: Kinds the current code base writes; decode rejects unknown kinds.
 KNOWN_KINDS = ("pipeline", "queryrun", "multiquery")

@@ -10,13 +10,38 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-from ..events.model import CD, EE, ES, ET, SE, SS, ST, Event
+from ..events.model import CD, EE, SE, Event
+
+_SE, _EE, _CD = int(SE), int(EE), int(CD)
 
 
 def escape_text(text: str) -> str:
     """Escape character data for inclusion in XML text."""
     return (text.replace("&", "&amp;").replace("<", "&lt;")
             .replace(">", "&gt;"))
+
+
+def event_xml(e: Event) -> str:
+    """The XML text one plain event contributes to a rendering.
+
+    The one place an event becomes text: :func:`write_events` and the
+    cached text of the region tree (:mod:`repro.core.regions`) both
+    call it, so the display and its reference cannot drift apart.
+    Stream and tuple delimiters print nothing; update events are
+    rejected.
+    """
+    kind = e.kind
+    if kind == _CD:
+        return escape_text(e.text or "")
+    if kind == _SE:
+        return f"<{e.tag}>"
+    if kind == _EE:
+        return f"</{e.tag}>"
+    if kind > _CD:
+        raise ValueError(
+            "cannot render update event {}; apply the updates first "
+            "(repro.core.regions.apply_updates)".format(e))
+    return ""
 
 
 def write_events(events: Iterable[Event], stream_id: Optional[int] = None,
@@ -32,28 +57,26 @@ def write_events(events: Iterable[Event], stream_id: Optional[int] = None,
     Returns:
         the XML text (a forest is rendered as sibling elements).
     """
+    if stream_id is None and indent is None:
+        return "".join(map(event_xml, events))
     parts: List[str] = []
     depth = 0
     for e in events:
-        if e.is_update:
-            raise ValueError(
-                "write_events cannot render update event {}; apply the "
-                "updates first (repro.core.regions.apply_updates)".format(e))
-        if stream_id is not None and e.id != stream_id:
+        piece = event_xml(e)
+        kind = e.kind
+        if kind < _SE or (stream_id is not None and e.id != stream_id):
             continue
-        if e.kind == SE:
-            if indent is not None:
-                parts.append("\n" + indent * depth if parts else
-                             indent * depth)
-            parts.append("<{}>".format(e.tag))
+        if indent is None:
+            parts.append(piece)
+        elif kind == _SE:
+            parts.append("\n" + indent * depth if parts else indent * depth)
+            parts.append(piece)
             depth += 1
-        elif e.kind == EE:
+        elif kind == _EE:
             depth -= 1
-            parts.append("</{}>".format(e.tag))
-            if indent is not None and depth == 0:
+            parts.append(piece)
+            if depth == 0:
                 parts.append("\n")
-        elif e.kind == CD:
-            parts.append(escape_text(e.text or ""))
-        elif e.kind in (SS, ES, ST, ET):
-            continue
+        else:
+            parts.append(piece)
     return "".join(parts)

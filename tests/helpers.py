@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from repro import XFlux, parse_xml
 from repro.baselines.dom_eval import evaluate_to_xml
+from repro.core.regions import Region
+from repro.data.stock import StockTicker
+from repro.events.model import SR
 from repro.xquery.parser import parse as parse_query
 
 
@@ -56,12 +59,59 @@ def record_mentions(rec) -> list:
             [kid.id for kid in rec.children or ()]]
 
 
+def ticker_stream(symbols, n_updates, seed=7):
+    """A stock-ticker update stream (10 % name updates, source region ids
+    clear of the engine's own) as its snapshot prefix and one event list
+    — ``sR .. eR freeze``, six events — per update."""
+    events = StockTicker(symbols, n_updates=n_updates,
+                         name_update_fraction=0.1, seed=seed,
+                         first_region=10_000_000).events()
+    first = next(i for i, e in enumerate(events) if e.kind == SR)
+    body = events[first:-2]
+    assert len(body) == 6 * n_updates
+    return events[:first], [body[i:i + 6] for i in range(0, len(body), 6)]
+
+
+# -- the display's region tree ------------------------------------------------
+
+
+def chain_nodes(region):
+    """The runs and child regions of a region's content chain.  A region
+    out of the tree (a stepping stone someone still links to) has a
+    chain that no longer ends at its own tail: stop where it ends."""
+    node = region.head.next
+    while node is not None and node is not region.tail:
+        yield node
+        node = node.next
+
+
+def reachable_regions(tree) -> list:
+    """Every display region reachable from a region tree: the roots, the
+    values of ``registry`` and ``open``, and whatever their content
+    chains and ``parent`` links (the walk an edit takes to invalidate
+    cached text) lead to."""
+    seen = {}
+    todo = (list(tree.roots.values()) + list(tree.registry.values())
+            + list(tree.open.values()))
+    while todo:
+        region = todo.pop()
+        if id(region) not in seen:
+            seen[id(region)] = region
+            if region.parent is not None:
+                todo.append(region.parent)
+            todo.extend(node for node in chain_nodes(region)
+                        if isinstance(node, Region))
+    return list(seen.values())
+
+
 def stage_containers(run) -> dict:
     """``{label: container}`` over every wrapper, operator and the sink.
 
     A wrapper contributes the keys of ``tracked`` and the ids its
     reachable records mention (one flat list); operators and the
-    display contribute every dict, set and list they hold.
+    display contribute every dict, set and list they hold; the
+    display's region tree contributes its ``registry`` and ``open`` maps
+    and the ids of its reachable regions (one flat list).
     """
     def held_by(obj):
         return {name: value for name, value in vars(obj).items()
@@ -76,6 +126,10 @@ def stage_containers(run) -> dict:
             out["t{}:{}.{}".format(k, type(w.t).__name__, name)] = held
     for name, held in held_by(run.display).items():
         out["display." + name] = held
+    tree = run.display.tree
+    out["display.tree.registry"] = tree.registry
+    out["display.tree.open"] = tree.open
+    out["display.tree.regions"] = [r.id for r in reachable_regions(tree)]
     return out
 
 

@@ -298,13 +298,14 @@ class TestEnvelopeDiagnostics:
         assert info.value.offset == 4
 
     def test_previous_version_is_refused(self):
-        # Version 3 pickled wrappers as twenty maps keyed by region id;
-        # restored into this code they would have no region records,
-        # and fail at the first event, far from here.
+        # Version 4 pickled display regions without the ``parent`` link
+        # the cached-text invalidation walks; restored into this code an
+        # edit would fail on the missing slot at the first event, far
+        # from here.
         blob = encode_checkpoint("pipeline", {}, {})
-        assert blob[4] == 4
+        assert blob[4] == 5
         with pytest.raises(CheckpointError) as info:
-            decode_checkpoint(blob[:4] + b"\x03" + blob[5:], "pipeline")
+            decode_checkpoint(blob[:4] + b"\x04" + blob[5:], "pipeline")
         assert info.value.field == "version"
 
     def test_corrupt_payload_reports_payload_offset(self):

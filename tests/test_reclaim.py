@@ -6,6 +6,10 @@ addressed never grows.  These tests pin the consequence: whatever a
 stage keeps per region — state copies *and* the bookkeeping around them
 — is sized by the live regions, not by the stream position, and nothing
 a stage holds names a region after its ``freeze`` has been processed.
+The display is a stage like the others: nothing reachable from its
+region tree — through ``registry``, ``open``, content chains or the
+``parent`` links its cached text is invalidated along — is a region
+that dissolved or was dropped.
 
 Deterministic; nothing here is timed.
 """
@@ -18,13 +22,11 @@ import pytest
 
 from repro import QueryRun, XFlux
 from repro.core import Context, UpdateWrapper
-from repro.data.stock import StockTicker
 from repro.events import loads
-from repro.events.model import SR
 from repro.operators import ChildStep
 from tests.helpers import (assert_nesting_tree_consistent,
                            assert_nothing_mentions, live_depth,
-                           stage_containers)
+                           stage_containers, ticker_stream)
 
 SYMBOLS = ["IBM"] + ["S{:02d}".format(i) for i in range(1, 8)]
 QUERIES = {
@@ -45,7 +47,6 @@ CONFIGS = {
 #: which ride the interpreted drain only.
 OBSERVED = any(os.environ.get(name, "") not in ("", "0")
                for name in ("REPRO_SANITIZE", "REPRO_METRICS"))
-EVENTS_PER_UPDATE = 6
 N = 500
 #: Updates after which the stages are inspected; the first and the last
 #: are also where the checkpoint is sized.
@@ -57,14 +58,7 @@ LIVE_DEPTH = 3
 @pytest.fixture(scope="module")
 def stream():
     """Snapshot prefix and one event list per update."""
-    events = StockTicker(SYMBOLS, n_updates=MARKS[-1],
-                         name_update_fraction=0.1, seed=7,
-                         first_region=10_000_000).events()
-    first = next(i for i, e in enumerate(events) if e.kind == SR)
-    body = events[first:-2]
-    assert len(body) == MARKS[-1] * EVENTS_PER_UPDATE
-    return events[:first], [body[i:i + EVENTS_PER_UPDATE]
-                            for i in range(0, len(body), EVENTS_PER_UPDATE)]
+    return ticker_stream(SYMBOLS, MARKS[-1])
 
 
 def sizes(run):
@@ -93,6 +87,7 @@ def test_bookkeeping_is_flat_in_stream_position(stream, query, config):
         for event in update:
             run.feed(event)
             ever_mutable |= not_fixed
+        run.text()  # a standing display is read: its text caches are warm
         for w in run.pipeline.wrappers:
             chain = w.t.current_region_chain
             assert len(chain) <= live_depth(w) <= LIVE_DEPTH
@@ -104,6 +99,8 @@ def test_bookkeeping_is_flat_in_stream_position(stream, query, config):
             seen_sizes.append(sizes(run))
             seen_checkpoints.append(len(run.checkpoint()))
     assert seen_sizes[0] == seen_sizes[1] == seen_sizes[2]
+    assert {"display.tree.registry", "display.tree.open",
+            "display.tree.regions"} <= set(seen_sizes[0])
     stats = run.stats()
     assert stats["region_entries"] == sum(
         a["region_entries"] for a in stats["per_stage"])

@@ -143,6 +143,28 @@ class TestRobustness:
         assert write_events(tree.flatten()) == "a"
         assert tree.ignored_updates == 1
 
+    def test_insert_beside_a_stream_root_is_ignored(self):
+        # A stream root has no position before or after it: the update
+        # is ignored, with its content, like one at an unknown target.
+        for start, end in (("sB", "eB"), ("sA", "eA")):
+            src = ('sS(0) cD(0,"a") {}(0,5) cD(5,"junk") {}(0,5) cD(0,"b") '
+                   'eS(0)'.format(start, end))
+            assert applied_text(src) == "ab"
+            tree = RegionTree(result_ids=[0])
+            tree.process_all(loads(src))
+            assert tree.text() == "ab"
+            assert tree.ignored_updates == 1
+            assert tree.stats() == {"regions": 1, "events": 2,
+                                    "registry": 1, "open": 1}
+
+    def test_display_ignores_an_insert_beside_its_root(self):
+        from repro.core import Display
+        display = Display(0)
+        for e in loads('sS(0) cD(0,"a") sB(0,5) cD(5,"junk") eB(0,5)'):
+            display.process(e)
+        assert display.text() == "a"
+        assert display.tree.ignored_updates == 1
+
     def test_untracked_stream_content_ignored(self):
         src = 'sS(0) cD(0,"a") cD(5,"ghost") eS(0)'
         assert applied_text(src) == "a"
