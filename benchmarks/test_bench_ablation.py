@@ -1,7 +1,8 @@
 """Ablations: the design choices DESIGN.md calls out, measured.
 
 * freeze / mutability analysis (Section V): retained state with and
-  without producer freezes;
+  without producer freezes, and peak state with and without freeze
+  reclamation over Q1-Q9 and the ticker;
 * unblocked sorting (Section VI-D): first-output latency against a
   blocking sort;
 * descendant-or-self (Section VI-C): bufferless operation against an
@@ -13,6 +14,7 @@ import time
 
 import pytest
 
+from repro.bench.harness import PAPER_QUERIES, QUERY_DATASET
 from repro.core import Context, Display, Pipeline
 from repro.data.stock import StockTicker
 from repro.data.xmark import XMarkGenerator
@@ -20,9 +22,11 @@ from repro.xmlio import tokenize
 from repro.xquery.engine import XFlux
 
 
+STOCK_QUERY = 'stream()//quote[name="IBM"]/price'
+
+
 def _run_stock(events):
-    engine = XFlux('stream()//quote[name="IBM"]/price',
-                   mutable_source=True)
+    engine = XFlux(STOCK_QUERY, mutable_source=True)
     run = engine.start()
     run.feed_all(events)
     run.finish()
@@ -48,6 +52,60 @@ def test_freeze_state_pruning(benchmark):
     # Without freezes every superseded region keeps state copies in every
     # stage; with them the state is proportional to the live regions.
     assert cells_frozen * 5 < cells_open
+
+
+def _event_keys(run):
+    return [(int(e.kind), e.id, e.sub, e.tag, e.text, e.oid)
+            for e in run.display.events()]
+
+
+@pytest.mark.parametrize("name", list(PAPER_QUERIES) + ["ticker"])
+def test_freeze_reclaims_peak_state(benchmark, workloads, name):
+    """Section V ablation: ``freeze`` lets every stage drop the state it
+    kept for revocability.  With ``reclaim_on_freeze=False`` freezes
+    still flow and fix the mutability map, but no stage reclaims its
+    per-region copies: the output stream must not change, the peak
+    footprint must not shrink, and for the blocking operators (count,
+    tuple construction, sort) and the ticker it more than doubles.
+    Plain documents exercise it too — the compiler allocates mutable
+    regions for its own revocable decisions and freezes them."""
+    if name == "ticker":
+        engine = XFlux(STOCK_QUERY, mutable_source=True)
+        events = StockTicker(n_updates=200).events()
+        interval = 32
+    else:
+        engine = XFlux(PAPER_QUERIES[name])
+        events = workloads.events(QUERY_DATASET[name],
+                                  oids=engine.compile().needs_oids)
+        interval = 256
+
+    def both():
+        return [engine.run(events, metrics=True, sample_interval=interval,
+                           reclaim_on_freeze=reclaim)
+                for reclaim in (True, False)]
+
+    on, off = benchmark.pedantic(both, rounds=1, iterations=1)
+    assert _event_keys(on) == _event_keys(off)
+    peak_on = on.metrics()["peak_cells_total"]
+    peak_off = off.metrics()["peak_cells_total"]
+    reduction = 1.0 - peak_on / peak_off if peak_off else 0.0
+    benchmark.extra_info.update({
+        "peak_cells_reclaiming": peak_on,
+        "peak_cells_retaining": peak_off,
+        "peak_reduction": round(reduction, 4),
+    })
+    assert peak_on <= peak_off
+    assert off.stats()["state_cells"] >= on.stats()["state_cells"]
+    if name in ("Q4", "Q7", "Q9", "ticker"):
+        assert reduction > 0.5
+    # The peaks above are read off footprint timelines: each must be
+    # in stream order and carry the peak it reports.
+    for stage in on.metrics()["stages"]:
+        samples = stage["samples"]
+        assert samples, (name, stage["label"])
+        assert [s[0] for s in samples] == sorted(s[0] for s in samples)
+        assert stage["peak_cells"] == max(s[1] for s in samples)
+        assert stage["peak_regions"] == max(s[2] for s in samples)
 
 
 def test_sort_unblocking(benchmark):
@@ -140,7 +198,7 @@ def test_incremental_vs_reeval(benchmark):
     # The suffix after the base snapshot is the update tail (strip the
     # shared close events from base).
     tail = updates[len(base) - 2:]
-    query = 'stream()//quote[name="IBM"]/price'
+    query = STOCK_QUERY
 
     def incremental():
         engine = XFlux(query, mutable_source=True)
@@ -174,7 +232,7 @@ def test_consumer_opt_out(benchmark):
     """Section V's consumer choice: ignoring updates prunes everything."""
     events = StockTicker(n_updates=300, mutable_names=True,
                          freeze_superseded=False, seed=6).events()
-    q = 'stream()//quote[name="IBM"]/price'
+    q = STOCK_QUERY
 
     def opted_out():
         run = XFlux(q, ignore_updates=True).start()
@@ -196,8 +254,6 @@ def test_consumer_opt_out(benchmark):
 def test_scaling_memory_constant(benchmark):
     """Boundedness across scales: Q1's retained state is flat while the
     input grows ~5x (the asymptotic version of the paper's mem column)."""
-    from repro.bench.harness import PAPER_QUERIES
-
     def measure(scale):
         text = XMarkGenerator(scale=scale, seed=13).text()
         run = XFlux(PAPER_QUERIES["Q1"]).run_xml(text)

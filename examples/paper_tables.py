@@ -12,7 +12,8 @@ if you go there).
 
 import argparse
 
-from repro.bench.harness import Workloads, format_report, run_all
+from repro.bench.harness import (PAPER_QUERIES, Workloads, format_report,
+                                 run_all)
 
 
 def main() -> None:
@@ -20,6 +21,7 @@ def main() -> None:
     ap.add_argument("--scale", type=float, default=0.02,
                     help="dataset scale factor (default 0.02)")
     ap.add_argument("--queries", nargs="*", default=None,
+                    choices=sorted(PAPER_QUERIES), metavar="Q",
                     help="subset of Q1..Q9 to run")
     args = ap.parse_args()
 

@@ -59,38 +59,6 @@ def timed(fn):
     return time.perf_counter() - start, result
 
 
-def best_of(repeats: int, fn, key=None):
-    """Best-of-``repeats`` measurement; returns (best_metric, result).
-
-    Without ``key``, each call is wall-clock timed around ``fn`` and the
-    fastest call wins (the minimum is the least noisy location statistic
-    for a CPU-bound loop).  With ``key``, ``fn`` measures itself — its
-    return value is ranked by ``key(result)`` — for loops that must
-    exclude setup from the timed region or rank by a self-reported
-    metric.
-    """
-    best = None
-    best_result = None
-    for _ in range(repeats):
-        if key is None:
-            metric, result = timed(fn)
-        else:
-            result = fn()
-            metric = key(result)
-        if best is None or metric < best:
-            best = metric
-            best_result = result
-    return best, best_result
-
-
-def dataset_groups(names: Sequence[str]) -> List[tuple]:
-    """Group query names by the dataset they read, stable order."""
-    groups: Dict[str, List[str]] = {}
-    for name in names:
-        groups.setdefault(QUERY_DATASET[name], []).append(name)
-    return sorted(groups.items())
-
-
 @dataclass
 class DatasetStats:
     """One row of the paper's dataset table."""

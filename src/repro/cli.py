@@ -26,17 +26,9 @@ Options:
                        (also: REPRO_FUSE=1)
     --query-file FILE  read the query text from a file instead of argv
 
-There is also a benchmark subcommand that records the paper's evaluation
-quantities as machine-readable JSON (see repro.bench.record):
-
-    python -m repro bench --scale 0.1 --repeats 3 --out-dir .
-    python -m repro bench --memory --out-dir .
-    python -m repro bench --projection --out-dir .
-    python -m repro bench --fusion --scale 0.15 --repeats 7 --out-dir .
-
-a static plan analyzer that lints a compiled pipeline without
-running it — per-stage memory classes, the precomputed fix map, update
-reachability (paper query names Q1..Q9 are accepted as shorthand):
+There is also a static plan analyzer that lints a compiled pipeline
+without running it — per-stage memory classes, the precomputed fix map,
+update reachability (paper query names Q1..Q9 are accepted as shorthand):
 
     python -m repro analyze 'X//europe//item/quantity'
     python -m repro analyze Q7 --input auction.xml
@@ -85,6 +77,7 @@ write-ahead log directory (see repro.fault.wal / repro.fault.recover):
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Iterable, Optional
 
@@ -712,11 +705,11 @@ def _crash_child(wal_dir, queries, text, workers, batch_events,
                  checkpoint_every, mutable_source, crash_after):
     """Forked chaos --crash child: run durably, die by SIGKILL mid-log."""
     import os
-    # Lead a fresh process group so the supervising parent can reap the
-    # whole engine — the SIGKILL lands mid-flight, before this process
-    # can clean up the shard workers it forked, and orphaned workers
-    # would otherwise hold inherited pipe ends (stdout included) open
-    # forever.
+    # Lead a fresh process group so the supervising parent can sweep
+    # the whole engine — the SIGKILL lands mid-flight, before this
+    # process can clean up the shard workers it forked.  A belt: the
+    # workers see EOF on their frame pipe and exit by themselves
+    # (parallel/shard.py closes every inherited supervisor descriptor).
     os.setpgrp()
     if workers <= 1:
         from .xquery.engine import MultiQueryRun
@@ -770,9 +763,8 @@ def chaos_crash_main(args, names, queries, text, out, err) -> int:
             proc.start()
             proc.join()
             try:
-                # Reap shard workers orphaned by the child's SIGKILL
-                # (the child led its own process group, see
-                # _crash_child).
+                # Sweep whatever the child's SIGKILL left of its
+                # process group (see _crash_child).
                 import signal as _signal
                 os.killpg(proc.pid, _signal.SIGKILL)
             except (OSError, ProcessLookupError):
@@ -992,114 +984,6 @@ def chaos_main(argv, out, err) -> int:
     return 0
 
 
-def build_bench_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Record benchmark results as BENCH_queries.json / "
-                    "BENCH_tokenize.json")
-    ap.add_argument("--scale", type=float, default=0.1,
-                    help="dataset scale factor (default 0.1)")
-    ap.add_argument("--repeats", type=int, default=3,
-                    help="timing repetitions; best is kept (default 3)")
-    ap.add_argument("--out-dir", default=".",
-                    help="directory for the JSON files (default: cwd)")
-    ap.add_argument("--queries",
-                    help="comma-separated subset, e.g. Q1,Q2 (default: "
-                         "all nine)")
-    ap.add_argument("--multiquery", action="store_true",
-                    help="benchmark the multi-query executor instead "
-                         "(sequential vs multiplexed vs sharded); writes "
-                         "BENCH_multiquery.json")
-    ap.add_argument("--memory", action="store_true",
-                    help="record per-stage memory-footprint timelines "
-                         "and the freeze on/off ablation instead; "
-                         "writes BENCH_memory.json")
-    ap.add_argument("--sample-interval", type=int, default=512,
-                    help="source events between footprint samples for "
-                         "--memory (default 512)")
-    ap.add_argument("--workers", type=int, default=None,
-                    help="process count for the sharded mode (default: "
-                         "usable CPUs)")
-    ap.add_argument("--fault", action="store_true",
-                    help="benchmark recovery cost instead: clean vs "
-                         "faulted sharded runs; writes BENCH_fault.json")
-    ap.add_argument("--fault-plan",
-                    help="fault spec for --fault (default: "
-                         "kill:shard=0,after=3; see repro.fault)")
-    ap.add_argument("--recovery", action="store_true",
-                    help="benchmark durability cost instead: steady-"
-                         "state write-ahead-log overhead and replay "
-                         "time vs logged-suffix length; writes "
-                         "BENCH_recovery.json")
-    ap.add_argument("--projection", action="store_true",
-                    help="benchmark stream projection instead: "
-                         "off vs on per query, byte-identity verified; "
-                         "writes BENCH_projection.json")
-    ap.add_argument("--fusion", action="store_true",
-                    help="benchmark the compile layers instead: "
-                         "single-query fusion on/off plus the "
-                         "multi-query baseline/fuse/share/both stack, "
-                         "byte-identity verified; writes "
-                         "BENCH_fusion.json")
-    return ap
-
-
-def bench_main(argv, out, err) -> int:
-    from .bench.record import (write_bench_files, write_fault_file,
-                               write_fusion_file, write_memory_file,
-                               write_multiquery_file,
-                               write_projection_file,
-                               write_recovery_file)
-    args = build_bench_arg_parser().parse_args(list(argv))
-    queries = args.queries.split(",") if args.queries else None
-    try:
-        if args.recovery:
-            paths = write_recovery_file(
-                out_dir=args.out_dir, scale=args.scale,
-                repeats=args.repeats, queries=queries, err=err)
-        elif args.fusion:
-            paths = write_fusion_file(
-                out_dir=args.out_dir, scale=args.scale,
-                repeats=args.repeats, queries=queries, err=err)
-        elif args.projection:
-            paths = write_projection_file(
-                out_dir=args.out_dir, scale=args.scale,
-                repeats=args.repeats, queries=queries, err=err)
-        elif args.fault or args.fault_plan:
-            paths = write_fault_file(
-                out_dir=args.out_dir, scale=args.scale,
-                repeats=args.repeats, workers=args.workers,
-                queries=queries, fault_plan=args.fault_plan, err=err)
-        elif args.memory:
-            paths = write_memory_file(
-                out_dir=args.out_dir, scale=args.scale,
-                queries=queries,
-                sample_interval=args.sample_interval, err=err)
-        elif args.multiquery:
-            paths = write_multiquery_file(
-                out_dir=args.out_dir, scale=args.scale,
-                repeats=args.repeats, workers=args.workers,
-                queries=queries, err=err)
-        else:
-            paths = write_bench_files(out_dir=args.out_dir,
-                                      scale=args.scale,
-                                      repeats=args.repeats,
-                                      queries=queries, err=err)
-    except KeyError as exc:
-        print("error: unknown query {} (expected Q1..Q9)".format(exc),
-              file=err)
-        return 2
-    except ValueError as exc:
-        print("error: {}".format(exc), file=err)
-        return 2
-    except OSError as exc:
-        print("error: {}".format(exc), file=err)
-        return 2
-    for path in paths.values():
-        print(path, file=out)
-    return 0
-
-
 def _read_text(path: Optional[str]) -> str:
     if path is None or path == "-":
         return sys.stdin.read()
@@ -1122,29 +1006,32 @@ def _tokenizer_limits(args) -> dict:
         ("max_attrs", args.max_attrs)) if value is not None}
 
 
+#: First-argument subcommands; anything else is a query to run.
+SUBCOMMANDS = {
+    "chaos": chaos_main,
+    "analyze": analyze_main,
+    "stats": functools.partial(telemetry_main, tracing=False),
+    "trace": functools.partial(telemetry_main, tracing=True),
+    "export": export_main,
+    "recover": recover_main,
+}
+
+
 def main(argv: Optional[Iterable[str]] = None,
          out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     argv = list(argv) if argv is not None else sys.argv[1:]
-    if argv and argv[0] == "bench":
-        return bench_main(argv[1:], out, err)
-    if argv and argv[0] == "chaos":
-        return chaos_main(argv[1:], out, err)
-    if argv and argv[0] == "analyze":
-        return analyze_main(argv[1:], out, err)
-    if argv and argv[0] == "stats":
-        return telemetry_main(argv[1:], out, err, tracing=False)
-    if argv and argv[0] == "trace":
-        return telemetry_main(argv[1:], out, err, tracing=True)
-    if argv and argv[0] == "export":
-        return export_main(argv[1:], out, err)
-    if argv and argv[0] == "recover":
-        return recover_main(argv[1:], out, err)
+    if argv and argv[0] in SUBCOMMANDS:
+        return SUBCOMMANDS[argv[0]](argv[1:], out, err)
     args = build_arg_parser().parse_args(argv)
 
     if args.query_file:
-        query_text = _read_text(args.query_file)
+        try:
+            query_text = _read_text(args.query_file)
+        except OSError as exc:
+            print("error: {}".format(exc), file=err)
+            return 2
         input_path = args.query if args.input is None else args.input
     else:
         if args.query is None:
@@ -1182,7 +1069,11 @@ def main(argv: Optional[Iterable[str]] = None,
             proj_tok = XMLTokenizer(projection=matcher,
                                     **_tokenizer_limits(args))
 
-    text = _read_text(input_path)
+    try:
+        text = _read_text(input_path)
+    except OSError as exc:
+        print("error: {}".format(exc), file=err)
+        return 2
     run = engine.start(sanitize=True if args.sanitize else None,
                        metrics=True if args.metrics else None,
                        fuse=True if args.fuse else None,

@@ -7,11 +7,10 @@ M-th event — threaded through
 :class:`~repro.parallel.ShardedMultiQueryRun` (``fault_plan=...`` or the
 ``REPRO_FAULTS`` environment variable) and
 :class:`~repro.xquery.engine.MultiQueryRun`.  The chaos CLI
-(``python -m repro chaos``), the fault benchmark (``bench --multiquery
---fault-plan``) and the differential tests in ``tests/test_fault.py``
-all drive recovery through plans, never through hand-rolled monkey
-patching, so every path they prove is the path production failures
-take.
+(``python -m repro chaos``) and the differential tests in
+``tests/test_fault.py`` drive recovery through plans, never through
+hand-rolled monkey patching, so every path they prove is the path
+production failures take.
 
 Spec grammar (the ``REPRO_FAULTS`` / ``--fault-plan`` format)::
 

@@ -241,6 +241,10 @@ class WriteAheadLog:
             self._closed = True
             self._fh.close()
 
+    def open_fds(self) -> List[int]:
+        """Descriptors held open (a forked worker closes its copies)."""
+        return [] if self._closed else [self._fh.fileno()]
+
     def __enter__(self) -> "WriteAheadLog":
         return self
 

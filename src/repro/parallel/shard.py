@@ -39,10 +39,16 @@ in-process executor that still round-trips every batch through the
 codec and runs the same sequence discipline and journal recovery, so
 behaviour — including fault injection — is uniform everywhere.
 
-Shard assignment is greedy balanced-load: queries are placed
-heaviest-first onto the least-loaded shard, using caller-supplied cost
-weights when available (the bench harness feeds back measured
-single-process times) and uniform weights otherwise.
+Shard assignment is round-robin: query *i* runs on shard *i* mod *k*,
+which keeps shard sizes within one of each other.
+
+A worker holds exactly two descriptors of the run: the read end of its
+frame pipe and the send end of its result connection.  Everything the
+supervisor has open at the fork (this pipe's write end, every sibling's
+pipe and connection, the write-ahead-log segment) is closed first thing
+in the child, so a supervisor that dies — SIGKILL included — is an EOF
+on the frame pipe and the worker exits instead of waiting on a pipe it
+holds open itself.
 """
 
 from __future__ import annotations
@@ -51,7 +57,8 @@ import errno
 import io
 import os
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from ..events import codec
 from ..events.model import Event
@@ -80,30 +87,17 @@ def _fork_context():
         return None
 
 
-def shard_queries(n_queries: int, workers: int,
-                  weights: Optional[Sequence[float]] = None
-                  ) -> List[List[int]]:
+def shard_queries(n_queries: int, workers: int) -> List[List[int]]:
     """Partition query indices into at most ``workers`` balanced shards.
 
-    Greedy longest-processing-time: heaviest query first, always onto
-    the least-loaded shard.  Within a shard the original submission
-    order is kept.  Empty shards are dropped.
+    Round-robin: query ``i`` goes to shard ``i % k``, so shard sizes
+    differ by at most one and each shard keeps submission order.  Empty
+    shards are dropped.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1, got {}".format(workers))
-    w = list(weights) if weights is not None else [1.0] * n_queries
-    if len(w) != n_queries:
-        raise ValueError("got {} weights for {} queries".format(
-            len(w), n_queries))
-    shards: List[List[int]] = [[] for _ in range(min(workers, n_queries))]
-    loads = [0.0] * len(shards)
-    for i in sorted(range(n_queries), key=lambda i: -w[i]):
-        k = loads.index(min(loads))
-        loads[k] += w[i]
-        shards[k].append(i)
-    for shard in shards:
-        shard.sort()
-    return [s for s in shards if s]
+    k = min(workers, n_queries)
+    return [list(range(shard, n_queries, k)) for shard in range(k)]
 
 
 class _Journal:
@@ -258,7 +252,8 @@ class _ShardEngine:
                 "duplicates_dropped": self.duplicates_dropped}
 
 
-def _worker_main(rfd: int, result_conn, queries: List[str],
+def _worker_main(rfd: int, result_conn, supervisor_fds: List[int],
+                 queries: List[str],
                  engine_kwargs: Dict, global_indices: List[int],
                  stage_faults: List[Tuple[int, int, int]],
                  ack_interval: int, checkpoint_interval: int,
@@ -275,7 +270,18 @@ def _worker_main(rfd: int, result_conn, queries: List[str],
 
     A restarted worker gets the last checkpoint (``ckpt_blob`` +
     ``start_seq``) and sees the missed frames again via journal replay.
+
+    ``supervisor_fds`` are the supervisor's descriptors the fork copied
+    into this process.  They are closed by number, not through the
+    inherited file objects (whose ``close`` would flush the
+    supervisor's buffers a second time): while this process holds the
+    write end of its own frame pipe, a dead supervisor is never an EOF.
     """
+    for fd in supervisor_fds:
+        try:
+            os.close(fd)
+        except OSError:
+            pass
     applied = start_seq
     try:
         engine = _ShardEngine(queries, engine_kwargs, global_indices,
@@ -380,8 +386,12 @@ class _ForkShard(_FaultMixin):
 
     def __init__(self, ctx, shard_no: int, indices: List[int],
                  queries: List[str], engine_kwargs: Dict,
-                 fault_plan: Optional[FaultPlan], sup: Dict) -> None:
+                 fault_plan: Optional[FaultPlan], sup: Dict,
+                 supervisor_fds: Callable[[], List[int]]) -> None:
         self.ctx = ctx
+        #: () -> descriptors the supervisor holds open besides this
+        #: shard's own (sibling pipes and connections, the WAL segment).
+        self.supervisor_fds = supervisor_fds
         self.indices = indices
         self.queries = queries
         self.engine_kwargs = engine_kwargs
@@ -414,7 +424,9 @@ class _ForkShard(_FaultMixin):
         try:
             self.process = self.ctx.Process(
                 target=_worker_main,
-                args=(rfd, send_conn, self.queries, self.engine_kwargs,
+                args=(rfd, send_conn,
+                      [wfd, recv_conn.fileno()] + self.supervisor_fds(),
+                      self.queries, self.engine_kwargs,
                       self.indices, self.stage_faults,
                       self.sup["ack_interval"],
                       self.sup["checkpoint_interval"],
@@ -430,6 +442,11 @@ class _ForkShard(_FaultMixin):
             send_conn.close()
         self.writer = os.fdopen(wfd, "wb", buffering=1 << 16)
         self.conn = recv_conn
+
+    def open_fds(self) -> List[int]:
+        """Supervisor-side descriptors of the live worker, if any."""
+        return [f.fileno() for f in (self.writer, self.conn)
+                if f is not None]
 
     def _reap(self) -> None:
         """Close this worker's fds and wait the child out (no zombies)."""
@@ -866,7 +883,6 @@ class ShardedMultiQueryRun:
         queries: query *texts* (workers compile their own plans; plans
             and engines are not shippable).
         workers: shard count; defaults to :func:`available_workers`.
-        weights: optional per-query cost estimates for shard balancing.
         batch_events: events buffered per broadcast frame.
         mutable_source / ignore_updates / validate / always_active:
             forwarded to each worker's ``MultiQueryRun``.
@@ -912,7 +928,6 @@ class ShardedMultiQueryRun:
 
     def __init__(self, queries: Sequence[str],
                  workers: Optional[int] = None,
-                 weights: Optional[Sequence[float]] = None,
                  batch_events: int = 4096,
                  mutable_source: bool = False,
                  ignore_updates: bool = False,
@@ -988,7 +1003,7 @@ class ShardedMultiQueryRun:
         #: Parent-side tokenizer chunk-latency histogram (run_xml).
         self.chunk_latency = None
         self.shards_indices = shard_queries(len(self.query_texts),
-                                            self.workers, weights)
+                                            self.workers)
         ctx = _fork_context()
         self.mode = "fork" if ctx is not None else "inline"
         self._journal = _Journal(journal_limit)
@@ -1022,7 +1037,8 @@ class ShardedMultiQueryRun:
             if ctx is not None:
                 self._shards.append(_ForkShard(
                     ctx, shard_no, indices, shard_queries_,
-                    engine_kwargs, fault_plan, sup))
+                    engine_kwargs, fault_plan, sup,
+                    self._supervisor_fds))
             else:
                 self._shards.append(_InlineShard(
                     shard_no, indices, shard_queries_, engine_kwargs,
@@ -1035,6 +1051,13 @@ class ShardedMultiQueryRun:
         self._texts: Optional[List[Optional[str]]] = None
         self._statuses: Optional[List[str]] = None
         self._error_reports: Optional[Dict[int, dict]] = None
+
+    def _supervisor_fds(self) -> List[int]:
+        """What a worker forked now would inherit and must close."""
+        fds = [fd for shard in self._shards for fd in shard.open_fds()]
+        if self._wal is not None:
+            fds.extend(self._wal.open_fds())
+        return fds
 
     # -- feeding ---------------------------------------------------------------
 

@@ -116,3 +116,15 @@ class TestCLI:
     def test_missing_query(self):
         proc = run_cli([], stdin=DOC)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("args", [
+        ["X//p", "{missing}"],
+        ["--query-file", "{missing}"],
+    ])
+    def test_unreadable_file_reports_error(self, args, tmp_path):
+        missing = str(tmp_path / "no-such-file")
+        proc = run_cli([a.format(missing=missing) for a in args],
+                       stdin=DOC)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr

@@ -41,4 +41,16 @@ def test_paper_tables_tiny():
     out = run_example("paper_tables.py", "--scale", "0.01",
                       "--queries", "Q1", "Q5")
     assert "Datasets (paper Table 1 analogue)" in out
+    assert "XMark" in out and "DBLP" in out
+    assert "Queries (paper Table 2 analogue)" in out
     assert "Q1" in out and "Q5" in out
+
+
+def test_paper_tables_rejects_unknown_query():
+    proc = subprocess.run(
+        [sys.executable, str(EXAMPLES / "paper_tables.py"),
+         "--queries", "Q10"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert "invalid choice: 'Q10'" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -125,8 +125,17 @@ class TestSingleRunDifferential:
             workloads.text("X"), projection=True, schema="xmark")
         assert run.text() == reference["Q1"]
         assert run.projection_stats is not None
-        assert run.projection_stats.events_pruned > 0
+        assert run.projection_stats.pruned_ratio() > 0.5
         assert run.projection_stats.bytes_skipped > 0
+
+    def test_exact_child_path_prunes_without_schema(self, workloads):
+        # The pruning-heavy regime: every sibling subtree of an exact
+        # child-axis path is skipped, no schema needed.
+        query = "X/regions/europe/item/quantity"
+        plain = XFlux(query).run_xml(workloads.text("X"))
+        run = XFlux(query).run_xml(workloads.text("X"), projection=True)
+        assert run.text() == plain.text()
+        assert run.projection_stats.pruned_ratio() > 0.9
 
     @pytest.mark.parametrize("name", ["Q4", "Q5", "Q6"])
     def test_universal_queries_never_prune(self, name, workloads,

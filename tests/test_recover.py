@@ -5,9 +5,10 @@ never crashed.
 Children fork, lead their own process group, and kill themselves from
 inside ``WriteAheadLog.log_frame`` (``crash_after_frames``) — the frame
 is durable, the dispatch never happens, exactly the torn moment the
-write-ahead invariant is designed for.  The parent reaps the group
-(sharded children leave worker orphans behind otherwise), recovers with
-the original input re-supplied, and diffs.
+write-ahead invariant is designed for.  The parent sweeps the group
+(a belt: shard workers exit by themselves once their supervisor is
+gone, and ``test_sigkilled_supervisor_leaves_no_worker_behind`` holds
+them to it), recovers with the original input re-supplied, and diffs.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.harness import PAPER_QUERIES, QUERY_DATASET
-from repro.bench.memory import STOCK_QUERY
 from repro.data import DBLPGenerator, XMarkGenerator
 from repro.data.stock import StockTicker
 from repro.fault.inject import FaultPlan
@@ -32,6 +33,9 @@ from repro.xquery.engine import MultiQueryRun
 _CTX = multiprocessing.get_context("fork")
 BATCH = 64
 CKPT_EVERY = 3
+STOCK_QUERY = 'stream()//quote[name="IBM"]/price'
+#: The children crash within a second; this only bounds a hung one.
+CRASH_TIMEOUT = 30
 
 
 # ---------------------------------------------------------------- children
@@ -66,17 +70,41 @@ def _crash_sharded(wal_dir, queries, text, crash_after):
     smq.run_xml(text)
 
 
-def _crash(target, *args):
-    """Fork, wait for the self-SIGKILL, reap the whole process group."""
-    proc = _CTX.Process(target=target, args=args)
-    proc.start()
-    proc.join(180)
+def _kill_group(pgid):
     try:
-        os.killpg(proc.pid, signal.SIGKILL)
+        os.killpg(pgid, signal.SIGKILL)
     except (OSError, ProcessLookupError):
         pass
-    assert proc.exitcode == -signal.SIGKILL, \
-        "child survived its crash point (exit {})".format(proc.exitcode)
+
+
+def _crash(target, *args):
+    """Fork, wait for the self-SIGKILL, sweep the process group."""
+    proc = _CTX.Process(target=target, args=args)
+    proc.start()
+    proc.join(CRASH_TIMEOUT)
+    # Read before the sweep: a child that hung must not pass for one
+    # that crashed because this helper killed it.
+    exitcode = proc.exitcode
+    _kill_group(proc.pid)
+    assert exitcode == -signal.SIGKILL, \
+        "child survived its crash point (exit {})".format(exitcode)
+
+
+def _live_group_members(pgid):
+    """Pids in process group ``pgid`` that are not zombies (Linux)."""
+    alive = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open("/proc/{}/stat".format(entry)) as fh:
+                # "pid (comm) state ppid pgrp ..."; comm may hold spaces.
+                state, _ppid, pgrp = fh.read().rsplit(")", 1)[1].split()[:3]
+        except OSError:
+            continue
+        if int(pgrp) == pgid and state != "Z":
+            alive.append(int(entry))
+    return alive
 
 
 # ---------------------------------------------------------------- fixtures
@@ -199,6 +227,36 @@ def test_sharded_run_recovers_from_parent_wal(xmark_text, tmp_path):
     assert result.kind == "sharded"
     assert result.texts == clean_texts
     assert result.statuses == clean_statuses
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                    reason="reads process groups from /proc")
+def test_sigkilled_supervisor_leaves_no_worker_behind(xmark_text,
+                                                      tmp_path):
+    # A worker that still holds the write end of its own frame pipe
+    # never sees EOF when the supervisor dies: it blocks in read()
+    # forever, holding the WAL segment open.  No group kill here — the
+    # workers must go by themselves.
+    queries = [PAPER_QUERIES[n] for n in
+               ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7"]]
+    proc = _CTX.Process(target=_crash_sharded,
+                        args=(str(tmp_path / "wal"), queries,
+                              xmark_text, 6))
+    proc.start()
+    try:
+        # Poll the supervisor's own exit: join() waits on a sentinel
+        # pipe that lingering workers would hold open as well.
+        deadline = time.monotonic() + CRASH_TIMEOUT
+        while proc.exitcode is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert proc.exitcode == -signal.SIGKILL
+        deadline = time.monotonic() + 2.0
+        while _live_group_members(proc.pid) \
+                and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert _live_group_members(proc.pid) == []
+    finally:
+        _kill_group(proc.pid)
 
 
 def test_quarantine_in_checkpoint_survives_recovery(xmark_text,
