@@ -103,7 +103,7 @@ class FusionPlan:
             self.n_stages, len(self.segments))
 
 
-def fusion_partition(plan, report=None, max_segment: int = MAX_SEGMENT,
+def fusion_partition(plan, report=None,
                      assume_updates: bool = False) -> FusionPlan:
     """Partition ``plan`` into maximal fusible runs.
 
@@ -135,7 +135,7 @@ def fusion_partition(plan, report=None, max_segment: int = MAX_SEGMENT,
             i += 1
             continue
         j = i
-        while j < n and fusible[j] and j - i < max_segment:
+        while j < n and fusible[j] and j - i < MAX_SEGMENT:
             j += 1
         segments.append(SegmentSpec(i, j, dormant[i:j]))
         i = j

@@ -24,14 +24,24 @@ them out:
    member pipeline.
 
 At run time a :class:`SharedGroup` feeds each input batch through the
-prefix pipeline once, collects the complete output stream, and hands
-every member pipeline the slice of it that member can observe.  The
-cut is exactly a stage boundary of the monolithic plan: everything a
-member's suffix stages would have seen in an independent run arrives
-in the same order (the prefix driver's depth-first LIFO propagation is
-the same one the monolithic pipeline uses), so results are
-byte-identical by construction — ``tests/test_fusion.py`` holds this
-differentially.
+prefix pipeline once and hands every member pipeline the slice of the
+output that member can observe.  The cut is exactly a stage boundary
+of the monolithic plan: everything a member's suffix stages would have
+seen in an independent run arrives in the same order (the prefix
+driver's depth-first LIFO propagation is the same one the monolithic
+pipeline uses).  What the cut changes is *when*: the prefix runs a
+whole ``CHUNK_EVENTS`` slice before any member sees its first event.
+The paper's ``fix`` map (Section V) is global to *one* totally ordered
+stream, so the invariant that keeps results byte-identical is: **no
+pipeline reads mutability state written by a pipeline at a different
+stream position.**  Each member therefore gets its own fix map (over
+the group's shared id allocator — stream numbers must stay disjoint)
+and rebuilds it, in its own order, from the ``sM``/``freeze`` events
+it is fed.  A member reading the prefix's map would reach a ``hide``
+whose region the prefix, one chunk ahead, has already frozen; the
+wrapper drops updates to fixed regions, so the retraction would be
+lost and a wrong row would stay (``tests/test_fusion.py`` cuts chunks
+at 7 and 512 events to hold this differentially).
 
 Ordering of the backward-axis clone: queries with one parent/ancestor
 step need a verbatim copy of the source for their candidate branch.
@@ -576,8 +586,9 @@ def _compile_group(root: PrefixNode, attach: Dict[int, PrefixNode],
     for s in shared_slots:
         node = attach[s]
         clone = clone_id if s in cloned else None
-        compiler = Compiler(ctx=ctx, source_id=0, mutable_source=mutable,
-                            clone_source=clone)
+        # Own fix map, shared id allocator: see the module docstring.
+        compiler = Compiler(ctx=Context(ids=ctx.ids), source_id=0,
+                            mutable_source=mutable, clone_source=clone)
         plan = compiler.compile(
             chains[s].suffix_expr(node.depth, node.stream))
         members.append((s, make_run(plan, engine_map[s])))

@@ -1,8 +1,9 @@
 """Whole-process crash recovery from the write-ahead log.
 
 Counterpart of :mod:`repro.fault.wal`: given a log directory produced
-by a durable run (``XFlux.run_xml(durable=...)``,
-``MultiQueryRun.run_durable``, or a sharded run with ``durable_dir``),
+by a durable run (``MultiQueryRun.run_durable``, which is also what
+``XFlux.run_xml(durable=...)`` runs, or a sharded run with
+``durable_dir``),
 :func:`recover` rebuilds the executor in a *fresh process* and brings
 it to the exact pre-crash state:
 
@@ -47,7 +48,8 @@ class RecoveryResult:
     """Outcome of one :func:`recover` call.
 
     Attributes:
-        kind: ``"query"`` / ``"multiquery"`` / ``"sharded"``.
+        kind: ``"multiquery"`` (a whole-process log — a durable single
+            query is a one-member executor) or ``"sharded"``.
         queries: query texts, submission order.
         texts: recovered answers (``None`` for quarantined queries).
         statuses: per-query ``"ok"`` / ``"quarantined"`` / ``"empty"``.
@@ -60,10 +62,10 @@ class RecoveryResult:
             or the input tail was re-supplied and drained).
         truncated: torn-tail repair note from the scan, or ``None``.
         bundle: the attached flight-recorder bundle.
-        executors: the live executor(s) — one
-            :class:`~repro.xquery.engine.MultiQueryRun` or
-            :class:`~repro.xquery.engine.QueryRun`, or the per-shard
-            list for sharded logs — for callers that keep feeding.
+        executors: the live
+            :class:`~repro.xquery.engine.MultiQueryRun` executors, one
+            per shard (a whole-process log has one) — for callers that
+            keep feeding.
     """
 
     def __init__(self) -> None:
@@ -97,8 +99,7 @@ class RecoveryResult:
         }
 
 
-def _replay_frames(state: WalState, mq, floor: int,
-                   batch_events: int) -> int:
+def _replay_frames(state: WalState, mq, floor: int) -> int:
     """Feed the logged frames past ``floor`` into ``mq``, in order."""
     replayed = 0
     for seq in range(floor + 1, state.last_frame + 1):
@@ -128,153 +129,39 @@ def _events_consumed(state: WalState, batch_events: int) -> int:
     return consumed + missing * batch_events
 
 
-def _tail_events(state: WalState, manifest: dict, text, events,
-                 source_id: int, needs_oids: bool):
+def _tail_events(state: WalState, manifest: dict, text, events):
     """The not-yet-logged event suffix of the re-supplied input."""
     if text is None and events is None:
         return None
     if events is None:
         from ..xmlio.tokenizer import tokenize
-        events = list(tokenize(text, stream_id=source_id,
-                               emit_oids=needs_oids))
-    else:
-        events = list(events)
-    consumed = _events_consumed(state,
-                                int(manifest.get("batch_events", 512)))
-    return events[consumed:]
+        events = tokenize(text, stream_id=manifest["source_id"],
+                          emit_oids=manifest["needs_oids"])
+    return list(events)[_events_consumed(
+        state, int(manifest["batch_events"])):]
 
 
-def _merge_statuses(mq, notes, index_of) -> None:
+def _merge_statuses(mq, notes, indices) -> None:
     """Force quarantines the log recorded but the replay did not.
 
     Deterministic replay normally reproduces them; this covers faults
     that fire once (injected faults, environmental failures) so the
-    recovered statuses still match the interrupted run's.
+    recovered statuses still match the interrupted run's.  ``indices``
+    are the global positions of ``mq``'s queries (notes name those).
     """
     statuses = mq.statuses()
     for note in notes:
-        local = index_of(note.get("query"))
-        if local is None or statuses[local] != "ok":
+        if note.get("query") not in indices:
             continue
-        slot = mq._slots[local]
-        mq.mux.quarantined[slot] = {
+        local = indices.index(note["query"])
+        if statuses[local] != "ok":
+            continue
+        mq.mux.quarantined[mq._slots[local]] = {
             "error_type": note.get("error_type"),
             "message": note.get("message"),
             "recovered_from_log": True,
             "at_seq": note.get("at_seq"),
         }
-
-
-def _recover_single(state: WalState, manifest: dict, text, events,
-                    finish, result: RecoveryResult) -> None:
-    from ..xquery.engine import MultiQueryRun, XFlux
-    kind = manifest["kind"]
-    ckpt = state.checkpoints.get(None)
-    floor = ckpt[0] if ckpt else 0
-    if ckpt:
-        result.checkpoint_seqs[None] = floor
-    if kind == "multiquery":
-        if ckpt is not None:
-            mq = MultiQueryRun.restore(ckpt[1],
-                                       queries=manifest["queries"])
-        else:
-            mq = MultiQueryRun(manifest["queries"],
-                               **manifest.get("engine", {}))
-        source_id, needs_oids = mq.source_id, mq.needs_oids
-    else:
-        engine = XFlux(manifest["query"],
-                       mutable_source=manifest.get("mutable_source",
-                                                   False),
-                       ignore_updates=manifest.get("ignore_updates",
-                                                   False))
-        mq = engine.start()
-        if ckpt is not None:
-            mq.restore(ckpt[1])
-        source_id = mq.plan.source_id
-        needs_oids = mq.plan.needs_oids
-    result.frames_replayed = _replay_frames(
-        state, mq, floor, int(manifest.get("batch_events", 512)))
-    tail = _tail_events(state, manifest, text, events,
-                        source_id, needs_oids)
-    if tail is not None:
-        mq.feed_all(tail)
-        result.events_resumed = len(tail)
-    result.complete = state.eos_seq is not None or tail is not None
-    if finish if finish is not None else result.complete:
-        mq.finish()
-    if kind == "multiquery":
-        _merge_statuses(mq, state.statuses, lambda q: q)
-        result.texts = mq.texts()
-        result.statuses = mq.statuses()
-        result.error_reports = mq.error_reports()
-    else:
-        result.texts = [mq.text()]
-        result.statuses = ["ok"]
-    result.executors = mq
-
-
-def _recover_sharded(state: WalState, manifest: dict, text, events,
-                     finish, result: RecoveryResult) -> None:
-    """Rebuild every shard in-process and reassemble submission order.
-
-    Shard workers run plain :class:`MultiQueryRun` executors over the
-    broadcast frames, so recovering them inline (no re-fork) yields the
-    same bytes the supervised run would have produced.
-    """
-    from ..xquery.engine import MultiQueryRun
-    queries = manifest["queries"]
-    shards = manifest["shards"]
-    engine_kwargs = manifest.get("engine", {})
-    do_finish = None
-    texts: List[Optional[str]] = [None] * len(queries)
-    statuses: List[str] = ["ok"] * len(queries)
-    tail = None
-    shard_mqs = []
-    for shard_no, indices in enumerate(shards):
-        sub = [queries[i] for i in indices]
-        ckpt = state.checkpoints.get(shard_no)
-        if ckpt is not None:
-            mq = MultiQueryRun.restore(ckpt[1], queries=sub)
-            floor = ckpt[0]
-            result.checkpoint_seqs[shard_no] = floor
-        else:
-            mq = MultiQueryRun(sub, **engine_kwargs)
-            floor = 0
-        result.frames_replayed += _replay_frames(
-            state, mq, floor, int(manifest.get("batch_events", 4096)))
-        if tail is None:
-            tail = _tail_events(state, manifest, text, events,
-                                mq.source_id,
-                                bool(manifest.get("needs_oids",
-                                                  mq.needs_oids)))
-        if tail is not None:
-            mq.feed_all(tail)
-            result.events_resumed = len(tail)
-        result.complete = state.eos_seq is not None or tail is not None
-        if do_finish is None:
-            do_finish = finish if finish is not None else result.complete
-        if do_finish:
-            mq.finish()
-
-        def to_local(global_q, indices=indices):
-            try:
-                return indices.index(global_q)
-            except ValueError:
-                return None
-
-        _merge_statuses(mq, state.statuses, to_local)
-        sub_texts = mq.texts()
-        sub_statuses = mq.statuses()
-        sub_reports = mq.error_reports()
-        for local, global_q in enumerate(indices):
-            texts[global_q] = sub_texts[local]
-            statuses[global_q] = sub_statuses[local]
-            if local in sub_reports:
-                result.error_reports[global_q] = sub_reports[local]
-        shard_mqs.append(mq)
-    result.texts = texts
-    result.statuses = statuses
-    result.executors = shard_mqs
 
 
 def recover(directory: str, text: Optional[str] = None,
@@ -292,6 +179,14 @@ def recover(directory: str, text: Optional[str] = None,
             ``None`` finishes exactly when the stream is complete —
             EOS logged, or the input tail was re-supplied.
 
+    Every log holds the frames of one stream and the checkpoints of
+    one or more :class:`~repro.xquery.engine.MultiQueryRun` executors
+    over it: the whole process under key ``None``, or one per shard
+    (shard workers run plain executors over the broadcast frames, so
+    rebuilding them in-process, no re-fork, yields the same bytes the
+    supervised run would have).  One loop restores, replays and
+    resumes each; the answers are reassembled in submission order.
+
     Returns a :class:`RecoveryResult` with a flight-recorder bundle
     attached; raises :class:`~repro.fault.wal.WalError` on mid-log
     corruption and :class:`RecoveryError` when the log is sound but
@@ -299,25 +194,56 @@ def recover(directory: str, text: Optional[str] = None,
     """
     if text is not None and events is not None:
         raise ValueError("pass text= or events=, not both")
+    from ..parallel.shard import reassemble
+    from ..xquery.engine import MultiQueryRun, XFlux
     state = scan_wal(directory, repair=True)
     manifest = state.manifest or {}
     kind = manifest.get("kind")
-    result = RecoveryResult()
-    result.kind = kind
-    result.truncated = state.truncated
-    if kind == "query":
-        result.queries = [manifest["query"]]
-        _recover_single(state, manifest, text, events, finish, result)
-    elif kind == "multiquery":
-        result.queries = list(manifest["queries"])
-        _recover_single(state, manifest, text, events, finish, result)
+    if kind == "multiquery":
+        shards = [(None, list(range(len(manifest["queries"]))))]
     elif kind == "sharded":
-        result.queries = list(manifest["queries"])
-        _recover_sharded(state, manifest, text, events, finish, result)
+        shards = list(enumerate(manifest["shards"]))
     else:
         raise RecoveryError(
             "manifest names no recoverable run kind: {!r}".format(kind),
             reason="bad-record")
+    result = RecoveryResult()
+    result.kind = kind
+    result.truncated = state.truncated
+    result.queries = queries = list(manifest["queries"])
+    # One stream, so one input tail and one end for every executor.
+    tail = _tail_events(state, manifest, text, events)
+    result.complete = state.eos_seq is not None or tail is not None
+    if finish is None:
+        finish = result.complete
+    result.executors = []
+    parts = []
+    for key, indices in shards:
+        ckpt = state.checkpoints.get(key)
+        if ckpt is not None:
+            floor = result.checkpoint_seqs[key] = ckpt[0]
+            mq = MultiQueryRun.restore(
+                ckpt[1], queries=[queries[i] for i in indices])
+        else:
+            # Never checkpointed (the log was cut right after its
+            # manifest): build what was running from the manifest.
+            floor = 0
+            mq = MultiQueryRun(
+                [XFlux(queries[i], *manifest["flags"][i]) for i in indices],
+                **manifest.get("engine", {}))
+        result.frames_replayed += _replay_frames(state, mq, floor)
+        if tail is not None:
+            mq.feed_all(tail)
+            result.events_resumed = len(tail)
+        if finish:
+            mq.finish()
+        _merge_statuses(mq, state.statuses, indices)
+        result.executors.append(mq)
+        parts.append((indices, {"texts": mq.texts(),
+                                "statuses": mq.statuses(),
+                                "error_reports": mq.error_reports()}))
+    result.texts, result.statuses, result.error_reports = reassemble(
+        len(queries), parts)
     from ..obs.flightrec import build_bundle
     result.bundle = build_bundle(
         "recovery",

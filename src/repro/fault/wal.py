@@ -505,9 +505,8 @@ def drive_durable(engine, events, wal: WriteAheadLog,
     disable the gate and checkpoint at the exact frame cadence (tests
     that need deterministic checkpoint placement do).
 
-    ``engine`` is duck-typed: ``feed_all`` / ``checkpoint`` /
-    ``finish``, with the multi-query quarantine surface
-    (``mux.quarantined`` + ``_slots``) picked up when present.
+    ``engine`` is a :class:`~repro.xquery.engine.MultiQueryRun` — the
+    one executor that is journalled.
     """
     import time as _time
     if batch_events < 1:
@@ -515,14 +514,11 @@ def drive_durable(engine, events, wal: WriteAheadLog,
     logged_quarantines: set = set()
 
     def poll_statuses(seq: int) -> None:
-        mux = getattr(engine, "mux", None)
-        slots = getattr(engine, "_slots", None)
-        if mux is None or slots is None:
-            return
-        for i, slot in enumerate(slots):
-            if slot in mux.quarantined and i not in logged_quarantines:
+        quarantined = engine.mux.quarantined
+        for i, slot in enumerate(engine._slots):
+            if slot in quarantined and i not in logged_quarantines:
                 logged_quarantines.add(i)
-                wal.status(i, mux.quarantined[slot], seq)
+                wal.status(i, quarantined[slot], seq)
 
     seq = 0
     since_ckpt = 0

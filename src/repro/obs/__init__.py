@@ -23,8 +23,7 @@ from .export import (metrics_to_openmetrics, parse_openmetrics,
                      stage_labels_from_metrics, trace_to_chrome,
                      validate_chrome_trace)
 from .flightrec import (DEFAULT_CAPACITY, FlightRecorder, build_bundle,
-                        flight_default, merge_flight_dicts, shard_bundle,
-                        write_bundle)
+                        merge_flight_dicts, shard_bundle, write_bundle)
 from .histogram import (DRAIN_BATCH, TOKENIZER_CHUNK, UPDATE_LATENCY,
                         LogHistogram, merge_histogram_dicts,
                         summarize_histogram_dict)
@@ -54,7 +53,6 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "FlightRecorder",
     "build_bundle",
-    "flight_default",
     "merge_flight_dicts",
     "shard_bundle",
     "write_bundle",

@@ -71,12 +71,6 @@ class FlightRecorder:
             len(self._ring), self.capacity, self.events_seen)
 
 
-def flight_default() -> bool:
-    """Opt into flight recording via the REPRO_FLIGHT env variable."""
-    import os
-    return os.environ.get("REPRO_FLIGHT", "") not in ("", "0")
-
-
 def merge_flight_dicts(dicts) -> dict:
     """Combine per-pipeline flight summaries into totals.
 

@@ -19,8 +19,8 @@ partitions the *query set* — not the stream — across worker processes:
 Fault tolerance (DESIGN.md section 9) is layered on top without
 changing the data path:
 
-* workers acknowledge applied frames and ship periodic checkpoints
-  (pickled executor state) back over the result connection;
+* workers ship periodic checkpoints (pickled executor state, each
+  naming the frame it covers) back over the result connection;
 * the parent keeps a bounded journal of broadcast frames newer than the
   oldest live checkpoint.  A dead worker — crash, kill, codec failure
   from a corrupt frame, sequence gap from a dropped frame — is
@@ -34,10 +34,11 @@ changing the data path:
   :class:`ShardError` propagation instead.
 
 Workers are forked (query texts and flags travel by memory inheritance,
-not pickling).  On platforms without ``fork`` the class degrades to an
-in-process executor that still round-trips every batch through the
-codec and runs the same sequence discipline and journal recovery, so
-behaviour — including fault injection — is uniform everywhere.
+not pickling).  On platforms without ``fork`` every shard starts in the
+state the takeover rung produces — an in-process engine behind the same
+codec round trip and sequence discipline — so answers are the same
+everywhere; scripted kill and frame faults act on a worker process and
+are refused there.
 
 Shard assignment is round-robin: query *i* runs on shard *i* mod *k*,
 which keeps shard sizes within one of each other.
@@ -63,8 +64,14 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
 from ..events import codec
 from ..events.model import Event
 from ..fault import FaultPlan, arm_stage_fault, error_report
-from ..xquery.engine import (MultiQueryRun, _metrics_default,
-                             _tokenize_document)
+from ..xquery.engine import (MultiQueryRun, _merge_executor_metrics,
+                             _tokenize_shared, env_flag)
+
+#: Base of the exponential worker-restart delay (seconds; the k-th
+#: restart of a shard waits ``RESTART_BACKOFF * 2**(k-1)``).
+RESTART_BACKOFF = 0.05
+#: Broadcast frames the in-memory journal retains for replay.
+JOURNAL_LIMIT = 1024
 
 
 class ShardError(RuntimeError):
@@ -100,6 +107,27 @@ def shard_queries(n_queries: int, workers: int) -> List[List[int]]:
     return [list(range(shard, n_queries, k)) for shard in range(k)]
 
 
+def reassemble(n_queries: int, parts) -> Tuple[list, list, dict]:
+    """Per-shard answers back in submission order.
+
+    ``parts`` yields ``(global indices, answers)`` per surviving shard,
+    ``answers`` holding shard-local ``texts`` / ``statuses`` lists and
+    an ``error_reports`` dict; queries no part covers stay
+    ``None`` / ``"quarantined"``.  Used by the supervisor's ``finish``
+    and by :func:`repro.fault.recover.recover`.
+    """
+    texts: List[Optional[str]] = [None] * n_queries
+    statuses = ["quarantined"] * n_queries
+    reports: Dict[int, dict] = {}
+    for indices, answers in parts:
+        for local, q in enumerate(indices):
+            texts[q] = answers["texts"][local]
+            statuses[q] = answers["statuses"][local]
+        for local, report in answers["error_reports"].items():
+            reports[indices[local]] = report
+    return texts, statuses, reports
+
+
 class _Journal:
     """Bounded in-memory log of broadcast frames, for worker replay.
 
@@ -110,9 +138,9 @@ class _Journal:
     quarantined — bounded memory is chosen over unbounded replay).
     """
 
-    def __init__(self, limit: int) -> None:
+    def __init__(self, limit: int = JOURNAL_LIMIT) -> None:
         if limit < 1:
-            raise ValueError("journal_limit must be >= 1")
+            raise ValueError("journal limit must be >= 1")
         self.limit = limit
         self._frames: Dict[int, bytes] = {}
         self._lo = 1            # smallest retained sequence number
@@ -256,14 +284,13 @@ def _worker_main(rfd: int, result_conn, supervisor_fds: List[int],
                  queries: List[str],
                  engine_kwargs: Dict, global_indices: List[int],
                  stage_faults: List[Tuple[int, int, int]],
-                 ack_interval: int, checkpoint_interval: int,
+                 checkpoint_interval: int,
                  ckpt_blob: Optional[bytes], start_seq: int,
                  fault_plan: Optional[FaultPlan] = None) -> None:
     """Worker entry: decode frames from ``rfd``, run the shard, report.
 
     Protocol (worker -> parent over ``result_conn``)::
 
-        ("ack", seq)            frame ``seq`` applied
         ("ckpt", seq, blob)     checkpoint covering frames <= seq
         ("done", result)        end-of-stream result payload
         ("fail", report)        structured failure; the worker exits
@@ -288,17 +315,13 @@ def _worker_main(rfd: int, result_conn, supervisor_fds: List[int],
                               stage_faults, ckpt_blob=ckpt_blob,
                               start_seq=start_seq,
                               fault_plan=fault_plan)
-        since_ack = since_ckpt = 0
+        since_ckpt = 0
         with os.fdopen(rfd, "rb", buffering=1 << 16) as reader:
             for seq, payload in codec.iter_frames_ex(reader):
                 if not engine.apply(seq, payload):
                     continue
                 applied = engine.applied
-                since_ack += 1
                 since_ckpt += 1
-                if since_ack >= ack_interval:
-                    result_conn.send(("ack", applied))
-                    since_ack = 0
                 if since_ckpt >= checkpoint_interval:
                     result_conn.send(("ckpt", applied,
                                       engine.checkpoint()))
@@ -318,15 +341,36 @@ def _worker_main(rfd: int, result_conn, supervisor_fds: List[int],
             pass
 
 
-_FRAME_FAULTS = ("drop", "corrupt", "dup")
+class _Shard:
+    """Parent-side owner of one shard.
 
+    Normally the supervisor of a forked worker: spawn, health checks on
+    every delivery, restart-from-checkpoint with journal replay and
+    exponential backoff, inline takeover when the restart budget runs
+    out, quarantine as the last resort.  All file descriptors are
+    closed and the child reaped on every exit path.
 
-class _FaultMixin:
-    """Per-shard fault-plan bookkeeping shared by both shard flavours."""
+    ``self.inline`` — the shard's engine living in this process — is
+    one state reached two ways: the takeover rung above, and
+    construction without a fork context (``ctx is None``), where there
+    is no worker to supervise in the first place.
+    """
 
-    def _init_faults(self, shard_no: int, indices: List[int],
-                     fault_plan: Optional[FaultPlan]) -> None:
+    def __init__(self, ctx, shard_no: int, indices: List[int],
+                 queries: List[str], engine_kwargs: Dict,
+                 fault_plan: Optional[FaultPlan], max_restarts: int,
+                 checkpoint_interval: int,
+                 supervisor_fds: Callable[[], List[int]]) -> None:
+        self.ctx = ctx
+        #: () -> descriptors the supervisor holds open besides this
+        #: shard's own (sibling pipes and connections, the WAL segment).
+        self.supervisor_fds = supervisor_fds
         self.no = shard_no
+        self.indices = indices
+        self.queries = queries
+        self.engine_kwargs = engine_kwargs
+        self.max_restarts = max_restarts
+        self.checkpoint_interval = checkpoint_interval
         self.plan = fault_plan
         self.stage_faults = (fault_plan.stage_faults(indices)
                              if fault_plan else [])
@@ -338,6 +382,36 @@ class _FaultMixin:
         #: :mod:`repro.obs.flightrec`).  Parent-side state — recovery
         #: is rare, so building these is off every hot path.
         self.flight_bundles: List[dict] = []
+        self.bytes_shipped = 0
+        self.frames_delivered = 0   # fault-visible deliveries (kill clock)
+        self.seq_target = 0         # newest broadcast seq (replay bound)
+        self.last_ckpt_seq = 0
+        self.ckpt_blob: Optional[bytes] = None
+        self.checkpoints = 0
+        self.restarts = 0
+        self.replayed_frames = 0
+        self.duplicates_dropped = 0
+        self.inline: Optional[_ShardEngine] = None
+        self.inline_takeover = 0
+        self.quarantined = False
+        self.quarantine_report: Optional[dict] = None
+        self.process = None
+        self.writer = None
+        self.conn = None
+        if ctx is None:
+            self.inline = self._engine()
+        else:
+            self._spawn(None, 0)
+
+    def _engine(self) -> _ShardEngine:
+        """This shard's engine in this process, at its last checkpoint
+        (a fresh one, stage faults armed, when there is none)."""
+        return _ShardEngine(
+            self.queries, self.engine_kwargs, self.indices,
+            self.stage_faults, ckpt_blob=self.ckpt_blob,
+            start_seq=self.last_ckpt_seq, fault_plan=self.plan)
+
+    # -- scripted faults ------------------------------------------------------
 
     def _record_bundle(self, reason: str, report: dict) -> None:
         """Capture one recovery as a flight-recorder bundle."""
@@ -373,49 +447,6 @@ class _FaultMixin:
             return True
         return False
 
-
-class _ForkShard(_FaultMixin):
-    """Parent-side supervisor of one forked worker.
-
-    Owns the worker's lifecycle: spawn, health checks on every
-    delivery, restart-from-checkpoint with journal replay and
-    exponential backoff, inline takeover when the restart budget runs
-    out, quarantine as the last resort.  All file descriptors are
-    closed and the child reaped on every exit path.
-    """
-
-    def __init__(self, ctx, shard_no: int, indices: List[int],
-                 queries: List[str], engine_kwargs: Dict,
-                 fault_plan: Optional[FaultPlan], sup: Dict,
-                 supervisor_fds: Callable[[], List[int]]) -> None:
-        self.ctx = ctx
-        #: () -> descriptors the supervisor holds open besides this
-        #: shard's own (sibling pipes and connections, the WAL segment).
-        self.supervisor_fds = supervisor_fds
-        self.indices = indices
-        self.queries = queries
-        self.engine_kwargs = engine_kwargs
-        self.sup = sup
-        self._init_faults(shard_no, indices, fault_plan)
-        self.bytes_shipped = 0
-        self.frames_delivered = 0   # fault-visible deliveries (kill clock)
-        self.seq_target = 0         # newest broadcast seq (replay bound)
-        self.last_ack = 0
-        self.last_ckpt_seq = 0
-        self.ckpt_blob: Optional[bytes] = None
-        self.checkpoints = 0
-        self.restarts = 0
-        self.replayed_frames = 0
-        self.duplicates_dropped = 0
-        self.inline: Optional[_ShardEngine] = None
-        self.inline_takeover = 0
-        self.quarantined = False
-        self.quarantine_report: Optional[dict] = None
-        self.process = None
-        self.writer = None
-        self.conn = None
-        self._spawn(None, 0)
-
     # -- lifecycle ------------------------------------------------------------
 
     def _spawn(self, ckpt_blob: Optional[bytes], start_seq: int) -> None:
@@ -428,8 +459,7 @@ class _ForkShard(_FaultMixin):
                       [wfd, recv_conn.fileno()] + self.supervisor_fds(),
                       self.queries, self.engine_kwargs,
                       self.indices, self.stage_faults,
-                      self.sup["ack_interval"],
-                      self.sup["checkpoint_interval"],
+                      self.checkpoint_interval,
                       ckpt_blob, start_seq, self.plan),
                 daemon=True)
             self.process.start()
@@ -481,16 +511,10 @@ class _ForkShard(_FaultMixin):
         try:
             while self.conn.poll(0):
                 msg = self.conn.recv()
-                kind = msg[0]
-                if kind == "ack":
-                    self.last_ack = max(self.last_ack, msg[1])
-                elif kind == "ckpt":
-                    self.last_ckpt_seq = msg[1]
-                    self.ckpt_blob = msg[2]
-                    self.last_ack = max(self.last_ack, msg[1])
-                    self.checkpoints += 1
-                else:           # "done" / "fail"
+                if msg[0] != "ckpt":    # "done" / "fail"
                     return msg
+                self.last_ckpt_seq, self.ckpt_blob = msg[1], msg[2]
+                self.checkpoints += 1
         except (EOFError, OSError):
             pass
         return None
@@ -502,11 +526,10 @@ class _ForkShard(_FaultMixin):
         the journal suffix), inline takeover second, quarantine last.
         Returns True when the shard can keep consuming frames.
         """
-        while self.restarts < self.sup["max_restarts"]:
+        while self.restarts < self.max_restarts:
             self._reap()
             if self.restarts:
-                time.sleep(self.sup["restart_backoff"]
-                           * (2 ** (self.restarts - 1)))
+                time.sleep(RESTART_BACKOFF * (2 ** (self.restarts - 1)))
             self.restarts += 1
             try:
                 self._spawn(self.ckpt_blob, self.last_ckpt_seq)
@@ -542,11 +565,7 @@ class _ForkShard(_FaultMixin):
     def _takeover(self, journal: _Journal) -> bool:
         """Adopt the shard into the parent process (last-ditch recovery)."""
         try:
-            engine = _ShardEngine(
-                self.queries, self.engine_kwargs, self.indices,
-                [] if self.ckpt_blob is not None else self.stage_faults,
-                ckpt_blob=self.ckpt_blob, start_seq=self.last_ckpt_seq,
-                fault_plan=self.plan)
+            engine = self._engine()
             for seq in range(self.last_ckpt_seq + 1, self.seq_target + 1):
                 engine.apply_frame_bytes(journal.frame(seq))
                 self.replayed_frames += 1
@@ -569,7 +588,7 @@ class _ForkShard(_FaultMixin):
             except Exception as exc:
                 self.quarantined = True
                 self.quarantine_report = error_report(
-                    exc, shard=self.no, phase="inline-takeover")
+                    exc, shard=self.no, phase="inline")
                 self._record_bundle("shard-quarantine",
                                     self.quarantine_report)
             return
@@ -644,7 +663,7 @@ class _ForkShard(_FaultMixin):
             remaining = (None if deadline is None
                          else deadline - time.monotonic())
             if remaining is not None and remaining <= 0:
-                self.restarts = self.sup["max_restarts"]  # no respawn loop
+                self.restarts = self.max_restarts   # no respawn loop
                 self._recover(journal, {
                     "error_type": "TimeoutError",
                     "message": "worker produced no result within {}s"
@@ -670,9 +689,7 @@ class _ForkShard(_FaultMixin):
                         deadline = time.monotonic() + timeout
                 continue
             kind = msg[0]
-            if kind == "ack":
-                self.last_ack = max(self.last_ack, msg[1])
-            elif kind == "ckpt":
+            if kind == "ckpt":
                 self.last_ckpt_seq, self.ckpt_blob = msg[1], msg[2]
                 self.checkpoints += 1
             elif kind == "fail":
@@ -739,138 +756,6 @@ class _ForkShard(_FaultMixin):
                 "report": report}
 
 
-class _InlineShard(_FaultMixin):
-    """Fallback shard on platforms without fork.
-
-    Runs the same :class:`_ShardEngine`, the same codec round trip, the
-    same sequence discipline and journal-replay recovery as a forked
-    worker — a ``kill`` fault becomes a simulated crash (the engine is
-    discarded and rebuilt from its last checkpoint), so chaos tests
-    exercise identical recovery paths everywhere.
-    """
-
-    def __init__(self, shard_no: int, indices: List[int],
-                 queries: List[str], engine_kwargs: Dict,
-                 fault_plan: Optional[FaultPlan], sup: Dict) -> None:
-        self.indices = indices
-        self.queries = queries
-        self.engine_kwargs = engine_kwargs
-        self.sup = sup
-        self._init_faults(shard_no, indices, fault_plan)
-        self.engine: Optional[_ShardEngine] = _ShardEngine(
-            queries, engine_kwargs, indices, self.stage_faults,
-            fault_plan=fault_plan)
-        self.bytes_shipped = 0
-        self.frames_delivered = 0
-        self.seq_target = 0
-        self.last_ckpt_seq = 0
-        self.ckpt_blob: Optional[bytes] = None
-        self.checkpoints = 0
-        self.restarts = 0
-        self.replayed_frames = 0
-        self.duplicates_dropped = 0
-        self.inline_takeover = 0
-        self.quarantined = False
-        self.quarantine_report: Optional[dict] = None
-        self._since_ckpt = 0
-
-    def deliver(self, seq: int, frame: bytes, journal: _Journal) -> None:
-        self.seq_target = seq
-        if self.quarantined:
-            return
-        actions = self._frame_actions(seq)
-        if "drop" in actions:
-            return
-        out = (self.plan.corrupt_bytes(frame, seq)
-               if "corrupt" in actions else frame)
-        for _ in range(2 if "dup" in actions else 1):
-            self.bytes_shipped += len(out)
-            try:
-                if not self.engine.apply_frame_bytes(out):
-                    continue
-            except Exception as exc:
-                self._recover(journal, error_report(exc, shard=self.no))
-                if self.quarantined:
-                    return
-                continue
-            self._since_ckpt += 1
-            if self._since_ckpt >= self.sup["checkpoint_interval"]:
-                self._take_checkpoint()
-        self.frames_delivered += 1
-        if self._kill_due():
-            self.engine = None  # simulated crash: state is gone
-            self._recover(journal, {"error_type": "SimulatedKill",
-                                    "message": "kill fault (inline mode)"})
-
-    def _take_checkpoint(self) -> None:
-        try:
-            self.ckpt_blob = self.engine.checkpoint()
-        except Exception:
-            return              # unpicklable state: recovery replays all
-        self.last_ckpt_seq = self.engine.applied
-        self.checkpoints += 1
-        self._since_ckpt = 0
-
-    def _recover(self, journal: _Journal, report: dict) -> None:
-        if self.restarts >= self.sup["max_restarts"]:
-            self.quarantined = True
-            self.quarantine_report = report
-            self.engine = None
-            self._record_bundle("shard-quarantine", report)
-            return
-        self.restarts += 1
-        try:
-            engine = _ShardEngine(
-                self.queries, self.engine_kwargs, self.indices,
-                [] if self.ckpt_blob is not None else self.stage_faults,
-                ckpt_blob=self.ckpt_blob, start_seq=self.last_ckpt_seq,
-                fault_plan=self.plan)
-            for seq in range(self.last_ckpt_seq + 1, self.seq_target + 1):
-                engine.apply_frame_bytes(journal.frame(seq))
-                self.replayed_frames += 1
-        except Exception as exc:
-            self.quarantined = True
-            self.quarantine_report = error_report(
-                exc, shard=self.no, phase="replay")
-            self.engine = None
-            self._record_bundle("shard-quarantine",
-                                self.quarantine_report)
-            return
-        self.engine = engine
-        self._record_bundle("worker-restart", report)
-
-    def collect(self, timeout: Optional[float], journal: _Journal,
-                total_frames: int) -> Dict:
-        if not self.quarantined and self.engine is not None \
-                and self.engine.applied != total_frames:
-            self._recover(journal, {
-                "error_type": "FramesLost",
-                "message": "applied {} of {} frames".format(
-                    self.engine.applied, total_frames)})
-        if self.quarantined:
-            report = self.quarantine_report or {}
-            return {"ok": False, "quarantined": True,
-                    "error": "{}: {}".format(report.get("error_type"),
-                                             report.get("message")),
-                    "report": report}
-        try:
-            result = self.engine.result()
-        except Exception as exc:
-            report = error_report(exc, shard=self.no, phase="finish")
-            self.quarantined = True
-            self.quarantine_report = report
-            self._record_bundle("shard-quarantine", report)
-            return {"ok": False, "quarantined": True,
-                    "error": "{}: {}".format(report["error_type"],
-                                             report["message"]),
-                    "report": report}
-        self.duplicates_dropped = result["duplicates_dropped"]
-        return result
-
-    def abort(self) -> None:
-        pass
-
-
 class ShardedMultiQueryRun:
     """Evaluate N standing queries sharded across supervised workers.
 
@@ -894,11 +779,7 @@ class ShardedMultiQueryRun:
             scripted failures; defaults to the ``REPRO_FAULTS``
             environment hook.
         max_restarts: worker respawn budget per shard.
-        restart_backoff: base of the exponential restart delay
-            (seconds; the k-th restart waits ``backoff * 2**(k-1)``).
-        ack_interval / checkpoint_interval: frames between worker
-            acknowledgements / shipped checkpoints.
-        journal_limit: maximum broadcast frames retained for replay.
+        checkpoint_interval: frames between shipped worker checkpoints.
         projection: enable plan-driven stream projection.  The parent's
             tokenizer prunes with the union projection (one pass, like
             the single-process executor); each worker's ``MultiQueryRun``
@@ -938,10 +819,7 @@ class ShardedMultiQueryRun:
                  quarantine: bool = True,
                  fault_plan: Optional[FaultPlan] = None,
                  max_restarts: int = 2,
-                 restart_backoff: float = 0.05,
-                 ack_interval: int = 1,
                  checkpoint_interval: int = 16,
-                 journal_limit: int = 1024,
                  projection: bool = False,
                  schema=None,
                  fuse: Optional[bool] = None,
@@ -964,10 +842,6 @@ class ShardedMultiQueryRun:
         if fault_plan is None:
             fault_plan = FaultPlan.from_env()
         self.fault_plan = fault_plan
-        sup = {"max_restarts": max_restarts,
-               "restart_backoff": restart_backoff,
-               "ack_interval": ack_interval,
-               "checkpoint_interval": checkpoint_interval}
         engine_kwargs = dict(mutable_source=mutable_source,
                              ignore_updates=ignore_updates,
                              validate=validate,
@@ -984,8 +858,7 @@ class ShardedMultiQueryRun:
         # forked workers will (same environment), so parent-side
         # executor state — the tokenizer chunk histogram — is recorded
         # exactly when the workers record.
-        self._parent_metrics = (_metrics_default() if metrics is None
-                                else bool(metrics))
+        self._parent_metrics = env_flag("METRICS", metrics)
         # Compile in the parent first: fail fast on a bad query before
         # any process is forked, and learn the stream metadata the
         # tokenizer needs (oids, source stream number, projection).  The
@@ -998,7 +871,7 @@ class ShardedMultiQueryRun:
         #: so the parent's run_xml prunes exactly like the
         #: single-process executor's would.
         self.projection = probe.projection
-        self._projection_matcher = probe.projection_matcher
+        self.projection_matcher = probe.projection_matcher
         self.projection_stats = None
         #: Parent-side tokenizer chunk-latency histogram (run_xml).
         self.chunk_latency = None
@@ -1006,7 +879,13 @@ class ShardedMultiQueryRun:
                                             self.workers)
         ctx = _fork_context()
         self.mode = "fork" if ctx is not None else "inline"
-        self._journal = _Journal(journal_limit)
+        if ctx is None and fault_plan and any(
+                a.kind != "raise" for a in fault_plan.actions):
+            raise ValueError(
+                "kill and frame faults act on a worker process and this "
+                "platform cannot fork one; only raise: faults run inline "
+                "(plan {!r})".format(fault_plan.to_spec()))
+        self._journal = _Journal()
         self._wal = None
         self._wal_ckpt_logged: Dict[int, int] = {}
         if durable_dir is not None:
@@ -1020,6 +899,8 @@ class ShardedMultiQueryRun:
                 "kind": "sharded",
                 "queries": list(self.query_texts),
                 "shards": [list(s) for s in self.shards_indices],
+                "flags": [[mutable_source, ignore_updates]]
+                * len(self.query_texts),
                 "engine": jsonable_kwargs(engine_kwargs),
                 "batch_events": batch_events,
                 "needs_oids": self.needs_oids,
@@ -1033,16 +914,11 @@ class ShardedMultiQueryRun:
             self._journal = _WalJournal(self._wal)
         self._shards = []
         for shard_no, indices in enumerate(self.shards_indices):
-            shard_queries_ = [self.query_texts[i] for i in indices]
-            if ctx is not None:
-                self._shards.append(_ForkShard(
-                    ctx, shard_no, indices, shard_queries_,
-                    engine_kwargs, fault_plan, sup,
-                    self._supervisor_fds))
-            else:
-                self._shards.append(_InlineShard(
-                    shard_no, indices, shard_queries_, engine_kwargs,
-                    fault_plan, sup))
+            self._shards.append(_Shard(
+                ctx, shard_no, indices,
+                [self.query_texts[i] for i in indices], engine_kwargs,
+                fault_plan, max_restarts, checkpoint_interval,
+                self._supervisor_fds))
         self._batch_events = batch_events
         self._buffer: List[Event] = []
         self.events_in = 0
@@ -1116,8 +992,7 @@ class ShardedMultiQueryRun:
     def _prune_journal(self) -> None:
         """Drop frames every possible future replay is past."""
         floors = [s.last_ckpt_seq for s in self._shards
-                  if isinstance(s, _ForkShard) and not s.quarantined
-                  and s.inline is None]
+                  if not s.quarantined and s.inline is None]
         self._journal.prune(min(floors) if floors else self.frames)
 
     def finish(self, timeout: Optional[float] = 120.0
@@ -1134,20 +1009,14 @@ class ShardedMultiQueryRun:
             raise ShardError(
                 "{} of {} shard workers failed: {}".format(
                     len(failures), len(self._shards), "; ".join(failures)))
-        n = len(self.query_texts)
-        texts: List[Optional[str]] = [None] * n
-        statuses = ["quarantined"] * n
-        reports: Dict[int, dict] = {}
+        texts, statuses, reports = reassemble(
+            len(self.query_texts),
+            [(shard.indices, result) for shard, result
+             in zip(self._shards, self._results) if result["ok"]])
         for shard, result in zip(self._shards, self._results):
-            if result["ok"]:
-                for local_i, orig_i in enumerate(shard.indices):
-                    texts[orig_i] = result["texts"][local_i]
-                    statuses[orig_i] = result["statuses"][local_i]
-                for local_i, report in result["error_reports"].items():
-                    reports[shard.indices[local_i]] = report
-            else:
-                for orig_i in shard.indices:
-                    reports[orig_i] = result["report"]
+            if not result["ok"]:
+                reports.update(dict.fromkeys(shard.indices,
+                                             result["report"]))
         self._texts = texts
         self._statuses = statuses
         self._error_reports = reports
@@ -1166,15 +1035,8 @@ class ShardedMultiQueryRun:
 
     def run_xml(self, text: str) -> "ShardedMultiQueryRun":
         """Evaluate over an XML document: one parent-side tokenizer pass."""
-        tok_hist = None
-        if self._parent_metrics:
-            from ..obs.histogram import LogHistogram
-            tok_hist = LogHistogram()
-        events, self.projection_stats = _tokenize_document(
-            text, self.source_id, self.needs_oids,
-            matcher=self._projection_matcher, chunk_histogram=tok_hist)
-        self.chunk_latency = tok_hist
-        return self.run(events)
+        return self.run(_tokenize_shared(self, text,
+                                         timed=self._parent_metrics))
 
     def abort(self) -> None:
         """Tear down workers without collecting results."""
@@ -1252,7 +1114,7 @@ class ShardedMultiQueryRun:
         if self.projection is not None:
             proj = {
                 "union": self.projection.to_dict(),
-                "tokenizer_pruning": self._projection_matcher is not None,
+                "tokenizer_pruning": self.projection_matcher is not None,
             }
             if self.projection_stats is not None:
                 proj["tokenizer"] = self.projection_stats.to_dict()
@@ -1303,24 +1165,9 @@ class ShardedMultiQueryRun:
         """
         if self._results is None:
             raise RuntimeError("metrics are available after finish()")
-        from ..obs import merge_metrics
-        dicts = [r["stats"]["metrics"] for r in self._results
-                 if r.get("stats") and "metrics" in r["stats"]]
-        if not dicts:
-            return None
-        merged = merge_metrics(dicts)
-        # Tokenizer pruning happened once, in the parent — add its
-        # counters exactly once so the totals match a single-process
-        # projection run over the same stream.
-        if self.projection_stats is not None:
-            proj = merged.setdefault("projection", {})
-            for key, value in self.projection_stats.counter_dict().items():
-                proj[key] = proj.get(key, 0) + value
-        # Same discipline for the parent's tokenizer chunk histogram.
-        if self.chunk_latency is not None:
-            merged.setdefault("histograms", {})["tokenizer_chunk"] = \
-                self.chunk_latency.to_dict()
-        return merged
+        return _merge_executor_metrics(
+            self, [r["stats"]["metrics"] for r in self._results
+                   if r.get("stats") and "metrics" in r["stats"]])
 
     def __repr__(self) -> str:
         return "ShardedMultiQueryRun({} queries, {} workers, {})".format(

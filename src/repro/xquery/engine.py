@@ -38,29 +38,16 @@ from .compiler import Compiler, Plan
 from .parser import parse_cached
 
 
-def _sanitize_default() -> bool:
-    """Opt into boundary checking via the REPRO_SANITIZE env variable."""
-    return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
+def env_flag(name: str, value: Optional[bool] = None) -> bool:
+    """Resolve one on/off switch: an explicit ``value`` wins, ``None``
+    reads the ``REPRO_<name>`` environment variable (``""``/``"0"`` off).
 
-
-def _metrics_default() -> bool:
-    """Opt into telemetry recording via the REPRO_METRICS env variable."""
-    return os.environ.get("REPRO_METRICS", "") not in ("", "0")
-
-
-def _fuse_default() -> bool:
-    """Opt into stage-fusion codegen via the REPRO_FUSE env variable."""
-    return os.environ.get("REPRO_FUSE", "") not in ("", "0")
-
-
-def _share_default() -> bool:
-    """Opt into prefix sharing via the REPRO_SHARE env variable."""
-    return os.environ.get("REPRO_SHARE", "") not in ("", "0")
-
-
-def _flight_default() -> bool:
-    """Opt into flight recording via the REPRO_FLIGHT env variable."""
-    return os.environ.get("REPRO_FLIGHT", "") not in ("", "0")
+    The one reader of ``REPRO_SANITIZE`` / ``METRICS`` / ``FUSE`` /
+    ``SHARE`` / ``FLIGHT``.
+    """
+    if value is not None:
+        return bool(value)
+    return os.environ.get("REPRO_" + name, "") not in ("", "0")
 
 
 def _tokenize_document(text: str, source_id: int, needs_oids: bool,
@@ -82,6 +69,49 @@ def _tokenize_document(text: str, source_id: int, needs_oids: bool,
     return list(tok.tokenize(text)), tok.projection_stats
 
 
+def _tokenize_shared(executor, text: str, timed: bool) -> list:
+    """One shared tokenizer pass for a multi-query ``run_xml``.
+
+    The preamble of :meth:`MultiQueryRun.run_xml` and the sharded
+    supervisor's: prune with the executor's union matcher, time the
+    scan when telemetry is on, and leave both results on the executor
+    (``projection_stats``, ``chunk_latency``) — executor state, counted
+    once however many pipelines consume the events.
+    """
+    hist = None
+    if timed:
+        from ..obs.histogram import LogHistogram
+        hist = LogHistogram()
+    events, executor.projection_stats = _tokenize_document(
+        text, executor.source_id, executor.needs_oids,
+        matcher=executor.projection_matcher, chunk_histogram=hist)
+    executor.chunk_latency = hist
+    return events
+
+
+def _merge_executor_metrics(executor, dicts: list) -> Optional[dict]:
+    """Merge per-pipeline recorder dicts, then add the executor's own
+    telemetry exactly once.
+
+    Tokenizer pruning counters and the tokenizer chunk histogram belong
+    to the one shared scan, not to any pipeline, so a sharded run —
+    whose supervisor scans with the same union matcher — merges to the
+    same totals as the single-process executor.
+    """
+    if not dicts:
+        return None
+    from ..obs import merge_metrics
+    merged = merge_metrics(dicts)
+    if executor.projection_stats is not None:
+        proj = merged.setdefault("projection", {})
+        for key, value in executor.projection_stats.counter_dict().items():
+            proj[key] = proj.get(key, 0) + value
+    if executor.chunk_latency is not None:
+        merged.setdefault("histograms", {})["tokenizer_chunk"] = \
+            executor.chunk_latency.to_dict()
+    return merged
+
+
 class QueryRun:
     """One live execution of a compiled query."""
 
@@ -99,15 +129,10 @@ class QueryRun:
                  fuse: Optional[bool] = None,
                  fusion_assume_updates: bool = False,
                  flight: Optional[bool] = None) -> None:
-        if sanitize is None:
-            sanitize = _sanitize_default()
-        if metrics is None:
-            metrics = _metrics_default()
-        if fuse is None:
-            fuse = _fuse_default()
-        if flight is None:
-            flight = _flight_default()
-        self.fuse = bool(fuse)
+        sanitize = env_flag("SANITIZE", sanitize)
+        metrics = env_flag("METRICS", metrics)
+        flight = env_flag("FLIGHT", flight)
+        self.fuse = env_flag("FUSE", fuse)
         self.plan = plan
         self.display = Display(plan.result_id, on_change=on_change,
                                track_snapshots=track_snapshots)
@@ -329,19 +354,16 @@ class MultiQueryRun:
                 self.engines.append(XFlux(q, mutable_source=mutable_source,
                                           ignore_updates=ignore_updates))
         self.query_texts = [e.query_text for e in self.engines]
-        eff_sanitize = (_sanitize_default() if sanitize is None
-                        else bool(sanitize))
-        eff_metrics = (_metrics_default() if metrics is None
-                       else bool(metrics))
-        eff_flight = (_flight_default() if flight is None
-                      else bool(flight))
-        if share_prefixes is None:
-            share_prefixes = _share_default()
+        # Each switch is resolved here, once; the runs get booleans.
+        sanitize = env_flag("SANITIZE", sanitize)
+        metrics = env_flag("METRICS", metrics)
+        flight = env_flag("FLIGHT", flight)
+        fuse = env_flag("FUSE", fuse)
         # Flight recording implies a recorder on every run, so it
         # disengages sharing exactly like metrics does.
-        self.share_prefixes = (bool(share_prefixes) and not always_active
-                               and not eff_sanitize and not eff_metrics
-                               and not eff_flight)
+        self.share_prefixes = (env_flag("SHARE", share_prefixes)
+                               and not always_active and not sanitize
+                               and not metrics and not flight)
         self._slots = []        # query index -> index into self.runs
         seen = {}
         unique = []             # first engine of each unique slot
@@ -377,26 +399,29 @@ class MultiQueryRun:
         #: shares); member runs live in ``self.runs`` like any other.
         self.groups = []
         grouped_runs = {}
+
+        def make_run(plan, engine, shared=False):
+            # A member of a shared group is fed its prefix's output,
+            # brackets included, which its own plan cannot see.
+            return QueryRun(plan,
+                            ignore_updates=engine.ignore_updates,
+                            always_active=always_active,
+                            sanitize=sanitize,
+                            metrics=metrics,
+                            sample_interval=sample_interval,
+                            fuse=fuse,
+                            fusion_assume_updates=shared,
+                            flight=flight)
+
         if self.share_prefixes:
             from ..compile.sharing import build_shared_groups
-
-            def make_run(plan, engine):
-                return QueryRun(plan,
-                                ignore_updates=engine.ignore_updates,
-                                always_active=always_active,
-                                sanitize=sanitize,
-                                metrics=metrics,
-                                sample_interval=sample_interval,
-                                fuse=fuse,
-                                fusion_assume_updates=True,
-                                flight=flight)
-
-            eff_fuse = _fuse_default() if fuse is None else bool(fuse)
             # Statically-empty slots never receive events, so sharing
             # a prefix with them buys nothing — keep them solo.
             self.groups = build_shared_groups(
                 [(slot, e) for slot, e in enumerate(unique)
-                 if slot not in empty_slots], make_run, fuse=eff_fuse)
+                 if slot not in empty_slots],
+                lambda plan, engine: make_run(plan, engine, shared=True),
+                fuse=fuse)
             for g in self.groups:
                 for slot, run in g.members:
                     grouped_runs[slot] = run
@@ -412,14 +437,7 @@ class MultiQueryRun:
                     plan = constant_empty_plan(e.compile(optimize=False))
                 else:
                     plan = e.compile()
-                run = QueryRun(plan,
-                               ignore_updates=e.ignore_updates,
-                               always_active=always_active,
-                               sanitize=sanitize,
-                               metrics=metrics,
-                               sample_interval=sample_interval,
-                               fuse=fuse,
-                               flight=flight)
+                run = make_run(plan, e)
             self.runs.append(run)
         source_ids = {r.plan.source_id for r in self.runs}
         if len(source_ids) > 1:
@@ -521,7 +539,6 @@ class MultiQueryRun:
                     batch_events: int = 512,
                     checkpoint_every: int = 16,
                     checkpoint_cost_factor: float = 9.0,
-                    manifest_extra: Optional[dict] = None,
                     **wal_opts) -> "MultiQueryRun":
         """Evaluate with write-ahead journaling to ``durable`` (a dir).
 
@@ -535,19 +552,25 @@ class MultiQueryRun:
         reproduces this run byte-identically.  ``wal_opts`` pass
         through to :class:`~repro.fault.wal.WriteAheadLog`
         (``segment_bytes``, ``fsync``, ``crash_after_frames``).
+
+        This is the one place an in-process run opens a log: a durable
+        single query (:meth:`XFlux.run_durable`) is a one-member
+        executor journalled here.  ``flags`` records, per query, what
+        an engine built from the text alone would not know, for the
+        recovery of a log cut before its first checkpoint.
         """
         from ..fault.wal import WriteAheadLog, drive_durable
         wal = WriteAheadLog(durable, **wal_opts)
-        manifest = {
+        wal.begin({
             "kind": "multiquery",
             "queries": list(self.query_texts),
+            "flags": [[e.mutable_source, e.ignore_updates]
+                      for e in self.engines],
             "batch_events": batch_events,
             "checkpoint_every": checkpoint_every,
             "needs_oids": self.needs_oids,
             "source_id": self.source_id,
-        }
-        manifest.update(manifest_extra or {})
-        wal.begin(manifest)
+        })
         wal.register_shards([None])
         wal.checkpoint(self.checkpoint(), 0)
         drive_durable(self, events, wal, batch_events=batch_events,
@@ -571,18 +594,12 @@ class MultiQueryRun:
         if durable is not None and self.projection_matcher is not None:
             raise ValueError("durable runs do not combine with "
                              "tokenizer projection")
-        tok_hist = None
-        if durable is None and any(r.recorder is not None
-                                   for r in self.runs):
-            from ..obs.histogram import LogHistogram
-            tok_hist = LogHistogram()
-        events, stats = _tokenize_document(
-            text, self.source_id, self.needs_oids,
-            matcher=self.projection_matcher, chunk_histogram=tok_hist)
+        events = _tokenize_shared(
+            self, text,
+            timed=durable is None and any(r.recorder is not None
+                                          for r in self.runs))
         if durable is not None:
             return self.run_durable(events, durable, **durable_opts)
-        self.projection_stats = stats
-        self.chunk_latency = tok_hist
         return self.run(events)
 
     # -- checkpoint / restore --------------------------------------------------
@@ -715,33 +732,20 @@ class MultiQueryRun:
         return out
 
     def metrics(self) -> Optional[dict]:
-        """Merged telemetry across unique pipelines (None when off).
-
-        Tokenizer-level pruning counters are added exactly once (they
-        are executor state, not pipeline state), so a sharded run —
-        whose parent prunes with the same union matcher — merges to the
-        same totals.
-        """
-        from ..obs import merge_metrics
-        dicts = [r.recorder.to_dict() for r in self.runs
-                 if r.recorder is not None]
-        if not dicts:
-            return None
-        merged = merge_metrics(dicts)
-        if self.projection_stats is not None:
-            proj = merged.setdefault("projection", {})
-            for key, value in self.projection_stats.counter_dict().items():
-                proj[key] = proj.get(key, 0) + value
-        if self.chunk_latency is not None:
-            # One shared tokenizer pass, one histogram — added here,
-            # not per run, so sharded parents merge to the same totals.
-            merged.setdefault("histograms", {})["tokenizer_chunk"] = \
-                self.chunk_latency.to_dict()
-        return merged
+        """Merged telemetry across unique pipelines (None when off)."""
+        return _merge_executor_metrics(
+            self, [r.recorder.to_dict() for r in self.runs
+                   if r.recorder is not None])
 
     def __repr__(self) -> str:
         return "MultiQueryRun({} queries, {} pipelines)".format(
             len(self._slots), len(self.runs))
+
+
+#: ``XFlux.start`` keywords that configure one bare :class:`QueryRun`
+#: and have no meaning for the executor behind a durable run.
+_START_ONLY = frozenset(("on_change", "track_snapshots", "trace",
+                         "reclaim_on_freeze"))
 
 
 class XFlux:
@@ -824,41 +828,42 @@ class XFlux:
         run.feed_all(events)
         return run.finish()
 
+    def _journalled(self, **run_opts) -> MultiQueryRun:
+        """The one-member executor behind a durable single-query run.
+
+        Fail-fast like any single run (``quarantine=False``).  The
+        executor takes the switches every pipeline of it shares; what
+        only a bare :class:`QueryRun` means anything for is refused by
+        name rather than dropped.
+        """
+        refused = sorted(_START_ONLY.intersection(run_opts))
+        if refused:
+            raise ValueError("durable runs do not combine with "
+                             + ", ".join(refused))
+        return MultiQueryRun([self], quarantine=False, **run_opts)
+
     def run_durable(self, events: Iterable[Event], durable: str,
-                    batch_events: int = 512,
-                    checkpoint_every: int = 16,
-                    checkpoint_cost_factor: float = 9.0,
-                    run_kwargs: Optional[dict] = None,
-                    **wal_opts) -> QueryRun:
+                    sanitize: Optional[bool] = None,
+                    metrics: Optional[bool] = None,
+                    sample_interval: int = 256,
+                    fuse: Optional[bool] = None,
+                    flight: Optional[bool] = None,
+                    **durable_opts) -> QueryRun:
         """Evaluate over an event stream with write-ahead journaling.
 
-        The single-query twin of
-        :meth:`MultiQueryRun.run_durable`: frames are logged to the
-        ``durable`` directory before the pipeline sees them, with
-        periodic ``queryrun`` checkpoint envelopes, so
+        Frames are logged to the ``durable`` directory before the
+        pipeline sees them, with periodic checkpoint envelopes, so
         :func:`repro.fault.recover.recover` reproduces the run after a
-        crash (the recovery side re-compiles this same query from the
-        manifest and restores into it).
+        crash.  The run is a one-member :class:`MultiQueryRun` — the
+        executor that is journalled, checkpointed and recovered —
+        and ``durable_opts`` are :meth:`MultiQueryRun.run_durable`'s
+        (``batch_events``, ``checkpoint_every``, WAL options); the
+        returned :class:`QueryRun` is its ``query_run(0)``.
         """
-        from ..fault.wal import WriteAheadLog, drive_durable
-        run = self.start(**(run_kwargs or {}))
-        wal = WriteAheadLog(durable, **wal_opts)
-        wal.begin({
-            "kind": "query",
-            "query": self.query_text,
-            "mutable_source": self.mutable_source,
-            "ignore_updates": self.ignore_updates,
-            "batch_events": batch_events,
-            "checkpoint_every": checkpoint_every,
-            "needs_oids": run.plan.needs_oids,
-            "source_id": run.plan.source_id,
-        })
-        wal.register_shards([None])
-        wal.checkpoint(run.checkpoint(), 0)
-        drive_durable(run, events, wal, batch_events=batch_events,
-                      checkpoint_every=checkpoint_every,
-                      checkpoint_cost_factor=checkpoint_cost_factor)
-        return run
+        mq = self._journalled(
+            sanitize=sanitize, metrics=metrics,
+            sample_interval=sample_interval, fuse=fuse, flight=flight)
+        return mq.run_durable(events, durable, **durable_opts).query_run(0)
 
     def run_xml(self, text: str, projection: bool = False,
                 schema=None, durable: Optional[str] = None,
@@ -879,21 +884,20 @@ class XFlux:
         through).  Durability does not combine with projection — the
         log must hold the full stream a recovery can resume from.
         """
-        if durable is not None and projection:
-            raise ValueError("durable runs do not combine with "
-                             "tokenizer projection")
-        plan_probe = self.compile()
         if durable is not None:
-            events, _ = _tokenize_document(text, plan_probe.source_id,
-                                           plan_probe.needs_oids)
-            return self.run_durable(events, durable, run_kwargs=kwargs,
-                                    **(durable_opts or {}))
-        run = QueryRun(plan_probe, **kwargs)
+            if projection:
+                raise ValueError("durable runs do not combine with "
+                                 "tokenizer projection")
+            mq = self._journalled(**kwargs)
+            return mq.run_xml(text, durable=durable,
+                              **(durable_opts or {})).query_run(0)
+        plan = self.compile()
+        run = QueryRun(plan, **kwargs)
         matcher = None
         if projection:
             from ..analysis.projection import (ProjectionMatcher,
                                                derive_projection)
-            run.projection = derive_projection(plan_probe)
+            run.projection = derive_projection(plan)
             candidate = ProjectionMatcher(run.projection, schema=schema)
             if candidate.prunable:
                 matcher = candidate
@@ -903,7 +907,7 @@ class XFlux:
             tok_hist = run.recorder.histograms.setdefault(
                 TOKENIZER_CHUNK, LogHistogram())
         events, stats = _tokenize_document(
-            text, plan_probe.source_id, plan_probe.needs_oids,
+            text, plan.source_id, plan.needs_oids,
             matcher=matcher, chunk_histogram=tok_hist)
         if stats is not None:
             run.projection_stats = stats

@@ -103,6 +103,152 @@ class TestCanonicalPlans:
                      quarantine=False, max_restarts=1)
 
 
+class TestInlineState:
+    """A shard's engine living in the supervisor: reached by the
+    takeover rung, or from the start where nothing can be forked."""
+
+    def test_takeover_succeeds_byte_identical(self, xmark_text, reference):
+        # No restart budget: the killed worker's shard is adopted.
+        smq = _faulted(xmark_text, "kill:shard=0,after=2", max_restarts=0)
+        assert smq.statuses() == ["ok"] * len(QUERIES)
+        assert smq.texts() == reference["texts"]
+        ft = smq.fault_stats()
+        assert ft["inline_takeovers"] == 1
+        assert ft["restarts"] == 0 and ft["replayed_frames"] > 0
+        assert [b["reason"] for b in smq.flight_bundles()] \
+            == ["inline-takeover"]
+
+    def test_no_fork_runs_every_shard_inline(self, xmark_text, reference,
+                                             monkeypatch):
+        import multiprocessing
+
+        from repro.parallel import shard
+        monkeypatch.setattr(shard, "_fork_context", lambda: None)
+        before = multiprocessing.active_children()
+        smq = ShardedMultiQueryRun(QUERIES, workers=2, batch_events=BATCH)
+        assert multiprocessing.active_children() == before
+        smq.run_xml(xmark_text)
+        stats = smq.stats()
+        assert stats["mode"] == "inline" and stats["workers"] == 2
+        assert "inline" in repr(smq)
+        assert stats["frames"] == reference["frames"]
+        assert smq.statuses() == ["ok"] * len(QUERIES)
+        mq = MultiQueryRun(QUERIES).run_xml(xmark_text)
+        assert smq.texts() == mq.texts() == reference["texts"]
+
+    def test_no_fork_still_quarantines_a_stage_fault(self, xmark_text,
+                                                     reference,
+                                                     monkeypatch):
+        from repro.parallel import shard
+        monkeypatch.setattr(shard, "_fork_context", lambda: None)
+        smq = _faulted(xmark_text, "raise:query=1,stage=0,at=50")
+        assert smq.statuses() == ["ok", "quarantined", "ok", "ok"]
+        assert smq.error_reports()[1]["error_type"] == "InjectedFault"
+        for i in (0, 2, 3):
+            assert smq.texts()[i] == reference["texts"][i]
+
+    @pytest.mark.parametrize("spec", ["kill:shard=0,after=2",
+                                      "drop:frame=2,shard=1"])
+    def test_no_fork_refuses_faults_that_need_a_worker(self, monkeypatch,
+                                                       spec):
+        from repro.parallel import shard
+        monkeypatch.setattr(shard, "_fork_context", lambda: None)
+        with pytest.raises(ValueError, match="worker process"):
+            ShardedMultiQueryRun(QUERIES, workers=2,
+                                 fault_plan=FaultPlan.parse(spec))
+
+
+class _HeldOpen:
+    """A result connection some descendant of a dead worker still holds
+    (a checkpoint-pickling child, say): never readable, never EOF."""
+
+    def poll(self, timeout=0):
+        return False
+
+    def close(self):
+        pass
+
+
+def test_worker_dying_silently_after_eos_is_recovered(xmark_text,
+                                                      reference):
+    # The worker takes end-of-stream and dies before reporting, and its
+    # result pipe gives no EOF: only the liveness check in collect()
+    # notices.  Restart + replay must still land on the same bytes.
+    from repro.xmlio.tokenizer import tokenize
+    smq = ShardedMultiQueryRun(QUERIES, workers=2, batch_events=BATCH)
+    shard = smq._shards[0]
+
+    def eos_then_die():
+        del shard._send_eos             # one shot
+        sent = shard._send_eos()
+        shard.process.kill()
+        shard.process.join(10)
+        assert not shard.process.is_alive()
+        shard.conn.close()
+        shard.conn = _HeldOpen()
+        return sent
+
+    shard._send_eos = eos_then_die
+    smq.feed_all(tokenize(xmark_text))
+    smq.finish(timeout=60)
+    assert smq.statuses() == ["ok"] * len(QUERIES)
+    assert smq.texts() == reference["texts"]
+    assert shard.restarts == 1
+    [bundle] = smq.flight_bundles()
+    assert bundle["reason"] == "worker-restart"
+    assert "without a result" in bundle["error"]["message"]
+
+
+class TestTeardown:
+    """The forms benchmarks/e2e drives: nothing outlives the run."""
+
+    @staticmethod
+    def _children():
+        import multiprocessing
+        return multiprocessing.active_children()
+
+    def test_with_block_finishes_and_reaps(self, xmark_text, reference):
+        before = self._children()
+        with ShardedMultiQueryRun(QUERIES, workers=2,
+                                  batch_events=BATCH) as smq:
+            assert len(self._children()) == len(before) + 2
+            texts = smq.run_xml(xmark_text).texts()
+        assert texts == reference["texts"]
+        assert self._children() == before
+
+    def test_with_block_finishes_on_clean_exit(self, xmark_text,
+                                               reference):
+        from repro.xmlio.tokenizer import tokenize
+        before = self._children()
+        with ShardedMultiQueryRun(QUERIES, workers=2,
+                                  batch_events=BATCH) as smq:
+            for event in tokenize(xmark_text, stream_id=smq.source_id,
+                                  emit_oids=smq.needs_oids):
+                smq.feed(event)
+        assert smq.texts() == reference["texts"]
+        assert smq.text(1) == reference["texts"][1]
+        assert self._children() == before
+
+    def test_with_block_aborts_on_error(self, xmark_text):
+        before = self._children()
+        with pytest.raises(KeyError):
+            with ShardedMultiQueryRun(QUERIES, workers=2,
+                                      batch_events=BATCH) as smq:
+                raise KeyError("caller bug")
+        assert self._children() == before
+        with pytest.raises(RuntimeError):
+            smq.texts()
+
+    def test_abort_reaps_mid_stream(self, xmark_text):
+        from repro.xmlio.tokenizer import tokenize
+        before = self._children()
+        smq = ShardedMultiQueryRun(QUERIES, workers=2, batch_events=BATCH)
+        smq.feed_all(tokenize(xmark_text)[:4 * BATCH])
+        smq.abort()
+        assert self._children() == before
+        assert smq.finish() is smq      # nothing left to collect
+
+
 class TestRandomPlans:
     @settings(max_examples=8, deadline=None)
     @given(data=st.data())

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.harness import PAPER_QUERIES, QUERY_DATASET, Workloads
-from repro.compile import describe_sharing, fusion_partition
+from repro.compile import describe_sharing, fusion_partition, sharing
 from repro.data.stock import StockTicker
 from repro.fault import arm_stage_fault
 from repro.parallel import ShardedMultiQueryRun
@@ -167,6 +167,64 @@ class TestMultiQueryMatrix:
             assert text == reference[name], name
 
 
+def _sixteen_queries():
+    """The e2e ``multi_query`` set: long common prefixes, cheap tails."""
+    from repro.data.xmark import LOCATIONS, PAYMENTS, REGIONS
+    return (['X//item[location="{}"]/quantity'.format(loc)
+             for loc in LOCATIONS[:6]]
+            + ['X//item[location="Albania"][payment="{}"]/location'
+               .format(pay) for pay in PAYMENTS]
+            + ['X//{}//item[location="Albania"]/quantity'.format(reg)
+               for reg in REGIONS])
+
+
+class TestChunkCuts:
+    """The prefix runs a whole chunk ahead of its members, so a region
+    opened in one chunk and retracted in the next is the case sharing
+    must survive; the other tests' documents fit in one default chunk.
+    """
+
+    @pytest.mark.parametrize("chunk", [7, 512])
+    @pytest.mark.parametrize("dataset", ["X", "D"])
+    @pytest.mark.parametrize("fuse", [False, True], ids=["share", "both"])
+    def test_byte_identical_across_chunk_cuts(self, workloads, reference,
+                                              monkeypatch, dataset, fuse,
+                                              chunk):
+        monkeypatch.setattr(sharing, "CHUNK_EVENTS", chunk)
+        named, mq = _run_matrix(workloads, dataset, fuse, True)
+        assert SANITIZED or mq.groups
+        for (name, _), text in zip(named, mq.texts()):
+            assert text == reference[name], name
+
+    @pytest.mark.parametrize("chunk", [7, 512])
+    def test_projection_stacks_across_chunk_cuts(self, workloads,
+                                                 reference, monkeypatch,
+                                                 chunk):
+        monkeypatch.setattr(sharing, "CHUNK_EVENTS", chunk)
+        named, mq = _run_matrix(workloads, "X", False, True,
+                                projection=True, schema="xmark")
+        for (name, _), text in zip(named, mq.texts()):
+            assert text == reference[name], name
+
+    @pytest.mark.parametrize("chunk", [None, 1000, 512, 7])
+    def test_sixteen_queries_past_one_chunk(self, monkeypatch, chunk):
+        # 5 587 events: the default 4096-event chunk cuts the document
+        # once, which is all it took to retract the wrong region.
+        from repro.data import XMarkGenerator
+        from repro.xmlio.tokenizer import tokenize
+        if chunk is not None:
+            monkeypatch.setattr(sharing, "CHUNK_EVENTS", chunk)
+        text = XMarkGenerator(scale=0.1, seed=42).text()
+        assert len(tokenize(text)) > sharing.CHUNK_EVENTS
+        queries = _sixteen_queries()
+        plain = MultiQueryRun(queries, share_prefixes=False).run_xml(text)
+        shared = MultiQueryRun(queries, share_prefixes=True).run_xml(text)
+        assert SANITIZED or shared.groups
+        wrong = [i for i, (a, b) in enumerate(zip(shared.texts(),
+                                                  plain.texts())) if a != b]
+        assert wrong == []
+
+
 class TestSharded:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_fused_shared_shards_byte_identical(self, workloads,
@@ -286,15 +344,20 @@ def _cached_reference(query, text):
 @given(suffixes=st.tuples(
     st.lists(st.sampled_from(_SUFFIX_TAGS), min_size=1, max_size=2),
     st.lists(st.sampled_from(_SUFFIX_TAGS), min_size=1, max_size=2)),
-    predicate=st.booleans())
+    predicate=st.booleans(),
+    chunk=st.sampled_from([7, 512, sharing.CHUNK_EVENTS]))
 def test_forced_common_prefix_is_transparent(workloads, suffixes,
-                                             predicate):
+                                             predicate, chunk):
     base = ('X//item[location="Albania"]' if predicate else "X//item")
     queries = [base + "/" + "/".join(suffix) for suffix in suffixes]
     text = workloads.text("X")
     expected = [_cached_reference(q, text) for q in queries]
-    mq = MultiQueryRun(queries, share_prefixes=True)
-    mq.run_xml(text)
+    default, sharing.CHUNK_EVENTS = sharing.CHUNK_EVENTS, chunk
+    try:
+        mq = MultiQueryRun(queries, share_prefixes=True)
+        mq.run_xml(text)
+    finally:
+        sharing.CHUNK_EVENTS = default
     assert mq.texts() == expected
     if queries[0] != queries[1] and not SANITIZED:
         # Distinct suffixes over one forced prefix must actually share.

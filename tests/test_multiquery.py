@@ -134,6 +134,20 @@ class TestUpdateStreams:
             assert mq.text(i) == text
             assert stats["per_query"][i]["transformer_calls"] == calls
 
+    def test_event_at_a_time_feed_reads_like_independent_runs(self,
+                                                              events):
+        # The standing-query shape: one event in, every display read.
+        mq = MultiQueryRun(self.QUERIES, mutable_source=True)
+        runs = [XFlux(q, mutable_source=True).start()
+                for q in self.QUERIES]
+        for event in events:
+            mq.feed(event)
+            for run in runs:
+                run.feed(event)
+            assert mq.texts() == [run.text() for run in runs]
+        mq.finish()
+        assert mq.texts() == [run.finish().text() for run in runs]
+
     @pytest.mark.parametrize("workers", [1, 3])
     def test_sharded_tracks_updates(self, events, reference, workers):
         smq = ShardedMultiQueryRun(self.QUERIES, workers=workers,

@@ -13,6 +13,7 @@ them to it), recovers with the original input re-supplied, and diffs.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import signal
@@ -28,7 +29,7 @@ from repro.data.stock import StockTicker
 from repro.fault.inject import FaultPlan
 from repro.fault.recover import recover
 from repro.fault.wal import R_CKPT, iter_wal_records, scan_wal
-from repro.xquery.engine import MultiQueryRun
+from repro.xquery.engine import MultiQueryRun, XFlux
 
 _CTX = multiprocessing.get_context("fork")
 BATCH = 64
@@ -58,6 +59,15 @@ def _crash_ticker(wal_dir, crash_after):
                    checkpoint_every=CKPT_EVERY,
                    checkpoint_cost_factor=0.0,
                    crash_after_frames=crash_after)
+
+
+def _crash_single(wal_dir, query, schema, text, crash_after):
+    os.setpgrp()
+    XFlux(query, schema=schema).run_xml(
+        text, durable=wal_dir,
+        durable_opts=dict(batch_events=BATCH, checkpoint_every=CKPT_EVERY,
+                          checkpoint_cost_factor=0.0,
+                          crash_after_frames=crash_after))
 
 
 def _crash_sharded(wal_dir, queries, text, crash_after):
@@ -305,8 +315,6 @@ def test_status_record_wins_when_replay_cannot_reproduce(xmark_text,
     # the STATUS record proves it happened.  Simulate one by appending
     # a STATUS record to an otherwise-clean completed log: recovery's
     # replay finds the query healthy, but the log must win.
-    import json
-
     from repro.events import codec
     from repro.fault.wal import R_STATUS, list_segments
     queries = [PAPER_QUERIES["Q1"], PAPER_QUERIES["Q3"]]
@@ -358,3 +366,113 @@ def test_recovery_without_input_restores_logged_prefix(q3_profile,
     assert result.events_resumed == 0
     assert result.frames_replayed + result.checkpoint_seqs.get(None, 0) \
         == crash_after
+
+
+# A durable single query is a one-member executor: same log, same
+# recovery.  The schema-optimized plan (dead stages relayed, empty plans
+# collapsed) is what the checkpoints hold, so recovery must not
+# recompile without the schema — it restores the executor that ran.
+DEAD_STAGE_QUERY = 'X//item[location="Albania"]/nosuchtag'
+SINGLE_QUERIES = dict(PAPER_QUERIES, dead=DEAD_STAGE_QUERY)
+
+
+def _single_case(name, xmark_text, dblp_text):
+    if QUERY_DATASET.get(name, "X") == "D":
+        return SINGLE_QUERIES[name], "dblp", dblp_text
+    return SINGLE_QUERIES[name], "xmark", xmark_text
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_QUERIES))
+def test_single_query_with_schema_recovers_completed_log(
+        name, xmark_text, dblp_text, tmp_path):
+    query, schema, text = _single_case(name, xmark_text, dblp_text)
+    wal_dir = str(tmp_path / "wal")
+    run = XFlux(query, schema=schema).run_xml(
+        text, durable=wal_dir,
+        durable_opts=dict(batch_events=BATCH, checkpoint_every=CKPT_EVERY,
+                          checkpoint_cost_factor=0.0))
+    assert run.text() == XFlux(query).run_xml(text).text()
+    result = recover(wal_dir)       # EOS logged: no tail needed
+    assert result.kind == "multiquery"
+    assert result.complete
+    assert result.texts == [run.text()], name
+    assert result.statuses == ["ok"]
+    report = json.loads(json.dumps(result.to_dict()))
+    assert report["texts"] == [run.text()]
+    assert set(report["checkpoint_seqs"]) == {"*"}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_QUERIES))
+def test_single_query_with_schema_survives_one_crash(
+        name, xmark_text, dblp_text, tmp_path):
+    query, schema, text = _single_case(name, xmark_text, dblp_text)
+    wal_dir = str(tmp_path / "wal")
+    _crash(_crash_single, wal_dir, query, schema, text, 5)
+    result = recover(wal_dir, text=text)
+    assert result.complete and result.events_resumed > 0
+    assert result.texts == [XFlux(query).run_xml(text).text()], name
+
+
+def test_durable_refuses_what_only_a_bare_run_means(xmark_text, tmp_path):
+    engine = XFlux(PAPER_QUERIES["Q1"])
+    for kwargs in ({"trace": True}, {"track_snapshots": True},
+                   {"reclaim_on_freeze": False}, {"on_change": print}):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            engine.run_xml(xmark_text, durable=str(tmp_path / "wal"),
+                           **kwargs)
+    with pytest.raises(ValueError, match="projection"):
+        engine.run_xml(xmark_text, durable=str(tmp_path / "wal"),
+                       projection=True)
+    assert not (tmp_path / "wal").exists()
+
+
+def test_log_cut_after_manifest_rebuilds_the_running_executor(tmp_path):
+    # Nothing but the META record survives: no checkpoint to restore,
+    # so recovery builds the executor from the manifest — which has to
+    # say the source was mutable, or the ticker's updates are dropped.
+    from repro.fault.wal import list_segments
+    events = StockTicker(n_updates=200).events()
+    wal_dir = str(tmp_path / "wal")
+    run = XFlux(STOCK_QUERY, mutable_source=True).run_durable(
+        events, wal_dir, batch_events=BATCH)
+    second = list(iter_wal_records(wal_dir))[1]
+    [segment] = list_segments(wal_dir)
+    with open(segment, "r+b") as fh:
+        fh.truncate(second.offset)
+    assert scan_wal(wal_dir).checkpoints == {}
+    result = recover(wal_dir, events=events)
+    assert result.checkpoint_seqs == {}
+    assert result.frames_replayed == 0
+    assert result.events_resumed == len(events)
+    assert result.texts == [run.text()]
+    assert run.text() == XFlux(STOCK_QUERY, mutable_source=True).run(
+        events).text()
+
+
+def test_supervised_durable_run_restarts_from_the_log(xmark_text,
+                                                      tmp_path):
+    # A sharded durable run that lives: the killed worker is replayed
+    # out of the write-ahead log (no in-memory journal), the workers'
+    # checkpoints are mirrored into it, and the finished log recovers
+    # to the same answers without the input.
+    from repro.parallel import ShardedMultiQueryRun
+    queries = [PAPER_QUERIES[n] for n in ["Q1", "Q2", "Q3", "Q5", "Q7"]]
+    clean_texts, clean_statuses = _clean(queries, xmark_text)
+    wal_dir = str(tmp_path / "wal")
+    smq = ShardedMultiQueryRun(
+        queries, workers=2, batch_events=BATCH,
+        checkpoint_interval=CKPT_EVERY, durable_dir=wal_dir,
+        fault_plan=FaultPlan.parse("kill:shard=0,after=5"))
+    smq.run_xml(xmark_text)
+    assert smq.texts() == clean_texts
+    ft = smq.fault_stats()
+    assert ft["restarts"] >= 1 and ft["replayed_frames"] > 0
+    assert ft["journal"]["wal"] is True
+    state = scan_wal(wal_dir)
+    assert state.eos_seq == smq.stats()["frames"]
+    assert set(state.checkpoints) == {0, 1}
+    result = recover(wal_dir)
+    assert result.kind == "sharded" and result.complete
+    assert result.texts == clean_texts
+    assert result.statuses == clean_statuses
+    assert len(result.executors) == 2
