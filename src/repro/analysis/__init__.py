@@ -17,36 +17,44 @@ Two complementary checkers for compiled pipelines:
   hand or parsed from a DTD).
 """
 
-from .sanitize import BoundaryChecker, boundary_checkers, check_stream
-from .schema import ElementSchema, SchemaError, known_schema
-from .static_plan import (BracketFamily, PlanReport, StageReport,
-                          analyze_plan, analyze_query, render_report,
-                          report_to_dict, verify_against_runtime)
-from .types import (StageTypeReport, StreamType, TypeCheckError,
-                    TypeReport, constant_empty_plan, infer_types,
-                    optimize_plan, verify_types_against_runtime)
+from importlib import import_module
 
-__all__ = [
-    "BoundaryChecker",
-    "boundary_checkers",
-    "check_stream",
-    "BracketFamily",
-    "PlanReport",
-    "StageReport",
-    "analyze_plan",
-    "analyze_query",
-    "render_report",
-    "report_to_dict",
-    "verify_against_runtime",
-    "ElementSchema",
-    "SchemaError",
-    "known_schema",
-    "StreamType",
-    "StageTypeReport",
-    "TypeReport",
-    "TypeCheckError",
-    "infer_types",
-    "optimize_plan",
-    "constant_empty_plan",
-    "verify_types_against_runtime",
-]
+#: Public name -> submodule.  Resolved on first use (PEP 562): every
+#: compile reaches into ``analysis.projection`` for the reads pass, and
+#: must not pay for the type checker and the telemetry it pulls in.
+_EXPORTS = {
+    "BoundaryChecker": "sanitize",
+    "boundary_checkers": "sanitize",
+    "check_stream": "sanitize",
+    "BracketFamily": "static_plan",
+    "PlanReport": "static_plan",
+    "StageReport": "static_plan",
+    "analyze_plan": "static_plan",
+    "analyze_query": "static_plan",
+    "render_report": "static_plan",
+    "report_to_dict": "static_plan",
+    "verify_against_runtime": "static_plan",
+    "ElementSchema": "schema",
+    "SchemaError": "schema",
+    "known_schema": "schema",
+    "StreamType": "types",
+    "StageTypeReport": "types",
+    "TypeReport": "types",
+    "TypeCheckError": "types",
+    "infer_types": "types",
+    "optimize_plan": "types",
+    "constant_empty_plan": "types",
+    "verify_types_against_runtime": "types",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError("module {!r} has no attribute {!r}".format(
+            __name__, name))
+    value = getattr(import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value

@@ -27,6 +27,15 @@ This module closes that gap statically:
   cannot contain a ``t``, which is what makes ``//``-led queries
   prunable at all.
 
+* :func:`apply_reads` asks the same question of the streams *inside*
+  the plan: a backward pass over the stages computes, for every forest
+  stream, what its consumers read of each item (:class:`Reads`: which
+  child tags, how deep, text or not) from each stage's
+  ``static_facts()["reads"]`` declaration, and hands every ``//`` step
+  the ``reads`` of its output stream so that the per-level copies it
+  makes (paper Section VI-C) hold no more than that (DESIGN.md
+  section 15).
+
 Soundness fallbacks (DESIGN.md section 10): the *universal* projection
 (no pruning) is used whenever the plan reads a **mutable update source**
 (``sM``/``sR``/``sB``/``sA`` brackets can re-parent stream regions, so no
@@ -201,6 +210,182 @@ def union_projection(
     if not merged:
         return QueryProjection.make_universal("no projections to union")
     return QueryProjection(paths=frozenset(merged))
+
+
+# -- what the plan reads of each item -----------------------------------------
+
+
+class Reads:
+    """What the consumers of a forest stream read of each item.
+
+    ``tags``: the tags of the item root's children whose subtrees are
+    read (``None``: any child, direct text included); ``depth``: how
+    many levels are read, the item root being 1 (``None``: unbounded);
+    ``text``: whether ``cD`` is read.  The root's own ``sE``/``eE`` are
+    always read.  ``by`` names the consumer that forced ``ALL`` and
+    does not take part in comparisons.
+    """
+
+    __slots__ = ("tags", "depth", "text", "by")
+
+    def __init__(self, tags: Optional[Iterable[str]], depth: Optional[int],
+                 text: bool, by: Optional[str] = None) -> None:
+        if tags is not None:
+            tags = frozenset(tags)
+        if depth == 1 or (tags is not None and not tags):
+            tags, depth, text = frozenset(), 1, False
+        self.tags = tags
+        self.depth = depth
+        self.text = text
+        self.by = by
+
+    @classmethod
+    def everything(cls, by: str) -> "Reads":
+        return cls(None, None, True, by)
+
+    @property
+    def is_all(self) -> bool:
+        return self.tags is None and self.depth is None and self.text
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Reads) and (
+            (self.tags, self.depth, self.text)
+            == (other.tags, other.depth, other.text))
+
+    __hash__ = None  # ``by`` is assigned late; nothing keys on a Reads
+
+    def __or__(self, other: "Reads") -> "Reads":
+        if self.is_all or other == ROOT_ONLY:
+            return self
+        if other.is_all or self == ROOT_ONLY:
+            return other
+        return Reads(
+            None if self.tags is None or other.tags is None
+            else self.tags | other.tags,
+            None if self.depth is None or other.depth is None
+            else max(self.depth, other.depth),
+            self.text or other.text)
+
+    def blame(self, by: str) -> "Reads":
+        """Name ``by`` as the consumer whose reads made a union ``ALL``."""
+        if self.is_all and self.by is None:
+            self.by = by
+        return self
+
+    def to_dict(self) -> dict:
+        out = {"all": self.is_all,
+               "tags": None if self.tags is None else sorted(self.tags),
+               "depth": self.depth, "text": self.text}
+        if self.is_all:
+            out["forced_by"] = self.by
+        return out
+
+    def __str__(self) -> str:
+        if self.is_all:
+            return "ALL"
+        return "({}, depth {}, {})".format(
+            "any child" if self.tags is None
+            else "{" + ", ".join(sorted(self.tags)) + "}",
+            "unbounded" if self.depth is None else self.depth,
+            "text" if self.text else "no text")
+
+    def __repr__(self) -> str:
+        return "Reads{}".format(self)
+
+
+#: Only the boundaries of each item (what ``count`` reads).
+ROOT_ONLY = Reads((), 1, False)
+
+
+def _condition_reads(cond: Optional[dict], by: str) -> Reads:
+    if cond is None:
+        return Reads.everything("a generic inline condition of " + by)
+    tags = None if cond["tag"] is None else (cond["tag"],)
+    if cond["exists"]:
+        return Reads(tags, 2, False)
+    return Reads(tags, None, True)
+
+
+def stage_reads(stage, input_id: int, out: Reads) -> Reads:
+    """What ``stage`` reads of each item of its input ``input_id``, given
+    what is read of its output: one transfer rule per declared kind.
+
+    ``static_facts()["reads"]`` is ``{"kind": ...}``; an ``"input"``
+    entry limits the declaration to that one input (the sort reads
+    its key stream whole).  A stage that declares nothing, or an input
+    outside the declaration, reads everything.
+    """
+    by = repr(stage)
+    spec = stage.static_facts().get("reads")
+    if spec is None or spec.get("input", input_id) != input_id:
+        return Reads.everything(by)
+    kind = spec["kind"]
+    if kind == "items":        # the items pass through as they are
+        return out
+    if kind == "boundaries":   # counts or paces by item, reads nothing
+        return ROOT_ONLY
+    if kind == "wrap":         # each item becomes a child of a new root
+        return Reads(None, None if out.depth is None
+                     else max(out.depth - 1, 1), out.text, out.by or by)
+    if kind == "child":
+        return Reads((spec["tag"],) if spec["tag"] is not None else None,
+                     None if out.depth is None else out.depth + 1,
+                     out.text)
+    if kind == "descendant":   # every level of the item can be a match
+        return Reads(None, None, out.text, out.by or by)
+    if kind == "filter":
+        reads = out
+        for cond in spec["conditions"]:
+            reads = reads | _condition_reads(cond, by)
+        return reads.blame(by)
+    if kind == "join":         # matches are told by where an eE falls
+        if input_id != spec["candidates"]:
+            return ROOT_ONLY
+        return (out | Reads(None, 2 if spec["direct_only"] else None,
+                            False)).blame(by)
+    return Reads.everything(by + " (unknown reads kind {!r})".format(kind))
+
+
+def apply_reads(plan, sink: Optional[Dict[int, Reads]] = None
+                ) -> Dict[int, Reads]:
+    """Hand every ``//`` step of ``plan`` what is read of its output.
+
+    One backward pass: ``need[i]`` is what the stages after the current
+    one read of stream ``i``.  ``sink`` says what is read of the streams
+    that leave the plan (everything of the result stream when omitted);
+    a stream nobody consumes is read by nobody, and an input a stage
+    passes on (a tee) keeps what later stages read of it.  Returns
+    ``need`` as it stands in front of the first stage: what the plan
+    reads of the streams it is fed, which is what a shared prefix's
+    sink reads on this plan's behalf.
+
+    Over a mutable update source every step reads ``ALL`` (and so does
+    the plan, of anything): a bracket can re-parent a region, so no
+    item has a static shape.
+    """
+    need: Dict[int, Reads] = dict(sink) if sink is not None else {
+        plan.result_id: Reads.everything("the sink")}
+    mutable = (Reads.everything("the mutable update source")
+               if plan.mutable_source else None)
+    for stage in reversed(plan.stages):
+        out = mutable or need.get(stage.output_id, ROOT_ONLY)
+        if hasattr(stage, "reads"):     # a // step
+            stage.reads = out
+        for i in stage.input_ids:
+            need[i] = mutable or (
+                need.get(i, ROOT_ONLY) | stage_reads(stage, i, out)
+            ).blame(repr(stage))
+    return need
+
+
+def step_reads(plan) -> List[Tuple[int, Reads]]:
+    """``(stage index, reads)`` of each ``//`` step of ``plan``: what
+    ``repro analyze`` prints and ``QueryRun.stats()`` carries."""
+    return [(k, stage.reads if stage.reads is not None else
+             Reads.everything("nothing: the plan is as compiled "
+                              "(optimize=False)"))
+            for k, stage in enumerate(plan.stages)
+            if hasattr(stage, "reads")]
 
 
 # ElementSchema was born here (PR 6) as a bare reachability map; the

@@ -6,7 +6,11 @@ The paper's Section VII reports two tabulations:
   for the XMark (X) and DBLP (D) documents;
 * **Table 2 (queries)** — per benchmark query: XFlux execution time,
   throughput (MB/s), SPEX time where SPEX supports the query, the number
-  of state-transformer calls ("events"), and retained memory.
+  of state-transformer calls ("events"), and retained memory.  Time and
+  calls are stated twice: for the plan as the paper's operators make it
+  (``XFlux.compile(optimize=False)``, the paper's column — every ``//``
+  level copies every event below it) and for the plan the engine runs,
+  whose ``//`` steps copy what the rest of the plan reads.
 
 This module measures the same quantities on the synthetic datasets (the
 substitutions are documented in DESIGN.md): wall-clock times, transformer
@@ -76,22 +80,31 @@ class DatasetStats:
 
 @dataclass
 class QueryStats:
-    """One row of the paper's query table."""
+    """One row of the paper's query table.
+
+    ``xflux_secs``, ``mb_per_sec`` and ``calls_m`` are the as-compiled
+    plan's (the paper's column); ``pruned_secs`` and ``pruned_calls_m``
+    are those of the plan the engine runs.
+    """
     query: str
     xflux_secs: float
     mb_per_sec: float
     spex_secs: Optional[float]
     calls_m: float
     mem_cells: int
+    pruned_secs: float = 0.0
+    pruned_calls_m: float = 0.0
     result_preview: str = ""
     spex_matches: Optional[bool] = None
 
     def row(self) -> str:
         spex = ("{:>8.3f}".format(self.spex_secs)
                 if self.spex_secs is not None else "       -")
-        return ("{:<4} {:>9.3f} {:>7.2f} {} {:>9.3f} {:>10}"
-                .format(self.query, self.xflux_secs, self.mb_per_sec,
-                        spex, self.calls_m, self.mem_cells))
+        return ("{:<4} {:>9.3f} {:>9.3f} {:>7.2f} {} {:>9.3f} {:>9.3f} "
+                "{:>10}".format(self.query, self.xflux_secs,
+                                self.pruned_secs, self.mb_per_sec, spex,
+                                self.calls_m, self.pruned_calls_m,
+                                self.mem_cells))
 
 
 class Workloads:
@@ -136,13 +149,17 @@ def run_query(workloads: Workloads, name: str,
     text = workloads.text(QUERY_DATASET.get(name, "X"))
     query = query if query is not None else PAPER_QUERIES[name]
     engine = XFlux(query)
-    plan = engine.compile()
-    events = workloads.events(QUERY_DATASET.get(name, "X"),
-                              oids=plan.needs_oids)
     from ..xquery.engine import QueryRun
-    run = QueryRun(plan)
-    secs, _ = timed(lambda: (run.feed_all(events), run.finish()))
-    stats = run.stats()
+    # The paper's operators first, then the plan the engine runs.
+    measured = []
+    for optimize in (False, None):
+        plan = engine.compile(optimize=optimize)
+        events = workloads.events(QUERY_DATASET.get(name, "X"),
+                                  oids=plan.needs_oids)
+        run = QueryRun(plan)
+        secs, _ = timed(lambda: (run.feed_all(events), run.finish()))
+        measured.append((secs, run.stats()))
+    (secs, stats), (pruned_secs, pruned_stats) = measured
     mem = stats["state_cells"] + stats["display"]["peak_regions"]
 
     spex_secs: Optional[float] = None
@@ -164,6 +181,8 @@ def run_query(workloads: Workloads, name: str,
         spex_secs=spex_secs,
         calls_m=stats["transformer_calls"] / 1e6,
         mem_cells=mem,
+        pruned_secs=pruned_secs,
+        pruned_calls_m=pruned_stats["transformer_calls"] / 1e6,
         result_preview=run.text()[:60],
         spex_matches=spex_matches)
 
@@ -185,7 +204,8 @@ def format_report(datasets: List[DatasetStats],
     lines.extend(d.row() for d in datasets)
     lines.append("")
     lines.append("Queries (paper Table 2 analogue)")
-    lines.append("{:<4} {:>9} {:>7} {:>8} {:>9} {:>10}".format(
-        "Q", "XFlux s", "MB/s", "SPEX s", "calls M", "mem cells"))
+    lines.append("{:<4} {:>9} {:>9} {:>7} {:>8} {:>9} {:>9} {:>10}".format(
+        "Q", "XFlux s", "pruned s", "MB/s", "SPEX s", "calls M",
+        "pruned M", "mem cells"))
     lines.extend(r.row() for r in rows)
     return "\n".join(lines)

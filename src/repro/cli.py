@@ -289,9 +289,10 @@ def analyze_main(argv, out, err) -> int:
         plan = engine.compile()
         report = analyze_plan(plan)
         from .analysis.projection import (ProjectionMatcher,
-                                          derive_projection)
+                                          derive_projection, step_reads)
         proj = derive_projection(plan)
         prunable = ProjectionMatcher(proj, schema=args.schema).prunable
+        reads = step_reads(plan)
     except Exception as exc:  # parse/compile diagnostics for the user
         print("error: {}".format(exc), file=err)
         return 2
@@ -318,6 +319,9 @@ def analyze_main(argv, out, err) -> int:
     if payload is not None:
         payload["projection"] = dict(proj.to_dict(), prunable=prunable,
                                      schema=args.schema)
+        payload["reads"] = [dict(r.to_dict(), stage=k,
+                                 step=repr(plan.stages[k]))
+                            for k, r in reads]
         payload["types"] = (type_report.to_dict()
                             if type_report is not None
                             else {"skipped": type_skip})
@@ -326,6 +330,14 @@ def analyze_main(argv, out, err) -> int:
                              else {"partition": _fusion_partition(plan)})
     if not args.json:
         print(render_report(report), file=out)
+        if reads:
+            print("reads of each // step (what a per-level copy holds "
+                  "below its root):", file=out)
+        for k, r in reads:
+            print("  [{}] {!r}: {}{}".format(
+                k, plan.stages[k], r,
+                ", forced by {}".format(r.by) if r.is_all else ""),
+                file=out)
         if args.types and type_report is not None:
             print(type_report.render(), file=out)
         if fusion_payload is not None:
@@ -611,7 +623,7 @@ def telemetry_main(argv, out, err, tracing: bool) -> int:
             "query_text": query_text,
             "result": run.text(),
             "metrics": metrics,
-            "per_stage": run.pipeline.stage_accounts(),
+            "per_stage": run.stats()["per_stage"],
         }
     rendered = json.dumps(payload, indent=args.indent)
     if args.out:

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..analysis.projection import ROOT_ONLY, Reads, apply_reads
 from ..core.pipeline import Pipeline
 from ..core.transformer import Context
 from ..core.wrapper import _FIRST_UPDATE
@@ -583,6 +584,7 @@ def _compile_group(root: PrefixNode, attach: Dict[int, PrefixNode],
     members: List[tuple] = []
     class_map: Dict[frozenset, _FeedClass] = {}
     classes: List[_FeedClass] = []
+    routed: Dict[int, Reads] = {}
     for s in shared_slots:
         node = attach[s]
         clone = clone_id if s in cloned else None
@@ -594,6 +596,11 @@ def _compile_group(root: PrefixNode, attach: Dict[int, PrefixNode],
         members.append((s, make_run(plan, engine_map[s])))
         keep = frozenset({node.stream} if clone is None
                          else {node.stream, clone})
+        # Of a routed stream the prefix's sink reads what its members do.
+        need = apply_reads(plan)
+        for sid in keep:
+            routed[sid] = routed.get(sid, ROOT_ONLY) | \
+                need.get(sid, ROOT_ONLY)
         cls = class_map.get(keep)
         if cls is None:
             cls = class_map[keep] = _FeedClass(keep, [])
@@ -608,6 +615,7 @@ def _compile_group(root: PrefixNode, attach: Dict[int, PrefixNode],
                        len(classes))
     prefix_plan = Plan(stages, 0, last_stream[0], ctx, bool(cloned),
                        mutable_source=mutable)
+    apply_reads(prefix_plan, sink=routed)
     fusion = None
     if fuse:
         from .fusion import fusion_partition

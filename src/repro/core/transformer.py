@@ -215,6 +215,12 @@ class StateTransformer:
           kept whole; the safe default), or ``{"kind": "opaque"}``
           (defeats path analysis entirely — forces the universal
           projection).
+        * ``reads`` — what the stage reads of each *item* of its input,
+          as a function of what is read of its output
+          (:func:`repro.analysis.projection.stage_reads` has one
+          transfer rule per ``kind``: ``items``, ``wrap``, ``child``,
+          ``descendant``, ``filter``, ``boundaries``, ``join``).  Absent
+          by default: a stage that declares nothing reads everything.
 
         The base class describes an inert pass-through stage; every
         update-originating operator overrides this.

@@ -49,7 +49,12 @@ MAGIC = b"XFCK"
 #: (``Run`` likewise) where version 4 had a slot dict without it; the
 #: cached text of neither is pickled — a restored display rebuilds it
 #: at its first read.  ``Display._text_cache`` is gone.
-VERSION = 5
+#: 6: a ``DescendantStep`` state is ``(depth, levels, anchor)`` over a
+#: tuple of copy ids (plus ``(roots, targets)`` for a step that picks
+#: what it copies) where version 5 had ``(depth, levels)`` over
+#: ``(copy id, region id)`` pairs, and the step pickles its ``reads``;
+#: ``AncestorJoin.incoming_depth`` is a map by region, not an int.
+VERSION = 6
 
 #: Kinds the current code base writes; decode rejects unknown kinds.
 KNOWN_KINDS = ("pipeline", "queryrun", "multiquery")

@@ -78,8 +78,10 @@ class CountItems(StateTransformer):
         return UpdatePolicy.CONSUME
 
     def static_facts(self) -> dict:
-        return _aggregate_facts(self, "constant",
-                                "count register adjusted by deltas")
+        facts = _aggregate_facts(self, "constant",
+                                 "count register adjusted by deltas")
+        facts["reads"] = {"kind": "boundaries"}
+        return facts
 
     def type_facts(self) -> dict:
         # Emits "0" at stream start even for empty input: never empty.

@@ -39,6 +39,7 @@ class ChildStep(StateTransformer):
         facts = super().static_facts()
         facts["projection"] = {"kind": "step", "axis": "child",
                                "tag": self.tag}
+        facts["reads"] = {"kind": "child", "tag": self.tag}
         return facts
 
     def type_facts(self) -> dict:

@@ -21,7 +21,12 @@ outcome is zero, exactly like a predicate; the same ``adjust``/
 ``left_end``/``right_end`` are source-position registers shared across all
 open candidates (the pipeline interleaves the incoming event just before
 its clone copies), so they deliberately live *outside* the wrapper-managed
-state — see DESIGN.md.
+state — see DESIGN.md.  "Top-level" is counted per region of the incoming
+stream: when matches nest (``//a`` over recursive data) the inner match's
+copy arrives in its own insert-before region in the middle of the outer
+one's, and both are items.  (A region *inside* an item — a mutable source
+replacing part of a match — is taken for an item too; the join sees no
+brackets on this input, so it cannot tell the two apart.)
 
 ``parent`` (``/..``) is the same join restricted to matches at candidate
 depth 1 (the result element must be a *direct* child of the candidate).
@@ -29,7 +34,7 @@ depth 1 (the result element must be a *direct* child of the candidate).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..events.model import (CD, EE, ES, ET, SE, SM, SS, ST, Event,
                             end_mutable, freeze as freeze_event,
@@ -61,7 +66,11 @@ class AncestorJoin(StateTransformer):
         # Source-position registers, shared across candidates (not cloned):
         self.right_end_oid: Optional[int] = None
         self.right_end_region: Optional[int] = None
-        self.incoming_depth = 0
+        #: Open-element depth of the incoming stream, per region: the
+        #: copies of nested incoming matches arrive interleaved (the
+        #: outer one live, each inner one in its insert-before region),
+        #: and each is a top-level item of its own.
+        self.incoming_depth: Dict[Optional[int], int] = {}
 
     def update_policy(self, stream_id: int) -> UpdatePolicy:
         if stream_id == self.incoming_id:
@@ -91,6 +100,8 @@ class AncestorJoin(StateTransformer):
         # Backward axes correlate distant parts of the document through
         # oid registers — no forward path argument covers them.
         facts["projection"] = {"kind": "opaque", "note": "backward axis"}
+        facts["reads"] = {"kind": "join", "candidates": self.clone_id,
+                          "direct_only": self.direct_only}
         return facts
 
     def type_facts(self) -> dict:
@@ -116,13 +127,18 @@ class AncestorJoin(StateTransformer):
             root = e.id
         if root == self.incoming_id and kind < _FIRST_UPDATE:
             # Incoming branch: feed the shared source-position registers.
+            depths = self.incoming_depth
+            region = self.current_region
             if kind == SE:
-                self.incoming_depth += 1
+                depths[region] = depths.get(region, 0) + 1
             elif kind == EE:
-                self.incoming_depth -= 1
-                if self.incoming_depth == 0:
+                depth = depths.get(region, 0) - 1
+                if depth:
+                    depths[region] = depth
+                else:
+                    del depths[region]
                     self.right_end_oid = e.oid
-                    self.right_end_region = self.current_region
+                    self.right_end_region = region
             return []
         # Candidate branch.  Kind tests ordered by frequency: candidate
         # subtrees are almost entirely sE/eE/cD; the structural kinds

@@ -40,6 +40,7 @@ class Tee(StateTransformer):
         facts.update(notes="brackets re-emitted with fresh region numbers "
                            "on the copy (TEE policy)")
         facts["projection"] = {"kind": "plumbing"}
+        facts["reads"] = {"kind": "items"}
         return facts
 
     def type_facts(self) -> dict:

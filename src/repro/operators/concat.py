@@ -53,6 +53,7 @@ class Concat(StateTransformer):
                   "numbers, one region pair per tuple, never frozen",
         )
         facts["projection"] = {"kind": "plumbing"}
+        facts["reads"] = {"kind": "items"}
         return facts
 
     def type_facts(self) -> dict:

@@ -143,6 +143,11 @@ class StreamConstruct(StateTransformer):
         super().__init__(ctx, (input_id,), output_id)
         self.tag = tag
 
+    def static_facts(self) -> dict:
+        facts = super().static_facts()
+        facts["reads"] = {"kind": "wrap"}
+        return facts
+
     def type_facts(self) -> dict:
         # Emits its wrapper element at stream start regardless of input:
         # the output is never empty.
@@ -183,6 +188,7 @@ class TupleConstruct(TupleRegionMixin, StateTransformer):
             "per-tuple wrapper element in a region slaved to the tuple's "
             "source regions (sealed when they all freeze)")
         facts["projection"] = {"kind": "plumbing"}
+        facts["reads"] = {"kind": "wrap"}
         return facts
 
     def type_facts(self) -> dict:

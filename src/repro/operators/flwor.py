@@ -92,6 +92,7 @@ class ForTuples(StateTransformer):
         # Tuple brackets are driven by item boundaries, which survive any
         # sound projection (spine elements are never pruned).
         facts["projection"] = {"kind": "plumbing"}
+        facts["reads"] = {"kind": "items"}
         return facts
 
     def type_facts(self) -> dict:

@@ -196,6 +196,7 @@ class LiteralText(TupleRegionMixin, StateTransformer):
         # items must survive projection even when nothing else reads them
         # (a constant-return FLWOR still emits one literal per tuple).
         facts["projection"] = {"kind": "content"}
+        facts["reads"] = {"kind": "boundaries"}
         return facts
 
     def type_facts(self) -> dict:

@@ -337,6 +337,12 @@ class Predicate(StateTransformer):
         # "content": the inline condition pipelines navigate within each
         # item, so whole item subtrees must survive projection.
         facts["projection"] = {"kind": "content"}
+        # What a fused condition reads of the item is its one child tag;
+        # a generic inline pipeline (None) may read anything.
+        facts["reads"] = {"kind": "filter", "conditions": tuple(
+            {"tag": c.tag, "exists": c.exists}
+            if isinstance(c, FusedCondition) else None
+            for c in self.conditions)}
         return facts
 
     def type_facts(self) -> dict:

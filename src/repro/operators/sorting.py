@@ -98,6 +98,7 @@ class SortTuples(StateTransformer):
                   "mutable so late items can be inserted between them",
         )
         facts["projection"] = {"kind": "plumbing"}
+        facts["reads"] = {"kind": "items", "input": self.item_id}
         return facts
 
     def type_facts(self) -> dict:

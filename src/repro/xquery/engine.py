@@ -235,10 +235,15 @@ class QueryRun:
         """Execution metrics: transformer calls and retained state.
 
         ``per_stage`` breaks the aggregate counters down by stage (the
-        aggregates are exact sums over it); ``metrics`` appears when the
-        run has a telemetry recorder attached.
+        aggregates are exact sums over it), and says of each ``//`` step
+        what it copies per level (``reads``: ``all`` false means the
+        step's copies were pruned); ``metrics`` appears when the run
+        has a telemetry recorder attached.
         """
+        from ..analysis.projection import step_reads
         per_stage = self.pipeline.stage_accounts()
+        for k, reads in step_reads(self.plan):
+            per_stage[k]["reads"] = reads.to_dict()
         out = {
             "transformer_calls": self.pipeline.total_calls(),
             "state_cells": sum(a["state_cells"] for a in per_stage),
@@ -786,11 +791,15 @@ class XFlux:
     def compile(self, optimize: Optional[bool] = None) -> Plan:
         """Compile a fresh plan (stream numbers are single-use).
 
-        With a declared ``schema`` the plan is run through the static
+        Every ``//`` step is told what the rest of the plan reads of
+        its output and copies no more than that per level
+        (:func:`repro.analysis.projection.apply_reads`).  With a
+        declared ``schema`` the plan is first run through the static
         type checker and optimized (dead stages relayed, statically
-        empty plans collapsed); ``optimize=False`` is the escape hatch
-        returning the plan exactly as compiled — the differential
-        tests compare the two paths byte for byte.
+        empty plans collapsed).  ``optimize=False`` is the escape hatch
+        returning the plan exactly as compiled — the paper's own
+        operators, and the reference the differential tests compare
+        the other paths with byte for byte.
         """
         compiler = Compiler(ctx=Context(), source_id=0,
                             mutable_source=self.mutable_source
@@ -801,6 +810,8 @@ class XFlux:
         if self.schema is not None or optimize:
             from ..analysis.types import optimize_plan
             plan = optimize_plan(plan, schema=self.schema)
+        from ..analysis.projection import apply_reads
+        apply_reads(plan)
         return plan
 
     def start(self, on_change: Optional[Callable[[Event, Display],

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro import XFlux
 from repro.core import Display, Pipeline
 from repro.operators import (AncestorJoin, ChildStep, CompareLiteral,
                              CountItems, DescendantStep, InlinePipeline,
                              Predicate, StringValue, Tee)
 from repro.xmlio import tokenize
+from tests.helpers import assert_query_matches_naive
 
 
 def build_pipeline(ctx, cand_tag, direct, pred_tag, pred_value,
@@ -102,3 +104,38 @@ class TestHiddenIncoming:
                "<asia><item><location>Albania</location></item></asia>"
                "</regions></site>")
         assert run(ctx, None, True, doc=doc).text() == "1"  # asia only
+
+
+NESTED_DOCS = [
+    "<root><a><a><b>y</b></a><c>w</c></a></root>",
+    "<root><a><b>y</b><a><a><b>y</b><c>q</c></a><c>w</c></a></a></root>",
+    "<r><x><a><c>1</c><a><b>y</b></a></a></x>"
+    "<a><b>n</b><a><a><b>y</b></a></a></a></r>",
+]
+
+
+class TestNestedIncoming:
+    """The copies of nested incoming matches arrive interleaved — the
+    outer one live, each inner one in its insert-before region — and
+    each is a top-level item of its own: one shared depth register
+    never saw the inner match close at the top level."""
+
+    @pytest.mark.parametrize("doc", NESTED_DOCS)
+    @pytest.mark.parametrize("query", [
+        "count(X//a/ancestor::*)",
+        "count(X//a/..)",
+        'X//a[b="y"]/ancestor::*/c',
+        "X//a/../c",
+        "count(X//a/ancestor::a)",
+        "X//b/ancestor::a",
+        "count(X//b/ancestor::a)",
+    ])
+    def test_equals_dom_eval(self, query, doc):
+        assert_query_matches_naive(query, doc)
+
+    def test_the_reported_counts(self):
+        doc = NESTED_DOCS[0]
+        assert XFlux("count(X//a/ancestor::*)").run_xml(doc).text() == "1"
+        assert XFlux("count(X//a/..)").run_xml(doc).text() == "1"
+        assert XFlux('X//a[b="y"]/ancestor::*/c').run_xml(doc).text() == \
+            "<c>w</c>"

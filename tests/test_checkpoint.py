@@ -298,14 +298,13 @@ class TestEnvelopeDiagnostics:
         assert info.value.offset == 4
 
     def test_previous_version_is_refused(self):
-        # Version 4 pickled display regions without the ``parent`` link
-        # the cached-text invalidation walks; restored into this code an
-        # edit would fail on the missing slot at the first event, far
-        # from here.
+        # Version 5 pickled a ``DescendantStep`` state of two fields
+        # over level pairs; restored into this code the first event
+        # inside an open level would fail to unpack it, far from here.
         blob = encode_checkpoint("pipeline", {}, {})
-        assert blob[4] == 5
+        assert blob[4] == 6
         with pytest.raises(CheckpointError) as info:
-            decode_checkpoint(blob[:4] + b"\x04" + blob[5:], "pipeline")
+            decode_checkpoint(blob[:4] + b"\x05" + blob[5:], "pipeline")
         assert info.value.field == "version"
 
     def test_corrupt_payload_reports_payload_offset(self):
