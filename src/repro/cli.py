@@ -22,8 +22,6 @@ Options:
     --projection       derive the plan's path projection and skip
                        irrelevant subtrees in the tokenizer (add
                        --schema xmark|dblp to sharpen //-led paths)
-    --fuse             compile the pipeline into fused stage segments
-                       (also: REPRO_FUSE=1)
     --query-file FILE  read the query text from a file instead of argv
 
 There is also a static plan analyzer that lints a compiled pipeline
@@ -33,8 +31,7 @@ update reachability (paper query names Q1..Q9 are accepted as shorthand):
     python -m repro analyze 'X//europe//item/quantity'
     python -m repro analyze Q7 --input auction.xml
     python -m repro analyze Q3 --json
-    python -m repro analyze Q2 --fusion      # compile-layer partition
-    python -m repro analyze --fusion         # joint Q1..Q9 prefix trie
+    python -m repro analyze --sharing        # joint Q1..Q9 prefix trie
     python -m repro analyze Q1 --types --schema xmark  # type checker
 
 two telemetry subcommands that run a query with the observability
@@ -83,7 +80,7 @@ from typing import Iterable, Optional
 
 from .events.serialize import iter_loads
 from .xmlio.tokenizer import XMLTokenizer, tokenize
-from .xquery.engine import XFlux
+from .xquery.engine import ENV_FLAGS, XFlux, env_flag
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -120,10 +117,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--schema",
                     help="schema refinement for --projection: 'xmark', "
                          "'dblp', or a DTD file path")
-    ap.add_argument("--fuse", action="store_true",
-                    help="compile the pipeline into fused stage "
-                         "segments (byte-identical by construction; "
-                         "also: REPRO_FUSE=1)")
     ap.add_argument("--max-depth", type=int, default=None,
                     help="reject documents nesting elements deeper than "
                          "this (structured error instead of unbounded "
@@ -174,60 +167,22 @@ def build_analyze_arg_parser() -> argparse.ArgumentParser:
                          "--schema to sharpen; with --input, the "
                          "inferred emptiness is cross-checked against "
                          "runtime event counts)")
-    ap.add_argument("--fusion", action="store_true",
-                    help="also report the compile layers: the plan's "
-                         "stage-fusion partition plus the joint Q1..Q9 "
-                         "shared-prefix trie (with no query at all, "
-                         "just the trie)")
+    ap.add_argument("--sharing", action="store_true",
+                    help="also report the joint Q1..Q9 shared-prefix "
+                         "trie (needs no query)")
     ap.add_argument("--json", action="store_true",
                     help="emit the report as JSON instead of text")
     return ap
 
 
-def _fusion_partition(plan) -> dict:
-    """The plan's stage-fusion segment partition, as plain data."""
-    from .compile import fusion_partition
-    fplan = fusion_partition(plan)
-    stage_names = [type(s).__name__ for s in plan.stages]
-    return {
-        "stages": fplan.n_stages,
-        "units": len(fplan.segments),
-        "fused": fplan.fused,
-        "segments": [
-            {"start": spec.start, "end": spec.end,
-             "fused": spec.fused,
-             "stages": stage_names[spec.start:spec.end],
-             "dormant_levels": list(spec.dormant)}
-            for spec in fplan.segments],
-    }
-
-
-def _fusion_report(plan=None) -> dict:
-    """Compile-layer analysis: fusion partition + joint sharing trie."""
+def _sharing_report() -> dict:
+    """The joint shared-prefix trie of the paper queries, as plain data."""
     from .bench.harness import PAPER_QUERIES
     from .compile import describe_sharing
-    payload = {"shared_prefix_trie":
-               describe_sharing(list(PAPER_QUERIES.items()))}
-    if plan is not None:
-        payload["partition"] = _fusion_partition(plan)
-    return payload
+    return describe_sharing(list(PAPER_QUERIES.items()))
 
 
-def _render_fusion(payload: dict, out) -> None:
-    part = payload.get("partition")
-    if part is not None:
-        print("fusion partition: {} stages -> {} units{}".format(
-            part["stages"], part["units"],
-            "" if part["fused"] else " (nothing fusible)"), file=out)
-        for spec in part["segments"]:
-            label = "fused" if spec["fused"] else "interpreted"
-            dormant = sum(1 for d in spec["dormant_levels"] if d)
-            print("  stages {}..{} {} [{}]{}".format(
-                spec["start"], spec["end"], label,
-                ", ".join(spec["stages"]),
-                " ({} dormant-capable)".format(dormant) if dormant
-                else ""), file=out)
-    trie = payload["shared_prefix_trie"]
+def _render_sharing(trie: dict, out) -> None:
     print("joint shared-prefix trie over the paper queries "
           "({} queries, {} eligible, {} shared):".format(
               trie["queries"], trie["eligible"], trie["shared"]),
@@ -268,13 +223,12 @@ def analyze_main(argv, out, err) -> int:
     if args.query_file:
         query_text = _read_text(args.query_file)
     elif args.query is None:
-        if args.fusion:
-            # Standalone compile-layer overview: just the joint trie.
-            payload = _fusion_report()
+        if args.sharing:
+            trie = _sharing_report()
             if args.json:
-                print(json.dumps(payload, indent=2), file=out)
+                print(json.dumps({"sharing": trie}, indent=2), file=out)
             else:
-                _render_fusion(payload, out)
+                _render_sharing(trie, out)
             return 0
         print("error: no query given (positional or --query-file)",
               file=err)
@@ -314,7 +268,7 @@ def analyze_main(argv, out, err) -> int:
         except (SchemaError, ValueError) as exc:
             print("error: --schema: {}".format(exc), file=err)
             return 2
-    fusion_payload = _fusion_report(plan) if args.fusion else None
+    trie = _sharing_report() if args.sharing else None
     payload = report_to_dict(report) if args.json else None
     if payload is not None:
         payload["projection"] = dict(proj.to_dict(), prunable=prunable,
@@ -325,9 +279,8 @@ def analyze_main(argv, out, err) -> int:
         payload["types"] = (type_report.to_dict()
                             if type_report is not None
                             else {"skipped": type_skip})
-        payload["fusion"] = (fusion_payload
-                             if fusion_payload is not None
-                             else {"partition": _fusion_partition(plan)})
+        if trie is not None:
+            payload["sharing"] = trie
     if not args.json:
         print(render_report(report), file=out)
         if reads:
@@ -340,8 +293,8 @@ def analyze_main(argv, out, err) -> int:
                 file=out)
         if args.types and type_report is not None:
             print(type_report.render(), file=out)
-        if fusion_payload is not None:
-            _render_fusion(fusion_payload, out)
+        if trie is not None:
+            _render_sharing(trie, out)
         if args.projection:
             if proj.universal:
                 print("projection: universal ({})".format(
@@ -1034,6 +987,13 @@ def main(argv: Optional[Iterable[str]] = None,
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     argv = list(argv) if argv is not None else sys.argv[1:]
+    try:
+        # A misspelt switch fails every command, also one not reading it.
+        for name in ENV_FLAGS:
+            env_flag(name)
+    except ValueError as exc:
+        print("error: {}".format(exc), file=err)
+        return 2
     if argv and argv[0] in SUBCOMMANDS:
         return SUBCOMMANDS[argv[0]](argv[1:], out, err)
     args = build_arg_parser().parse_args(argv)
@@ -1088,7 +1048,6 @@ def main(argv: Optional[Iterable[str]] = None,
         return 2
     run = engine.start(sanitize=True if args.sanitize else None,
                        metrics=True if args.metrics else None,
-                       fuse=True if args.fuse else None,
                        flight=True if args.flight else None)
     shown: Optional[str] = None
     source = (proj_tok.tokenize(text) if proj_tok is not None

@@ -1,30 +1,18 @@
-"""Plan compilation layers: stage fusion and multi-query prefix sharing.
+"""Plan compilation layer: multi-query prefix sharing.
 
-Two flag-gated optimizations over the interpreted pipeline, both held
-byte-identical to it by the differential suite:
-
-* :mod:`repro.compile.fusion` — partition a compiled plan into maximal
-  streaming runs and generate one driver closure per run, eliminating
-  the per-stage dispatch tax (``--fuse`` / ``REPRO_FUSE``);
-* :mod:`repro.compile.sharing` — factor the common leading
-  axis/predicate chains of a multi-query batch into a shared prefix
-  trie evaluated once, fanning out to per-query suffixes
-  (``--share-prefixes``).
+:mod:`repro.compile.sharing` factors the common leading axis/predicate
+chains of a multi-query batch into a shared prefix trie evaluated once,
+fanning out to per-query suffixes (``--share-prefixes``); the
+differential suite holds it byte-identical to the unshared executor.
 """
 
-from .fusion import (FusedSegment, FusionPlan, SegmentSpec,
-                     fusion_partition)
 from .sharing import (QueryChain, SharedGroup, build_shared_groups,
                       describe_sharing, extract_chain)
 
 __all__ = [
-    "FusedSegment",
-    "FusionPlan",
     "QueryChain",
-    "SegmentSpec",
     "SharedGroup",
     "build_shared_groups",
     "describe_sharing",
     "extract_chain",
-    "fusion_partition",
 ]

@@ -40,7 +40,7 @@ and rebuilds it, in its own order, from the ``sM``/``freeze`` events
 it is fed.  A member reading the prefix's map would reach a ``hide``
 whose region the prefix, one chunk ahead, has already frozen; the
 wrapper drops updates to fixed regions, so the retraction would be
-lost and a wrong row would stay (``tests/test_fusion.py`` cuts chunks
+lost and a wrong row would stay (``tests/test_sharing.py`` cuts chunks
 at 7 and 512 events to hold this differentially).
 
 Ordering of the backward-axis clone: queries with one parent/ancestor
@@ -488,8 +488,8 @@ class SharedGroup:
             len(self.members), len(self.pipeline.wrappers))
 
 
-def build_shared_groups(engines: Sequence[tuple], make_run,
-                        fuse: bool = False) -> List[SharedGroup]:
+def build_shared_groups(engines: Sequence[tuple],
+                        make_run) -> List[SharedGroup]:
     """Plan, compile, and wire the shared groups of one executor.
 
     Args:
@@ -498,8 +498,6 @@ def build_shared_groups(engines: Sequence[tuple], make_run,
         make_run: ``make_run(plan, engine) -> QueryRun`` factory
             carrying the executor's flags; member plans are compiled
             here (against the shared group context) and handed to it.
-        fuse: also fuse the prefix pipeline's stage runs (the member
-            pipelines are fused by the factory when the executor asks).
 
     Slots that end up in no group are left for the caller to compile
     independently.
@@ -526,14 +524,13 @@ def build_shared_groups(engines: Sequence[tuple], make_run,
         if not attach:
             continue
         groups.append(_compile_group(root, attach, sub, mutable,
-                                     engine_map, make_run, fuse))
+                                     engine_map, make_run))
     return groups
 
 
 def _compile_group(root: PrefixNode, attach: Dict[int, PrefixNode],
                    chains: Dict[int, QueryChain], mutable: bool,
-                   engine_map: dict, make_run,
-                   fuse: bool) -> SharedGroup:
+                   engine_map: dict, make_run) -> SharedGroup:
     ctx = Context()
     ctx.ids.reserve(0)
     shared_slots = sorted(attach)
@@ -616,25 +613,13 @@ def _compile_group(root: PrefixNode, attach: Dict[int, PrefixNode],
     prefix_plan = Plan(stages, 0, last_stream[0], ctx, bool(cloned),
                        mutable_source=mutable)
     apply_reads(prefix_plan, sink=routed)
-    fusion = None
-    if fuse:
-        from .fusion import fusion_partition
-        # The prefix's own source really is the raw input, so the
-        # analyzer's dormancy facts apply as-is: for an immutable
-        # source the leading clone Tee / descendant scan keep the
-        # dormant fast path (the stages that see the generated
-        # brackets are classified by the analyzer).  Member suffix
-        # plans can NOT do this — their nominal source stream is fed
-        # the prefix output, brackets included, which is why make_run
-        # passes fusion_assume_updates=True for them.
-        fusion = fusion_partition(prefix_plan, assume_updates=mutable)
-    pipeline = Pipeline(ctx, stages, sink, fusion=fusion)
+    pipeline = Pipeline(ctx, stages, sink)
 
     return SharedGroup(pipeline, sink, members, classes, clone_id,
                        prefixes)
 
 
-# -- introspection (repro analyze --fusion) -----------------------------------
+# -- introspection (repro analyze --sharing) ----------------------------------
 
 
 def describe_sharing(named_queries: Sequence[tuple],

@@ -6,10 +6,9 @@ A query is a chain of stages; every stage is a
 pushed through the chain one event at a time; each stage may emit zero or
 more events for the next stage.  The paper's ``Filter`` class with its
 recursive ``dispatch`` is kept as the differential oracle;
-:func:`bind_drain` is the one interpreted event loop the engine runs —
-:class:`Pipeline` binds it over its stages, a fused segment over its
-levels — and observers (telemetry, the sanitizer) interpose on what the
-loop calls rather than fork it.
+:func:`bind_drain` is the one event loop the engine runs —
+:class:`Pipeline` binds it over its stages — and observers (telemetry,
+the sanitizer) interpose on what the loop calls rather than fork it.
 """
 
 from __future__ import annotations
@@ -188,21 +187,12 @@ class Pipeline:
         reclaim_on_freeze: Section V state reclamation (default on).
             ``False`` is the bench memory ablation: freezes forward and
             fix the mutability map as usual but state copies persist.
-        fusion: an optional
-            :class:`~repro.compile.fusion.FusionPlan`.  Source events
-            then enter a chain of generated closures (one call per
-            fused segment per event) instead of the drain; byte- and
-            call-identical to the interpreted path by construction.
-            Silently ignored — the pipeline stays fully interpreted —
-            whenever something wraps the tables (sanitize, a recorder:
-            the generated code calls the wrappers directly) or routing
-            is off (always-active mode, reference accounting).
     """
 
     def __init__(self, ctx: Context, stages: Sequence[StateTransformer],
                  sink, always_active: bool = False,
                  sanitize: bool = False, recorder=None,
-                 reclaim_on_freeze: bool = True, fusion=None) -> None:
+                 reclaim_on_freeze: bool = True) -> None:
         self.ctx = ctx
         self.wrappers: List[UpdateWrapper] = [
             UpdateWrapper(t, always_active=always_active,
@@ -225,8 +215,6 @@ class Pipeline:
         if recorder is not None:
             recorder.attach(self.wrappers, stages)
         self._finished = False
-        self._fusion_plan = (fusion if getattr(fusion, "fused", False)
-                             else None)
         self._bind()
 
     def _bind(self) -> None:
@@ -242,8 +230,8 @@ class Pipeline:
         sink = self.sink.process
         # ``fix.freeze`` is exactly a discard on the not-fixed set (see
         # MutabilityRegistry), and the set is assigned once for the
-        # context's lifetime: bind the C-level method, the loops below
-        # call it once per hop of every freeze.
+        # context's lifetime: bind the C-level method, the drain
+        # calls it once per hop of every freeze.
         fix_freeze = self.ctx.fix._not_fixed.discard
         recorder = self._recorder
         if recorder is not None:
@@ -255,86 +243,11 @@ class Pipeline:
         routes = ([w.tracked for w in self.wrappers] if self._routing
                   else None)
         drain = self._drain = bind_drain(tables, routes, sink, fix_freeze)
-        self._segments = None
         if recorder is not None:
             observe = recorder.observe_source
             self._feed = lambda events: drain(observe(events))
-        elif (self._fusion_plan is not None and self._routing
-                and self._checkers is None):
-            self._build_drive(fix_freeze)
         else:
             self._feed = drain
-
-    def _build_drive(self, fix_freeze: Callable[[int], None]) -> None:
-        """Assemble the fused driver chain from ``self._fusion_plan``.
-
-        The chain is built sink side first: each segment's generated
-        closure hands every exit event to the next segment's drive *as
-        it is produced* (stages allocate fresh stream ids on the data
-        path, so an exit must traverse the whole rest of the chain
-        before its segment computes the next exit — the depth-first
-        ordering the drain's LIFO work list provides).
-        """
-        # Local import: repro.compile depends on core modules.
-        from ..compile.fusion import MAX_SEGMENT, FusedSegment
-        # The generated driver spans the *entire* stage list: the inlined
-        # per-level routing block is exactly one drain iteration for any
-        # wrapped stage (the wrapper's handler table has the same shape
-        # whether the transformer streams or buffers), so blocking stages
-        # ride along as active-flavor levels instead of paying a closure
-        # frame per event at every partition gap.  The fusion partition
-        # still decides which levels may use the dormant fast path.
-        flags: List[bool] = []
-        for spec in self._fusion_plan.segments:
-            if spec.fused:
-                flags.extend(spec.dormant)
-            else:
-                flags.extend([False] * (spec.end - spec.start))
-        n = len(self.wrappers)
-        # One generated closure per chunk of at most MAX_SEGMENT stages
-        # (bounds codegen size).
-        bounds = list(range(0, n, MAX_SEGMENT)) + [n]
-        segments = []
-        emit = self.sink.process
-        for start, end in reversed(list(zip(bounds, bounds[1:]))):
-            seg = FusedSegment(self.wrappers[start:end], start,
-                               flags[start:end], fix_freeze, emit)
-            segments.append(seg)
-            emit = seg.drive
-        segments.reverse()
-        self._segments = segments
-        # Source batches run the first chunk's in-frame source loop,
-        # which hands its exits to the rest of the chain (the sink
-        # directly in the common single-chunk case): no frame per
-        # source event anywhere.
-        self._feed = segments[0].feed_batch
-
-    @property
-    def fused(self) -> bool:
-        return self._segments is not None
-
-    def rebind_fused(self) -> None:
-        """Regenerate the fused driver after a transformer was patched.
-
-        Fused segments capture each stage's bound ``process`` at codegen
-        time, so in-place patches (fault injection) are invisible until
-        the driver is rebuilt.  Call before any events are fed — a
-        rebuild resets per-segment dormancy to the plan's static flags.
-        No-op on interpreted pipelines.
-        """
-        if self._segments is not None:
-            self._bind()
-
-    def fusion_info(self) -> Optional[dict]:
-        """Fusion introspection: segment layout and deopt counters."""
-        if self._segments is None:
-            return None
-        return {
-            "units": len(self._fusion_plan.segments),
-            "stages": len(self.wrappers),
-            "segments": [seg.describe() for seg in self._segments],
-            "deopts": sum(seg.deopts for seg in self._segments),
-        }
 
     def feed(self, e: Event) -> None:
         """Push one source event through every stage into the sink."""
@@ -414,9 +327,6 @@ class Pipeline:
             "checkers": self._checkers,
             "routing": self._routing,
             "finished": self._finished,
-            # The partition only (plain data).  Generated closures are
-            # rebuilt against the restored wrappers' current dormancy.
-            "fusion": self._fusion_plan,
         }
 
     def restore(self, blob: bytes) -> "Pipeline":
@@ -451,14 +361,13 @@ class Pipeline:
         else:
             for w in self.wrappers:
                 w.obs = None
-        self._fusion_plan = state.get("fusion")
         self._bind()
 
     def __getstate__(self) -> dict:
         # Strip everything _bind() builds (closures do not pickle);
         # __setstate__ rebinds against the unpickled wrappers.
         state = self.__dict__.copy()
-        del state["_drain"], state["_feed"], state["_segments"]
+        del state["_drain"], state["_feed"]
         return state
 
     def __setstate__(self, state: dict) -> None:

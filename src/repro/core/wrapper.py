@@ -263,11 +263,6 @@ class UpdateWrapper:
         #: the dormant -> active transition (see _activate_on).
         self.handlers: List = self._build_handler_table()
 
-    @property
-    def dormant(self) -> bool:
-        """True while the update-free fast path is in effect."""
-        return self._dormant
-
     def region(self, uid: int) -> Optional[RegionRecord]:
         """The record of tracked id ``uid`` (the shared live record for
         an input stream id); None when this stage does not track it."""

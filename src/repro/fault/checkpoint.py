@@ -54,7 +54,11 @@ MAGIC = b"XFCK"
 #: what it copies) where version 5 had ``(depth, levels)`` over
 #: ``(copy id, region id)`` pairs, and the step pickles its ``reads``;
 #: ``AncestorJoin.incoming_depth`` is a map by region, not an int.
-VERSION = 6
+#: 7: a pickled Pipeline has no ``_fusion_plan`` and its checkpoint
+#: state no ``"fusion"`` key (stage fusion is deleted); a version-6 blob
+#: of a fused run names a class of ``repro.compile.fusion``, which no
+#: longer imports, and ``MultiQueryRun`` pickles ``_share_blockers``.
+VERSION = 7
 
 #: Kinds the current code base writes; decode rejects unknown kinds.
 KNOWN_KINDS = ("pipeline", "queryrun", "multiquery")

@@ -272,6 +272,3 @@ def arm_stage_fault(run, stage: int, at: int,
                 stage, len(wrappers)))
     transformer = wrappers[stage].t
     transformer.process = _RaisingProcess(transformer, at, query, stage)
-    # A fused driver captured the original bound method at codegen time;
-    # regenerate it so the armed fault is actually on the hot path.
-    run.pipeline.rebind_fused()

@@ -14,7 +14,7 @@ module records what happens *while* the stream flows:
 * **memory-footprint time series** — live state cells and open region
   counts per stage, sampled every ``sample_interval`` source events
   (plus one final sample at end-of-stream), giving the footprint
-  trajectory that ``BENCH_memory.json`` exports.
+  trajectory whose peak ``benchmarks/e2e`` reports as ``peak_mem_cells``.
 
 **Interposed, not inlined.**  The pipeline has one event loop
 (:func:`repro.core.pipeline.bind_drain`) and it knows nothing about

@@ -788,10 +788,9 @@ class ShardedMultiQueryRun:
         schema: optional DTD refinement for the projection matchers
             (name ``"xmark"``/``"dblp"`` or an ``ElementSchema``; must
             be picklable to cross the fork boundary).
-        fuse / share_prefixes: compile-layer switches, forwarded to
-            each worker's ``MultiQueryRun`` (stage fusion and shared
-            prefix tries are per-process — a shard's members can only
-            share with co-resident queries).
+        share_prefixes: forwarded to each worker's ``MultiQueryRun``
+            (shared prefix tries are per-process — a shard's members
+            can only share with co-resident queries).
         durable_dir: directory for a write-ahead log
             (:mod:`repro.fault.wal`).  The parent owns the WAL: every
             broadcast frame is durably logged *before* any worker sees
@@ -822,7 +821,6 @@ class ShardedMultiQueryRun:
                  checkpoint_interval: int = 16,
                  projection: bool = False,
                  schema=None,
-                 fuse: Optional[bool] = None,
                  share_prefixes: Optional[bool] = None,
                  flight: Optional[bool] = None,
                  durable_dir: Optional[str] = None,
@@ -851,7 +849,6 @@ class ShardedMultiQueryRun:
                              quarantine=quarantine,
                              projection=projection,
                              schema=schema,
-                             fuse=fuse,
                              share_prefixes=share_prefixes,
                              flight=flight)
         # The parent resolves the telemetry default the same way the

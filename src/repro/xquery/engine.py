@@ -38,16 +38,24 @@ from .compiler import Compiler, Plan
 from .parser import parse_cached
 
 
+#: The on/off environment switches, ``REPRO_<name>`` each.
+ENV_FLAGS = ("SANITIZE", "METRICS", "SHARE", "FLIGHT")
+
+
 def env_flag(name: str, value: Optional[bool] = None) -> bool:
     """Resolve one on/off switch: an explicit ``value`` wins, ``None``
-    reads the ``REPRO_<name>`` environment variable (``""``/``"0"`` off).
+    reads the ``REPRO_<name>`` environment variable — unset, ``""`` and
+    ``"0"`` are off, ``"1"`` is on, anything else is a ``ValueError``
+    (``REPRO_SHARE=false`` must not turn sharing on).
 
-    The one reader of ``REPRO_SANITIZE`` / ``METRICS`` / ``FUSE`` /
-    ``SHARE`` / ``FLIGHT``.
+    The one reader of :data:`ENV_FLAGS`.
     """
     if value is not None:
         return bool(value)
-    return os.environ.get("REPRO_" + name, "") not in ("", "0")
+    raw = os.environ.get("REPRO_" + name, "")
+    if raw in ("", "0", "1"):
+        return raw == "1"
+    raise ValueError("REPRO_{} must be 0 or 1, got {!r}".format(name, raw))
 
 
 def _tokenize_document(text: str, source_id: int, needs_oids: bool,
@@ -126,13 +134,10 @@ class QueryRun:
                  trace: bool = False,
                  sample_interval: int = 256,
                  reclaim_on_freeze: bool = True,
-                 fuse: Optional[bool] = None,
-                 fusion_assume_updates: bool = False,
                  flight: Optional[bool] = None) -> None:
         sanitize = env_flag("SANITIZE", sanitize)
         metrics = env_flag("METRICS", metrics)
         flight = env_flag("FLIGHT", flight)
-        self.fuse = env_flag("FUSE", fuse)
         self.plan = plan
         self.display = Display(plan.result_id, on_change=on_change,
                                track_snapshots=track_snapshots)
@@ -145,18 +150,11 @@ class QueryRun:
                 flight=flight)
         else:
             self.recorder = None
-        fusion = None
-        if (self.fuse and not always_active and not sanitize
-                and self.recorder is None):
-            from ..compile.fusion import fusion_partition
-            fusion = fusion_partition(
-                plan, assume_updates=fusion_assume_updates)
         self.pipeline = Pipeline(plan.ctx, plan.stages, self.display,
                                  always_active=always_active,
                                  sanitize=sanitize,
                                  recorder=self.recorder,
-                                 reclaim_on_freeze=reclaim_on_freeze,
-                                 fusion=fusion)
+                                 reclaim_on_freeze=reclaim_on_freeze)
         from ..events.model import UpdateStripper
         self._stripper = UpdateStripper() if ignore_updates else None
         #: Set by projection-aware drivers (XFlux.run_xml with
@@ -253,9 +251,6 @@ class QueryRun:
             "stages": len(self.pipeline.wrappers),
             "per_stage": per_stage,
         }
-        fusion = self.pipeline.fusion_info()
-        if fusion is not None:
-            out["fusion"] = fusion
         if self.projection is not None:
             out["projection"] = self.projection.to_dict()
             if self.projection_stats is not None:
@@ -325,15 +320,17 @@ class MultiQueryRun:
             status ``"empty"`` and the empty text.  Queries over
             mutable sources are skipped (inference is defined over
             documents) and run normally.
-        fuse: stage-fusion codegen for every pipeline (prefix, member,
-            and independent); ``None`` reads ``REPRO_FUSE``.
+        fuse: ignored; ``benchmarks/e2e`` and old WAL manifests still
+            pass it, and it goes when a benchmark PR drops it there.
         share_prefixes: factor common leading axis/predicate chains
             into shared prefix pipelines evaluated once per batch
             (:mod:`repro.compile.sharing`); ``None`` reads
-            ``REPRO_SHARE``.  Silently off under sanitize /
-            always-active / telemetry — those observers are defined
-            over per-query stage boundaries — so differential runs
-            with those flags compare the unshared paths.
+            ``REPRO_SHARE``.  Off under sanitize / always-active /
+            metrics / flight — those observers are defined over
+            per-query stage boundaries — so differential runs with
+            those flags compare the unshared paths; ``stats()
+            ["sharing"]`` then says ``engaged: False`` and which flags
+            did it (``disengaged_by``).
     """
 
     def __init__(self, queries, mutable_source: bool = False,
@@ -363,12 +360,18 @@ class MultiQueryRun:
         sanitize = env_flag("SANITIZE", sanitize)
         metrics = env_flag("METRICS", metrics)
         flight = env_flag("FLIGHT", flight)
-        fuse = env_flag("FUSE", fuse)
-        # Flight recording implies a recorder on every run, so it
-        # disengages sharing exactly like metrics does.
-        self.share_prefixes = (env_flag("SHARE", share_prefixes)
-                               and not always_active and not sanitize
-                               and not metrics and not flight)
+        #: The flags that switched requested sharing off; ``None`` when
+        #: it was not requested.  Flight recording implies a recorder on
+        #: every run, so it disengages sharing exactly like metrics does.
+        self._share_blockers = None
+        if env_flag("SHARE", share_prefixes):
+            self._share_blockers = [
+                name for name, on in (("always_active", always_active),
+                                      ("sanitize", sanitize),
+                                      ("metrics", metrics),
+                                      ("flight", flight)) if on]
+        #: Is sharing engaged (requested and not switched off)?
+        self.share_prefixes = self._share_blockers == []
         self._slots = []        # query index -> index into self.runs
         seen = {}
         unique = []             # first engine of each unique slot
@@ -405,17 +408,13 @@ class MultiQueryRun:
         self.groups = []
         grouped_runs = {}
 
-        def make_run(plan, engine, shared=False):
-            # A member of a shared group is fed its prefix's output,
-            # brackets included, which its own plan cannot see.
+        def make_run(plan, engine):
             return QueryRun(plan,
                             ignore_updates=engine.ignore_updates,
                             always_active=always_active,
                             sanitize=sanitize,
                             metrics=metrics,
                             sample_interval=sample_interval,
-                            fuse=fuse,
-                            fusion_assume_updates=shared,
                             flight=flight)
 
         if self.share_prefixes:
@@ -425,8 +424,7 @@ class MultiQueryRun:
             self.groups = build_shared_groups(
                 [(slot, e) for slot, e in enumerate(unique)
                  if slot not in empty_slots],
-                lambda plan, engine: make_run(plan, engine, shared=True),
-                fuse=fuse)
+                make_run)
             for g in self.groups:
                 for slot, run in g.members:
                     grouped_runs[slot] = run
@@ -702,10 +700,12 @@ class MultiQueryRun:
         stats["static_empty"] = len(self.static_empty_slots)
         stats["per_query"] = [stats["per_pipeline"][s]
                               for s in self._slots]
-        if self.groups:
+        if self.share_prefixes:
             prefix_calls = sum(g.pipeline.total_calls()
                                for g in self.groups)
             stats["sharing"] = {
+                "requested": True,
+                "engaged": True,
                 "groups": [g.stats() for g in self.groups],
                 "shared_queries": sum(len(g.member_indices)
                                       for g in self.groups),
@@ -714,6 +714,9 @@ class MultiQueryRun:
             # The aggregate counts every transformer dispatch actually
             # performed, shared prefix stages included.
             stats["transformer_calls"] += prefix_calls
+        elif self._share_blockers:
+            stats["sharing"] = {"requested": True, "engaged": False,
+                                "disengaged_by": list(self._share_blockers)}
         if self.projection is not None:
             stats["projection"] = self.projection_summary()
         if any(r.recorder is not None for r in self.runs):
@@ -824,14 +827,15 @@ class XFlux:
               reclaim_on_freeze: bool = True,
               fuse: Optional[bool] = None,
               flight: Optional[bool] = None) -> QueryRun:
-        """Begin a continuous run; feed it events as they arrive."""
+        """Begin a continuous run; feed it events as they arrive
+        (``fuse`` is ignored: ``benchmarks/e2e`` passes it, ROADMAP 4a)."""
         return QueryRun(self.compile(), on_change=on_change,
                         track_snapshots=track_snapshots,
                         ignore_updates=self.ignore_updates,
                         sanitize=sanitize, metrics=metrics, trace=trace,
                         sample_interval=sample_interval,
                         reclaim_on_freeze=reclaim_on_freeze,
-                        fuse=fuse, flight=flight)
+                        flight=flight)
 
     def run(self, events: Iterable[Event], **kwargs) -> QueryRun:
         """Evaluate over a complete event stream."""
@@ -857,7 +861,6 @@ class XFlux:
                     sanitize: Optional[bool] = None,
                     metrics: Optional[bool] = None,
                     sample_interval: int = 256,
-                    fuse: Optional[bool] = None,
                     flight: Optional[bool] = None,
                     **durable_opts) -> QueryRun:
         """Evaluate over an event stream with write-ahead journaling.
@@ -873,12 +876,13 @@ class XFlux:
         """
         mq = self._journalled(
             sanitize=sanitize, metrics=metrics,
-            sample_interval=sample_interval, fuse=fuse, flight=flight)
+            sample_interval=sample_interval, flight=flight)
         return mq.run_durable(events, durable, **durable_opts).query_run(0)
 
     def run_xml(self, text: str, projection: bool = False,
                 schema=None, durable: Optional[str] = None,
                 durable_opts: Optional[dict] = None,
+                fuse: Optional[bool] = None,
                 **kwargs) -> QueryRun:
         """Evaluate over an XML document string (tokenized on the fly).
 
@@ -894,6 +898,7 @@ class XFlux:
         periodically (see :meth:`run_durable`; ``durable_opts`` pass
         through).  Durability does not combine with projection — the
         log must hold the full stream a recovery can resume from.
+        ``fuse`` is ignored: ``benchmarks/e2e`` passes it (ROADMAP 4a).
         """
         if durable is not None:
             if projection:

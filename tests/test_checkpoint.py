@@ -10,6 +10,7 @@ update-bearing streams.
 """
 
 import os
+import pickle
 
 import pytest
 
@@ -192,19 +193,17 @@ class TestMultiQueryRunRoundTrip:
         assert MultiQueryRun.restore(blob) is not None
 
     @pytest.mark.skipif(os.environ.get("REPRO_SANITIZE") == "1",
-                        reason="compile layers disengage under the "
+                        reason="sharing disengages under the "
                                "sanitizer (transparency covered in "
-                               "test_fusion.py)")
+                               "test_sharing.py)")
     @pytest.mark.parametrize("dataset", ["X", "D"])
-    def test_fused_shared_round_trip_at_every_boundary(self, workloads,
-                                                       dataset):
-        """Compile-layer state survives the envelope (fusion + sharing).
+    def test_shared_round_trip_at_every_boundary(self, workloads, dataset):
+        """Prefix-sharing state survives the envelope.
 
-        The shared prefix pipeline, its routing sink (open-bracket
-        depth, adopted region routes, partially filled feeds) and the
-        fused drivers are all mid-stream state; restoring at any frame
-        boundary and replaying the rest must land on the interpreted
-        executor's bytes.
+        The shared prefix pipeline and its routing sink (open-bracket
+        depth, adopted region routes, partially filled feeds) are
+        mid-stream state; restoring at any frame boundary and replaying
+        the rest must land on the unshared executor's bytes.
         """
         names = [n for n in PAPER_QUERIES
                  if QUERY_DATASET[n] == dataset]
@@ -213,12 +212,12 @@ class TestMultiQueryRunRoundTrip:
             workloads.text(dataset)).texts()
 
         from repro.xmlio.tokenizer import tokenize
-        probe = MultiQueryRun(queries, fuse=True, share_prefixes=True)
+        probe = MultiQueryRun(queries, share_prefixes=True)
         assert probe.groups, "workload should form a shared group"
         events = list(tokenize(workloads.text(dataset),
                                stream_id=probe.source_id,
                                emit_oids=probe.needs_oids))
-        primary = MultiQueryRun(queries, fuse=True, share_prefixes=True)
+        primary = MultiQueryRun(queries, share_prefixes=True)
         cut = 0
         for boundary in _boundaries(len(events)):
             primary.feed_all(events[cut:boundary])
@@ -298,14 +297,19 @@ class TestEnvelopeDiagnostics:
         assert info.value.offset == 4
 
     def test_previous_version_is_refused(self):
-        # Version 5 pickled a ``DescendantStep`` state of two fields
-        # over level pairs; restored into this code the first event
-        # inside an open level would fail to unpack it, far from here.
+        # A version-6 blob of a fused run pickled its partition, an
+        # instance of a class in ``repro.compile.fusion``; the module
+        # is gone, and the refusal must come from the version byte,
+        # before pickle goes looking for it.
         blob = encode_checkpoint("pipeline", {}, {})
-        assert blob[4] == 6
-        with pytest.raises(CheckpointError) as info:
-            decode_checkpoint(blob[:4] + b"\x05" + blob[5:], "pipeline")
-        assert info.value.field == "version"
+        assert blob[4] == 7
+        gone = b"\x80\x02crepro.compile.fusion\nPlan\n."
+        with pytest.raises(ImportError):
+            pickle.loads(gone)
+        for old in (blob[:4] + b"\x05" + blob[5:], blob[:4] + b"\x06" + gone):
+            with pytest.raises(CheckpointError) as info:
+                decode_checkpoint(old, "pipeline")
+            assert info.value.field == "version"
 
     def test_corrupt_payload_reports_payload_offset(self):
         blob = encode_checkpoint("pipeline", {}, {"k": "v"})

@@ -1,12 +1,11 @@
 """Observability CLI tests: stats/trace/export under the flag matrix.
 
-The telemetry subcommands attach a recorder, and the compile layers are
-documented to *disengage* rather than coexist with one: fusion requires
-``recorder is None`` and prefix sharing requires no metrics and no
-flight recorder.  These tests pin that the CLI keeps working — same
-result, same payload shape — with ``REPRO_FUSE`` / ``REPRO_SHARE``
-forced on and with ``--projection``, and that the export paths emit
-artifacts the strict validators accept.
+The telemetry subcommands attach a recorder, and prefix sharing is
+documented to *disengage* rather than coexist with one (it requires no
+metrics and no flight recorder).  These tests pin that the CLI keeps
+working — same result, same payload shape — with ``REPRO_SHARE`` forced
+on and with ``--projection``, that a misspelt switch is refused, and
+that the export paths emit artifacts the strict validators accept.
 """
 
 import io
@@ -60,23 +59,21 @@ class TestStatsShape:
         # The chunk histogram rides the projecting tokenizer.
         assert m["histograms"]["tokenizer_chunk"]["count"] > 0
 
-    def test_stats_with_fuse_forced_on(self, monkeypatch):
-        # Fusion requires recorder is None, so the telemetry run
-        # disengages it; the CLI must neither crash nor change shape.
-        baseline = _stats("Q2")
-        monkeypatch.setenv("REPRO_FUSE", "1")
-        fused = _stats("Q2")
-        assert set(fused) == STATS_KEYS
-        assert fused["result"] == baseline["result"]
-        assert (fused["metrics"]["sink_events"]
-                == baseline["metrics"]["sink_events"])
-
     def test_stats_with_share_forced_on(self, monkeypatch):
         # Sharing is a multi-query concern and disengages under
         # metrics anyway; the env flag must be inert here.
         monkeypatch.setenv("REPRO_SHARE", "1")
         payload = _stats("Q1")
         assert set(payload) == STATS_KEYS
+
+    @pytest.mark.parametrize("argv", [["stats", "Q1", "--scale", SCALE],
+                                      ["analyze", "Q1"], ["X//a"]])
+    def test_misspelt_switch_is_refused_by_every_command(self, monkeypatch,
+                                                         argv):
+        monkeypatch.setenv("REPRO_SHARE", "false")
+        rc, out, err = _run(argv)
+        assert rc == 2 and out == ""
+        assert err == "error: REPRO_SHARE must be 0 or 1, got 'false'\n"
 
 
 class TestTraceShape:
@@ -86,10 +83,9 @@ class TestTraceShape:
         assert payload["trace"]["hops"]
         assert "epoch_wall_ns" in payload["trace"]
 
-    @pytest.mark.parametrize("env", ["REPRO_FUSE", "REPRO_SHARE"])
-    def test_trace_under_compile_flags(self, monkeypatch, env):
+    def test_trace_with_share_forced_on(self, monkeypatch):
         baseline = _trace("Q3")
-        monkeypatch.setenv(env, "1")
+        monkeypatch.setenv("REPRO_SHARE", "1")
         flagged = _trace("Q3")
         assert set(flagged) == TRACE_KEYS
         assert flagged["result"] == baseline["result"]

@@ -6,6 +6,7 @@ from repro import CompileError, XFlux
 from repro.operators import (AncestorJoin, CountItems, DescendantStep,
                              Predicate, SortTuples, Tee)
 from repro.xquery.compiler import Compiler
+from repro.xquery.engine import MultiQueryRun, env_flag
 from repro.xquery.parser import parse
 
 from tests.helpers import assert_query_matches_naive, flux_result
@@ -92,6 +93,49 @@ class TestEngineFacade:
     def test_accepts_preparsed_ast(self, auction_xml):
         engine = XFlux(parse("count(X//item)"))
         assert engine.run_xml(auction_xml).text() == "4"
+
+
+class TestEngineSwitches:
+    def test_fuse_keyword_is_accepted_and_ignored(self, auction_xml):
+        # Stage fusion is gone, but ``benchmarks/e2e`` (which only a
+        # benchmark PR may edit) still passes ``fuse=True`` at these
+        # three places: the tier-1 guard for ``run.py --trace 1`` and
+        # CI's sharing gate.
+        from repro.data.stock import StockTicker
+        query, queries = "X//item/quantity", ["X//item", "count(X//item)"]
+        plain = XFlux(query).run_xml(auction_xml)
+        run = XFlux(query).run_xml(auction_xml, fuse=True)
+        assert list(run.events()) == list(plain.events())
+        events = StockTicker(n_updates=50).events()
+        ticker = XFlux('stream()//quote[name="IBM"]/price',
+                       mutable_source=True)
+        live = ticker.start(fuse=True)
+        live.feed_all(events)
+        assert live.finish().text() == ticker.run(events).text()
+        mq = MultiQueryRun(queries, fuse=True).run_xml(auction_xml)
+        assert mq.texts() == MultiQueryRun(queries).run_xml(
+            auction_xml).texts()
+        for stats in [run.stats(), live.stats(), mq.stats(),
+                      *mq.stats()["per_query"]]:
+            assert "fusion" not in stats
+
+    @pytest.mark.parametrize("raw,expected", [
+        (None, False), ("", False), ("0", False), ("1", True),
+        ("false", ValueError), ("off", ValueError), ("yes", ValueError)])
+    def test_env_flag(self, monkeypatch, raw, expected):
+        monkeypatch.delenv("REPRO_SHARE", raising=False)
+        if raw is not None:
+            monkeypatch.setenv("REPRO_SHARE", raw)
+        # An explicit value wins over whatever the environment says.
+        assert env_flag("SHARE", True) is True
+        assert env_flag("SHARE", False) is False
+        if expected is ValueError:
+            with pytest.raises(ValueError) as info:
+                MultiQueryRun(["X//a"])
+            assert str(info.value) == \
+                "REPRO_SHARE must be 0 or 1, got '{}'".format(raw)
+        else:
+            assert env_flag("SHARE") is expected
 
 
 class TestQueriesAgainstOracle:

@@ -338,15 +338,14 @@ def assert_same_at_the_sink(query, doc):
     events = tokenize(doc, emit_oids=pruned.needs_oids)
     reference = sink_events(as_compiled, events)
     assert sink_events(pruned, events) == reference, query
-    for flags in ({"sanitize": True}, {"fuse": True}):
-        run = QueryRun(engine.compile(), **flags)
-        run.feed_all(events)
-        run.finish()
-        plain = QueryRun(engine.compile(optimize=False))
-        plain.feed_all(events)
-        plain.finish()
-        assert run.text() == plain.text(), (query, flags)
-        assert list(run.events()) == list(plain.events()), (query, flags)
+    run = QueryRun(engine.compile(), sanitize=True)
+    run.feed_all(events)
+    run.finish()
+    plain = QueryRun(engine.compile(optimize=False))
+    plain.feed_all(events)
+    plain.finish()
+    assert run.text() == plain.text(), query
+    assert list(run.events()) == list(plain.events()), query
     return pruned
 
 
@@ -402,7 +401,6 @@ class TestDifferential:
             run.feed_all(tokenize(text, emit_oids=plan.needs_oids))
             reference.append(run.finish().text())
         for flags in ({}, {"share_prefixes": True},
-                      {"share_prefixes": True, "fuse": True},
                       {"sanitize": True}):
             mq = MultiQueryRun(queries, **flags).run_xml(text)
             assert mq.texts() == reference, flags

@@ -16,14 +16,13 @@ Deterministic; nothing here is timed.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro import QueryRun, XFlux
 from repro.core import Context, UpdateWrapper
 from repro.events import loads
 from repro.operators import ChildStep
+from repro.xquery.engine import env_flag
 from tests.helpers import (assert_nesting_tree_consistent,
                            assert_nothing_mentions, live_depth,
                            stage_containers, ticker_stream)
@@ -38,15 +37,12 @@ QUERIES = {
 }
 #: name -> QueryRun keywords
 CONFIGS = {
-    "interpreted": {"fuse": False},
+    "interpreted": {},
     "always-active": {"always_active": True},
-    "fused": {"fuse": True},
     "sanitized": {"sanitize": True},
 }
-#: Set by CI: every run then carries boundary checkers or a recorder,
-#: which ride the interpreted drain only.
-OBSERVED = any(os.environ.get(name, "") not in ("", "0")
-               for name in ("REPRO_SANITIZE", "REPRO_METRICS"))
+#: Set by CI: every run then carries boundary checkers or a recorder.
+OBSERVED = env_flag("SANITIZE") or env_flag("METRICS")
 N = 500
 #: Updates after which the stages are inspected; the first and the last
 #: are also where the checkpoint is sized.
@@ -78,8 +74,6 @@ def test_bookkeeping_is_flat_in_stream_position(stream, query, config):
     run = QueryRun(XFlux(QUERIES[query], mutable_source=True).compile(),
                    **CONFIGS[config])
     run.feed_all(prefix)
-    if config == "fused" and not OBSERVED:
-        assert run.pipeline.fused
     not_fixed = run.pipeline.ctx.fix._not_fixed
     ever_mutable = set(not_fixed)
     seen_sizes, seen_checkpoints = [], []

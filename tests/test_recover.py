@@ -449,6 +449,32 @@ def test_log_cut_after_manifest_rebuilds_the_running_executor(tmp_path):
         events).text()
 
 
+def test_manifest_of_an_earlier_build_still_recovers(xmark_text, tmp_path,
+                                                     monkeypatch):
+    # Builds before PR 24 wrote the executor's ``fuse`` switch into a
+    # sharded manifest, and a log cut before its first checkpoint is
+    # rebuilt from exactly those keywords: the executor has to take it.
+    from repro.fault import wal
+    from repro.parallel import ShardedMultiQueryRun
+    current = wal.jsonable_kwargs
+    monkeypatch.setattr(wal, "jsonable_kwargs",
+                        lambda kwargs: dict(current(kwargs), fuse=True))
+    queries = [PAPER_QUERIES[n] for n in ["Q1", "Q2", "Q5", "Q7"]]
+    wal_dir = str(tmp_path / "wal")
+    with ShardedMultiQueryRun(queries, workers=2, batch_events=BATCH,
+                              durable_dir=wal_dir) as smq:
+        smq.run_xml(xmark_text)
+    second = list(iter_wal_records(wal_dir))[1]
+    [segment] = wal.list_segments(wal_dir)
+    with open(segment, "r+b") as fh:
+        fh.truncate(second.offset)
+    state = scan_wal(wal_dir)
+    assert state.manifest["engine"]["fuse"] is True
+    assert state.checkpoints == {}
+    result = recover(wal_dir, text=xmark_text)
+    assert (result.texts, result.statuses) == _clean(queries, xmark_text)
+
+
 def test_supervised_durable_run_restarts_from_the_log(xmark_text,
                                                       tmp_path):
     # A sharded durable run that lives: the killed worker is replayed

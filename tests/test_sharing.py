@@ -1,13 +1,12 @@
-"""Differential suite for the compile layers (repro.compile).
+"""Differential suite for multi-query prefix sharing (repro.compile).
 
-Two flag-gated optimizations are under test — stage fusion and
-multi-query prefix sharing — and the contract for both is the same:
-*byte-identical* answers to the interpreted, unshared pipelines, over
-every paper query, in every flag combination, with and without the
-protocol sanitizer, under sharding, and over update-bearing streams.
-Where sharing engages, the total transformer-call count must *drop*
-(the shared prefix evaluates once instead of once per member); where a
-fault strikes, quarantine must detach exactly the right queries.
+The contract: *byte-identical* answers to the unshared pipelines, over
+every paper query, with and without the protocol sanitizer, under
+sharding, and over update-bearing streams.  Where sharing engages, the
+total transformer-call count must *drop* (the shared prefix evaluates
+once instead of once per member); where it is switched off, ``stats()``
+says by what; where a fault strikes, quarantine must detach exactly the
+right queries.
 """
 
 import os
@@ -17,22 +16,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.harness import PAPER_QUERIES, QUERY_DATASET, Workloads
-from repro.compile import describe_sharing, fusion_partition, sharing
+from repro.compile import describe_sharing, sharing
 from repro.data.stock import StockTicker
 from repro.fault import arm_stage_fault
 from repro.parallel import ShardedMultiQueryRun
-from repro.xquery.engine import MultiQueryRun, QueryRun, XFlux
+from repro.xquery.engine import ENV_FLAGS, MultiQueryRun, XFlux
 
 SCALE = 0.02
 
-# Under an ambient sanitizer the compile layers disengage by design
+# Under an ambient sanitizer sharing disengages by design
 # (BoundaryChecker interposition observes stage boundaries): the byte-
 # identity halves of these tests still run, but assertions that the
-# layers *engaged* cannot hold and are gated or skipped.
+# layer *engaged* cannot hold and are gated or skipped.
 SANITIZED = os.environ.get("REPRO_SANITIZE") == "1"
 
-FLAG_MATRIX = [(False, False), (True, False), (False, True), (True, True)]
-FLAG_IDS = ["plain", "fuse", "share", "both"]
+FLAG_MATRIX = [False, True]
+FLAG_IDS = ["plain", "share"]
 
 
 @pytest.fixture(scope="module")
@@ -52,83 +51,27 @@ def _dataset_queries(dataset):
             if QUERY_DATASET[n] == dataset]
 
 
-def _run_matrix(workloads, dataset, fuse, share, **kwargs):
+def _run_matrix(workloads, dataset, share, **kwargs):
     named = _dataset_queries(dataset)
-    mq = MultiQueryRun([q for _, q in named], fuse=fuse,
-                       share_prefixes=share, **kwargs)
+    mq = MultiQueryRun([q for _, q in named], share_prefixes=share,
+                       **kwargs)
     mq.run_xml(workloads.text(dataset))
     return named, mq
 
 
-class TestSingleQueryFusion:
-    @pytest.mark.parametrize("name", sorted(PAPER_QUERIES))
-    def test_fused_is_byte_and_call_identical(self, workloads, reference,
-                                              name):
-        query = PAPER_QUERIES[name]
-        text = workloads.text(QUERY_DATASET[name])
-        plain = XFlux(query).run_xml(text)
-        fused = XFlux(query).run_xml(text, fuse=True)
-        assert fused.text() == reference[name]
-        # Fusion eliminates dispatch, never work: the per-stage
-        # transformer accounting is unchanged.
-        assert fused.stats()["transformer_calls"] == \
-            plain.stats()["transformer_calls"]
-        if not SANITIZED:
-            assert fused.pipeline.fused
-
-    def test_partition_covers_every_stage(self):
-        for name, query in PAPER_QUERIES.items():
-            plan = XFlux(query).compile()
-            fusion = fusion_partition(plan)
-            covered = sum(spec.end - spec.start
-                          for spec in fusion.segments)
-            assert covered == len(plan.stages), name
-
-    def test_sanitize_still_byte_identical(self, workloads, reference,
-                                           monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        for name in ("Q2", "Q7", "Q9"):
-            query = PAPER_QUERIES[name]
-            text = workloads.text(QUERY_DATASET[name])
-            run = XFlux(query).run_xml(text, fuse=True)
-            assert run.text() == reference[name]
-
-
-@pytest.mark.skipif(SANITIZED, reason="deopt requires engaged fusion")
-class TestDeopt:
-    def test_mid_batch_deopt_stays_byte_identical(self):
-        """An update arriving at a dormant-flavor level deopts the
-        generated batch frame mid-stream; the rest of the batch must
-        run against the regenerated code and land on the interpreted
-        bytes (the resume hand-off in ``FusedSegment``)."""
-        query = 'S//quote[name="IBM"]/price'
-        events = StockTicker(n_updates=120, mutable_names=True,
-                             name_update_fraction=0.3, seed=3).events()
-        expected = XFlux(query).run(events).text()
-        fused = XFlux(query).start(fuse=True)
-        fused.feed_all(events)
-        fused.finish()
-        assert fused.text() == expected
-        info = fused.pipeline.fusion_info()
-        assert info["deopts"] >= 1
-        # The deopted level was demoted to active flavor for good.
-        assert not any(any(s["dormant"]) for s in info["segments"])
-
-
 class TestMultiQueryMatrix:
     @pytest.mark.parametrize("dataset", ["X", "D"])
-    @pytest.mark.parametrize("fuse,share", FLAG_MATRIX, ids=FLAG_IDS)
-    def test_byte_identical(self, workloads, reference, dataset, fuse,
-                            share):
-        named, mq = _run_matrix(workloads, dataset, fuse, share)
+    @pytest.mark.parametrize("share", FLAG_MATRIX, ids=FLAG_IDS)
+    def test_byte_identical(self, workloads, reference, dataset, share):
+        named, mq = _run_matrix(workloads, dataset, share)
         for (name, _), text in zip(named, mq.texts()):
             assert text == reference[name], name
 
     @pytest.mark.skipif(SANITIZED, reason="sharing disengages")
     @pytest.mark.parametrize("dataset", ["X", "D"])
     def test_sharing_reduces_transformer_calls(self, workloads, dataset):
-        _, plain = _run_matrix(workloads, dataset, False, False)
-        _, shared = _run_matrix(workloads, dataset, False, True)
+        _, plain = _run_matrix(workloads, dataset, False)
+        _, shared = _run_matrix(workloads, dataset, True)
         assert shared.groups, "expected a shared group on {}".format(
             dataset)
         # The aggregate includes the shared prefix's own calls; the
@@ -138,30 +81,30 @@ class TestMultiQueryMatrix:
 
     @pytest.mark.skipif(SANITIZED, reason="sharing disengages")
     def test_expected_groups_form(self, workloads):
-        _, mq = _run_matrix(workloads, "X", False, True)
+        _, mq = _run_matrix(workloads, "X", True)
         [group] = mq.groups
         slots = sorted(s for s in group.member_indices)
         names = [_dataset_queries("X")[s][0] for s in slots]
         assert names == ["Q2", "Q4", "Q5", "Q6", "Q7"]
-        _, mq = _run_matrix(workloads, "D", False, True)
+        _, mq = _run_matrix(workloads, "D", True)
         [group] = mq.groups
         assert len(group.member_indices) == 2    # Q8 and Q9
 
-    @pytest.mark.parametrize("fuse,share", FLAG_MATRIX, ids=FLAG_IDS)
+    @pytest.mark.parametrize("share", FLAG_MATRIX, ids=FLAG_IDS)
     def test_sanitize_env_still_byte_identical(self, workloads,
                                                reference, monkeypatch,
-                                               fuse, share):
+                                               share):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        named, mq = _run_matrix(workloads, "X", fuse, share)
+        named, mq = _run_matrix(workloads, "X", share)
         # Sharing is defined over un-observed stage boundaries; under
         # the sanitizer it must disengage rather than misbehave.
         assert not mq.groups
         for (name, _), text in zip(named, mq.texts()):
             assert text == reference[name], name
 
-    @pytest.mark.parametrize("fuse,share", FLAG_MATRIX, ids=FLAG_IDS)
-    def test_projection_stacks(self, workloads, reference, fuse, share):
-        named, mq = _run_matrix(workloads, "X", fuse, share,
+    @pytest.mark.parametrize("share", FLAG_MATRIX, ids=FLAG_IDS)
+    def test_projection_stacks(self, workloads, reference, share):
+        named, mq = _run_matrix(workloads, "X", share,
                                 projection=True, schema="xmark")
         for (name, _), text in zip(named, mq.texts()):
             assert text == reference[name], name
@@ -186,12 +129,10 @@ class TestChunkCuts:
 
     @pytest.mark.parametrize("chunk", [7, 512])
     @pytest.mark.parametrize("dataset", ["X", "D"])
-    @pytest.mark.parametrize("fuse", [False, True], ids=["share", "both"])
     def test_byte_identical_across_chunk_cuts(self, workloads, reference,
-                                              monkeypatch, dataset, fuse,
-                                              chunk):
+                                              monkeypatch, dataset, chunk):
         monkeypatch.setattr(sharing, "CHUNK_EVENTS", chunk)
-        named, mq = _run_matrix(workloads, dataset, fuse, True)
+        named, mq = _run_matrix(workloads, dataset, True)
         assert SANITIZED or mq.groups
         for (name, _), text in zip(named, mq.texts()):
             assert text == reference[name], name
@@ -201,7 +142,7 @@ class TestChunkCuts:
                                                  reference, monkeypatch,
                                                  chunk):
         monkeypatch.setattr(sharing, "CHUNK_EVENTS", chunk)
-        named, mq = _run_matrix(workloads, "X", False, True,
+        named, mq = _run_matrix(workloads, "X", True,
                                 projection=True, schema="xmark")
         for (name, _), text in zip(named, mq.texts()):
             assert text == reference[name], name
@@ -227,12 +168,11 @@ class TestChunkCuts:
 
 class TestSharded:
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_fused_shared_shards_byte_identical(self, workloads,
-                                                reference, workers):
+    def test_shared_shards_byte_identical(self, workloads, reference,
+                                          workers):
         named = _dataset_queries("X")
         smq = ShardedMultiQueryRun([q for _, q in named],
-                                   workers=workers, fuse=True,
-                                   share_prefixes=True)
+                                   workers=workers, share_prefixes=True)
         smq.run_xml(workloads.text("X"))
         for (name, _), text in zip(named, smq.texts()):
             assert text == reference[name], name
@@ -254,10 +194,9 @@ class TestUpdateStreams:
         return [XFlux(q, mutable_source=True).run(events).text()
                 for q in self.QUERIES]
 
-    @pytest.mark.parametrize("fuse,share", FLAG_MATRIX, ids=FLAG_IDS)
-    def test_matrix_byte_identical(self, events, ticker_reference, fuse,
-                                   share):
-        mq = MultiQueryRun(self.QUERIES, mutable_source=True, fuse=fuse,
+    @pytest.mark.parametrize("share", FLAG_MATRIX, ids=FLAG_IDS)
+    def test_matrix_byte_identical(self, events, ticker_reference, share):
+        mq = MultiQueryRun(self.QUERIES, mutable_source=True,
                            share_prefixes=share)
         mq.run(events)
         if share and not SANITIZED:
@@ -269,16 +208,15 @@ class TestUpdateStreams:
                     reason="quarantine scope is defined over an "
                            "engaged shared group")
 class TestQuarantineIsolation:
-    def _fused_shared(self, workloads):
+    def _shared(self, workloads):
         named = _dataset_queries("X")
-        mq = MultiQueryRun([q for _, q in named], fuse=True,
-                           share_prefixes=True)
+        mq = MultiQueryRun([q for _, q in named], share_prefixes=True)
         assert mq.groups
         return named, mq
 
     def test_member_fault_detaches_only_that_query(self, workloads,
                                                    reference):
-        named, mq = self._fused_shared(workloads)
+        named, mq = self._shared(workloads)
         [group] = mq.groups
         victim_slot, victim_run = group.members[0]
         arm_stage_fault(victim_run, stage=0, at=5, query=victim_slot)
@@ -295,7 +233,7 @@ class TestQuarantineIsolation:
 
     def test_prefix_fault_detaches_exactly_the_members(self, workloads,
                                                        reference):
-        named, mq = self._fused_shared(workloads)
+        named, mq = self._shared(workloads)
         [group] = mq.groups
 
         def explode(events):
@@ -313,6 +251,36 @@ class TestQuarantineIsolation:
                 assert statuses[slot] == "ok"
                 assert text == reference[name], name
         assert group.dead
+
+
+class TestDisengagement:
+    """Sharing that was asked for and switched off says so."""
+
+    QUERIES = ["X//item/quantity", "X//item/location"]
+
+    @pytest.fixture(autouse=True)
+    def no_ambient_flags(self, monkeypatch):
+        for name in ENV_FLAGS:
+            monkeypatch.delenv("REPRO_" + name, raising=False)
+
+    @pytest.mark.parametrize("flag", ["always_active", "sanitize",
+                                      "metrics", "flight"])
+    def test_stats_name_the_flag_that_switched_it_off(self, flag):
+        mq = MultiQueryRun(self.QUERIES, share_prefixes=True,
+                           **{flag: True})
+        assert not mq.share_prefixes and not mq.groups
+        assert mq.stats()["sharing"] == {
+            "requested": True, "engaged": False, "disengaged_by": [flag]}
+
+    def test_not_requested_has_no_key_and_engaged_keeps_its_keys(
+            self, monkeypatch):
+        assert "sharing" not in MultiQueryRun(self.QUERIES,
+                                              metrics=True).stats()
+        monkeypatch.setenv("REPRO_SHARE", "1")  # asking by environment counts
+        stats = MultiQueryRun(self.QUERIES).stats()["sharing"]
+        assert stats["requested"] is True and stats["engaged"] is True
+        assert len(stats["groups"]) == 1 and stats["shared_queries"] == 2
+        assert "disengaged_by" not in stats
 
 
 class TestDescribeSharing:

@@ -414,13 +414,18 @@ class TestCLI:
         assert rc == 0
         assert "(quantity)*" in out
 
-    def test_json_always_has_types_and_fusion(self):
+    def test_json_always_has_types_and_sharing_on_request(self):
         rc, out, _ = self._run(["analyze", "Q3", "--json"])
         assert rc == 0
         payload = json.loads(out)
-        assert "types" in payload
-        assert "partition" in payload["fusion"]
+        assert "fusion" not in payload and "sharing" not in payload
         assert payload["types"]["statically_empty"] is False
+        rc, out, _ = self._run(["analyze", "Q3", "--json", "--sharing"])
+        assert rc == 0
+        trie = json.loads(out)["sharing"]
+        rc, out, _ = self._run(["analyze", "--json", "--sharing"])
+        assert rc == 0 and json.loads(out) == {"sharing": trie}
+        assert trie["queries"] == 9 and trie["shared"] >= 7
 
     def test_json_empty_query(self):
         rc, out, _ = self._run(["analyze", "X//nosuchtag/quantity",
