@@ -57,8 +57,13 @@ Exclusions keep the equivalence argument simple: queries with more
 than one backward step (the single clone stream can be consumed only
 once), ``ignore_updates`` queries (their stripper would strip the
 prefix-*generated* update brackets, which carry real content), and
-whole executors running under sanitize / always-active / telemetry
-(those observers are defined over per-query stage boundaries).
+whole executors running under sanitize / always-active (those are
+defined over per-query stage boundaries).  A recorder or flight ring
+does not exclude anything: the prefix pipeline gets its own recorder
+(:attr:`SharedGroup.recorder`), which the executor merges with the
+members' so every prefix stage is counted once.  The members' recorders
+are marked ``routed``: they observe the prefix's output, so the merge
+takes the source-event count and the flight summary from the prefix.
 """
 
 from __future__ import annotations
@@ -368,15 +373,22 @@ class RoutingSink:
 class SharedGroup:
     """One shared prefix pipeline plus the member runs it feeds.
 
-    The group owns quarantine granularity (ISSUE acceptance): a member
-    pipeline failure detaches exactly that member; a *prefix* failure
-    detaches every member, because all of them consume its output.
+    The group owns quarantine granularity: a member pipeline failure
+    detaches exactly that member; a *prefix* failure detaches every
+    member, because all of them consume its output.  Failures come
+    back as ``(run index, exc, scope)`` with scope ``"member"`` or
+    ``"prefix"``, so a post-mortem can carry the ring of the pipeline
+    that actually threw.
     """
 
     def __init__(self, pipeline: Pipeline, sink: RoutingSink,
                  members: List[tuple], classes: List[_FeedClass],
-                 clone_id: Optional[int], prefixes: List[str]) -> None:
+                 clone_id: Optional[int], prefixes: List[str],
+                 recorder) -> None:
         self.pipeline = pipeline
+        #: The prefix pipeline's :class:`~repro.obs.MetricsRecorder`
+        #: (None when the executor records nothing).
+        self.recorder = recorder
         self.sink = sink
         self.members = members  # [(run index, QueryRun)], index order
         self.member_indices = [i for i, _ in members]
@@ -399,12 +411,13 @@ class SharedGroup:
         self.dead = True
         failed = sorted(self.live)
         self.live.clear()
-        return [(i, exc) for i in failed]
+        return [(i, exc, "prefix") for i in failed]
 
     def feed_batch(self, events, quarantine: bool = True) -> List[tuple]:
         """One input batch through prefix then members.
 
-        Returns the newly failed members as ``[(run index, exc), ...]``
+        Returns the newly failed members as ``[(run index, exc, scope),
+        ...]``
         (empty on the happy path).  With ``quarantine=False`` the first
         exception propagates instead.
         """
@@ -437,7 +450,7 @@ class SharedGroup:
                     if not quarantine:
                         raise
                     self.live.discard(i)
-                    failures.append((i, exc))
+                    failures.append((i, exc, "member"))
             if not self.live:
                 break
         return failures
@@ -467,7 +480,7 @@ class SharedGroup:
                 if not quarantine:
                     raise
                 self.live.discard(i)
-                failures.append((i, exc))
+                failures.append((i, exc, "member"))
         return failures
 
     # -- accounting -----------------------------------------------------------
@@ -478,6 +491,7 @@ class SharedGroup:
             "prefixes": list(self.prefixes),
             "prefix_stages": len(self.pipeline.wrappers),
             "prefix_calls": self.pipeline.total_calls(),
+            "prefix_state_cells": self.pipeline.state_cells(),
             "events_fed": self.events_fed,
             "events_out": self.sink.events_out,
             "dead": self.dead,
@@ -498,6 +512,9 @@ def build_shared_groups(engines: Sequence[tuple],
         make_run: ``make_run(plan, engine) -> QueryRun`` factory
             carrying the executor's flags; member plans are compiled
             here (against the shared group context) and handed to it.
+            When its runs record, the prefix pipeline gets a recorder
+            of the same configuration and theirs are marked
+            :attr:`~repro.obs.MetricsRecorder.routed`.
 
     Slots that end up in no group are left for the caller to compile
     independently.
@@ -613,10 +630,21 @@ def _compile_group(root: PrefixNode, attach: Dict[int, PrefixNode],
     prefix_plan = Plan(stages, 0, last_stream[0], ctx, bool(cloned),
                        mutable_source=mutable)
     apply_reads(prefix_plan, sink=routed)
-    pipeline = Pipeline(ctx, stages, sink)
+    # The prefix is observed like its members, by a recorder of the same
+    # configuration; theirs now read its routed output, not the source.
+    recorder = members[0][1].recorder
+    if recorder is not None:
+        from ..obs import MetricsRecorder
+        for _, run in members:
+            run.recorder.routed = True
+        flight = recorder.flight
+        recorder = MetricsRecorder(
+            sample_interval=recorder.sample_interval,
+            flight=False if flight is None else flight.capacity)
+    pipeline = Pipeline(ctx, stages, sink, recorder=recorder)
 
     return SharedGroup(pipeline, sink, members, classes, clone_id,
-                       prefixes)
+                       prefixes, recorder)
 
 
 # -- introspection (repro analyze --sharing) ----------------------------------

@@ -15,11 +15,14 @@ multiplexer owns the work every consumer would otherwise repeat:
 * the optional well-formedness guard checks element nesting once for
   the whole stream instead of once per consumer.
 
-Each pipeline still does its own (per-query) transformer work — the
-multiplexer never reorders or drops events, so per-query results and
+Each pipeline fed directly does its own (per-query) transformer work —
+the multiplexer never reorders or drops events, so its results and
 accounting are exactly those of an independent run over the same
-events (the differential tests in ``tests/test_multiquery.py`` hold
-this byte-for-byte and call-for-call).
+events (``tests/test_multiquery.py`` holds this byte-for-byte and,
+with ``share_prefixes=False``, call-for-call).  The members of a
+shared prefix group (:mod:`repro.compile.sharing`) are fed by their
+group instead: same answers, and the shared stages' calls are counted
+once, on the group.
 """
 
 from __future__ import annotations
@@ -182,15 +185,25 @@ class EventMultiplexer:
 
     def _feed_groups(self, batch: Sequence[Event]) -> None:
         for group in self._groups:
-            for i, exc in group.feed_batch(batch,
-                                           quarantine=self.quarantine):
-                self._quarantine(i, exc)
+            for i, exc, scope in group.feed_batch(
+                    batch, quarantine=self.quarantine):
+                self._quarantine(i, exc, scope, group)
 
-    def _quarantine(self, run_index: int, exc: BaseException) -> None:
+    def _quarantine(self, run_index: int, exc: BaseException,
+                    scope: str = "pipeline", group=None) -> None:
+        """Detach one run and record why.
+
+        ``scope`` says which pipeline threw, and so whose flight ring
+        the bundle carries (its ``ring`` key): the run's own —
+        ``"pipeline"`` for a run fed the source, ``"member"`` for a
+        shared group's member, fed the routed prefix output — or, for
+        ``"prefix"``, the ring of ``group``'s shared prefix.
+        """
         from ..fault import error_report
         report = error_report(
             exc, run_index=run_index, events_in=self.events_in)
-        recorder = getattr(self.runs[run_index], "recorder", None)
+        recorder = (group.recorder if scope == "prefix"
+                    else getattr(self.runs[run_index], "recorder", None))
         if recorder is not None and recorder.flight is not None:
             # Post-mortem bundle: the failing pipeline's recent events,
             # stage identities, and telemetry snapshot travel with the
@@ -201,7 +214,7 @@ class EventMultiplexer:
                 "quarantine", recorder=recorder,
                 error={"error_type": report["error_type"],
                        "message": report["message"]},
-                fault_plan=self.fault_plan,
+                fault_plan=self.fault_plan, ring=scope,
                 run_index=run_index, events_in=self.events_in)
         self.quarantined[run_index] = report
         self._detach((run_index,))
@@ -267,8 +280,8 @@ class EventMultiplexer:
         # Grouped members flush through their group: the prefix's
         # end-of-stream tail must reach them before their own on_end.
         for group in self._groups:
-            for i, exc in group.finish(quarantine=self.quarantine):
-                self._quarantine(i, exc)
+            for i, exc, scope in group.finish(quarantine=self.quarantine):
+                self._quarantine(i, exc, scope, group)
 
     # -- accounting ----------------------------------------------------------
 

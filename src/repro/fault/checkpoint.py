@@ -58,7 +58,10 @@ MAGIC = b"XFCK"
 #: state no ``"fusion"`` key (stage fusion is deleted); a version-6 blob
 #: of a fused run names a class of ``repro.compile.fusion``, which no
 #: longer imports, and ``MultiQueryRun`` pickles ``_share_blockers``.
-VERSION = 7
+#: 8: a ``SharedGroup`` pickles the ``recorder`` of its prefix pipeline
+#: and a ``MetricsRecorder`` its ``routed`` flag (sharing stays engaged
+#: under metrics and the flight ring); a version-7 blob would lack both.
+VERSION = 8
 
 #: Kinds the current code base writes; decode rejects unknown kinds.
 KNOWN_KINDS = ("pipeline", "queryrun", "multiquery")

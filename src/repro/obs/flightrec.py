@@ -74,9 +74,11 @@ class FlightRecorder:
 def merge_flight_dicts(dicts) -> dict:
     """Combine per-pipeline flight summaries into totals.
 
-    Event *counts* add exactly (each pipeline observed the shared
-    stream once); the rendered rings themselves stay per-pipeline in
-    the bundles and are not concatenated here.
+    Event *counts* add exactly (each pipeline fed the source observed
+    the shared stream once; :func:`~repro.obs.merge_metrics` leaves out
+    the rings of shared-prefix members, which note the prefix's routed
+    output); the rendered rings themselves stay per-pipeline in the
+    bundles and are not concatenated here.
     """
     merged = {"capacity": 0, "events_seen": 0, "recorded": 0,
               "pipelines": 0}

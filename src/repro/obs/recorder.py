@@ -185,6 +185,13 @@ class MetricsRecorder:
         self.sample_interval = sample_interval
         self.stages: List[StageMetrics] = []
         self.source_events = 0
+        #: True when the pipeline is fed a shared prefix's routed output
+        #: (:mod:`repro.compile.sharing`) instead of the source stream:
+        #: ``source_events``, footprint sample positions and the flight
+        #: ring then index that routed input, no update latency is
+        #: recorded, and :func:`merge_metrics` takes the source count and
+        #: the flight summary from the pipelines fed the source.
+        self.routed = False
         self.sink_counts = [0] * _N_KINDS
         #: Stream-projection counters (events pruned, bytes skipped,
         #: mask drops) — a *live* dict reference installed by the owning
@@ -289,13 +296,16 @@ class MetricsRecorder:
         """
         flight = self.flight
         update_latency = self.histograms[UPDATE_LATENCY]
+        # A routed update start is not a source update: its drain is
+        # only this pipeline's share of the update's latency.
+        timed_kinds = frozenset() if self.routed else _UPDATE_START_KINDS
         t_batch = _perf_ns()
         for e in events:
             if flight is not None:
                 flight.note(e)
             if self.count_source():
                 self.sample_now()
-            if e.kind in _UPDATE_START_KINDS:
+            if e.kind in timed_kinds:
                 # End-to-end update latency: by the time the loop comes
                 # back for the next source event, every display delta
                 # of this update start has landed.
@@ -339,6 +349,8 @@ class MetricsRecorder:
             "histograms": {name: h.to_dict()
                            for name, h in self.histograms.items()},
         }
+        if self.routed:
+            out["routed"] = True
         if self.projection is not None:
             out["projection"] = dict(self.projection)
         if self.trace is not None:
@@ -360,8 +372,12 @@ def merge_metrics(dicts: Sequence[dict]) -> dict:
     would report.  Stage lists are concatenated (stages of different
     pipelines are distinct); classed event counts and reclaim counters
     add; ``peak_cells_total`` adds (each pipeline's stages hold their
-    peaks concurrently); source-event counts take the maximum, because
-    every pipeline saw the same shared input stream.
+    peaks concurrently).  Source-event counts take the maximum, because
+    every pipeline fed the source saw the same shared input stream, and
+    the flight summary covers those pipelines' rings.  A ``routed``
+    dict — a shared prefix's member, fed the prefix's output — adds its
+    stages, counters and histograms but neither of those: its group's
+    prefix counts the source for it.
     """
     merged = {
         "sample_interval": None,
@@ -385,8 +401,10 @@ def merge_metrics(dicts: Sequence[dict]) -> dict:
         merged["pipelines"] += d.get("pipelines", 1)
         if merged["sample_interval"] is None:
             merged["sample_interval"] = d.get("sample_interval")
-        merged["source_events"] = max(merged["source_events"],
-                                      d.get("source_events", 0))
+        routed = d.get("routed", False)
+        if not routed:
+            merged["source_events"] = max(merged["source_events"],
+                                          d.get("source_events", 0))
         merged["sink_events"] = _sum_classed(merged["sink_events"],
                                              d.get("sink_events", {}))
         merged["stages"].extend(d.get("stages", ()))
@@ -397,7 +415,7 @@ def merge_metrics(dicts: Sequence[dict]) -> dict:
             projection[key] = projection.get(key, 0) + value
         if d.get("histograms"):
             histogram_maps.append(d["histograms"])
-        if d.get("flight"):
+        if d.get("flight") and not routed:
             flights.append(d["flight"])
         if d.get("trace"):
             traces.append(d["trace"])

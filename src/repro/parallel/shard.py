@@ -788,9 +788,12 @@ class ShardedMultiQueryRun:
         schema: optional DTD refinement for the projection matchers
             (name ``"xmark"``/``"dblp"`` or an ``ElementSchema``; must
             be picklable to cross the fork boundary).
-        share_prefixes: forwarded to each worker's ``MultiQueryRun``
+        share_prefixes: forwarded to each worker's ``MultiQueryRun``,
+            where sharing is on by default and ``False`` opts out
             (shared prefix tries are per-process — a shard's members
-            can only share with co-resident queries).
+            can only share with co-resident queries, so a worker's
+            groups, and its merged ``metrics()`` pipelines, differ from
+            a single-process run's by design; answers do not).
         durable_dir: directory for a write-ahead log
             (:mod:`repro.fault.wal`).  The parent owns the WAL: every
             broadcast frame is durably logged *before* any worker sees

@@ -39,14 +39,14 @@ from .parser import parse_cached
 
 
 #: The on/off environment switches, ``REPRO_<name>`` each.
-ENV_FLAGS = ("SANITIZE", "METRICS", "SHARE", "FLIGHT")
+ENV_FLAGS = ("SANITIZE", "METRICS", "FLIGHT")
 
 
 def env_flag(name: str, value: Optional[bool] = None) -> bool:
     """Resolve one on/off switch: an explicit ``value`` wins, ``None``
     reads the ``REPRO_<name>`` environment variable — unset, ``""`` and
     ``"0"`` are off, ``"1"`` is on, anything else is a ``ValueError``
-    (``REPRO_SHARE=false`` must not turn sharing on).
+    (``REPRO_METRICS=false`` must not turn recording on).
 
     The one reader of :data:`ENV_FLAGS`.
     """
@@ -271,10 +271,13 @@ class MultiQueryRun:
     The serving-shaped executor: the input is tokenized/deserialized
     once, every batch is fanned out to all compiled pipelines by the
     :class:`~repro.core.multiplex.EventMultiplexer`, consumers that
-    ignore updates share one stripper pass, and queries with identical
+    ignore updates share one stripper pass, queries with identical
     text and flags share one pipeline (their results are reference-equal
-    by construction).  Per-query results and accounting are exactly
-    those of N independent runs over the same events.
+    by construction), and queries that open with the same steps share
+    one evaluation of them (``share_prefixes``).  Per-query answers are
+    exactly those of N independent runs over the same events;
+    transformer calls and state cells count each shared stage once, so
+    a shared query's own counters cover only its suffix.
 
     Typical use::
 
@@ -324,13 +327,16 @@ class MultiQueryRun:
             pass it, and it goes when a benchmark PR drops it there.
         share_prefixes: factor common leading axis/predicate chains
             into shared prefix pipelines evaluated once per batch
-            (:mod:`repro.compile.sharing`); ``None`` reads
-            ``REPRO_SHARE``.  Off under sanitize / always-active /
-            metrics / flight — those observers are defined over
-            per-query stage boundaries — so differential runs with
-            those flags compare the unshared paths; ``stats()
-            ["sharing"]`` then says ``engaged: False`` and which flags
-            did it (``disengaged_by``).
+            (:mod:`repro.compile.sharing`).  On by default; ``False``
+            opts out and is the unshared oracle the differential tests
+            compare with.  Answers are equal either way; calls and
+            cells count each shared stage once.  A recorder or a
+            flight ring observes the shared executor (the prefix gets
+            its own, merged by :meth:`metrics`).  Only sanitize and
+            always-active, which are defined over per-query stage
+            boundaries, switch it off; ``stats()["sharing"]`` then
+            says ``engaged: False`` and which flags did it
+            (``disengaged_by``).
     """
 
     def __init__(self, queries, mutable_source: bool = False,
@@ -360,17 +366,15 @@ class MultiQueryRun:
         sanitize = env_flag("SANITIZE", sanitize)
         metrics = env_flag("METRICS", metrics)
         flight = env_flag("FLIGHT", flight)
-        #: The flags that switched requested sharing off; ``None`` when
-        #: it was not requested.  Flight recording implies a recorder on
-        #: every run, so it disengages sharing exactly like metrics does.
+        #: The flags that switched sharing off; ``None`` when it was
+        #: opted out (``share_prefixes=False``).  A recorder or flight
+        #: ring does not: the prefix pipeline gets its own.
         self._share_blockers = None
-        if env_flag("SHARE", share_prefixes):
+        if share_prefixes is None or share_prefixes:
             self._share_blockers = [
                 name for name, on in (("always_active", always_active),
-                                      ("sanitize", sanitize),
-                                      ("metrics", metrics),
-                                      ("flight", flight)) if on]
-        #: Is sharing engaged (requested and not switched off)?
+                                      ("sanitize", sanitize)) if on]
+        #: Is sharing engaged (not opted out and not switched off)?
         self.share_prefixes = self._share_blockers == []
         self._slots = []        # query index -> index into self.runs
         seen = {}
@@ -507,6 +511,8 @@ class MultiQueryRun:
                 gmatcher = ProjectionMatcher(gproj, schema=schema)
                 if gmatcher.prunable:
                     g.mask = ProjectionMask(gmatcher, self.source_id)
+                    if g.recorder is not None:
+                        g.recorder.projection = g.mask.counters
             if self._masks:
                 self.mux.set_masks(self._masks)
         self.fault_plan = fault_plan
@@ -684,9 +690,10 @@ class MultiQueryRun:
 
         ``per_query`` is in submission order; deduplicated queries report
         their shared pipeline's stats.  Aggregate counters (transformer
-        calls, state cells) count each unique pipeline once.  Every
-        per-query entry carries a ``status`` key; the top-level
-        ``quarantined`` count says how many pipelines were detached.
+        calls, state cells) count each unique pipeline and each shared
+        prefix once.  Every per-query entry carries a ``status`` key;
+        the top-level ``quarantined`` count says how many pipelines
+        were detached.
         """
         stats = self.mux.stats()
         quarantined = self.mux.quarantined
@@ -701,19 +708,21 @@ class MultiQueryRun:
         stats["per_query"] = [stats["per_pipeline"][s]
                               for s in self._slots]
         if self.share_prefixes:
-            prefix_calls = sum(g.pipeline.total_calls()
-                               for g in self.groups)
+            groups = [g.stats() for g in self.groups]
+            prefix_calls = sum(g["prefix_calls"] for g in groups)
             stats["sharing"] = {
                 "requested": True,
                 "engaged": True,
-                "groups": [g.stats() for g in self.groups],
-                "shared_queries": sum(len(g.member_indices)
-                                      for g in self.groups),
+                "groups": groups,
+                "shared_queries": sum(len(g["members"]) for g in groups),
                 "prefix_calls": prefix_calls,
             }
-            # The aggregate counts every transformer dispatch actually
-            # performed, shared prefix stages included.
+            # The aggregates count every transformer dispatch actually
+            # performed and every cell held, shared prefix stages
+            # included.
             stats["transformer_calls"] += prefix_calls
+            stats["state_cells"] += sum(g["prefix_state_cells"]
+                                        for g in groups)
         elif self._share_blockers:
             stats["sharing"] = {"requested": True, "engaged": False,
                                 "disengaged_by": list(self._share_blockers)}
@@ -740,10 +749,19 @@ class MultiQueryRun:
         return out
 
     def metrics(self) -> Optional[dict]:
-        """Merged telemetry across unique pipelines (None when off)."""
+        """Merged telemetry across unique pipelines (None when off).
+
+        Each shared prefix is one more pipeline with its own recorder,
+        so its stages are counted once, beside the member suffixes
+        that read its output.  The members' recorders are ``routed``:
+        ``source_events`` and the ``flight`` summary come from the
+        pipelines fed the source, and the group's projection mask
+        counts on the prefix's recorder.
+        """
+        recorders = ([r.recorder for r in self.runs]
+                     + [g.recorder for g in self.groups])
         return _merge_executor_metrics(
-            self, [r.recorder.to_dict() for r in self.runs
-                   if r.recorder is not None])
+            self, [rec.to_dict() for rec in recorders if rec is not None])
 
     def __repr__(self) -> str:
         return "MultiQueryRun({} queries, {} pipelines)".format(

@@ -300,13 +300,15 @@ class TestEnvelopeDiagnostics:
         # A version-6 blob of a fused run pickled its partition, an
         # instance of a class in ``repro.compile.fusion``; the module
         # is gone, and the refusal must come from the version byte,
-        # before pickle goes looking for it.
+        # before pickle goes looking for it.  A version-7 shared group
+        # has no prefix recorder and is refused the same way.
         blob = encode_checkpoint("pipeline", {}, {})
-        assert blob[4] == 7
+        assert blob[4] == 8
         gone = b"\x80\x02crepro.compile.fusion\nPlan\n."
         with pytest.raises(ImportError):
             pickle.loads(gone)
-        for old in (blob[:4] + b"\x05" + blob[5:], blob[:4] + b"\x06" + gone):
+        for old in (blob[:4] + b"\x05" + blob[5:], blob[:4] + b"\x06" + gone,
+                    blob[:4] + b"\x07" + blob[5:]):
             with pytest.raises(CheckpointError) as info:
                 decode_checkpoint(old, "pipeline")
             assert info.value.field == "version"

@@ -1,11 +1,10 @@
 """Observability CLI tests: stats/trace/export under the flag matrix.
 
-The telemetry subcommands attach a recorder, and prefix sharing is
-documented to *disengage* rather than coexist with one (it requires no
-metrics and no flight recorder).  These tests pin that the CLI keeps
-working — same result, same payload shape — with ``REPRO_SHARE`` forced
-on and with ``--projection``, that a misspelt switch is refused, and
-that the export paths emit artifacts the strict validators accept.
+The telemetry subcommands attach a recorder of their own.  These tests
+pin that the CLI keeps working — same result, same payload shape — with
+``REPRO_METRICS`` forced on as well and with ``--projection``, that a
+misspelt switch is refused, and that the export paths emit artifacts
+the strict validators accept.
 """
 
 import io
@@ -60,9 +59,9 @@ class TestStatsShape:
         assert m["histograms"]["tokenizer_chunk"]["count"] > 0
 
     def test_stats_with_share_forced_on(self, monkeypatch):
-        # Sharing is a multi-query concern and disengages under
-        # metrics anyway; the env flag must be inert here.
-        monkeypatch.setenv("REPRO_SHARE", "1")
+        # Sharing is a multi-query concern and on by default; the
+        # recording switch forced on by environment must be inert here.
+        monkeypatch.setenv("REPRO_METRICS", "1")
         payload = _stats("Q1")
         assert set(payload) == STATS_KEYS
 
@@ -70,10 +69,10 @@ class TestStatsShape:
                                       ["analyze", "Q1"], ["X//a"]])
     def test_misspelt_switch_is_refused_by_every_command(self, monkeypatch,
                                                          argv):
-        monkeypatch.setenv("REPRO_SHARE", "false")
+        monkeypatch.setenv("REPRO_METRICS", "false")
         rc, out, err = _run(argv)
         assert rc == 2 and out == ""
-        assert err == "error: REPRO_SHARE must be 0 or 1, got 'false'\n"
+        assert err == "error: REPRO_METRICS must be 0 or 1, got 'false'\n"
 
 
 class TestTraceShape:
@@ -85,7 +84,7 @@ class TestTraceShape:
 
     def test_trace_with_share_forced_on(self, monkeypatch):
         baseline = _trace("Q3")
-        monkeypatch.setenv("REPRO_SHARE", "1")
+        monkeypatch.setenv("REPRO_METRICS", "1")
         flagged = _trace("Q3")
         assert set(flagged) == TRACE_KEYS
         assert flagged["result"] == baseline["result"]

@@ -123,19 +123,19 @@ class TestEngineSwitches:
         (None, False), ("", False), ("0", False), ("1", True),
         ("false", ValueError), ("off", ValueError), ("yes", ValueError)])
     def test_env_flag(self, monkeypatch, raw, expected):
-        monkeypatch.delenv("REPRO_SHARE", raising=False)
+        monkeypatch.delenv("REPRO_METRICS", raising=False)
         if raw is not None:
-            monkeypatch.setenv("REPRO_SHARE", raw)
+            monkeypatch.setenv("REPRO_METRICS", raw)
         # An explicit value wins over whatever the environment says.
-        assert env_flag("SHARE", True) is True
-        assert env_flag("SHARE", False) is False
+        assert env_flag("METRICS", True) is True
+        assert env_flag("METRICS", False) is False
         if expected is ValueError:
             with pytest.raises(ValueError) as info:
                 MultiQueryRun(["X//a"])
             assert str(info.value) == \
-                "REPRO_SHARE must be 0 or 1, got '{}'".format(raw)
+                "REPRO_METRICS must be 0 or 1, got '{}'".format(raw)
         else:
-            assert env_flag("SHARE") is expected
+            assert env_flag("METRICS") is expected
 
 
 class TestQueriesAgainstOracle:

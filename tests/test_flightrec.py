@@ -4,29 +4,40 @@ The flight recorder rides the instrumented drain (same gate as
 metrics), so the contracts here are:
 
 * the ring is bounded and counts exactly the source events;
-* ``flight=True`` implies a recorder and, like metrics, disengages
-  prefix sharing;
+* ``flight=True`` implies a recorder on every pipeline, a shared
+  prefix's included;
 * a quarantine dumps a post-mortem bundle whose event ring ends at the
-  failure, and a shard recovery dumps a supervisor-side bundle whose
+  failure — the ring of the pipeline that threw, which the bundle's
+  ``ring`` key names — and a shard recovery dumps a supervisor-side
+  bundle whose
   ``replayed_frames`` equals the run's ``fault_stats()`` counters —
   the chaos CLI writes both kinds to disk.
 """
 
 import json
+import os
 
 import pytest
 
 from repro.bench.harness import PAPER_QUERIES, Workloads
 from repro.events.model import Event, Kind
-from repro.fault import FaultPlan
+from repro.fault import FaultPlan, arm_stage_fault
 from repro.obs import (DEFAULT_CAPACITY, FlightRecorder, build_bundle,
                        merge_flight_dicts, write_bundle)
 from repro.parallel import ShardedMultiQueryRun
 from repro.xquery.engine import MultiQueryRun, XFlux
 
 SCALE = 0.02
+
+# Under an ambient sanitizer prefix sharing disengages by design.
+SANITIZED = os.environ.get("REPRO_SANITIZE") == "1"
 NAMES = ["Q1", "Q2", "Q5", "Q7"]
 QUERIES = [PAPER_QUERIES[n] for n in NAMES]
+
+
+def _stream_of(rendered: str) -> int:
+    """The stream id of one rendered ring entry (``sE(1000,'x')``)."""
+    return int(rendered[rendered.index("(") + 1:].split(",")[0].rstrip(")"))
 
 
 @pytest.fixture(scope="module")
@@ -97,14 +108,6 @@ class TestEngineWiring:
         assert run.recorder is not None
         assert run.recorder.flight is None
 
-    def test_flight_disengages_prefix_sharing(self, xmark_text):
-        mq = MultiQueryRun(QUERIES, share_prefixes=True, flight=True)
-        assert not mq.share_prefixes
-        assert not mq.groups
-        mq.run_xml(xmark_text)
-        m = mq.metrics()
-        assert m["flight"]["pipelines"] == len(QUERIES)
-
     def test_output_identical_with_flight_on(self, xmark_text):
         plain = XFlux(PAPER_QUERIES["Q7"]).run_xml(xmark_text)
         flown = XFlux(PAPER_QUERIES["Q7"]).run_xml(xmark_text,
@@ -163,9 +166,19 @@ class TestFaultIntegration:
             json.loads(json.dumps(b))
 
     def test_quarantine_bundle_carries_the_ring(self, xmark_text):
+        """The bundle carries the ring of the pipeline that threw.
+
+        Q2 (query 1) and Q7 share ``X//item`` on their shard, so query
+        1's stage 0 is the first stage of a member suffix: its ring
+        holds the member's own input, the prefix output routed to it.
+        A fault in the shared prefix instead quarantines every member,
+        each with the prefix's ring of source events.  Under the
+        sanitizer nothing is shared and the ring is the query's own.
+        """
+        spec = "raise:query=1,stage=0,at=50"
         smq = ShardedMultiQueryRun(
             QUERIES, workers=2, batch_events=64, flight=True,
-            fault_plan=FaultPlan.parse("raise:query=1,stage=0,at=50"))
+            fault_plan=FaultPlan.parse(spec))
         smq.run_xml(xmark_text)
         assert smq.statuses()[1] == "quarantined"
         reports = smq.error_reports()
@@ -173,12 +186,42 @@ class TestFaultIntegration:
         bundle = reports[1].get("flight_bundle")
         assert bundle is not None
         assert bundle["reason"] == "quarantine"
-        # The fault fired at source event 50: the ring saw exactly the
-        # events up to (and including) the one that blew up.
-        assert bundle["flight"]["events_seen"] == 50
-        assert len(bundle["last_events"]) == 50
         assert bundle["error"]["error_type"] == "InjectedFault"
-        assert bundle["fault_plan"] == "raise:query=1,stage=0,at=50"
+        assert bundle["fault_plan"] == spec
+        seen = bundle["flight"]["events_seen"]
+        if SANITIZED:
+            # The fault fired at source event 50: the ring saw exactly
+            # the events up to (and including) the one that blew up.
+            assert bundle["ring"] == "pipeline"
+            assert seen == len(bundle["last_events"]) == 50
+            return
+        # Stage 0 is called at most once per event fed to its pipeline,
+        # and the member's ring ends at the routed (non-source) event
+        # that blew up.
+        assert bundle["ring"] == "member"
+        assert bundle["metrics"]["routed"] is True
+        assert seen == bundle["metrics"]["source_events"] >= 50
+        assert len(bundle["last_events"]) == min(seen, DEFAULT_CAPACITY)
+        assert _stream_of(bundle["last_events"][-1]) != 0
+
+        mq = MultiQueryRun(QUERIES, flight=True)
+        [group] = mq.groups
+        arm_stage_fault(group, stage=0, at=50)
+        mq.run_xml(xmark_text)
+        members = group.member_indices
+        assert [i for i, s in enumerate(mq.statuses())
+                if s == "quarantined"] == members
+        for i in members:
+            bundle = mq.error_reports()[i]["flight_bundle"]
+            # The fault fired at source event 50: the prefix's ring saw
+            # exactly the events up to (and including) the one that
+            # blew up.
+            assert bundle["ring"] == "prefix"
+            assert "routed" not in bundle["metrics"]
+            assert bundle["flight"]["events_seen"] == 50
+            assert len(bundle["last_events"]) == 50
+            assert _stream_of(bundle["last_events"][-1]) == 0
+            assert bundle["run_index"] == i
 
     def test_no_flight_no_quarantine_bundle(self, xmark_text):
         smq = ShardedMultiQueryRun(

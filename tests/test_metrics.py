@@ -13,8 +13,13 @@ The observability subsystem (:mod:`repro.obs`) promises:
   flip, freezes and reclaimed cells are counted where Section V prunes,
   sink counts partition the output stream by event class;
 * **mergeability** — shard workers ship recorder dicts and the merged
-  totals equal the single-process run's.
+  totals equal the single-process run's.  A worker groups shared
+  prefixes among its own queries only, so that equality is pinned on
+  the unshared executor (``share_prefixes=False``); the default one is
+  held to the answers.
 """
+
+import os
 
 import pytest
 
@@ -23,10 +28,14 @@ from repro.data.stock import StockTicker
 from repro.obs import (EVENT_CLASSES, KIND_CLASS, MetricsRecorder,
                        merge_metrics, stage_identities)
 from repro.parallel import ShardedMultiQueryRun
+from repro.xmlio.tokenizer import tokenize
 from repro.xquery.engine import MultiQueryRun, QueryRun, XFlux
 
 SCALE = 0.02
 STOCK_QUERY = 'stream()//quote[name="IBM"]/price'
+
+# Under an ambient sanitizer prefix sharing disengages by design.
+SANITIZED = os.environ.get("REPRO_SANITIZE") == "1"
 
 
 @pytest.fixture(scope="module")
@@ -256,11 +265,11 @@ class TestMerge:
         names = ["Q1", "Q2", "Q3", "Q7"]
         queries = [PAPER_QUERIES[n] for n in names]
         text = workloads.text("X")
-        ref = MultiQueryRun(queries, metrics=True)
+        ref = MultiQueryRun(queries, metrics=True, share_prefixes=False)
         ref.run_xml(text)
         m_ref = ref.metrics()
         sharded = ShardedMultiQueryRun(queries, workers=workers,
-                                       metrics=True)
+                                       metrics=True, share_prefixes=False)
         sharded.run_xml(text)
         m = sharded.metrics()
         assert sharded.texts() == ref.texts()
@@ -287,11 +296,13 @@ class TestMerge:
         names = ["Q1", "Q2", "Q3", "Q7"]
         queries = [PAPER_QUERIES[n] for n in names]
         text = workloads.text("X")
-        ref = MultiQueryRun(queries, metrics=True, flight=True)
+        ref = MultiQueryRun(queries, metrics=True, flight=True,
+                            share_prefixes=False)
         ref.run_xml(text)
         m_ref = ref.metrics()
         sharded = ShardedMultiQueryRun(queries, workers=workers,
-                                       metrics=True, flight=True)
+                                       metrics=True, flight=True,
+                                       share_prefixes=False)
         sharded.run_xml(text)
         m = sharded.metrics()
         assert sharded.texts() == ref.texts()
@@ -304,6 +315,76 @@ class TestMerge:
         assert (m["flight"]["events_seen"]
                 == m_ref["flight"]["events_seen"])
         assert m["flight"]["pipelines"] == m_ref["flight"]["pipelines"]
+
+    def test_shared_prefixes_recorded_answer_like_independent_runs(
+            self, workloads):
+        # Q2 and Q7 share X//item in one process, not on a shard of
+        # their own; every executor still gives the independent answers.
+        names = ["Q1", "Q2", "Q3", "Q7"]
+        queries = [PAPER_QUERIES[n] for n in names]
+        text = workloads.text("X")
+        expected = [_run_paper_query(workloads, n).text() for n in names]
+        mq = MultiQueryRun(queries, metrics=True, flight=True)
+        mq.run_xml(text)
+        sharded = ShardedMultiQueryRun(queries, workers=3, metrics=True,
+                                       flight=True)
+        sharded.run_xml(text)
+        assert mq.texts() == sharded.texts() == expected
+        assert mq.metrics()["pipelines"] == len(mq.runs) + len(mq.groups)
+
+    def test_shared_prefixes_count_the_source_once(self, workloads):
+        """A member reads its prefix's routed output, not the source:
+        the merged source count, flight summary and projection
+        counters come from the pipelines fed the source."""
+        names = ["Q1", "Q2", "Q3", "Q7"]
+        queries = [PAPER_QUERIES[n] for n in names]
+        text = workloads.text("X")
+        tokens = len(tokenize(text))
+        for projection in (False, True):
+            kw = {"projection": True, "schema": "xmark"} if projection \
+                else {}
+            mq = MultiQueryRun(queries, metrics=True, flight=True, **kw)
+            m = mq.run_xml(text).metrics()
+            assert mq.groups or SANITIZED
+            members = [run for g in mq.groups for _, run in g.members]
+            assert all(run.recorder.routed for run in members)
+            assert all(run.recorder.to_dict()["routed"] for run in members)
+            fed = len(mq.runs) - len(members) + len(mq.groups)
+            assert m["source_events"] == tokens
+            assert m["flight"]["pipelines"] == fed
+            masks = list(mq._masks.values()) + [
+                g.mask for g in mq.groups if g.mask is not None]
+            if not projection:
+                assert m["flight"]["events_seen"] == fed * tokens
+                assert not masks and "projection" not in m
+                continue
+            # Every mask, the group's union mask included, counts what
+            # it drops and passes of the whole stream once.
+            assert masks
+            dropped = m["projection"]["mask_events_dropped"]
+            passed = m["projection"]["mask_events_passed"]
+            assert dropped + passed == len(masks) * tokens
+            assert m["flight"]["events_seen"] == \
+                (fed - len(masks)) * tokens + passed
+
+    def test_shared_prefixes_time_source_updates_only(self):
+        """Update latency is timed per source update start, by each
+        pipeline fed the source; routed members time none."""
+        from repro.events.model import UPDATE_STARTS
+        events = list(StockTicker(n_updates=60, seed=9).events())
+        starts = sum(1 for e in events if e.kind in UPDATE_STARTS)
+        queries = [STOCK_QUERY, 'stream()//quote[name="IBM"]/name']
+        mq = MultiQueryRun(queries, mutable_source=True, metrics=True)
+        mq.run(events)
+        assert mq.groups or SANITIZED
+        fed = len(mq.runs) - sum(len(g.members) for g in mq.groups) \
+            + len(mq.groups)
+        m = mq.metrics()
+        assert m["source_events"] == len(events)
+        assert m["histograms"]["update_latency"]["count"] == fed * starts
+        for g in mq.groups:
+            for _, run in g.members:
+                assert run.recorder.histograms["update_latency"].count == 0
 
     def test_update_latency_counts_update_starts(self):
         """One latency observation per update-start source event."""

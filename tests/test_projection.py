@@ -4,10 +4,10 @@ The contract: running any query with ``projection=True`` yields answers
 *byte-identical* to running it without — the projection may only change
 how many events the tokenizer materializes and how many each pipeline
 dispatches, never what a query observes of its own paths.  Holds for
-every paper query, through every executor (single run, multiplexed,
-sharded with 1 and 3 workers), with the protocol sanitizer interposed,
-and on mutable update streams (where the analysis must refuse to prune
-at all).
+every paper query, through every executor (single run, multiplexed
+with and without shared prefixes, sharded with 1 and 3 workers), with
+the protocol sanitizer interposed, and on mutable update streams (where
+the analysis must refuse to prune at all).
 """
 
 import pytest
@@ -181,13 +181,16 @@ class TestMultiQueryDifferential:
                                                ("D", DBLP_NAMES)])
     def test_multiplex_projection_identical(self, dataset, names,
                                             workloads, reference):
-        mq = MultiQueryRun([PAPER_QUERIES[n] for n in names],
-                           projection=True,
-                           schema=DATASET_SCHEMA[dataset])
-        mq.run_xml(workloads.text(dataset))
-        assert mq.texts() == [reference[n] for n in names]
-        summary = mq.stats()["projection"]
-        assert summary["masked_pipelines"] > 0
+        # Unshared, every pipeline gets its own mask; shared (the
+        # default), members sit behind their group's union mask.
+        for share in (False, None):
+            mq = MultiQueryRun([PAPER_QUERIES[n] for n in names],
+                               projection=True, share_prefixes=share,
+                               schema=DATASET_SCHEMA[dataset])
+            mq.run_xml(workloads.text(dataset))
+            assert mq.texts() == [reference[n] for n in names], share
+            if share is False:
+                assert mq.stats()["projection"]["masked_pipelines"] > 0
 
     def test_masks_drop_events(self, workloads, reference):
         names = ["Q1", "Q2", "Q7"]
@@ -267,11 +270,14 @@ class TestMetricsEquality:
         names = ["Q1", "Q2", "Q7"]
         queries = [PAPER_QUERIES[n] for n in names]
         doc = workloads.text("X")
+        # One query per worker shares nothing, so the single process
+        # must not share either for the mask counters to line up.
         mq = MultiQueryRun(queries, metrics=True, projection=True,
-                           schema="xmark")
+                           schema="xmark", share_prefixes=False)
         mq.run_xml(doc)
         smq = ShardedMultiQueryRun(queries, workers=3, metrics=True,
-                                   projection=True, schema="xmark")
+                                   projection=True, schema="xmark",
+                                   share_prefixes=False)
         smq.run_xml(doc)
         m1, m2 = mq.metrics(), smq.metrics()
         assert m1 is not None and m2 is not None

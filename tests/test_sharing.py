@@ -254,7 +254,7 @@ class TestQuarantineIsolation:
 
 
 class TestDisengagement:
-    """Sharing that was asked for and switched off says so."""
+    """Sharing that is switched off says so."""
 
     QUERIES = ["X//item/quantity", "X//item/location"]
 
@@ -263,24 +263,58 @@ class TestDisengagement:
         for name in ENV_FLAGS:
             monkeypatch.delenv("REPRO_" + name, raising=False)
 
-    @pytest.mark.parametrize("flag", ["always_active", "sanitize",
-                                      "metrics", "flight"])
-    def test_stats_name_the_flag_that_switched_it_off(self, flag):
-        mq = MultiQueryRun(self.QUERIES, share_prefixes=True,
-                           **{flag: True})
+    @pytest.mark.parametrize("flag", ["always_active", "sanitize"])
+    def test_stats_name_the_flag_that_switched_it_off(self, workloads,
+                                                      flag):
+        mq = MultiQueryRun(self.QUERIES, **{flag: True})
         assert not mq.share_prefixes and not mq.groups
         assert mq.stats()["sharing"] == {
             "requested": True, "engaged": False, "disengaged_by": [flag]}
+        text = workloads.text("X")
+        assert mq.run_xml(text).texts() == MultiQueryRun(
+            self.QUERIES, share_prefixes=False).run_xml(text).texts()
 
-    def test_not_requested_has_no_key_and_engaged_keeps_its_keys(
-            self, monkeypatch):
-        assert "sharing" not in MultiQueryRun(self.QUERIES,
-                                              metrics=True).stats()
-        monkeypatch.setenv("REPRO_SHARE", "1")  # asking by environment counts
-        stats = MultiQueryRun(self.QUERIES).stats()["sharing"]
+    def test_not_requested_has_no_key_and_engaged_keeps_its_keys(self):
+        assert "sharing" not in MultiQueryRun(
+            self.QUERIES, share_prefixes=False, metrics=True).stats()
+        stats = MultiQueryRun(self.QUERIES).stats()["sharing"]  # default
         assert stats["requested"] is True and stats["engaged"] is True
         assert len(stats["groups"]) == 1 and stats["shared_queries"] == 2
         assert "disengaged_by" not in stats
+
+
+@pytest.mark.skipif(SANITIZED, reason="sharing disengages")
+class TestObservedSharing:
+    """A recorder or a flight ring observes the shared executor — the
+    one that runs unobserved — instead of switching sharing off."""
+
+    @pytest.fixture(scope="class")
+    def sixteen(self, workloads):
+        text = workloads.text("X")
+        queries = _sixteen_queries()
+        return queries, text, [XFlux(q).run_xml(text).text()
+                               for q in queries]
+
+    @pytest.mark.parametrize("flag", ["metrics", "flight"])
+    def test_observer_keeps_sharing_and_counts_the_prefix(self, sixteen,
+                                                          flag):
+        queries, text, expected = sixteen
+        mq = MultiQueryRun(queries, **{flag: True}).run_xml(text)
+        stats = mq.stats()
+        assert mq.groups and stats["sharing"]["engaged"] is True
+        assert mq.texts() == expected
+        m = mq.metrics()
+        members = sum(len(g.member_indices) for g in mq.groups)
+        solos = len(mq.runs) - members
+        assert m["pipelines"] == members + solos + len(mq.groups)
+        # Every dispatch performed, prefix stages included, once.
+        assert sum(sum(s["events_in"].values())
+                   for s in m["stages"]) == stats["transformer_calls"]
+        unshared = MultiQueryRun(queries, share_prefixes=False,
+                                 **{flag: True}).run_xml(text)
+        assert unshared.texts() == expected
+        assert m["peak_cells_total"] <= \
+            unshared.metrics()["peak_cells_total"]
 
 
 class TestDescribeSharing:
