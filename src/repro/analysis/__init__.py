@@ -1,20 +1,19 @@
 """Static plan analysis and stream-protocol sanitation.
 
-Two complementary checkers for compiled pipelines:
-
 * :mod:`~repro.analysis.static_plan` — analyze a compiled plan *without
-  running it*: derive which update brackets each stage will track and
-  declare, precompute the fix map (which region numbers stay mutable
-  after end-of-stream), classify per-stage memory behaviour, and lint
-  the plan (dormant fast paths, no-op stages, undeclared terminal
-  regions).
+  running it*, from each stage's ``static_facts()``: which update
+  brackets each stage tracks and declares, the fix map (which region
+  numbers stay mutable after end-of-stream), per-stage memory classes,
+  and lints (dormant fast paths, no-op stages, undeclared regions).
 * :mod:`~repro.analysis.sanitize` — validate the event protocol at every
   stage boundary at run time (``sanitize=True`` / ``REPRO_SANITIZE=1``).
-* :mod:`~repro.analysis.types` — schema-aware regular-expression type
-  inference over compiled plans: per-stage element languages, static
-  emptiness proofs, dead-stage elimination, and update-effect checks
-  against an :class:`~repro.analysis.schema.ElementSchema` (built by
-  hand or parsed from a DTD).
+* Three dataflow analyses read each stage's ``shape()`` through one
+  table of rules each, driven by :mod:`~repro.analysis.dataflow`
+  (DESIGN.md section 16): the path projection and the ``//`` steps'
+  reads (:mod:`~repro.analysis.projection`), and schema-aware type
+  inference with emptiness proofs, dead-stage elimination and effect
+  checks (:mod:`~repro.analysis.types`, over an
+  :class:`~repro.analysis.schema.ElementSchema`).
 """
 
 from importlib import import_module

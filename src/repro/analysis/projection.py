@@ -6,13 +6,13 @@ compiled query can only ever *observe* a small family of element paths
 Minimization for Queries on Structured Data Streams", see PAPERS.md).
 This module closes that gap statically:
 
-* :func:`derive_projection` walks a compiled plan's dataflow and reads
-  each stage's ``static_facts()["projection"]`` declaration to compute a
-  conservative set of *paths* — sequences of ``(axis, tag)`` steps with
-  axis ``child`` or ``descendant`` — such that keeping (a) every element
-  on a prefix of some path ("spine" elements) and (b) the **whole
-  subtree** of every path endpoint is guaranteed to preserve the query's
-  result byte-for-byte.
+* :func:`derive_projection` runs a forward dataflow over a compiled
+  plan, one path rule per stage shape, to compute a conservative set of
+  *paths* — sequences of ``(axis, tag)`` steps with axis ``child`` or
+  ``descendant`` — such that keeping (a) every element on a prefix of
+  some path ("spine" elements) and (b) the **whole subtree** of every
+  path endpoint is guaranteed to preserve the query's result
+  byte-for-byte.
 * :class:`ProjectionMatcher` compiles those paths into a tiny per-depth
   NFA the tokenizer consults once per start tag: when no state survives
   an element, no remaining step of any path can match at or below it, so
@@ -30,26 +30,29 @@ This module closes that gap statically:
 * :func:`apply_reads` asks the same question of the streams *inside*
   the plan: a backward pass over the stages computes, for every forest
   stream, what its consumers read of each item (:class:`Reads`: which
-  child tags, how deep, text or not) from each stage's
-  ``static_facts()["reads"]`` declaration, and hands every ``//`` step
-  the ``reads`` of its output stream so that the per-level copies it
-  makes (paper Section VI-C) hold no more than that (DESIGN.md
-  section 15).
+  child tags, how deep, text or not), one reads rule per stage shape,
+  and hands every ``//`` step the ``reads`` of its output stream so
+  that the per-level copies it makes (paper Section VI-C) hold no more
+  than that (DESIGN.md section 15).
 
 Soundness fallbacks (DESIGN.md section 10): the *universal* projection
 (no pruning) is used whenever the plan reads a **mutable update source**
 (``sM``/``sR``/``sB``/``sA`` brackets can re-parent stream regions, so no
 static path argument survives), whenever the plan needs document-order
-oids (skipping would renumber them), and whenever any stage declares an
-``opaque`` projection fact or none the analyzer recognizes.
+oids (skipping would renumber them), and whenever a stage's shape has no
+path rule (DESIGN.md section 16).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, \
-    Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, \
+    Sequence, Tuple
 
+from ..core.transformer import Shape, StateTransformer
 from ..events.model import CD, EE, SE, UPDATE_KINDS, Event
+from ..operators.predicate import FusedCondition
+from .dataflow import backward, forward
+from .schema import ElementSchema, known_schema
 
 #: Path-step axes.
 CHILD = "child"
@@ -110,26 +113,30 @@ class QueryProjection:
         return "QueryProjection({})".format(", ".join(self.describe()))
 
 
+#: Path transfer rule per shape kind: the stage's output paths from the
+#: union of its input paths, and whether the stage reads its items'
+#: content, making those paths anchors (their subtrees are kept whole).
+_PATH_RULES: Dict[str, Callable[[Shape, FrozenSet[Path]],
+                                Tuple[FrozenSet[Path], bool]]] = {
+    "step": lambda shape, paths: (
+        paths if shape.axis == "self"
+        else frozenset(p + ((shape.axis, shape.tag),) for p in paths), False),
+    "construct": lambda shape, paths: (paths, shape.per_stream),
+    **dict.fromkeys(("copy", "concat", "sort", "empty"),
+                    lambda shape, paths: (paths, False)),
+    **dict.fromkeys(("filter", "text", "flag", "literal", "aggregate"),
+                    lambda shape, paths: (paths, True)),
+}
+
+
 def derive_projection(plan) -> QueryProjection:
     """Derive the projection of a compiled :class:`~repro.xquery.compiler.Plan`.
 
-    Runs a forward dataflow over ``plan.stages``: every stream id is
-    mapped to the set of paths its element content can originate from,
-    seeded with the empty path on the source stream.  Each stage's
-    ``static_facts()["projection"]`` declaration is one of:
-
-    * ``{"kind": "step", "axis": ..., "tag": ...}`` — navigation; output
-      paths are the input paths extended by one step.
-    * ``{"kind": "plumbing"}`` — copies/reorders/wraps its input without
-      reading element content (tees, concatenation, tuple machinery);
-      output paths equal input paths and the input needs no anchoring.
-    * ``{"kind": "content"}`` — reads its input's content (predicates
-      with their inline condition pipelines, string values, aggregates);
-      the input paths become *anchors* whose endpoint subtrees must be
-      kept whole.  This is the conservative default for stages with no
-      declaration.
-    * ``{"kind": "opaque"}`` — defeats path analysis (backward axes);
-      the whole derivation falls back to universal.
+    A forward dataflow maps every stream to the set of paths its
+    element content can originate from, seeded with the empty path on
+    the source stream, by the ``_PATH_RULES`` entry of each stage's
+    shape kind (DESIGN.md section 16).  A kind with no rule there (the
+    backward-axis join, ``opaque``) makes the projection universal.
 
     The result-stream paths are always anchored (the display prints
     them).  The returned projection's ``paths`` are the anchors.
@@ -142,49 +149,30 @@ def derive_projection(plan) -> QueryProjection:
         return QueryProjection.make_universal(
             "plan needs document-order oids (backward axis); skipping "
             "subtrees would renumber them")
-    paths: Dict[int, set] = {plan.source_id: {()}}
     anchors: set = set()
-    # Stages are appended producer-before-consumer, but iterate to a
-    # fixpoint so the derivation never depends on that invariant.
-    for _ in range(len(plan.stages) + 1):
-        changed = False
-        for stage in plan.stages:
-            spec = stage.static_facts().get("projection") \
-                or {"kind": "content"}
-            kind = spec.get("kind", "content")
-            ins = [paths[i] for i in stage.input_ids if i in paths]
-            if not ins:
-                continue
-            merged = set().union(*ins)
-            if kind == "opaque":
-                return QueryProjection.make_universal(
-                    "stage {} declares an opaque projection{}".format(
-                        type(stage).__name__,
-                        ": " + spec["note"] if spec.get("note") else ""))
-            if kind == "step":
-                axis = spec.get("axis")
-                if axis not in (CHILD, DESCENDANT):
-                    return QueryProjection.make_universal(
-                        "stage {} declares unknown step axis {!r}".format(
-                            type(stage).__name__, axis))
-                step = (axis, spec.get("tag"))
-                out_paths = {p + (step,) for p in merged}
-            elif kind == "plumbing":
-                out_paths = merged
-            elif kind == "content":
-                anchors |= merged
-                out_paths = merged
-            else:
-                return QueryProjection.make_universal(
-                    "stage {} declares unknown projection kind {!r}"
-                    .format(type(stage).__name__, kind))
-            cur = paths.setdefault(stage.output_id, set())
-            if not out_paths <= cur:
-                cur |= out_paths
-                changed = True
-        if not changed:
-            break
-    anchors |= paths.get(plan.result_id, set())
+    uncovered: list = []
+
+    def transfer(stage: StateTransformer,
+                 ins: List[FrozenSet[Path]]) -> FrozenSet[Path]:
+        paths = frozenset().union(*ins)
+        shape = stage.shape()
+        rule = _PATH_RULES.get(shape.kind)
+        if rule is None:
+            if paths:
+                uncovered.append("stage {} has a {} shape, which no path "
+                                 "rule covers".format(type(stage).__name__,
+                                                      shape.kind))
+            return paths
+        paths, anchored = rule(shape, paths)
+        if anchored:
+            anchors.update(paths)
+        return paths
+
+    paths = forward(plan.stages, {plan.source_id: frozenset({()})},
+                    transfer, frozenset())
+    if uncovered:
+        return QueryProjection.make_universal(uncovered[0])
+    anchors |= paths.get(plan.result_id, frozenset())
     if not anchors:
         # Nothing source-derived reaches a reader or the result: the
         # query is constant w.r.t. the document, keep nothing but the
@@ -297,53 +285,81 @@ class Reads:
 ROOT_ONLY = Reads((), 1, False)
 
 
-def _condition_reads(cond: Optional[dict], by: str) -> Reads:
-    if cond is None:
+def _condition_reads(cond: object, by: str) -> Reads:
+    """What one inline condition reads of the item: a fused condition's
+    one child tag, anything for a generic inline pipeline."""
+    if not isinstance(cond, FusedCondition):
         return Reads.everything("a generic inline condition of " + by)
-    tags = None if cond["tag"] is None else (cond["tag"],)
-    if cond["exists"]:
+    tags = None if cond.tag is None else (cond.tag,)
+    if cond.exists:
         return Reads(tags, 2, False)
     return Reads(tags, None, True)
 
 
-def stage_reads(stage, input_id: int, out: Reads) -> Reads:
-    """What ``stage`` reads of each item of its input ``input_id``, given
-    what is read of its output: one transfer rule per declared kind.
+def _filter_reads(shape: Shape, input_id: int, out: Reads, by: str
+                  ) -> Reads:
+    reads = out
+    for cond in shape.conditions:
+        reads = reads | _condition_reads(cond, by)
+    return reads.blame(by)
 
-    ``static_facts()["reads"]`` is ``{"kind": ...}``; an ``"input"``
-    entry limits the declaration to that one input (the sort reads
-    its key stream whole).  A stage that declares nothing, or an input
-    outside the declaration, reads everything.
-    """
-    by = repr(stage)
-    spec = stage.static_facts().get("reads")
-    if spec is None or spec.get("input", input_id) != input_id:
-        return Reads.everything(by)
-    kind = spec["kind"]
-    if kind == "items":        # the items pass through as they are
-        return out
-    if kind == "boundaries":   # counts or paces by item, reads nothing
-        return ROOT_ONLY
-    if kind == "wrap":         # each item becomes a child of a new root
-        return Reads(None, None if out.depth is None
-                     else max(out.depth - 1, 1), out.text, out.by or by)
-    if kind == "child":
-        return Reads((spec["tag"],) if spec["tag"] is not None else None,
+
+def _step_reads(shape: Shape, input_id: int, out: Reads, by: str
+                ) -> Optional[Reads]:
+    if shape.axis == CHILD:
+        return Reads((shape.tag,) if shape.tag is not None else None,
                      None if out.depth is None else out.depth + 1,
                      out.text)
-    if kind == "descendant":   # every level of the item can be a match
+    if shape.axis == DESCENDANT:   # every level of the item can be a match
         return Reads(None, None, out.text, out.by or by)
-    if kind == "filter":
-        reads = out
-        for cond in spec["conditions"]:
-            reads = reads | _condition_reads(cond, by)
-        return reads.blame(by)
-    if kind == "join":         # matches are told by where an eE falls
-        if input_id != spec["candidates"]:
-            return ROOT_ONLY
-        return (out | Reads(None, 2 if spec["direct_only"] else None,
-                            False)).blame(by)
-    return Reads.everything(by + " (unknown reads kind {!r})".format(kind))
+    return None
+
+
+def _join_reads(shape: Shape, input_id: int, out: Reads, by: str
+                ) -> Reads:
+    if input_id != shape.candidates:   # matches: told by where an eE falls
+        return ROOT_ONLY
+    return (out | Reads(None, 2 if shape.direct_only else None,
+                        False)).blame(by)
+
+
+#: Reads transfer rule per shape kind: what the stage reads of each item
+#: of one input, given what is read of its output.  A rule answers None
+#: for an input it does not cover.
+_READS_RULES: Dict[str, Callable[[Shape, int, Reads, str],
+                                 Optional[Reads]]] = {
+    "step": _step_reads,
+    "copy": lambda shape, i, out, by: out,
+    "concat": lambda shape, i, out, by: out,
+    "sort": lambda shape, i, out, by: (
+        out if i == shape.item_input else None),
+    "literal": lambda shape, i, out, by: ROOT_ONLY,   # paces by item
+    "aggregate": lambda shape, i, out, by: (
+        None if shape.reads_items else ROOT_ONLY),
+    "construct": lambda shape, i, out, by: Reads(   # items become children
+        None, None if out.depth is None else max(out.depth - 1, 1),
+        out.text, out.by or by),
+    "filter": _filter_reads,
+    "join": _join_reads,
+}
+
+
+def stage_reads(stage: StateTransformer, input_id: int,
+                out: Reads) -> Reads:
+    """What ``stage`` reads of each item of its input ``input_id``, given
+    what is read of its output: the rule of its shape's kind, and
+    everything where there is none."""
+    by = repr(stage)
+    shape = stage.shape()
+    rule = _READS_RULES.get(shape.kind)
+    reads = rule(shape, input_id, out, by) if rule is not None else None
+    return Reads.everything(by) if reads is None else reads
+
+
+def _copies_levels(stage: StateTransformer) -> bool:
+    """Is ``stage`` a ``//`` step, whose per-level copies ``reads`` cuts?"""
+    shape = stage.shape()
+    return shape.kind == "step" and shape.axis == DESCENDANT
 
 
 def apply_reads(plan, sink: Optional[Dict[int, Reads]] = None
@@ -363,19 +379,17 @@ def apply_reads(plan, sink: Optional[Dict[int, Reads]] = None
     the plan, of anything): a bracket can re-parent a region, so no
     item has a static shape.
     """
-    need: Dict[int, Reads] = dict(sink) if sink is not None else {
-        plan.result_id: Reads.everything("the sink")}
     mutable = (Reads.everything("the mutable update source")
                if plan.mutable_source else None)
-    for stage in reversed(plan.stages):
-        out = mutable or need.get(stage.output_id, ROOT_ONLY)
-        if hasattr(stage, "reads"):     # a // step
-            stage.reads = out
-        for i in stage.input_ids:
-            need[i] = mutable or (
-                need.get(i, ROOT_ONLY) | stage_reads(stage, i, out)
-            ).blame(repr(stage))
-    return need
+
+    def transfer(stage: Any, i: int, out: Reads, later: Reads) -> Reads:
+        if _copies_levels(stage):   # a DescendantStep
+            stage.reads = mutable or out
+        return mutable or (later | stage_reads(stage, i, out)
+                           ).blame(repr(stage))
+
+    return backward(plan.stages, sink if sink is not None else {
+        plan.result_id: Reads.everything("the sink")}, transfer, ROOT_ONLY)
 
 
 def step_reads(plan) -> List[Tuple[int, Reads]]:
@@ -384,15 +398,7 @@ def step_reads(plan) -> List[Tuple[int, Reads]]:
     return [(k, stage.reads if stage.reads is not None else
              Reads.everything("nothing: the plan is as compiled "
                               "(optimize=False)"))
-            for k, stage in enumerate(plan.stages)
-            if hasattr(stage, "reads")]
-
-
-# ElementSchema was born here (PR 6) as a bare reachability map; the
-# type checker grew it into a full content-model schema with a generic
-# DTD parser, so it now lives in analysis/schema.py.  Re-exported for
-# back-compat: existing callers import it from this module.
-from .schema import ElementSchema, known_schema  # noqa: E402,F401
+            for k, stage in enumerate(plan.stages) if _copies_levels(stage)]
 
 
 class ProjectionMatcher:

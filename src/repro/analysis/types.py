@@ -18,8 +18,9 @@ because that is exactly what the three consumers need:
   executor never feeds provably-empty members, and the projection
   layer's reachability closure is the same judgment in path form.
 * **per-stage types**: ``repro analyze --types`` surfaces each stage's
-  inferred input/output languages next to its declared
-  :meth:`~repro.core.transformer.StateTransformer.type_facts`.
+  inferred input/output languages next to the kind of its
+  :meth:`~repro.core.transformer.StateTransformer.shape`, whose type
+  rule produced them (DESIGN.md section 16).
 * **effect checks**: each stage's declared ``sM/sR/sB/sA`` bracket
   specs are validated structurally (malformed kinds, freeze modes,
   dangling parent references, unknown compile-time targets — the class
@@ -40,12 +41,14 @@ not predict.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, List,
-                    Optional, Sequence, Tuple, Union)
+from functools import reduce
+from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterable,
+                    List, Optional, Sequence, Tuple)
 
-from ..core.transformer import StateTransformer, StructuralRelay
+from ..core.transformer import Shape, StateTransformer, StructuralRelay
 from ..events.model import CD, SE
 from ..obs.recorder import stage_identities
+from .dataflow import forward
 from .schema import ElementSchema, known_schema
 
 if TYPE_CHECKING:  # plan types only; imported lazily at run time
@@ -268,98 +271,102 @@ class TypeReport:
 
 # -- inference ---------------------------------------------------------------
 
-#: Stages whose event behaviour on a provably-empty output is exactly a
-#: structural relay (forward sS/eS/sT/eT, nothing else), making them
+#: Shape kinds whose event behaviour on a provably-empty output is exactly
+#: a structural relay (forward sS/eS/sT/eT, nothing else), making them
 #: replaceable by :class:`StructuralRelay`.  Predicates ("filter") emit
 #: optimistic regions that are retracted by item end, so their *final*
 #: output is empty but their event stream is not — they are proven
 #: empty (and replaced) too, which suppresses only transient output.
 _RELAY_SAFE_KINDS = frozenset(("step", "filter", "text", "flag", "empty"))
 
+#: A type rule's answer: the output type, and why it is empty when the
+#: rule proved it so.
+Typed = Tuple[StreamType, Optional[str]]
+Schema = Optional[ElementSchema]
 
-def _condition_type(cond, item_type: StreamType,
-                    schema: Optional[ElementSchema]) -> StreamType:
+
+def _condition_type(cond: Any, item_type: StreamType,
+                    schema: Schema) -> StreamType:
     """Type the output of one predicate condition chain."""
-    stages = getattr(cond, "stages", None)
-    if stages:
-        local: Dict[int, StreamType] = {cond.input_id: item_type}
-        for stage in stages:
-            _transfer(stage, local, schema)
-        return local.get(cond.output_id, TOP)
-    # A fused condition with no retained chain: it matches child
-    # elements of the item by tag (None = wildcard) and emits a flag.
-    base = _navigate(item_type, "child", getattr(cond, "tag", None), schema)
-    return EMPTY_TYPE if base.is_empty else TEXT_TYPE
+    types = forward(cond.stages, {cond.input_id: item_type},
+                    lambda stage, ins: _stage_type(stage, ins, schema)[0],
+                    EMPTY_TYPE)
+    return types.get(cond.output_id, TOP)
 
 
-def _transfer(stage: StateTransformer, types: Dict[int, StreamType],
-              schema: Optional[ElementSchema],
-              proofs: Optional[List[str]] = None,
-              label: str = "") -> StreamType:
-    """Apply one stage's declared type transfer; update ``types``."""
-    facts = stage.type_facts()
-    kind = facts.get("kind", "opaque")
-    ins = [types.get(sid, EMPTY_TYPE) for sid in stage.input_ids]
-    joined = EMPTY_TYPE
-    for t in ins:
-        joined = joined.union(t)
-    if kind == "step":
-        out = _navigate(joined, facts.get("axis", "child"),
-                        facts.get("tag"), schema)
-        if proofs is not None and out.is_empty and not joined.is_empty:
-            tag = facts.get("tag")
-            proofs.append(
-                "{}: no {} named {!r} reachable from {} under the schema"
-                .format(label, facts.get("axis", "child"),
-                        tag if tag is not None else "*",
-                        joined.describe()))
-    elif kind == "copy":
-        out = joined
-    elif kind == "filter":
-        out = joined
-        conditions = getattr(stage, "conditions", ())
-        combine = facts.get("combine", "and")
-        if not joined.is_empty and conditions:
-            dead_conds = [i for i, cond in enumerate(conditions)
-                          if _condition_type(cond, joined, schema).is_empty]
-            never_true = (bool(dead_conds) if combine == "and"
-                          else len(dead_conds) == len(conditions))
-            if never_true:
-                out = EMPTY_TYPE
-                if proofs is not None:
-                    proofs.append(
-                        "{}: condition{} {} can never be true (condition "
-                        "path is empty under the schema)".format(
-                            label, "s" if len(dead_conds) > 1 else "",
-                            dead_conds))
-    elif kind in ("text", "flag", "literal"):
-        out = EMPTY_TYPE if joined.is_empty else TEXT_TYPE
-    elif kind == "union":
-        out = joined
-    elif kind == "construct":
-        tag = facts.get("tag", "")
-        if facts.get("always"):
-            out = StreamType(ctors=(tag,))
-        else:
-            out = EMPTY_TYPE if joined.is_empty \
-                else StreamType(ctors=(tag,))
-    elif kind == "aggregate":
-        out = TEXT_TYPE
-    elif kind == "join":
-        keep = facts.get("keep", 0)
-        requires = facts.get("requires", 1)
-        required = (ins[requires] if requires < len(ins) else TOP)
-        out = EMPTY_TYPE if required.is_empty else \
-            (ins[keep] if keep < len(ins) else TOP)
-        if proofs is not None and out.is_empty and not joined.is_empty:
-            proofs.append("{}: join input {} is empty — no ancestor can "
-                          "ever match".format(label, requires))
-    elif kind == "empty":
-        out = EMPTY_TYPE
-    else:  # "opaque" and anything unknown
-        out = TOP
-    types[stage.output_id] = out
-    return out
+def _step_type(shape: Shape, ins: List[StreamType], joined: StreamType,
+               schema: Schema) -> Typed:
+    if shape.axis == "self":
+        return joined, None
+    out = _navigate(joined, shape.axis, shape.tag, schema)
+    if out.is_empty and not joined.is_empty:
+        return out, ("no {} named {!r} reachable from {} under the schema"
+                     .format(shape.axis, shape.tag if shape.tag is not None
+                             else "*", joined.describe()))
+    return out, None
+
+
+def _filter_type(shape: Shape, ins: List[StreamType], joined: StreamType,
+                 schema: Schema) -> Typed:
+    """A sub-language of the input; empty when the conditions can never
+    hold together, because an inline chain's output is empty."""
+    conditions = shape.conditions
+    if joined.is_empty or not conditions:
+        return joined, None
+    dead = [i for i, cond in enumerate(conditions)
+            if _condition_type(cond, joined, schema).is_empty]
+    if not (dead if shape.combine == "and"
+            else len(dead) == len(conditions)):
+        return joined, None
+    return EMPTY_TYPE, (
+        "condition{} {} can never be true (condition path is empty under "
+        "the schema)".format("s" if len(dead) > 1 else "", dead))
+
+
+def _join_type(shape: Shape, ins: List[StreamType], joined: StreamType,
+               schema: Schema) -> Typed:
+    """A sub-language of input ``keep``; empty when the other input is."""
+    other = 1 - shape.keep
+    out = EMPTY_TYPE if ins[other].is_empty else ins[shape.keep]
+    if out.is_empty and not joined.is_empty:
+        return out, ("join input {} is empty — no ancestor can ever "
+                     "match".format(other))
+    return out, None
+
+
+#: Type transfer rule per shape kind: the output type given the shape,
+#: the input types, their union and the schema.
+_TYPE_RULES: Dict[str, Callable[[Shape, List[StreamType], StreamType,
+                                Schema], Typed]] = {
+    "step": _step_type,
+    "filter": _filter_type,
+    "join": _join_type,
+    # The sort's key text joins in too: over-approximated.
+    **dict.fromkeys(("copy", "concat", "sort"),
+                    lambda shape, ins, joined, schema: (joined, None)),
+    # Character data per input item: no items, no text.
+    **dict.fromkeys(("text", "flag", "literal"),
+                    lambda shape, ins, joined, schema: (
+                        EMPTY_TYPE if joined.is_empty else TEXT_TYPE, None)),
+    # One element per tuple, or one per stream even for empty input.
+    "construct": lambda shape, ins, joined, schema: (
+        EMPTY_TYPE if joined.is_empty and not shape.per_stream
+        else StreamType(ctors=(shape.tag,)), None),
+    # A value even for empty input (count's "0"): never empty.
+    "aggregate": lambda shape, ins, joined, schema: (TEXT_TYPE, None),
+    "empty": lambda shape, ins, joined, schema: (EMPTY_TYPE, None),
+}
+
+
+def _stage_type(stage: StateTransformer, ins: List[StreamType],
+                schema: Schema) -> Typed:
+    """The rule of the stage's shape; ``any*`` where there is none."""
+    shape = stage.shape()
+    rule = _TYPE_RULES.get(shape.kind)
+    if rule is None:
+        return TOP, None
+    return rule(shape, ins, reduce(StreamType.union, ins, EMPTY_TYPE),
+                schema)
 
 
 def infer_types(plan: "Plan", schema=None,
@@ -383,46 +390,47 @@ def infer_types(plan: "Plan", schema=None,
     if schema_label is None and isinstance(schema, str):
         schema_label = schema
     schema = known_schema(schema)
-    types: Dict[int, StreamType] = {}
-    if schema is not None and schema.root is not None:
-        types[plan.source_id] = StreamType(labels=(schema.root,))
-    else:
-        types[plan.source_id] = TOP
+    source = (StreamType(labels=(schema.root,))
+              if schema is not None and schema.root is not None else TOP)
+    #: Why each stage's output is empty, as of the last round.
+    proofs: Dict[StateTransformer, Optional[str]] = {}
+
+    def transfer(stage: StateTransformer,
+                 ins: List[StreamType]) -> StreamType:
+        out, proofs[stage] = _stage_type(stage, ins, schema)
+        return out
+
+    types = forward(plan.stages, {plan.source_id: source}, transfer,
+                    EMPTY_TYPE)
     identities = stage_identities(plan.stages)
-    proofs: List[str] = []
-    # Forward dataflow over the stage list.  Stream numbers are
-    # single-assignment and the compiler emits producers before
-    # consumers, but iterate to a fixpoint anyway — the transfer is
-    # deterministic, so repeated passes converge on a DAG.
-    for _ in range(len(plan.stages) + 1):
-        changed = False
-        round_proofs: List[str] = []
-        for idx, stage in enumerate(plan.stages):
-            before = types.get(stage.output_id)
-            _transfer(stage, types, schema, proofs=round_proofs,
-                      label="stage [{}] {}".format(
-                          idx, identities[idx].label))
-            if types.get(stage.output_id) != before:
-                changed = True
-        proofs = round_proofs
-        if not changed:
-            break
-    stage_reports: List[StageTypeReport] = []
+    stages, proof_texts = _stage_reports(plan, types, proofs, identities)
+    return TypeReport(plan, schema, schema_label, types, stages,
+                      proof_texts, _check_effects(plan, types, schema,
+                                                  identities))
+
+
+def _stage_reports(plan: "Plan", types: Dict[int, StreamType],
+                   proofs: Dict[StateTransformer, Optional[str]],
+                   identities) -> Tuple[List[StageTypeReport], List[str]]:
+    """Per-stage reports and the emptiness proofs, in stage order."""
+    reports: List[StageTypeReport] = []
+    texts: List[str] = []
     for idx, stage in enumerate(plan.stages):
-        facts = stage.type_facts()
-        kind = facts.get("kind", "opaque")
+        label = identities[idx].label
+        if proofs.get(stage):
+            texts.append("stage [{}] {}: {}".format(idx, label,
+                                                   proofs[stage]))
+        kind = stage.shape().kind
         out = types.get(stage.output_id, TOP)
-        dead = out.is_empty and kind in _RELAY_SAFE_KINDS \
-            and len(stage.input_ids) == 1
-        stage_reports.append(StageTypeReport(
-            index=idx, label=identities[idx].label, kind=kind,
+        reports.append(StageTypeReport(
+            index=idx, label=label, kind=kind,
             inputs=[(sid, types.get(sid, EMPTY_TYPE))
                     for sid in stage.input_ids],
             output_id=stage.output_id, output=out,
-            dead=dead, proof=None))
-    effect_lints = _check_effects(plan, types, schema, identities)
-    return TypeReport(plan, schema, schema_label, types, stage_reports,
-                      proofs, effect_lints)
+            dead=(out.is_empty and kind in _RELAY_SAFE_KINDS
+                  and len(stage.input_ids) == 1),
+            proof=None))
+    return reports, texts
 
 
 # -- effect checking ---------------------------------------------------------

@@ -27,6 +27,7 @@ Non-inert transformers additionally implement:
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 from ..events.model import ES, ET, SS, ST, Event, IdGenerator
@@ -98,6 +99,37 @@ class UpdatePolicy(enum.Enum):
     #: per-region state copies would wrongly overwrite interleaved live
     #: progress at the bracket's end.
     SHARED = "shared"
+
+
+@dataclass(frozen=True)
+class Shape:
+    """What one operator is, as the static analyses see it
+    (:meth:`StateTransformer.shape` lists the kinds)."""
+
+    kind: str
+    axis: Optional[str] = None
+    tag: Optional[str] = None
+    conditions: Tuple = ()
+    combine: str = "and"
+    per_stream: bool = False
+    reads_items: bool = False
+    keep: int = 0
+    candidates: Optional[int] = None
+    direct_only: bool = False
+    item_input: Optional[int] = None
+
+    def to_dict(self) -> dict:
+        """The kind and every parameter off its default (JSON-able)."""
+        out: dict = {"kind": self.kind}
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if value != f.default:
+                out[f.name] = ([repr(c) for c in value]
+                               if f.name == "conditions" else value)
+        return out
+
+
+OPAQUE = Shape("opaque")
 
 
 class StateTransformer:
@@ -172,10 +204,48 @@ class StateTransformer:
         """
         return self.output_id
 
-    # -- static facts for the plan analyzer ----------------------------------
+    # -- what the static analyses read ----------------------------------------
+
+    def shape(self) -> "Shape":
+        """What this operator *is*, for the plan's static analyses.
+
+        The path projection, the reads pass and type inference
+        (:mod:`repro.analysis`) each keep one transfer rule per kind
+        (DESIGN.md section 16); a kind without a rule gets that
+        analysis's top: the universal projection, ``ALL`` reads, type
+        ``any*``.  The base class is ``opaque``.
+
+        Its ``kind`` is one of:
+
+        * ``step`` — navigation along ``axis`` (``"child"``,
+          ``"descendant"`` or ``"self"``) to elements named ``tag`` (None:
+          any);
+        * ``copy`` — passes its input's items on as they are (tee, tuple
+          plumbing);
+        * ``filter`` — passes a subset of its items, decided by the inline
+          ``conditions`` combined with ``combine`` (``"and"``/``"or"``);
+        * ``text`` — character data per input item (text step, string value);
+        * ``flag`` — one boolean cD per input value (comparisons, exists);
+        * ``literal`` — one constant cD per tuple of its input;
+        * ``concat`` — both inputs' items, left before right;
+        * ``construct`` — wraps content in an element ``tag``: the whole
+          stream (``per_stream``, emitted even for empty input) or each
+          tuple;
+        * ``aggregate`` — one value for the whole input, shown even for
+          empty input; ``reads_items`` when the value depends on the items'
+          content, not only on how many there are;
+        * ``join`` — the backward-axis join: items of input ``keep`` that
+          contain an item of the other input; ``candidates`` is the stream
+          the candidates arrive on, ``direct_only`` restricts to parents;
+        * ``sort`` — reorders the items of stream ``item_input`` by the key
+          items of the other input;
+        * ``empty`` — emits no content at all;
+        * ``opaque`` — unknown: every analysis assumes the worst.
+        """
+        return OPAQUE
 
     def static_facts(self) -> dict:
-        """Compile-time facts about this stage (see :mod:`repro.analysis`).
+        """Update-protocol facts (:mod:`repro.analysis.static_plan`).
 
         Returns a dict with the keys:
 
@@ -205,22 +275,6 @@ class StateTransformer:
           (cardinality: ``"stream"``, ``"item"``, ``"tuple"``, ``"match"``
           or ``"nested"``).
         * ``notes`` — free-form remark surfaced in the lint report.
-        * ``projection`` — how the stage transforms element *paths* for
-          the stream-projection analyzer (:mod:`repro.analysis.projection`).
-          One of ``{"kind": "step", "axis": "child"|"descendant",
-          "tag": ...}`` (navigation: output paths extend input paths by
-          one step), ``{"kind": "plumbing"}`` (copies/reorders/wraps
-          without reading element content), ``{"kind": "content"}``
-          (reads its input's content — the consumed subtrees must be
-          kept whole; the safe default), or ``{"kind": "opaque"}``
-          (defeats path analysis entirely — forces the universal
-          projection).
-        * ``reads`` — what the stage reads of each *item* of its input,
-          as a function of what is read of its output
-          (:func:`repro.analysis.projection.stage_reads` has one
-          transfer rule per ``kind``: ``items``, ``wrap``, ``child``,
-          ``descendant``, ``filter``, ``boundaries``, ``join``).  Absent
-          by default: a stage that declares nothing reads everything.
 
         The base class describes an inert pass-through stage; every
         update-originating operator overrides this.
@@ -232,48 +286,7 @@ class StateTransformer:
             "generates_updates": (),
             "brackets": (),
             "notes": "",
-            "projection": {"kind": "content"},
         }
-
-    def type_facts(self) -> dict:
-        """How this stage transforms element *types* (see
-        :mod:`repro.analysis.types`).
-
-        The type checker propagates, per stream, a regular-expression
-        content type (which element tags / text an item sequence may
-        contain under a document schema).  Each operator declares its
-        transfer function as a small dict keyed on ``kind``:
-
-        * ``{"kind": "step", "axis": "child"|"descendant", "tag": t}`` —
-          navigation: output labels are the schema children/descendants
-          of the input labels, filtered to ``t`` (``None`` = wildcard).
-        * ``{"kind": "copy"}`` — output type is the union of the input
-          types (tee, self step, tuple plumbing).
-        * ``{"kind": "filter"}`` — output is a sub-language of the input
-          (predicates; the checker reads ``self.conditions`` to prove a
-          never-true condition empty).
-        * ``{"kind": "text"}`` — emits character data per input item
-          (text step, string value): empty input => empty output.
-        * ``{"kind": "flag"}`` — emits boolean flag cDs per input value
-          (comparisons, exists): empty input => empty output.
-        * ``{"kind": "literal"}`` — emits literal text per tuple.
-        * ``{"kind": "union"}`` — output is the union of both inputs
-          (concatenation): empty only when *both* inputs are.
-        * ``{"kind": "construct", "tag": t, "always": bool}`` — wraps
-          content in a constructed element ``t``; ``always`` marks the
-          per-stream constructor that emits its wrapper even on empty
-          input (never empty).
-        * ``{"kind": "aggregate"}`` — emits a text value even for empty
-          input (count's ``"0"``): never empty.
-        * ``{"kind": "join", "keep": i, "requires": j}`` — output is a
-          sub-language of input ``i``, and provably empty when input
-          ``j`` is empty (the backward-axis join).
-        * ``{"kind": "empty"}`` — emits no content at all (Drop,
-          StructuralRelay).
-        * ``{"kind": "opaque"}`` — unknown transfer: output is TOP.
-          The safe default for stages the checker has not been taught.
-        """
-        return {"kind": "opaque"}
 
     # -- the state modifier F ----------------------------------------------
 
@@ -345,31 +358,31 @@ def _count_cells(value: object) -> int:
 class Identity(StateTransformer):
     """Pass a stream through unchanged (useful in tests and as a spacer)."""
 
+    def shape(self) -> Shape:
+        return Shape("copy")
+
     def process(self, e: Event) -> List[Event]:
         return [e]
-
-    def type_facts(self) -> dict:
-        return {"kind": "copy"}
 
 
 class Relabel(StateTransformer):
     """Relabel a stream to a new stream number."""
 
+    def shape(self) -> Shape:
+        return Shape("copy")
+
     def process(self, e: Event) -> List[Event]:
         return [e.relabel(self.output_id)]
-
-    def type_facts(self) -> dict:
-        return {"kind": "copy"}
 
 
 class Drop(StateTransformer):
     """Consume a stream, emitting nothing (used to discard residue)."""
 
+    def shape(self) -> Shape:
+        return Shape("empty")
+
     def process(self, e: Event) -> List[Event]:
         return PASS_THROUGH
-
-    def type_facts(self) -> dict:
-        return {"kind": "empty"}
 
 
 class StructuralRelay(StateTransformer):
@@ -389,15 +402,13 @@ class StructuralRelay(StateTransformer):
             return [e.relabel(self.output_id)]
         return PASS_THROUGH
 
-    def static_facts(self) -> dict:
-        facts = super().static_facts()
-        facts.update(notes="statically-empty segment (dead stages "
-                           "eliminated by the type checker)")
-        facts["projection"] = {"kind": "plumbing"}
-        return facts
+    def shape(self) -> Shape:
+        return Shape("empty")
 
-    def type_facts(self) -> dict:
-        return {"kind": "empty"}
+    def static_facts(self) -> dict:
+        return dict(super().static_facts(),
+                    notes="statically-empty segment (dead stages "
+                          "eliminated by the type checker)")
 
 
 def run_sequence(transformer: StateTransformer,

@@ -94,13 +94,15 @@ def merge_flight_dicts(dicts) -> dict:
 
 
 def _stage_facts(recorder) -> List[dict]:
-    """Stage identities + compile-time facts from an attached recorder."""
+    """Stage identities, update-protocol facts and shapes from an
+    attached recorder."""
     facts = []
     for wrapper, sm in zip(recorder._wrappers, recorder.stages):
         entry = {"index": sm.identity.index,
                  "label": sm.identity.label}
         try:
             entry["static_facts"] = wrapper.t.static_facts()
+            entry["shape"] = wrapper.t.shape().to_dict()
         except Exception:
             pass
         facts.append(entry)
@@ -116,8 +118,9 @@ def build_bundle(reason: str, recorder=None, error: Optional[dict] = None,
             ``"protocol-violation"``, ...).
         recorder: the failed pipeline's
             :class:`~repro.obs.recorder.MetricsRecorder`, if any —
-            contributes the event ring, stage ``static_facts()``
-            identities, and the metrics + histogram snapshot.
+            contributes the event ring, each stage's identity,
+            ``static_facts()`` and ``shape()``, and the metrics +
+            histogram snapshot.
         error: a :func:`repro.fault.error_report` dict.
         fault_plan: the :class:`~repro.fault.FaultPlan` in force, if
             any — its spec and seed make the failure replayable.

@@ -22,7 +22,7 @@ from typing import List, Optional
 from ..events.model import (CD, EE, ES, ET, SE, SS, ST, Event, cdata,
                             end_mutable, end_replace, start_mutable,
                             start_replace)
-from ..core.transformer import Context, State, StateTransformer
+from ..core.transformer import Context, Shape, State, StateTransformer
 from ..core.wrapper import UpdatePolicy
 
 _STRUCTURAL = (ST, ET)
@@ -37,8 +37,8 @@ def _aggregate_facts(agg: StateTransformer, state_class: str,
     nor its replace substream is ever frozen (the answer stays revocable
     for the whole run).
     """
-    facts = StateTransformer.static_facts(agg)
-    facts.update(
+    return dict(
+        StateTransformer.static_facts(agg),
         paper_blocking=True,
         state_class=state_class,
         generates_updates=("sM", "sR"),
@@ -50,10 +50,6 @@ def _aggregate_facts(agg: StateTransformer, state_class: str,
         ),
         notes=notes,
     )
-    # Aggregates read their input items (boundaries and, for numeric
-    # aggregates, text) — keep the consumed subtrees whole.
-    facts["projection"] = {"kind": "content"}
-    return facts
 
 
 class CountItems(StateTransformer):
@@ -77,15 +73,12 @@ class CountItems(StateTransformer):
     def update_policy(self, stream_id: int) -> UpdatePolicy:
         return UpdatePolicy.CONSUME
 
-    def static_facts(self) -> dict:
-        facts = _aggregate_facts(self, "constant",
-                                 "count register adjusted by deltas")
-        facts["reads"] = {"kind": "boundaries"}
-        return facts
+    def shape(self) -> Shape:
+        return Shape("aggregate")
 
-    def type_facts(self) -> dict:
-        # Emits "0" at stream start even for empty input: never empty.
-        return {"kind": "aggregate"}
+    def static_facts(self) -> dict:
+        return _aggregate_facts(self, "constant",
+                                "count register adjusted by deltas")
 
     def get_state(self) -> State:
         return (self.count, self.depth)
@@ -163,13 +156,13 @@ class NumericAggregate(StateTransformer):
     def update_policy(self, stream_id: int) -> UpdatePolicy:
         return UpdatePolicy.CONSUME
 
+    def shape(self) -> Shape:
+        return Shape("aggregate", reads_items=True)
+
     def static_facts(self) -> dict:
         return _aggregate_facts(self, "buffering",
                                 "(total, n) register plus the current "
                                 "item's text buffer")
-
-    def type_facts(self) -> dict:
-        return {"kind": "aggregate"}
 
     def get_state(self) -> State:
         return (self.total, self.n, self.depth, self.parts)
@@ -271,13 +264,13 @@ class MinMaxAggregate(StateTransformer):
     def update_policy(self, stream_id: int) -> UpdatePolicy:
         return UpdatePolicy.CONSUME
 
+    def shape(self) -> Shape:
+        return Shape("aggregate", reads_items=True)
+
     def static_facts(self) -> dict:
         return _aggregate_facts(self, "unbounded",
                                 "value -> multiplicity register, "
                                 "O(distinct values)")
-
-    def type_facts(self) -> dict:
-        return {"kind": "aggregate"}
 
     def get_state(self) -> State:
         return (self.counts, self.depth, self.parts)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..events.model import (CD, EE, ES, ET, SE, SS, ST, Event)
-from ..core.transformer import Context, State, StateTransformer
+from ..core.transformer import Context, Shape, State, StateTransformer
 
 _STRUCTURAL = (SS, ES, ST, ET)
 
@@ -35,15 +35,8 @@ class ChildStep(StateTransformer):
         self.depth = 0
         self.passing = False
 
-    def static_facts(self) -> dict:
-        facts = super().static_facts()
-        facts["projection"] = {"kind": "step", "axis": "child",
-                               "tag": self.tag}
-        facts["reads"] = {"kind": "child", "tag": self.tag}
-        return facts
-
-    def type_facts(self) -> dict:
-        return {"kind": "step", "axis": "child", "tag": self.tag}
+    def shape(self) -> Shape:
+        return Shape("step", axis="child", tag=self.tag)
 
     def get_state(self) -> State:
         return (self.depth, self.passing)
@@ -87,15 +80,8 @@ class TextStep(StateTransformer):
         super().__init__(ctx, (input_id,), output_id)
         self.depth = 0
 
-    def static_facts(self) -> dict:
-        facts = super().static_facts()
-        # "content": the text() step reads character data inside its
-        # input items, so those items' subtrees must be kept whole.
-        facts["projection"] = {"kind": "content"}
-        return facts
-
-    def type_facts(self) -> dict:
-        return {"kind": "text"}
+    def shape(self) -> Shape:
+        return Shape("text")
 
     def get_state(self) -> State:
         return (self.depth,)
@@ -126,13 +112,8 @@ class SelfStep(StateTransformer):
     def __init__(self, ctx: Context, input_id: int, output_id: int) -> None:
         super().__init__(ctx, (input_id,), output_id)
 
-    def static_facts(self) -> dict:
-        facts = super().static_facts()
-        facts["projection"] = {"kind": "plumbing"}
-        return facts
-
-    def type_facts(self) -> dict:
-        return {"kind": "copy"}
+    def shape(self) -> Shape:
+        return Shape("step", axis="self")
 
     def process(self, e: Event) -> List[Event]:
         return [e.relabel(self.output_id)]
@@ -155,15 +136,13 @@ class StringValue(StateTransformer):
         self.depth = 0
         self.parts: tuple = ()
 
-    def static_facts(self) -> dict:
-        facts = super().static_facts()
-        facts.update(state_class="buffering",
-                     notes="accumulates the current item's text")
-        facts["projection"] = {"kind": "content"}
-        return facts
+    def shape(self) -> Shape:
+        return Shape("text")
 
-    def type_facts(self) -> dict:
-        return {"kind": "text"}
+    def static_facts(self) -> dict:
+        return dict(super().static_facts(),
+                    state_class="buffering",
+                    notes="accumulates the current item's text")
 
     def get_state(self) -> State:
         return (self.depth, self.parts)

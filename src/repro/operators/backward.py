@@ -40,7 +40,7 @@ from ..events.model import (CD, EE, ES, ET, SE, SM, SS, ST, Event,
                             end_mutable, freeze as freeze_event,
                             hide as hide_event, show as show_event,
                             start_mutable)
-from ..core.transformer import Context, State, StateTransformer
+from ..core.transformer import Context, Shape, State, StateTransformer
 from ..core.wrapper import UpdatePolicy
 
 _FIRST_UPDATE = int(SM)
@@ -80,9 +80,15 @@ class AncestorJoin(StateTransformer):
             return UpdatePolicy.SHARED
         return UpdatePolicy.TRANSLATE
 
+    def shape(self) -> Shape:
+        # Candidates (input 0) are kept; oid registers tie them to
+        # distant parts of the document, which no path argument covers.
+        return Shape("join", keep=0, candidates=self.clone_id,
+                     direct_only=self.direct_only)
+
     def static_facts(self) -> dict:
-        facts = super().static_facts()
-        facts.update(
+        return dict(
+            super().static_facts(),
             state_class="constant" if self.freeze_decisions
             else "per-region",
             generates_updates=(("sM", "hide", "freeze")
@@ -97,17 +103,6 @@ class AncestorJoin(StateTransformer):
             notes="per-candidate optimistic region; shared source-position "
                   "registers live outside wrapper state",
         )
-        # Backward axes correlate distant parts of the document through
-        # oid registers — no forward path argument covers them.
-        facts["projection"] = {"kind": "opaque", "note": "backward axis"}
-        facts["reads"] = {"kind": "join", "candidates": self.clone_id,
-                          "direct_only": self.direct_only}
-        return facts
-
-    def type_facts(self) -> dict:
-        # Output elements come from the candidate (clone) side; nothing
-        # can match when the incoming result side is provably empty.
-        return {"kind": "join", "keep": 0, "requires": 1}
 
     def get_state(self) -> State:
         return (self.depth, self.nid, self.outcome)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List
 
 from ..events.model import Event
-from ..core.transformer import Context, StateTransformer
+from ..core.transformer import Context, Shape, StateTransformer
 from ..core.wrapper import UpdatePolicy
 
 
@@ -35,16 +35,13 @@ class Tee(StateTransformer):
     def update_policy(self, stream_id: int) -> UpdatePolicy:
         return UpdatePolicy.TEE
 
-    def static_facts(self) -> dict:
-        facts = super().static_facts()
-        facts.update(notes="brackets re-emitted with fresh region numbers "
-                           "on the copy (TEE policy)")
-        facts["projection"] = {"kind": "plumbing"}
-        facts["reads"] = {"kind": "items"}
-        return facts
+    def shape(self) -> Shape:
+        return Shape("copy")
 
-    def type_facts(self) -> dict:
-        return {"kind": "copy"}
+    def static_facts(self) -> dict:
+        return dict(super().static_facts(),
+                    notes="brackets re-emitted with fresh region numbers "
+                          "on the copy (TEE policy)")
 
     def process(self, e: Event) -> List[Event]:
         return [e, e.relabel(self.copy_id)]

@@ -20,7 +20,7 @@ from typing import List
 from ..events.model import (ES, ET, SS, ST, Event, end_insert_before,
                             end_mutable, end_tuple, start_insert_before,
                             start_mutable, start_tuple)
-from ..core.transformer import Context, State, StateTransformer
+from ..core.transformer import Context, Shape, State, StateTransformer
 from ..core.wrapper import UpdatePolicy
 
 
@@ -38,9 +38,12 @@ class Concat(StateTransformer):
     def update_policy(self, stream_id: int) -> UpdatePolicy:
         return UpdatePolicy.TRANSPARENT
 
+    def shape(self) -> Shape:
+        return Shape("concat")
+
     def static_facts(self) -> dict:
-        facts = super().static_facts()
-        facts.update(
+        return dict(
+            super().static_facts(),
             paper_blocking=True,
             generates_updates=("sM", "sB"),
             brackets=(
@@ -52,12 +55,6 @@ class Concat(StateTransformer):
             notes="stateless; reuses the input stream numbers as region "
                   "numbers, one region pair per tuple, never frozen",
         )
-        facts["projection"] = {"kind": "plumbing"}
-        facts["reads"] = {"kind": "items"}
-        return facts
-
-    def type_facts(self) -> dict:
-        return {"kind": "union"}
 
     def process(self, e: Event) -> List[Event]:
         kind = e.kind

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional
 from ..events.model import (EE, ES, ET, SE, SS, ST, Event, end_mutable,
                             freeze as freeze_event, hide as hide_event,
                             show as show_event, start_mutable)
-from ..core.transformer import Context, State, StateTransformer
+from ..core.transformer import Context, Shape, State, StateTransformer
 
 
 class TupleRegionMixin:
@@ -102,7 +102,8 @@ class TupleRegionMixin:
         return [show_event(wid)] if wid is not None else []
 
     def _tuple_region_facts(self, base: dict, notes: str) -> dict:
-        base.update(
+        return dict(
+            base,
             state_class="per-region",
             generates_updates=("sM", "hide", "show", "freeze"),
             brackets=(
@@ -111,7 +112,6 @@ class TupleRegionMixin:
             ),
             notes=notes,
         )
-        return base
 
     def on_region_frozen(self, uid: int) -> List[Event]:
         # The constructed wrapper seals only once *every* source region
@@ -143,15 +143,8 @@ class StreamConstruct(StateTransformer):
         super().__init__(ctx, (input_id,), output_id)
         self.tag = tag
 
-    def static_facts(self) -> dict:
-        facts = super().static_facts()
-        facts["reads"] = {"kind": "wrap"}
-        return facts
-
-    def type_facts(self) -> dict:
-        # Emits its wrapper element at stream start regardless of input:
-        # the output is never empty.
-        return {"kind": "construct", "tag": self.tag, "always": True}
+    def shape(self) -> Shape:
+        return Shape("construct", tag=self.tag, per_stream=True)
 
     def process(self, e: Event) -> List[Event]:
         kind = e.kind
@@ -182,18 +175,14 @@ class TupleConstruct(TupleRegionMixin, StateTransformer):
         self.tag = tag
         self._init_tuple_region(seal)
 
+    def shape(self) -> Shape:
+        return Shape("construct", tag=self.tag)
+
     def static_facts(self) -> dict:
-        facts = self._tuple_region_facts(
+        return self._tuple_region_facts(
             super().static_facts(),
             "per-tuple wrapper element in a region slaved to the tuple's "
             "source regions (sealed when they all freeze)")
-        facts["projection"] = {"kind": "plumbing"}
-        facts["reads"] = {"kind": "wrap"}
-        return facts
-
-    def type_facts(self) -> dict:
-        # One wrapper element per tuple: no tuples, no output.
-        return {"kind": "construct", "tag": self.tag, "always": False}
 
     def get_state(self) -> State:
         return self._tuple_region_state()

@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple
 from ..events.model import (CD, EE, ES, ET, SE, SS, ST, Event,
                             end_insert_before, end_mutable, freeze,
                             start_insert_before, start_mutable)
-from ..core.transformer import Context, State, StateTransformer
+from ..core.transformer import Context, Shape, State, StateTransformer
 
 _STRUCTURAL = (SS, ES, ST, ET)
 
@@ -106,10 +106,13 @@ class DescendantStep(StateTransformer):
         #: The children of a level's root are looked at one by one.
         self._pick = not self._whole and depth != 1
 
+    def shape(self) -> Shape:
+        return Shape("step", axis="descendant", tag=self.tag)
+
     def static_facts(self) -> dict:
-        facts = super().static_facts()
         freeze_mode = "always" if self.freeze_regions else "never"
-        facts.update(
+        return dict(
+            super().static_facts(),
             state_class="constant",
             generates_updates=(("sM", "sB", "freeze")
                                if self.freeze_regions else ("sM", "sB")),
@@ -123,13 +126,6 @@ class DescendantStep(StateTransformer):
                   "subtree close" if self.freeze_regions else
                   "O(nesting depth) open-level stack",
         )
-        facts["projection"] = {"kind": "step", "axis": "descendant",
-                               "tag": self.tag}
-        facts["reads"] = {"kind": "descendant"}
-        return facts
-
-    def type_facts(self) -> dict:
-        return {"kind": "step", "axis": "descendant", "tag": self.tag}
 
     def get_state(self) -> State:
         if self._whole:

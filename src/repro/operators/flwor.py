@@ -35,7 +35,7 @@ from ..events.model import (CD, EE, ES, ET, FREEZE, HIDE, SE, SHOW, SS, ST,
                             freeze as freeze_event, hide as hide_event,
                             show as show_event, start_mutable, end_mutable,
                             start_tuple)
-from ..core.transformer import Context, State, StateTransformer
+from ..core.transformer import Context, Shape, State, StateTransformer
 from ..core.wrapper import UpdatePolicy
 
 
@@ -75,9 +75,13 @@ class ForTuples(StateTransformer):
     def update_policy(self, stream_id: int) -> UpdatePolicy:
         return UpdatePolicy.RAW
 
+    def shape(self) -> Shape:
+        # Re-tuples the forest: the items pass on as they are.
+        return Shape("copy")
+
     def static_facts(self) -> dict:
-        facts = super().static_facts()
-        facts.update(
+        return dict(
+            super().static_facts(),
             state_class="per-region",
             generates_updates=("sM", "hide", "show", "freeze"),
             brackets=(
@@ -89,15 +93,6 @@ class ForTuples(StateTransformer):
                   "source freezes), within-item brackets are retargeted "
                   "and forwarded",
         )
-        # Tuple brackets are driven by item boundaries, which survive any
-        # sound projection (spine elements are never pruned).
-        facts["projection"] = {"kind": "plumbing"}
-        facts["reads"] = {"kind": "items"}
-        return facts
-
-    def type_facts(self) -> dict:
-        # Re-tuples the forest: item labels pass through unchanged.
-        return {"kind": "copy"}
 
     def get_state(self) -> State:
         return (self.depth, self.wid)
@@ -275,8 +270,8 @@ class TupleStrip(StateTransformer):
     def __init__(self, ctx: Context, input_id: int, output_id: int) -> None:
         super().__init__(ctx, (input_id,), output_id)
 
-    def type_facts(self) -> dict:
-        return {"kind": "copy"}
+    def shape(self) -> Shape:
+        return Shape("copy")
 
     def process(self, e: Event) -> List[Event]:
         if e.kind in (ST, ET):

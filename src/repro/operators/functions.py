@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..events.model import CD, EE, ES, ET, SE, SS, ST, Event
-from ..core.transformer import Context, State, StateTransformer
+from ..core.transformer import Context, Shape, State, StateTransformer
 from .construct import TupleRegionMixin
 
 _STRUCTURAL = (SS, ES, ST, ET)
@@ -67,8 +67,8 @@ class CompareLiteral(StateTransformer):
         self.literal = literal
         self.depth = 0
 
-    def type_facts(self) -> dict:
-        return {"kind": "flag"}
+    def shape(self) -> Shape:
+        return Shape("flag")
 
     def get_state(self) -> State:
         return (self.depth,)
@@ -104,8 +104,8 @@ class ContainsLiteral(StateTransformer):
         self.literal = literal
         self.depth = 0
 
-    def type_facts(self) -> dict:
-        return {"kind": "flag"}
+    def shape(self) -> Shape:
+        return Shape("flag")
 
     def get_state(self) -> State:
         return (self.depth,)
@@ -142,8 +142,8 @@ class ExistsFlag(StateTransformer):
         super().__init__(ctx, (input_id,), output_id)
         self.depth = 0
 
-    def type_facts(self) -> dict:
-        return {"kind": "flag"}
+    def shape(self) -> Shape:
+        return Shape("flag")
 
     def get_state(self) -> State:
         return (self.depth,)
@@ -187,21 +187,14 @@ class LiteralText(TupleRegionMixin, StateTransformer):
         self.text = text
         self._init_tuple_region(seal)
 
+    def shape(self) -> Shape:
+        return Shape("literal")
+
     def static_facts(self) -> dict:
-        facts = self._tuple_region_facts(
+        return self._tuple_region_facts(
             super().static_facts(),
             "per-tuple literal in a region slaved to the tuple's source "
             "regions (sealed when they all freeze)")
-        # "content": pacing comes from the tuple stream itself, so its
-        # items must survive projection even when nothing else reads them
-        # (a constant-return FLWOR still emits one literal per tuple).
-        facts["projection"] = {"kind": "content"}
-        facts["reads"] = {"kind": "boundaries"}
-        return facts
-
-    def type_facts(self) -> dict:
-        # One literal cD per tuple: no tuples, no output.
-        return {"kind": "literal"}
 
     def get_state(self) -> State:
         return self._tuple_region_state()

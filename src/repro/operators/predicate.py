@@ -31,7 +31,7 @@ from ..events.model import (CD, EE, ES, ET, SE, SS, ST, Event,
                             end_mutable, freeze as freeze_event,
                             hide as hide_event, show as show_event,
                             start_mutable)
-from ..core.transformer import Context, State, StateTransformer
+from ..core.transformer import Context, Shape, State, StateTransformer
 from .axes import ChildStep, StringValue
 from .functions import (CompareLiteral, ContainsLiteral, ExistsFlag,
                         compare_values)
@@ -318,9 +318,13 @@ class Predicate(StateTransformer):
         #: arrival order, not with state residency.
         self._item_flags: Dict[int, Tuple] = {}
 
+    def shape(self) -> Shape:
+        return Shape("filter", conditions=tuple(self.conditions),
+                     combine=self.combine)
+
     def static_facts(self) -> dict:
-        facts = super().static_facts()
-        facts.update(
+        return dict(
+            super().static_facts(),
             state_class="constant" if self.assume_fixed else "per-region",
             generates_updates=(("sM", "freeze") if self.assume_fixed
                                else ("sM", "hide", "show", "freeze")),
@@ -334,21 +338,6 @@ class Predicate(StateTransformer):
                   "revocable decisions: per-item flags retained until "
                   "frozen",
         )
-        # "content": the inline condition pipelines navigate within each
-        # item, so whole item subtrees must survive projection.
-        facts["projection"] = {"kind": "content"}
-        # What a fused condition reads of the item is its one child tag;
-        # a generic inline pipeline (None) may read anything.
-        facts["reads"] = {"kind": "filter", "conditions": tuple(
-            {"tag": c.tag, "exists": c.exists}
-            if isinstance(c, FusedCondition) else None
-            for c in self.conditions)}
-        return facts
-
-    def type_facts(self) -> dict:
-        # The checker walks self.conditions to type the inline chains:
-        # a conjunct whose chain is provably empty can never flag true.
-        return {"kind": "filter", "combine": self.combine}
 
     # -- state plumbing --------------------------------------------------------
 

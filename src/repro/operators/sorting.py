@@ -34,7 +34,7 @@ from ..events.model import (CD, ES, ET, FREEZE, HIDE, SHOW, SS, ST,
                             end_insert_after, end_mutable, hide as
                             hide_event, show as show_event,
                             start_insert_after, start_mutable)
-from ..core.transformer import Context, State, StateTransformer
+from ..core.transformer import Context, Shape, State, StateTransformer
 from ..core.wrapper import UpdatePolicy
 
 
@@ -81,9 +81,12 @@ class SortTuples(StateTransformer):
     def update_policy(self, stream_id: int) -> UpdatePolicy:
         return UpdatePolicy.RAW
 
+    def shape(self) -> Shape:
+        return Shape("sort", item_input=self.item_id)
+
     def static_facts(self) -> dict:
-        facts = super().static_facts()
-        facts.update(
+        return dict(
+            super().static_facts(),
             paper_blocking=True,
             state_class="unbounded",
             generates_updates=("sM", "sA", "hide", "show"),
@@ -97,15 +100,6 @@ class SortTuples(StateTransformer):
                   "paper's noted unbounded case); placements stay "
                   "mutable so late items can be inserted between them",
         )
-        facts["projection"] = {"kind": "plumbing"}
-        facts["reads"] = {"kind": "items", "input": self.item_id}
-        return facts
-
-    def type_facts(self) -> dict:
-        # Reorders the item stream; the key stream is consumed.  The
-        # checker unions all inputs for "copy" — including the key's
-        # text type is an over-approximation, which is sound.
-        return {"kind": "copy"}
 
     def get_state(self) -> State:
         return (self.keys, self.seq, self.in_tuple, self.found_key,

@@ -908,7 +908,7 @@ class XFlux:
         derived (:mod:`repro.analysis.projection`) and, when it proves
         prunable, pushed into the tokenizer as a subtree-skip mode; the
         result is byte-identical by construction and ``schema`` (an
-        :class:`~repro.analysis.projection.ElementSchema` or the name
+        :class:`~repro.analysis.schema.ElementSchema` or the name
         ``"xmark"``/``"dblp"``) sharpens what counts as prunable.
 
         With ``durable`` set to a directory path the run journals every

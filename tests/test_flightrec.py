@@ -127,6 +127,13 @@ class TestBundles:
         assert bundle["last_events"], "ring should not be empty"
         assert bundle["flight"]["events_seen"] > 0
         assert [s["label"] for s in bundle["stages"]]
+        # Each stage: its update-protocol facts and, beside them, the
+        # shape the static analyses read (Q2: //item, two filters, /location).
+        assert [s["shape"] for s in bundle["stages"]] == \
+            [t.shape().to_dict() for t in run.plan.stages]
+        assert [s["shape"]["kind"] for s in bundle["stages"]] == \
+            ["step", "filter", "filter", "step"]
+        assert all("brackets" in s["static_facts"] for s in bundle["stages"])
         assert "drain_batch" in bundle["histograms"]
         assert bundle["metrics"]["source_events"] > 0
         # The whole bundle must be JSON-able as-is (it crosses the

@@ -12,11 +12,11 @@ the analysis must refuse to prune at all).
 
 import pytest
 
+from repro.analysis import known_schema
 from repro.analysis.projection import (CHILD, ProjectionMask,
                                        ProjectionMatcher,
                                        QueryProjection, derive_projection,
-                                       format_path, known_schema,
-                                       union_projection)
+                                       format_path, union_projection)
 from repro.bench.harness import PAPER_QUERIES, QUERY_DATASET, Workloads
 from repro.data.stock import StockTicker
 from repro.parallel import ShardedMultiQueryRun

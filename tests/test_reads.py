@@ -19,13 +19,12 @@ from repro.baselines.dom_eval import evaluate_to_xml
 from repro.bench.harness import PAPER_QUERIES, QUERY_DATASET, Workloads
 from repro.core import Context, Pipeline
 from repro.core.pipeline import Collector
-from repro.core.transformer import Identity
 from repro.data.xmark import LOCATIONS, PAYMENTS, REGIONS
 from repro.events.model import UPDATE_ENDS, UPDATE_STARTS
 from repro.operators import (AncestorJoin, ChildStep, Concat, CountItems,
                              DescendantStep, ForTuples, LiteralText,
-                             SortTuples, StreamConstruct, StringValue, Tee,
-                             TextStep, TupleConstruct)
+                             SortTuples, StreamConstruct, Tee,
+                             TupleConstruct)
 from repro.parallel import ShardedMultiQueryRun
 from repro.xquery.engine import MultiQueryRun, QueryRun
 from repro.xquery.parser import parse as parse_query
@@ -134,24 +133,6 @@ class TestTransferRules:
 
 
 class TestEverythingElseIsAll:
-    @pytest.mark.parametrize("make", [
-        lambda ctx: Identity(ctx, (1,), 2),
-        lambda ctx: TextStep(ctx, 1, 2),
-        lambda ctx: StringValue(ctx, 1, 2),
-    ])
-    def test_undeclared_stage(self, ctx, make):
-        stage = make(ctx)
-        assert "reads" not in stage.static_facts()
-        reads = stage_reads(stage, 1, ROOT_ONLY)
-        assert reads.is_all and reads.by == repr(stage)
-
-    def test_unknown_kind(self, ctx):
-        class Odd(Identity):
-            def static_facts(self):
-                return dict(super().static_facts(),
-                            reads={"kind": "telepathy"})
-        assert stage_reads(Odd(ctx, (1,), 2), 1, ROOT_ONLY).is_all
-
     def test_undeclared_stage_in_a_plan(self):
         plan = XFlux("sum(X//a/q)").compile()
         assert plan.stages[0].reads == Reads(("q",), None, True)
