@@ -5,8 +5,9 @@
 
 A diagnostic, not a benchmark (claims are made with ``benchmarks/e2e``):
 every ``UpdateWrapper`` handler, every ``StateTransformer`` method, the
-display and the tokenizer get a timing shim at class level before any
-engine object exists.  A shim charges its elapsed time minus that of
+copy a region takes of a shared state (``State.copy``), the display and
+the tokenizer get a timing shim at class level before any engine object
+exists.  A shim charges its elapsed time minus that of
 the shims that ran inside it; what no shim claims is the drain loop and
 the executor around it.  The inputs and the pass are the e2e workload's
 own (a paper query name runs that query alone over its document); the
@@ -25,11 +26,20 @@ from pathlib import Path
 HANDLERS = ("_on_update_start", "_on_update_end", "_on_freeze", "_on_hide",
             "_on_show", "_active_data", "_dormant_data", "_activate_on",
             "on_end")
-T_TIMED = {"process": "t.process", "get_state": "t.get_state",
-           "set_state": "t.set_state"}
+T_TIMED = {"process": "t.process"}
 T_OTHER = ("adjust", "on_transition", "on_live_adjusted", "on_region_hidden",
            "on_region_shown", "on_region_frozen", "on_other", "on_end",
            "bracket_anchor", "update_policy", "state_cells")
+
+
+def subclasses(root: type) -> set:
+    """``root`` and every class below it."""
+    found, todo = {root}, [root]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.add(sub)
+            todo.append(sub)
+    return found
 
 
 def main() -> int:
@@ -44,6 +54,7 @@ def main() -> int:
     import workloads
     import repro.operators  # noqa: F401  (defines every transformer)
     import repro.xmlio.tokenizer as tokenizer
+    from repro.core import transformer
     from repro.core.display import Display
     from repro.core.transformer import StateTransformer
     from repro.core.wrapper import UpdateWrapper
@@ -68,15 +79,15 @@ def main() -> int:
     for name in HANDLERS:
         setattr(UpdateWrapper, name,
                 shim("W." + name, getattr(UpdateWrapper, name)))
-    classes, todo = {StateTransformer}, [StateTransformer]
-    while todo:
-        for sub in todo.pop().__subclasses__():
-            classes.add(sub)
-            todo.append(sub)
-    for cls in classes:
+    for cls in subclasses(StateTransformer):
         for name, fn in list(vars(cls).items()):
             if callable(fn) and (name in T_TIMED or name in T_OTHER):
                 setattr(cls, name, shim(T_TIMED.get(name, "t.other"), fn))
+    # A checkout from before state objects has no ``State`` class.
+    state = getattr(transformer, "State", None)
+    for cls in subclasses(state) if isinstance(state, type) else ():
+        if "copy" in vars(cls):
+            cls.copy = shim("state.copy", vars(cls)["copy"])
     Display.process = shim("display.process", Display.process)
     Display.text = shim("display.text", Display.text)
     plain = tokenizer.tokenize

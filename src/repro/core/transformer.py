@@ -4,10 +4,17 @@ A pipeline stage is a tuple ``(S, s, z, i : f)`` — a state type, a current
 state, an initial state, and a state transformer ``f : E x S -> E* x S``
 attached to stream number ``i`` (or to several streams for binary
 operations).  As in the paper, we code ``f`` as a *state modifier*
-``F : E -> E*`` that destructively updates the state; the generic update
-wrapper (:mod:`repro.core.wrapper`) clones the state when update regions
-require it, via :meth:`StateTransformer.get_state` /
-:meth:`StateTransformer.set_state`.
+``F : E -> E*`` that destructively updates the state: the operator's
+fields live in one :class:`State` object, ``self.state``, which
+``process`` mutates in place.  The generic update wrapper
+(:mod:`repro.core.wrapper`) keeps one such object per update region in
+the region's record and points ``self.state`` at the right one before
+each ``process`` call, so a state swap is one reference assignment; a
+region's copy is taken the first time its content runs against a state
+it shares.  The wrapper also tells ``process`` which stream id to emit
+on (``out``): the operator's output stream for live content, the
+translated region id while it replays a region it translates, so no
+emitted event has to be relabeled a second time.
 
 A transformer is **inert** when ``f*`` restores the state across any
 well-formed input sequence; inert transformers need no state adjustment
@@ -16,7 +23,8 @@ well-formed input sequence; inert transformers need no state adjustment
 Non-inert transformers additionally implement:
 
 * :meth:`adjust` — the paper's ``adjust(s1, s2, s3)``: given that an earlier
-  transition changed ``s2`` to ``s3``, fix up a later state ``s1``;
+  transition changed ``s2`` to ``s3``, fix up a later state ``s1``
+  (a pure function over state snapshots);
 * :meth:`on_transition` — invoked once per completed update (eR/eA/eB,
   hide, show) with the update's old/new boundary states; may emit events
   (e.g. the predicate's retroactive show/hide);
@@ -28,7 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..events.model import ES, ET, SS, ST, Event, IdGenerator
 
@@ -78,7 +86,59 @@ class Context:
         return self.ids.fresh()
 
 
-State = Tuple
+class State:
+    """One value of a stage's state type ``S`` (paper Section II).
+
+    A subclass names its fields in ``__slots__``; they hold immutable
+    values (numbers, strings, tuples) or nested ``State`` objects that
+    :meth:`copy` copies.  :meth:`values` is the state as the paper's
+    tuple: what equality compares and what :meth:`cells` sizes for
+    accounting.  The update wrapper mutates a state only through the
+    operator's ``process`` and only while it is the one record's own; a
+    ``start`` or ``shadow`` snapshot is never mutated, so snapshots may
+    be shared.
+    """
+
+    __slots__: Tuple[str, ...] = ()
+
+    def copy(self) -> "State":
+        """An independent copy (hot subclasses spell theirs out)."""
+        new = object.__new__(type(self))
+        for name in self.__slots__:
+            setattr(new, name, getattr(self, name))
+        return new
+
+    def values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def cells(self) -> int:
+        """Approximate retained size of this copy (for accounting)."""
+        return _count_cells(self.values())
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.values() == other.values()  # type: ignore[attr-defined]
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return "{}{!r}".format(type(self).__name__, self.values())
+
+
+class _Stateless(State):
+    """The state of an operator that keeps none: one object nobody
+    mutates, sized like the empty tuple it stands for."""
+
+    __slots__ = ()
+
+    def copy(self) -> State:
+        return self
+
+
+NO_STATE = _Stateless()
 PASS_THROUGH: List[Event] = []
 
 
@@ -145,6 +205,11 @@ class StateTransformer:
     """
 
     inert = True
+    #: The mutable state ``process`` works on (see :class:`State`); an
+    #: operator that keeps state assigns its own in ``__init__``.  The
+    #: update wrapper points it at the state of the region an event
+    #: belongs to before each ``process`` call.
+    state: State = NO_STATE
     #: When True (the base-class contract), :meth:`on_other` forwards
     #: foreign-stream events unchanged and has no side effects, so the
     #: batched pipeline driver may route events past this stage without
@@ -160,21 +225,21 @@ class StateTransformer:
     #: being processed is update-region content (hence revocable), False
     #: for plain (immutable) stream content.  Predicates use this as the
     #: paper's fixed[e.id] test.
-    region_mutable = False
+    region_mutable: bool = False
     #: Set by the wrapper before each process() call: the input stream the
     #: event belongs to (the event's own id for live content, the region's
     #: root input stream for region content).  Binary operators route by
     #: this rather than by e.id.
-    current_input_root = None
+    current_input_root: Optional[int] = None
     #: Set by the wrapper before each process() call: the update region the
     #: event is content of (None for live content).
-    current_region = None
+    current_region: Optional[int] = None
     #: Set by the wrapper before each process() call: current_region and
     #: its positionally enclosing regions that are not yet frozen,
     #: innermost first (empty for live content).  Operators that slave
     #: output regions to input visibility register against every one of
     #: them; a frozen region can never change visibility again.
-    current_region_chain = ()
+    current_region_chain: Tuple[int, ...] = ()
 
     def __init__(self, ctx: Context, input_ids: Sequence[int],
                  output_id: int) -> None:
@@ -290,8 +355,19 @@ class StateTransformer:
 
     # -- the state modifier F ----------------------------------------------
 
-    def process(self, e: Event) -> List[Event]:
-        """Handle one event of the operator's own stream(s)."""
+    def process(self, e: Event, out: int) -> List[Event]:
+        """Handle one event of the operator's own stream(s).
+
+        ``out`` is the id the result goes on: ``output_id`` for live
+        content, the translated region id while the wrapper replays the
+        content of a region it translates (TRANSLATE and TEE).  The
+        operator emits on ``out`` wherever it would emit on
+        ``output_id`` (brackets it opens on its output included), and
+        content of a container it opened while emitting on another id —
+        before the region began, or in another region — goes on ``out``
+        too: everything a stage emits while replaying a region is that
+        region's content, save what sits in containers opened inside it.
+        """
         raise NotImplementedError
 
     def on_other(self, e: Event) -> List[Event]:
@@ -302,23 +378,18 @@ class StateTransformer:
         """Called once when the global stream ends (flush hook)."""
         return []
 
-    # -- state cloning for the wrapper ---------------------------------------
-
-    def get_state(self) -> State:
-        """Snapshot the mutable state as an immutable value."""
-        return ()
-
-    def set_state(self, state: State) -> None:
-        """Restore a snapshot taken by :meth:`get_state`."""
-
-    def state_cells(self, state: State) -> int:
-        """Approximate retained size of one state copy (for accounting)."""
-        return _count_cells(state)
-
     # -- update adjustment (non-inert transformers override) -----------------
+    #
+    # Pure functions over snapshots: they mutate none of their arguments
+    # and may not mutate ``self.state`` either.
 
     def adjust(self, state: State, s1: State, s2: State) -> State:
-        """The paper's adjust: s2 changed to s3=s2'; fix up ``state``."""
+        """The paper's adjust: s2 changed to s3=s2'; fix up ``state``.
+
+        Returns ``state`` itself when nothing changes, else a new object,
+        which may share unchanged parts with the arguments: the wrapper
+        copies it before any ``process`` call mutates it.
+        """
         return state
 
     def on_transition(self, uid: int, s1: State, s2: State) -> List[Event]:
@@ -346,7 +417,7 @@ class StateTransformer:
                                           self.input_ids, self.output_id)
 
 
-def _count_cells(value: object) -> int:
+def _count_cells(value: Any) -> int:
     if isinstance(value, (tuple, list, frozenset, set)):
         return 1 + sum(_count_cells(v) for v in value)
     if isinstance(value, dict):
@@ -361,8 +432,8 @@ class Identity(StateTransformer):
     def shape(self) -> Shape:
         return Shape("copy")
 
-    def process(self, e: Event) -> List[Event]:
-        return [e]
+    def process(self, e: Event, out: int) -> List[Event]:
+        return [e] if out == self.output_id else [e.relabel(out)]
 
 
 class Relabel(StateTransformer):
@@ -371,8 +442,8 @@ class Relabel(StateTransformer):
     def shape(self) -> Shape:
         return Shape("copy")
 
-    def process(self, e: Event) -> List[Event]:
-        return [e.relabel(self.output_id)]
+    def process(self, e: Event, out: int) -> List[Event]:
+        return [e.relabel(out)]
 
 
 class Drop(StateTransformer):
@@ -381,7 +452,7 @@ class Drop(StateTransformer):
     def shape(self) -> Shape:
         return Shape("empty")
 
-    def process(self, e: Event) -> List[Event]:
+    def process(self, e: Event, out: int) -> List[Event]:
         return PASS_THROUGH
 
 
@@ -397,9 +468,9 @@ class StructuralRelay(StateTransformer):
 
     inert = True
 
-    def process(self, e: Event) -> List[Event]:
+    def process(self, e: Event, out: int) -> List[Event]:
         if e.kind in (SS, ES, ST, ET):
-            return [e.relabel(self.output_id)]
+            return [e.relabel(out)]
         return PASS_THROUGH
 
     def shape(self) -> Shape:
@@ -422,7 +493,7 @@ def run_sequence(transformer: StateTransformer,
     tracked = set(transformer.input_ids)
     for e in events:
         if not e.is_update and e.id in tracked:
-            out.extend(transformer.process(e))
+            out.extend(transformer.process(e, transformer.output_id))
         else:
             out.extend(transformer.on_other(e))
     out.extend(transformer.on_end())

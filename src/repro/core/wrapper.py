@@ -8,8 +8,10 @@ makes it update-aware without any operator-specific code:
   region's :class:`RegionRecord` — creating the record when an update
   bracket opens inside a tracked stream;
 * content events of a region are processed against that region's own state
-  copy (necessary so e.g. a counter counts a replacement's content and the
-  delta becomes visible at the bracket's end);
+  object (necessary so e.g. a counter counts a replacement's content and
+  the delta becomes visible at the bracket's end): the transformer's
+  ``state`` is pointed at the record's ``end``, and ``process`` mutates it
+  in place;
 * when an update completes (eR/eA/eB) or flips visibility (hide/show), the
   states of all *later* regions — ordered by rational ``order`` timestamps —
   and the live state are fixed up through the transformer's pure
@@ -18,7 +20,7 @@ makes it update-aware without any operator-specific code:
   *fixed* get no record at all, and ``freeze`` drops an existing one.
 
 **One record, one handle.**  Everything a stage keeps about a tracked
-stream id — state copies, routing facet, bracket translation, positional
+stream id — state objects, routing facet, bracket translation, positional
 nesting, the cached region chain — lives in its :class:`RegionRecord`,
 and the record is reachable only as the value of ``tracked[id]`` (plus
 the ``parent``/``children`` links between live records).  Deleting that
@@ -33,8 +35,9 @@ e1 has its own substream id").  The wrapper implements this generically via
 a per-input-stream :class:`UpdatePolicy`:
 
 * ``TRANSLATE`` (default): re-emit the bracket with a fresh output-side
-  region id; events the transformer emits on its output stream while the
-  region is loaded are relabeled into that region.  hide/show/freeze are
+  region id, and hand that id to ``process`` as the id to emit on while
+  it replays the region's content, so the operator's one relabel puts
+  the content into the translated region.  hide/show/freeze are
   forwarded retargeted at the output-side region.
 * ``TRANSPARENT``: forward the bracket verbatim (operators like
   concatenation whose output carries the input stream numbers).
@@ -42,7 +45,8 @@ a per-input-stream :class:`UpdatePolicy`:
   state (e.g. a predicate's condition stream); visible effects happen
   through ``on_transition`` (retroactive show/hide) instead.
 * ``TEE``: forward the original bracket *and* a translated one (stream
-  duplication for predicates and backward axes).
+  duplication for predicates and backward axes); the copy of the content
+  goes on the translated id, as under ``TRANSLATE``.
 
 Other deviations from the paper's pseudo-code are listed in DESIGN.md.
 """
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from math import gcd
-from typing import Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from ..events.model import (EM, ER, FREEZE, HIDE, SA, SHOW, SM, SR,
                             UPDATE_ENDS, UPDATE_STARTS, Event)
@@ -138,19 +142,28 @@ class RegionRecord:
     it holds.  ``facet`` says how the id's *data* events are processed:
 
     * 0 — against the live state: the one record shared by every input
-      stream id (``id`` None; its ``start``/``end`` are the live state's
-      snapshots, its ``order`` None = +infinity: always adjusted), or a
-      fixed-``sM`` alias, which holds no state at all;
+      stream id (``id`` None; its ``start`` is the construction-time
+      snapshot, its ``end`` the live state, its ``order`` None =
+      +infinity: always adjusted), or a fixed-``sM`` alias, which holds
+      no state at all;
     * 1 — RAW / SHARED region content, live state as well;
-    * 2 — an update region with its own state copies: the paper's
+    * 2 — an update region with its own state objects: the paper's
       ``start``/``end``/``shadow`` (``shadow`` None while visible) and
       ``order``.
 
+    ``end`` is the state ``process`` mutates while the record is loaded;
+    ``owned`` says that no other field anywhere refers to that object.
+    A record whose ``end`` is shared (with its own ``start`` when it
+    opens, with another record's ``end`` after a commit, with a
+    ``shadow``) copies it before its content runs: at most one copy
+    per region per stage on the paths the workloads take (see
+    :meth:`UpdateWrapper._load`).  ``start`` and ``shadow`` are
+    snapshots, never mutated.
+
     Every record knows its ``root`` input stream and that stream's
     ``policy``.  A facet-2 record also carries the bracket translation
-    (``out``: the output-space region id; ``info``: ``(out, (output_id,
-    anchor), translate?)``, all :meth:`UpdateWrapper._relabel_out` needs;
-    ``inner``: sub-containers the operator opened inside the region), the
+    (``out``: the output-space region id, the id its content is emitted
+    on; None under CONSUME/TRANSPARENT), the
     positional nesting among live regions (``parent``: nearest enclosing
     region not yet frozen, ``children`` its exact inverse, None when
     empty), the open bracket (``open``, and ``target``: what the re-emitted
@@ -160,9 +173,9 @@ class RegionRecord:
     copies retained.
     """
 
-    __slots__ = ("id", "facet", "root", "policy", "start", "end", "shadow",
-                 "order", "out", "info", "inner", "parent", "children",
-                 "open", "target", "chain", "kept")
+    __slots__ = ("id", "facet", "root", "policy", "start", "end", "owned",
+                 "shadow", "order", "out", "parent", "children", "open",
+                 "target", "chain", "kept")
 
     def __init__(self, id: Optional[int], facet: int, root: Optional[int],
                  policy: Optional[UpdatePolicy], state: Optional[State] = None,
@@ -172,15 +185,17 @@ class RegionRecord:
         self.facet = facet
         self.root = root
         self.policy = policy
-        self.start = self.end = state
-        self.shadow = None
+        self.start: Optional[State] = state
+        self.end: Optional[State] = state
+        self.owned = False
+        self.shadow: Optional[State] = None
         self.order = order
-        self.out = self.info = self.inner = None
+        self.out: Optional[int] = None
         self.parent = parent
-        self.children = None
+        self.children: Optional[Set[RegionRecord]] = None
         self.open = facet == 2
-        self.target = None
-        self.chain = None
+        self.target: Optional[int] = None
+        self.chain: Optional[tuple] = None
         self.kept = False
 
     # One tuple per record instead of the default per-object slot dict:
@@ -202,12 +217,12 @@ class UpdateWrapper:
     The wrapper starts *dormant*: until the first update-kind event
     (sM/sR/sB/sA/eU/freeze/hide/show) reaches it, :meth:`dispatch` is a
     straight pass-through to the transformer — no region tracking, no
-    state residency management, no per-event bookkeeping beyond the call
-    counter.  Pure-query streams never pay for the Section-IV machinery.
+    state swapping, no per-event bookkeeping beyond the call counter.
+    Pure-query streams never pay for the Section-IV machinery.
     The first update event permanently activates the full path; the
     transition is lossless because the dormant path maintains exactly the
-    invariants the active path expects (live state loaded, the live
-    record's ``start`` holding the construction-time snapshot).
+    invariants the active path expects (the live record loaded, its
+    ``start`` holding the construction-time snapshot).
     ``always_active=True`` disables the fast path (used by differential
     tests).
 
@@ -218,7 +233,7 @@ class UpdateWrapper:
 
     #: Optional telemetry sink (a :class:`repro.obs.StageMetrics`),
     #: attached by the recorder; ``None`` keeps every hook branch cold.
-    obs = None
+    obs: Any = None
 
     def __init__(self, transformer: StateTransformer,
                  always_active: bool = False,
@@ -226,8 +241,10 @@ class UpdateWrapper:
         self.t = transformer
         self.ctx = transformer.ctx
         self.input_ids = frozenset(transformer.input_ids)
-        live = self._live = RegionRecord(None, 0, None, None,
-                                         transformer.get_state())
+        state = transformer.state
+        live = self._live = RegionRecord(None, 0, None, None, state)
+        live.start = state.copy()
+        live.owned = True
         # Every stream id whose *data* events this stage processes (rather
         # than passes through), mapped to its record; every input stream
         # id maps to the one live record.  One dict probe classifies an
@@ -241,9 +258,9 @@ class UpdateWrapper:
         self.tracked: Dict[int, RegionRecord] = dict.fromkeys(
             self.input_ids, live)
         self._policy_cache: Dict[int, UpdatePolicy] = {}
-        #: The record whose ``end`` the transformer's in-object state is.
+        #: The record whose ``end`` is the transformer's ``state``; it
+        #: always owns that object (see :meth:`_load`).
         self._loaded = live
-        self._resident: Optional[State] = None
         self._tick = 1
         self._n_regions = 0
         self.calls = 0
@@ -251,7 +268,7 @@ class UpdateWrapper:
         self._dormant = not always_active
         #: Section V reclamation switch: with ``reclaim_on_freeze=False``
         #: a freeze still forwards, still fixes the mutability map, but
-        #: keeps the region's state copies resident (the bench memory
+        #: keeps the region's state copies (the bench memory
         #: ablation measures exactly this difference).
         self._reclaim = reclaim_on_freeze
         # Sorted mirror of the region records' ``order`` values, so the
@@ -268,53 +285,47 @@ class UpdateWrapper:
         an input stream id); None when this stage does not track it."""
         return self.tracked.get(uid)
 
-    # -- state residency --------------------------------------------------------
+    # -- state swapping ---------------------------------------------------------
     #
-    # ``_resident`` caches the snapshot known to equal the transformer's
-    # in-object state (None = unknown/dirty; every process() call dirties
-    # it).  In the ubiquitous non-interleaved bracket lifecycle
-    # (sU -> content -> eU -> freeze) this elides *all* redundant
-    # get_state/set_state round-trips: the open's snapshot is reused at
-    # the first load, and the commit restores a state the transformer
-    # already holds.
+    # The transformer's ``state`` is the loaded record's ``end``, one
+    # object, so nothing is ever saved back: a swap is one reference
+    # assignment.  A record's ``end`` is mutated only while the record
+    # owns it; the loaded record always does.
 
-    def _save(self) -> None:
-        """Flush the transformer's in-object state into the loaded record."""
-        r = self._resident
-        if r is None:
-            r = self._resident = self.t.get_state()
-        self._loaded.end = r
+    def _load(self, rec: RegionRecord) -> None:
+        """Make ``rec`` the loaded record, copying its ``end`` first if
+        the object is shared."""
+        if not rec.owned:
+            rec.end = rec.end.copy()
+            rec.owned = True
+        self.t.state = rec.end
+        self._loaded = rec
 
-    def _load_live(self) -> None:
-        """Make the live record the loaded one (caller has already saved)."""
-        live = self._live
-        s = live.end
-        if s is not self._resident:
-            self.t.set_state(s)
-            self._resident = s
-        self._loaded = live
+    @staticmethod
+    def _share(dst: RegionRecord, src: RegionRecord) -> None:
+        """``dst.end <- src.end``: from now on two records name it."""
+        dst.end = src.end
+        dst.owned = src.owned = False
 
-    def _reload(self) -> None:
-        s = self._loaded.end
-        if s is not self._resident:
-            self.t.set_state(s)
-            self._resident = s
-
-    def _to_live(self) -> None:
-        """Save the loaded region's state and load the live one."""
-        if self._loaded is not self._live:
-            self._save()
-            self._load_live()
+    @staticmethod
+    def _adjusted(rec: RegionRecord, new: State) -> None:
+        """``rec.end <- new``, an :meth:`adjust` result: ``rec.end`` itself
+        or a new object that may share parts with its arguments, so the
+        record copies it before its content runs against it (most
+        adjusted regions are closed and never do)."""
+        if new is not rec.end:
+            rec.end = new
+            rec.owned = False
 
     def _live_process(self, e: Event, root: Optional[int]) -> List[Event]:
         """``process(e)`` against the live state, outside any region: how
         RAW-policy update events reach the transformer."""
-        self._to_live()
+        if self._loaded is not self._live:
+            self._load(self._live)
         t = self.t
         t.current_input_root = root
         t.current_region = None
-        self._resident = None
-        return t.process(e)
+        return t.process(e, t.output_id)
 
     # -- dispatch -----------------------------------------------------------------
     #
@@ -370,7 +381,7 @@ class UpdateWrapper:
         t = self.t
         if e.id in self.input_ids:
             t.current_input_root = e.id
-            return t.process(e)
+            return t.process(e, t.output_id)
         return t.on_other(e)
 
     def _active_data(self, e: Event) -> List[Event]:
@@ -381,18 +392,13 @@ class UpdateWrapper:
         if rec is None:
             return t.on_other(e)
         facet = rec.facet
-        if facet == 2:  # region with its own state copy
-            loaded = self._loaded
-            if rec is not loaded:
-                # The state swap; the final resident write is folded into
-                # the pre-process() invalidation below.
-                r = self._resident
-                if r is None:
-                    r = t.get_state()
-                loaded.end = r
+        if facet == 2:  # region with its own state object
+            if rec is not self._loaded:  # the swap: _load, written out
                 s = rec.end
-                if s is not r:
-                    t.set_state(s)
+                if not rec.owned:
+                    s = rec.end = s.copy()
+                    rec.owned = True
+                t.state = s
                 self._loaded = rec
             chain = rec.chain
             if chain is None:
@@ -402,36 +408,12 @@ class UpdateWrapper:
             t.current_input_root = rec.root
             t.current_region_chain = chain
             t.current_region = eid
-            self._resident = None
-            out = t.process(e)
-            if not out or t.suppress_region_output:
-                return []
-            info = rec.info
-            if info is None:
-                return out
-            # _relabel_out, specialized for the dominant shape: exactly
-            # one data event emitted while replaying region content.
-            if len(out) == 1:
-                ev = out[0]
-                if ev.kind < _FIRST_UPDATE:
-                    inner = rec.inner
-                    if inner is not None and ev.id in inner:
-                        return out
-                    if info[2] or ev.id in info[1]:  # translate / own
-                        return [ev.relabel(info[0])]
-                    return out
-            return self._relabel_out(out, rec)
+            out = rec.out
+            emitted = t.process(e, t.output_id if out is None else out)
+            return [] if t.suppress_region_output else emitted
         live = self._live
-        loaded = self._loaded
-        if loaded is not live:
-            r = self._resident
-            if r is None:
-                r = t.get_state()
-            loaded.end = r
-            s = live.end
-            if s is not r:
-                t.set_state(s)
-            self._loaded = live
+        if live is not self._loaded:
+            self._load(live)
         if facet == 0:  # input stream or fixed-sM alias: live state
             t.region_mutable = False
             t.current_input_root = eid
@@ -440,59 +422,12 @@ class UpdateWrapper:
             t.region_mutable = True
             t.current_input_root = rec.root
             t.current_region = eid
-        self._resident = None
-        return t.process(e)
+        return t.process(e, t.output_id)
 
     def on_end(self) -> List[Event]:
-        self._to_live()
-        self._resident = None
+        if self._loaded is not self._live:
+            self._load(self._live)
         return self.t.on_end()
-
-    def _relabel_out(self, out: List[Event],
-                     rec: RegionRecord) -> List[Event]:
-        """Route events emitted during region processing into the bracket.
-
-        Non-update events the transformer emits on its output stream (or
-        into its current output-side container) are relabeled to the
-        translated region id; update events *targeting* those ids are
-        retargeted the same way, so operator-generated sub-brackets nest
-        inside the translated bracket.
-        """
-        info = rec.info
-        if info is None:
-            return out
-        j_out, own, translate = info
-        inner = rec.inner
-        result: List[Event] = []
-        append = result.append
-        for ev in out:
-            if ev.kind >= _FIRST_UPDATE:
-                if ev.id in own:
-                    # Operator-generated sub-bracket anchored at the
-                    # operator's own output: nest it inside the bracket.
-                    append(Event(ev.kind, j_out, sub=ev.sub))
-                else:
-                    append(ev)
-                if ev.kind in UPDATE_STARTS and ev.sub is not None:
-                    if inner is None:
-                        inner = rec.inner = set()
-                    inner.add(ev.sub)
-            elif inner is not None and ev.id in inner:
-                # Content of a container the operator opened inside this
-                # very bracket (e.g. a predicate's per-element region):
-                # already correctly placed.
-                append(ev)
-            elif translate:
-                # Everything else the operator emits while replaying this
-                # region is the bracket's content — including events
-                # labeled with a container opened in an *earlier* scope
-                # (e.g. a replacement for a long-closed element).
-                append(ev.relabel(j_out))
-            elif ev.id in own:
-                append(ev.relabel(j_out))
-            else:
-                append(ev)
-        return result
 
     # -- update bookkeeping ----------------------------------------------------------
 
@@ -541,9 +476,8 @@ class UpdateWrapper:
             # stays untracked and is ignored downstream, and nothing is
             # registered for it.
             return []
-        self._save()
         # The state the new region starts from is its target's: the
-        # region's own copies, or the live state for an input stream or
+        # region's own state, or the live state for an input stream or
         # an alias.  Positional containment, not temporal nesting: a
         # mutable region lives inside its target; replace/insert content
         # occupies a spot inside the target's own container (brackets may
@@ -567,6 +501,13 @@ class UpdateWrapper:
         else:  # SB
             base = src.start
             order = self._between_below(src.order or _ONE)
+        if base is src.end:
+            # The target's working state becomes the new region's start
+            # snapshot: the target copies before its next event (now, if
+            # it is the loaded one).
+            src.owned = False
+            if src is self._loaded:
+                self._load(src)
         mirror = self._mirror
         rec = self.tracked.get(j)
         if rec is None or rec.facet != 2:
@@ -591,7 +532,10 @@ class UpdateWrapper:
             rec.root, rec.policy, rec.order, rec.parent = (root, policy,
                                                            order, parent)
             rec.start = rec.end = base
+            rec.owned = False
             rec.open = True
+            if rec is self._loaded:
+                self._load(rec)
         if mirror is not None:
             # sM timestamps are monotone ticks, so appends dominate; one
             # comparison beats an O(log n) insort of Python-level __lt__
@@ -613,10 +557,8 @@ class UpdateWrapper:
             return []
         t = self.t
         j_out = rec.out = self.ctx.ids.fresh()
-        anchor = t.bracket_anchor()
-        rec.info = (j_out, (t.output_id, anchor), policy is _TRANSLATE)
         if target.facet == 0:
-            out_target = anchor
+            out_target = t.bracket_anchor()
         else:
             out_target = target.out
             if out_target is None:
@@ -652,7 +594,6 @@ class UpdateWrapper:
         target = rec.target
         rec.open = False
         rec.target = None
-        self._save()
         kind = e.kind
         out: List[Event] = []
         j_out = rec.out
@@ -668,7 +609,7 @@ class UpdateWrapper:
         if enc is None or enc.facet == 1:
             # The target's state was already pruned (frozen mid-bracket):
             # nothing to commit.
-            self._load_live()
+            self._load(live)
             return out
         if enc.facet == 0:
             enc = live
@@ -683,14 +624,15 @@ class UpdateWrapper:
                 if enc is anchor:
                     # Wholesale replacement of the hidden region itself.
                     anchor.shadow = rec.end
+                    rec.owned = False
                 else:
                     anchor.shadow = t.adjust(anchor.shadow, enc.end, rec.end)
-                enc.end = rec.end
+                self._share(enc, rec)
             elif not inert:  # EM nested below a hidden region: plain commit
-                enc.end = t.adjust(enc.end, rec.start, rec.end)
-            elif enc.end == rec.start:
-                enc.end = rec.end
-            self._load_live()
+                self._adjusted(enc, t.adjust(enc.end, rec.start, rec.end))
+            elif rec.end is not rec.start and enc.end == rec.start:
+                self._share(enc, rec)
+            self._load(live)
             return out
         if kind == EM:
             # The paper's "end[id] <- end[uid]", generalized to a delta
@@ -698,38 +640,42 @@ class UpdateWrapper:
             # with this bracket, so the enclosing state absorbs the
             # region's *transition* rather than its absolute snapshot.
             # (Linear case: end-of(i) == start[j], so the adjust laws give
-            # exactly end[j] — the paper's rule.)
+            # exactly end[j] — the paper's rule.)  An inert region whose
+            # state was never touched (``end is start``) changes nothing.
             old_enc = enc.end
             if inert:
-                becomes = rec.end if old_enc == rec.start else old_enc
+                if rec.end is not rec.start and old_enc == rec.start:
+                    self._share(enc, rec)
             else:
-                becomes = t.adjust(old_enc, rec.start, rec.end)
-            enc.end = becomes
+                self._adjusted(enc, t.adjust(old_enc, rec.start, rec.end))
             if enc is live:
-                # Make the in-object state current *before* asking the
-                # transformer to re-emit its visible value.
-                self._load_live()
+                # Make the transformer's state current *before* asking
+                # it to re-emit its visible value.
+                self._load(live)
+                becomes = live.end
                 if (t.suppress_region_output and not inert
                         and old_enc != becomes):
                     out.extend(t.on_live_adjusted(old_enc, becomes))
-                    self._resident = None
         elif kind == ER:
             s1, s2 = enc.end, rec.end
             if not inert:
                 out.extend(t.on_transition(j, s1, s2))
-                self._resident = None
                 self._adjust_later(rec, s1, s2, out)
             if inert or enc is not live:
                 # The replaced region's own end state is now the
                 # replacement's; a non-inert live state was already fixed
-                # up by the adjustment above.
-                enc.end = rec.end
+                # up by the adjustment above.  (_share, written out.)
+                enc.end = s2
+                enc.owned = rec.owned = False
         elif not inert:  # EA / EB
             s1, s2 = rec.start, rec.end
             out.extend(t.on_transition(j, s1, s2))
-            self._resident = None
             self._adjust_later(rec, s1, s2, out)
-        self._load_live()
+        if live.owned:  # _load(live), written out
+            t.state = live.end
+            self._loaded = live
+        else:
+            self._load(live)
         return out
 
     def _on_hide(self, e: Event) -> List[Event]:
@@ -742,7 +688,6 @@ class UpdateWrapper:
         if rec.facet == 1:
             if rec.policy is _RAW:
                 return self._live_process(e, rec.root)
-            self._resident = None
             return list(t.on_region_hidden(uid))
         if rec.facet == 0 or self.ctx.fix.is_fixed(uid):
             return t.on_other(e)
@@ -750,7 +695,6 @@ class UpdateWrapper:
             # Already hidden: hide is idempotent (a second hide must not
             # overwrite the shadow with the already-hidden state).
             return self._forward_toggle(e, rec)
-        self._save()
         out = self._forward_toggle(e, rec)
         s_end, s_start = rec.end, rec.start
         anchor = self._hidden_anchor(rec.parent)
@@ -759,14 +703,13 @@ class UpdateWrapper:
             anchor.shadow = t.adjust(anchor.shadow, s_end, s_start)
         elif not t.inert:
             out.extend(t.on_transition(uid, s_end, s_start))
-            self._resident = None
             self._adjust_later(rec, s_end, s_start, out)
         rec.shadow = s_end
         rec.end = s_start
+        rec.owned = False
         if anchor is None and not t.inert:
             out.extend(t.on_region_hidden(uid))
-            self._resident = None
-        self._reload()
+        self._load(self._loaded)
         return out
 
     def _on_show(self, e: Event) -> List[Event]:
@@ -779,13 +722,11 @@ class UpdateWrapper:
         if rec.facet == 1:
             if rec.policy is _RAW:
                 return self._live_process(e, rec.root)
-            self._resident = None
             return list(t.on_region_shown(uid))
         if rec.facet == 0 or self.ctx.fix.is_fixed(uid):
             return t.on_other(e)
         if rec.shadow is None:
             return self._forward_toggle(e, rec)  # show without hide: no-op
-        self._save()
         out = self._forward_toggle(e, rec)
         s_end, s_shadow = rec.end, rec.shadow
         rec.shadow = None
@@ -794,13 +735,12 @@ class UpdateWrapper:
             anchor.shadow = t.adjust(anchor.shadow, s_end, s_shadow)
         elif not t.inert:
             out.extend(t.on_transition(uid, s_end, s_shadow))
-            self._resident = None
             self._adjust_later(rec, s_end, s_shadow, out)
         rec.end = s_shadow
+        rec.owned = False
         if anchor is None and not t.inert:
             out.extend(t.on_region_shown(uid))
-            self._resident = None
-        self._reload()
+        self._load(self._loaded)
         return out
 
     def _forward_toggle(self, e: Event, rec: RegionRecord) -> List[Event]:
@@ -837,18 +777,15 @@ class UpdateWrapper:
         out = self._forward_toggle(e, rec)
         if not t.inert:
             out.extend(t.on_region_frozen(uid))
-            self._resident = None
         if rec.out is not None:
             fix.freeze(rec.out)
             rec.out = None
         # Section V: a fixed id's states are removed immediately.
         if self._loaded is rec:
-            self._save()  # its ``end`` is sized below; the ablation keeps it
-            self._load_live()
+            self._load(self._live)
         obs = self.obs
         if obs is not None:
-            cells = t.state_cells
-            obs.on_freeze(sum(cells(s)
+            obs.on_freeze(sum(s.cells()
                               for s in (rec.start, rec.end, rec.shadow)
                               if s is not None))
         # A frozen region is closed to everything: it leaves the nesting
@@ -916,7 +853,7 @@ class UpdateWrapper:
             UpdateWrapper._drop_chains(kids)
 
     @staticmethod
-    def _drop_chains(recs) -> None:
+    def _drop_chains(recs: Iterable[RegionRecord]) -> None:
         """Reset the cached chain of ``recs`` and of every region below."""
         below = list(recs)
         while below:
@@ -955,7 +892,7 @@ class UpdateWrapper:
         degenerates to the paper's flat rule: adjust every later region
         and the live state.
         """
-        if s1 == s2:
+        if s1 is s2 or s1 == s2:
             return
         nearest_open = self._nearest_open
         enclosing = nearest_open(rec)
@@ -968,7 +905,10 @@ class UpdateWrapper:
                     or k.order <= pivot):
                 continue
             k.start = adjust(k.start, s1, s2)
-            k.end = adjust(k.end, s1, s2)
+            end = adjust(k.end, s1, s2)
+            if end is not k.end:  # _adjusted, written out
+                k.end = end
+                k.owned = False
             if k.shadow is not None:
                 k.shadow = adjust(k.shadow, s1, s2)
         if enclosing is None:
@@ -976,19 +916,15 @@ class UpdateWrapper:
             old = live.end
             new = adjust(old, s1, s2)
             if new != old:
-                live.end = new
-                # Materialize the adjusted live state before the emission
-                # hook: transformers re-emit from their in-object fields.
-                self._loaded = live
-                t.set_state(new)
-                self._resident = new
+                self._adjusted(live, new)
+                # Load the adjusted live state before the emission hook:
+                # transformers re-emit from their ``state``.
+                self._load(live)
                 out.extend(t.on_live_adjusted(old, new))
-                self._resident = None
         else:
-            enclosing.end = adjust(enclosing.end, s1, s2)
+            self._adjusted(enclosing, adjust(enclosing.end, s1, s2))
             if self._loaded is enclosing:
-                t.set_state(enclosing.end)
-                self._resident = enclosing.end
+                self._load(enclosing)
 
     # -- order timestamps ------------------------------------------------------------------
 
@@ -1035,16 +971,15 @@ class UpdateWrapper:
     # -- accounting ----------------------------------------------------------------------------
 
     def state_cells(self) -> int:
-        """Retained state size (cells) across all live copies."""
-        self._save()
-        cells = self.t.state_cells
+        """Retained state size (cells) across all live copies (a shared
+        object counts once per field that names it)."""
         live = self._live
-        total = cells(live.start) + cells(live.end)
+        total = live.start.cells() + live.end.cells()
         for r in self.tracked.values():
             if r.facet == 2:
-                total += cells(r.start) + cells(r.end)
+                total += r.start.cells() + r.end.cells()
                 if r.shadow is not None:
-                    total += cells(r.shadow)
+                    total += r.shadow.cells()
         return total
 
     def live_regions(self) -> int:

@@ -160,7 +160,9 @@ class Event:
     def relabel(self, new_id: int) -> "Event":
         """Copy of this event carried on a different stream number."""
         # Hot path: bypass __init__ (one fewer Python-level call) — this
-        # runs once per stage per passing event.
+        # runs once per stage per passing event, region content included:
+        # the update wrapper names the id an operator emits on before the
+        # call, so nothing relabels an event twice.
         ev = Event.__new__(Event)
         ev.kind = self.kind
         ev.id = new_id

@@ -61,7 +61,12 @@ MAGIC = b"XFCK"
 #: 8: a ``SharedGroup`` pickles the ``recorder`` of its prefix pipeline
 #: and a ``MetricsRecorder`` its ``routed`` flag (sharing stays engaged
 #: under metrics and the flight ring); a version-7 blob would lack both.
-VERSION = 8
+#: 9: region records and transformers pickle ``State`` objects where
+#: version 8 had tuples (a transformer's ``state``, a record's
+#: ``start``/``end``/``shadow``), and a record has an ``owned`` field
+#: and no ``info``/``inner``; a version-8 blob restored into this code
+#: would hand tuples to operators that read attributes.
+VERSION = 9
 
 #: Kinds the current code base writes; decode rejects unknown kinds.
 KNOWN_KINDS = ("pipeline", "queryrun", "multiquery")

@@ -250,11 +250,11 @@ class _RaisingProcess:
         self.stage = stage
         self.at = at
 
-    def __call__(self, e):
+    def __call__(self, e, out):
         self.remaining -= 1
         if self.remaining <= 0:
             raise InjectedFault(self.query, self.stage, self.at)
-        return type(self.t).process(self.t, e)
+        return type(self.t).process(self.t, e, out)
 
 
 def arm_stage_fault(run, stage: int, at: int,

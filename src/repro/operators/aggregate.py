@@ -52,6 +52,43 @@ def _aggregate_facts(agg: StateTransformer, state_class: str,
     )
 
 
+class CountState(State):
+    """``(count, depth)``."""
+
+    __slots__ = ("count", "depth")
+
+    def __init__(self, count: int = 0, depth: int = 0) -> None:
+        self.count = count
+        self.depth = depth
+
+
+class NumericState(State):
+    """``(total, n, depth, parts)``: the running (sum, valid count) and
+    the text of the item being read."""
+
+    __slots__ = ("total", "n", "depth", "parts")
+
+    def __init__(self, total: float = 0.0, n: int = 0, depth: int = 0,
+                 parts: tuple = ()) -> None:
+        self.total = total
+        self.n = n
+        self.depth = depth
+        self.parts = parts
+
+
+class MinMaxState(State):
+    """``(counts, depth, parts)``: the sorted value -> multiplicity
+    register and the text of the item being read."""
+
+    __slots__ = ("counts", "depth", "parts")
+
+    def __init__(self, counts: tuple = (), depth: int = 0,
+                 parts: tuple = ()) -> None:
+        self.counts = counts
+        self.depth = depth
+        self.parts = parts
+
+
 class CountItems(StateTransformer):
     """``count(e)``: continuously displayed count of top-level items.
 
@@ -64,8 +101,7 @@ class CountItems(StateTransformer):
 
     def __init__(self, ctx: Context, input_id: int, output_id: int) -> None:
         super().__init__(ctx, (input_id,), output_id)
-        self.count = 0
-        self.depth = 0
+        self.state = CountState()
         self.region_id = ctx.fresh_id()   # the paper's nid
         self.replace_id = ctx.fresh_id()  # the paper's rid
         self._started = False
@@ -80,49 +116,45 @@ class CountItems(StateTransformer):
         return _aggregate_facts(self, "constant",
                                 "count register adjusted by deltas")
 
-    def get_state(self) -> State:
-        return (self.count, self.depth)
-
-    def set_state(self, state: State) -> None:
-        self.count, self.depth = state
-
     def _emit_value(self) -> List[Event]:
         return [start_replace(self.region_id, self.replace_id),
-                cdata(self.replace_id, str(self.count)),
+                cdata(self.replace_id, str(self.state.count)),
                 end_replace(self.region_id, self.replace_id)]
 
-    def process(self, e: Event) -> List[Event]:
+    def process(self, e: Event, out: int) -> List[Event]:
         kind = e.kind
         if kind == SS:
             self._started = True
-            return [Event(SS, self.output_id),
-                    start_mutable(self.output_id, self.region_id),
+            return [Event(SS, out),
+                    start_mutable(out, self.region_id),
                     cdata(self.region_id, "0"),
-                    end_mutable(self.output_id, self.region_id)]
+                    end_mutable(out, self.region_id)]
         if kind == ES:
-            return [Event(ES, self.output_id)]
+            return [Event(ES, out)]
         if kind in _STRUCTURAL:
             return []
+        s = self.state
         if kind == SE:
-            self.depth += 1
+            s.depth += 1
             return []
         if kind == EE:
-            self.depth -= 1
-            if self.depth == 0:
-                self.count += 1
+            s.depth -= 1
+            if s.depth == 0:
+                s.count += 1
                 return self._emit_value()
             return []
-        if self.depth == 0:  # bare top-level cD counts as an item
-            self.count += 1
+        if s.depth == 0:  # bare top-level cD counts as an item
+            s.count += 1
             return self._emit_value()
         return []
 
-    def adjust(self, state: State, s1: State, s2: State) -> State:
-        count, depth = state
-        return (count + (s2[0] - s1[0]), depth)
+    def adjust(self, state: CountState, s1: CountState,
+               s2: CountState) -> CountState:
+        return CountState(state.count + (s2.count - s1.count), state.depth)
 
-    def on_live_adjusted(self, old: State, new: State) -> List[Event]:
-        if old[0] == new[0]:
+    def on_live_adjusted(self, old: CountState,
+                         new: CountState) -> List[Event]:
+        if old.count == new.count:
             return []
         return self._emit_value()
 
@@ -146,10 +178,7 @@ class NumericAggregate(StateTransformer):
             raise ValueError("unsupported aggregate {!r}".format(op))
         super().__init__(ctx, (input_id,), output_id)
         self.op = op
-        self.total = 0.0
-        self.n = 0
-        self.depth = 0
-        self.parts: tuple = ()
+        self.state = NumericState()
         self.region_id = ctx.fresh_id()
         self.replace_id = ctx.fresh_id()
 
@@ -164,63 +193,63 @@ class NumericAggregate(StateTransformer):
                                 "(total, n) register plus the current "
                                 "item's text buffer")
 
-    def get_state(self) -> State:
-        return (self.total, self.n, self.depth, self.parts)
-
-    def set_state(self, state: State) -> None:
-        self.total, self.n, self.depth, self.parts = state
-
     def _value(self) -> str:
+        s = self.state
         if self.op == "sum":
-            return _format_number(self.total)
-        if self.n == 0:
+            return _format_number(s.total)
+        if s.n == 0:
             return ""
-        return _format_number(self.total / self.n)
+        return _format_number(s.total / s.n)
 
     def _emit_value(self) -> List[Event]:
         return [start_replace(self.region_id, self.replace_id),
                 cdata(self.replace_id, self._value()),
                 end_replace(self.region_id, self.replace_id)]
 
-    def process(self, e: Event) -> List[Event]:
+    def process(self, e: Event, out: int) -> List[Event]:
         kind = e.kind
         if kind == SS:
-            return [Event(SS, self.output_id),
-                    start_mutable(self.output_id, self.region_id),
+            return [Event(SS, out),
+                    start_mutable(out, self.region_id),
                     cdata(self.region_id, self._value()),
-                    end_mutable(self.output_id, self.region_id)]
+                    end_mutable(out, self.region_id)]
         if kind == ES:
-            return [Event(ES, self.output_id)]
+            return [Event(ES, out)]
         if kind in _STRUCTURAL:
             return []
+        s = self.state
         if kind == SE:
-            self.depth += 1
-            if self.depth == 1:
-                self.parts = ()
+            s.depth += 1
+            if s.depth == 1:
+                s.parts = ()
             return []
         if kind == EE:
-            self.depth -= 1
-            if self.depth == 0:
-                return self._accumulate("".join(self.parts))
+            s.depth -= 1
+            if s.depth == 0:
+                return self._accumulate("".join(s.parts))
             return []
-        if self.depth == 0:
+        if s.depth == 0:
             return self._accumulate(e.text or "")
-        self.parts = self.parts + (e.text or "",)
+        s.parts = s.parts + (e.text or "",)
         return []
 
     def _accumulate(self, text: str) -> List[Event]:
         value = _parse_number(text)
-        self.n += 1
+        s = self.state
+        s.n += 1
         if value is not None:
-            self.total += value
+            s.total += value
         return self._emit_value()
 
-    def adjust(self, state: State, s1: State, s2: State) -> State:
-        total, n, depth, parts = state
-        return (total + (s2[0] - s1[0]), n + (s2[1] - s1[1]), depth, parts)
+    def adjust(self, state: NumericState,
+               s1: NumericState, s2: NumericState) -> NumericState:
+        return NumericState(state.total + (s2.total - s1.total),
+                            state.n + (s2.n - s1.n), state.depth,
+                            state.parts)
 
-    def on_live_adjusted(self, old: State, new: State) -> List[Event]:
-        if old[0] == new[0] and old[1] == new[1]:
+    def on_live_adjusted(self, old: NumericState,
+                         new: NumericState) -> List[Event]:
+        if old.total == new.total and old.n == new.n:
             return []
         return self._emit_value()
 
@@ -255,9 +284,7 @@ class MinMaxAggregate(StateTransformer):
             raise ValueError("unsupported aggregate {!r}".format(op))
         super().__init__(ctx, (input_id,), output_id)
         self.op = op
-        self.counts: tuple = ()  # sorted ((value, multiplicity), ...)
-        self.depth = 0
-        self.parts: tuple = ()
+        self.state = MinMaxState()
         self.region_id = ctx.fresh_id()
         self.replace_id = ctx.fresh_id()
 
@@ -272,17 +299,11 @@ class MinMaxAggregate(StateTransformer):
                                 "value -> multiplicity register, "
                                 "O(distinct values)")
 
-    def get_state(self) -> State:
-        return (self.counts, self.depth, self.parts)
-
-    def set_state(self, state: State) -> None:
-        self.counts, self.depth, self.parts = state
-
     def _value(self) -> str:
-        if not self.counts:
+        counts = self.state.counts
+        if not counts:
             return ""
-        pick = self.counts[0][0] if self.op == "min" else \
-            self.counts[-1][0]
+        pick = counts[0][0] if self.op == "min" else counts[-1][0]
         return _format_number(pick)
 
     def _emit_value(self) -> List[Event]:
@@ -290,30 +311,31 @@ class MinMaxAggregate(StateTransformer):
                 cdata(self.replace_id, self._value()),
                 end_replace(self.region_id, self.replace_id)]
 
-    def process(self, e: Event) -> List[Event]:
+    def process(self, e: Event, out: int) -> List[Event]:
         kind = e.kind
         if kind == SS:
-            return [Event(SS, self.output_id),
-                    start_mutable(self.output_id, self.region_id),
+            return [Event(SS, out),
+                    start_mutable(out, self.region_id),
                     cdata(self.region_id, self._value()),
-                    end_mutable(self.output_id, self.region_id)]
+                    end_mutable(out, self.region_id)]
         if kind == ES:
-            return [Event(ES, self.output_id)]
+            return [Event(ES, out)]
         if kind in _STRUCTURAL:
             return []
+        s = self.state
         if kind == SE:
-            self.depth += 1
-            if self.depth == 1:
-                self.parts = ()
+            s.depth += 1
+            if s.depth == 1:
+                s.parts = ()
             return []
         if kind == EE:
-            self.depth -= 1
-            if self.depth == 0:
-                return self._accumulate("".join(self.parts))
+            s.depth -= 1
+            if s.depth == 0:
+                return self._accumulate("".join(s.parts))
             return []
-        if self.depth == 0:
+        if s.depth == 0:
             return self._accumulate(e.text or "")
-        self.parts = self.parts + (e.text or "",)
+        s.parts = s.parts + (e.text or "",)
         return []
 
     def _accumulate(self, text: str) -> List[Event]:
@@ -321,23 +343,26 @@ class MinMaxAggregate(StateTransformer):
         if value is None:
             return []
         before = self._value()
-        self.counts = _bump(self.counts, value, +1)
+        s = self.state
+        s.counts = _bump(s.counts, value, +1)
         if self._value() == before:
             return []  # the extremum did not move: nothing to replace
         return self._emit_value()
 
-    def adjust(self, state: State, s1: State, s2: State) -> State:
-        counts, depth, parts = state
-        removed = dict(s1[0])
-        for value, n in s2[0]:
+    def adjust(self, state: MinMaxState,
+               s1: MinMaxState, s2: MinMaxState) -> MinMaxState:
+        counts = state.counts
+        removed = dict(s1.counts)
+        for value, n in s2.counts:
             removed[value] = removed.get(value, 0) - n
         for value, delta in removed.items():
             if delta:
                 counts = _bump(counts, value, -delta)
-        return (counts, depth, parts)
+        return MinMaxState(counts, state.depth, state.parts)
 
-    def on_live_adjusted(self, old: State, new: State) -> List[Event]:
-        if old[0] == new[0]:
+    def on_live_adjusted(self, old: MinMaxState,
+                         new: MinMaxState) -> List[Event]:
+        if old.counts == new.counts:
             return []
         return self._emit_value()
 

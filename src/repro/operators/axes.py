@@ -11,6 +11,8 @@ and the wildcard ``/*`` is the same operator with ``tag=None``.
 These transformers are **inert**: for any well-formed input sequence the
 (depth, passing) state returns to its initial value, so no adjustment code
 is needed and update regions cost nothing beyond the generic wrapper.
+Each keeps its fields in one small :class:`~repro.core.transformer.State`
+object, ``self.state``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,60 @@ from ..events.model import (CD, EE, ES, ET, SE, SS, ST, Event)
 from ..core.transformer import Context, Shape, State, StateTransformer
 
 _STRUCTURAL = (SS, ES, ST, ET)
+_new = object.__new__
+
+
+class ChildState(State):
+    """``/tag``'s ``(depth, passing)``."""
+
+    __slots__ = ("depth", "passing")
+
+    def __init__(self) -> None:
+        self.depth = 0
+        self.passing = False
+
+    def copy(self) -> "ChildState":
+        new = _new(ChildState)
+        new.depth = self.depth
+        new.passing = self.passing
+        return new
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ChildState:
+            return NotImplemented
+        return self.depth == other.depth and self.passing == other.passing
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class DepthState(State):
+    """The element depth, all a text step or a flag keeps."""
+
+    __slots__ = ("depth",)
+
+    def __init__(self) -> None:
+        self.depth = 0
+
+    def copy(self) -> "DepthState":
+        new = _new(DepthState)
+        new.depth = self.depth
+        return new
+
+
+class TextState(State):
+    """The depth and the text parts of the item being collected."""
+
+    __slots__ = ("depth", "parts")
+
+    def __init__(self) -> None:
+        self.depth = 0
+        self.parts: tuple = ()
+
+    def copy(self) -> "TextState":
+        new = _new(TextState)
+        new.depth = self.depth
+        new.parts = self.parts
+        return new
 
 
 class ChildStep(StateTransformer):
@@ -32,38 +88,31 @@ class ChildStep(StateTransformer):
                  tag: Optional[str]) -> None:
         super().__init__(ctx, (input_id,), output_id)
         self.tag = tag
-        self.depth = 0
-        self.passing = False
+        self.state = ChildState()
 
     def shape(self) -> Shape:
         return Shape("step", axis="child", tag=self.tag)
 
-    def get_state(self) -> State:
-        return (self.depth, self.passing)
-
-    def set_state(self, state: State) -> None:
-        self.depth, self.passing = state
-
-    def process(self, e: Event) -> List[Event]:
+    def process(self, e: Event, out: int) -> List[Event]:
         kind = e.kind
-        out = self.output_id
         if kind in _STRUCTURAL:
             return [e.relabel(out)]
+        s = self.state
         if kind == SE:
-            if (self.depth == 1 and not self.passing
+            if (s.depth == 1 and not s.passing
                     and (self.tag is None or e.tag == self.tag)):
-                self.passing = True
-            self.depth += 1
-            return [e.relabel(out)] if self.passing else []
+                s.passing = True
+            s.depth += 1
+            return [e.relabel(out)] if s.passing else []
         if kind == EE:
-            self.depth -= 1
-            if self.passing:
-                if self.depth == 1:
-                    self.passing = False
+            s.depth -= 1
+            if s.passing:
+                if s.depth == 1:
+                    s.passing = False
                 return [e.relabel(out)]
             return []
         # cD
-        return [e.relabel(out)] if self.passing else []
+        return [e.relabel(out)] if s.passing else []
 
     def __repr__(self) -> str:
         return "ChildStep(/{}: {} -> {})".format(
@@ -78,29 +127,24 @@ class TextStep(StateTransformer):
 
     def __init__(self, ctx: Context, input_id: int, output_id: int) -> None:
         super().__init__(ctx, (input_id,), output_id)
-        self.depth = 0
+        self.state = DepthState()
 
     def shape(self) -> Shape:
         return Shape("text")
 
-    def get_state(self) -> State:
-        return (self.depth,)
-
-    def set_state(self, state: State) -> None:
-        (self.depth,) = state
-
-    def process(self, e: Event) -> List[Event]:
+    def process(self, e: Event, out: int) -> List[Event]:
         kind = e.kind
         if kind in _STRUCTURAL:
-            return [e.relabel(self.output_id)]
+            return [e.relabel(out)]
+        s = self.state
         if kind == SE:
-            self.depth += 1
+            s.depth += 1
             return []
         if kind == EE:
-            self.depth -= 1
+            s.depth -= 1
             return []
-        if self.depth == 1:  # cD directly inside a top-level element
-            return [e.relabel(self.output_id)]
+        if s.depth == 1:  # cD directly inside a top-level element
+            return [e.relabel(out)]
         return []
 
 
@@ -115,8 +159,8 @@ class SelfStep(StateTransformer):
     def shape(self) -> Shape:
         return Shape("step", axis="self")
 
-    def process(self, e: Event) -> List[Event]:
-        return [e.relabel(self.output_id)]
+    def process(self, e: Event, out: int) -> List[Event]:
+        return [e.relabel(out)]
 
 
 class StringValue(StateTransformer):
@@ -133,8 +177,7 @@ class StringValue(StateTransformer):
 
     def __init__(self, ctx: Context, input_id: int, output_id: int) -> None:
         super().__init__(ctx, (input_id,), output_id)
-        self.depth = 0
-        self.parts: tuple = ()
+        self.state = TextState()
 
     def shape(self) -> Shape:
         return Shape("text")
@@ -144,30 +187,25 @@ class StringValue(StateTransformer):
                     state_class="buffering",
                     notes="accumulates the current item's text")
 
-    def get_state(self) -> State:
-        return (self.depth, self.parts)
-
-    def set_state(self, state: State) -> None:
-        self.depth, self.parts = state
-
-    def process(self, e: Event) -> List[Event]:
+    def process(self, e: Event, out: int) -> List[Event]:
         kind = e.kind
         if kind in _STRUCTURAL:
-            return [e.relabel(self.output_id)]
+            return [e.relabel(out)]
+        s = self.state
         if kind == SE:
-            self.depth += 1
-            if self.depth == 1:
-                self.parts = ()
+            s.depth += 1
+            if s.depth == 1:
+                s.parts = ()
             return []
         if kind == EE:
-            self.depth -= 1
-            if self.depth == 0:
-                text = "".join(self.parts)
-                self.parts = ()
-                return [Event(CD, self.output_id, text=text, oid=e.oid)]
+            s.depth -= 1
+            if s.depth == 0:
+                text = "".join(s.parts)
+                s.parts = ()
+                return [Event(CD, out, text=text, oid=e.oid)]
             return []
         # cD
-        if self.depth == 0:
-            return [e.relabel(self.output_id)]
-        self.parts = self.parts + (e.text or "",)
+        if s.depth == 0:
+            return [e.relabel(out)]
+        s.parts = s.parts + (e.text or "",)
         return []

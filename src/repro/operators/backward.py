@@ -46,6 +46,23 @@ from ..core.wrapper import UpdatePolicy
 _FIRST_UPDATE = int(SM)
 
 
+class JoinState(State):
+    """The candidate's ``(depth, nid, outcome)``, and ``home``: the id
+    the join emitted on when it opened ``nid`` (not part of the paper's
+    state)."""
+
+    __slots__ = ("depth", "nid", "outcome", "home")
+
+    def __init__(self) -> None:
+        self.depth = 0
+        self.nid: Optional[int] = None
+        self.outcome = 0
+        self.home: Optional[int] = None
+
+    def values(self) -> tuple:
+        return (self.depth, self.nid, self.outcome)
+
+
 class AncestorJoin(StateTransformer):
     """Join candidate ancestors (cloned+expanded) with incoming results."""
 
@@ -60,9 +77,7 @@ class AncestorJoin(StateTransformer):
         self.direct_only = direct_only
         self.freeze_decisions = freeze_decisions
         # Wrapper-managed per-candidate state:
-        self.depth = 0
-        self.nid: Optional[int] = None
-        self.outcome = 0
+        self.state = JoinState()
         # Source-position registers, shared across candidates (not cloned):
         self.right_end_oid: Optional[int] = None
         self.right_end_region: Optional[int] = None
@@ -104,18 +119,13 @@ class AncestorJoin(StateTransformer):
                   "registers live outside wrapper state",
         )
 
-    def get_state(self) -> State:
-        return (self.depth, self.nid, self.outcome)
-
-    def set_state(self, state: State) -> None:
-        self.depth, self.nid, self.outcome = state
-
     def bracket_anchor(self) -> int:
-        return self.nid if self.nid is not None else self.output_id
+        nid = self.state.nid
+        return nid if nid is not None else self.output_id
 
     # -- event handling ---------------------------------------------------------
 
-    def process(self, e: Event) -> List[Event]:
+    def process(self, e: Event, out: int) -> List[Event]:
         kind = e.kind
         root = self.current_input_root
         if root is None:
@@ -137,44 +147,51 @@ class AncestorJoin(StateTransformer):
             return []
         # Candidate branch.  Kind tests ordered by frequency: candidate
         # subtrees are almost entirely sE/eE/cD; the structural kinds
-        # close out the rare case.
-        out: List[Event] = []
+        # close out the rare case.  A candidate opened while emitting
+        # elsewhere is this region's content as a whole: on ``out``.
+        s = self.state
+        emitted: List[Event] = []
         if kind == SE:
-            if self.depth == 0:
-                self.nid = self.ctx.fresh_id()
-                self.outcome = 0
-                out.append(start_mutable(self.output_id, self.nid))
-            self.depth += 1
-            out.append(e.relabel(self.nid))
-            return out
+            if s.depth == 0:
+                s.nid = self.ctx.fresh_id()
+                s.outcome = 0
+                s.home = out
+                emitted.append(start_mutable(out, s.nid))
+            s.depth += 1
+            emitted.append(e.relabel(
+                s.nid if out == s.home or out == self.output_id else out))
+            return emitted
         if kind == EE:
-            if self.nid is None:
+            nid = s.nid
+            if nid is None:
                 return []  # stray close outside any candidate
-            self.depth -= 1
-            out.append(e.relabel(self.nid))
+            s.depth -= 1
+            emitted.append(e.relabel(
+                nid if out == s.home or out == self.output_id else out))
             if (e.oid is not None and e.oid == self.right_end_oid
-                    and self.depth >= 1
-                    and (not self.direct_only or self.depth == 1)):
+                    and s.depth >= 1
+                    and (not self.direct_only or s.depth == 1)):
                 # depth >= 1: the result element closed strictly inside
                 # the candidate (ancestor excludes self, per XPath).
-                self.outcome += 1
-            if self.depth == 0:
-                nid = self.nid
-                self.nid = None
-                out.append(end_mutable(self.output_id, nid))
-                if self.outcome == 0:
-                    out.append(hide_event(nid))
+                s.outcome += 1
+            if s.depth == 0:
+                s.nid = None
+                emitted.append(end_mutable(out, nid))
+                if s.outcome == 0:
+                    emitted.append(hide_event(nid))
                 if self.freeze_decisions:
                     # Matches can only occur inside the candidate's span;
                     # with no incoming updates the outcome is final here
                     # (set freeze_decisions=False for mutable sources).
-                    out.append(freeze_event(nid))
-            return out
+                    emitted.append(freeze_event(nid))
+            return emitted
         if kind == CD:
-            if self.nid is None:
+            nid = s.nid
+            if nid is None:
                 return []  # stray top-level text is never an ancestor
-            return [e.relabel(self.nid)]
-        return [e.relabel(self.output_id)]  # sS/eS/sT/eT
+            return [e.relabel(
+                nid if out == s.home or out == self.output_id else out)]
+        return [e.relabel(out)]  # sS/eS/sT/eT
 
     def on_region_hidden(self, uid: int) -> List[Event]:
         # A hidden incoming item must not match candidates that arrive
@@ -188,18 +205,21 @@ class AncestorJoin(StateTransformer):
     # -- adjustment ---------------------------------------------------------------
 
     @staticmethod
-    def _visible(state: State) -> bool:
-        return state[2] > 0
+    def _visible(state: JoinState) -> bool:
+        return state.outcome > 0
 
-    def adjust(self, state: State, s1: State, s2: State) -> State:
-        if state[1] != s1[1] or state[1] is None:
+    def adjust(self, state: JoinState, s1: JoinState,
+               s2: JoinState) -> JoinState:
+        if state.nid != s1.nid or state.nid is None:
             return state
-        depth, nid, outcome = state
-        return (depth, nid, outcome + (s2[2] - s1[2]))
+        new = state.copy()
+        new.outcome = state.outcome + (s2.outcome - s1.outcome)
+        return new
 
-    def on_transition(self, uid: int, s1: State, s2: State) -> List[Event]:
-        nid = s2[1]
-        if nid is None or s1[1] != nid:
+    def on_transition(self, uid: int, s1: JoinState,
+                      s2: JoinState) -> List[Event]:
+        nid = s2.nid
+        if nid is None or s1.nid != nid:
             return []
         was, now = self._visible(s1), self._visible(s2)
         if was == now:

@@ -43,5 +43,5 @@ class Tee(StateTransformer):
                     notes="brackets re-emitted with fresh region numbers "
                           "on the copy (TEE policy)")
 
-    def process(self, e: Event) -> List[Event]:
-        return [e, e.relabel(self.copy_id)]
+    def process(self, e: Event, out: int) -> List[Event]:
+        return [e, e.relabel(out)]

@@ -20,7 +20,7 @@ from typing import List
 from ..events.model import (ES, ET, SS, ST, Event, end_insert_before,
                             end_mutable, end_tuple, start_insert_before,
                             start_mutable, start_tuple)
-from ..core.transformer import Context, Shape, State, StateTransformer
+from ..core.transformer import Context, Shape, StateTransformer
 from ..core.wrapper import UpdatePolicy
 
 
@@ -56,7 +56,7 @@ class Concat(StateTransformer):
                   "numbers, one region pair per tuple, never frozen",
         )
 
-    def process(self, e: Event) -> List[Event]:
+    def process(self, e: Event, out: int) -> List[Event]:
         kind = e.kind
         if kind == ST:
             if e.id == self.left_id:
@@ -64,8 +64,8 @@ class Concat(StateTransformer):
             if e.id == self.right_id:
                 # F2: wrap the right tuple in a mutable region and open an
                 # insert-before update that will hold the left content.
-                return [start_tuple(self.output_id),
-                        start_mutable(self.output_id, self.right_id),
+                return [start_tuple(out),
+                        start_mutable(out, self.right_id),
                         start_insert_before(self.right_id, self.left_id)]
             return [e]  # a marker inside region content: plain content
         if kind == ET:
@@ -73,20 +73,20 @@ class Concat(StateTransformer):
                 return []
             if e.id == self.right_id:
                 return [end_insert_before(self.right_id, self.left_id),
-                        end_mutable(self.output_id, self.right_id),
-                        end_tuple(self.output_id)]
+                        end_mutable(out, self.right_id),
+                        end_tuple(out)]
             return [e]
         if kind == SS:
             if e.id == self.left_id:
                 return []
             if e.id == self.right_id:
-                return [Event(SS, self.output_id)]
+                return [Event(SS, out)]
             return [e]
         if kind == ES:
             if e.id == self.left_id:
                 return []
             if e.id == self.right_id:
-                return [Event(ES, self.output_id)]
+                return [Event(ES, out)]
             return [e]
         # Content keeps its stream number; the display routes it into the
         # open region with that id.

@@ -31,6 +31,22 @@ from ..events.model import (EE, ES, ET, SE, SS, ST, Event, end_mutable,
 from ..core.transformer import Context, Shape, State, StateTransformer
 
 
+class TupleRegionState(State):
+    """The open tuple's output region ``wid`` (None between tuples), the
+    element depth inside it, and ``home``: the id the operator emitted on
+    when it opened ``wid`` (not part of the paper's state)."""
+
+    __slots__ = ("wid", "depth", "home")
+
+    def __init__(self) -> None:
+        self.wid: Optional[int] = None
+        self.depth = 0
+        self.home: Optional[int] = None
+
+    def values(self) -> tuple:
+        return (self.wid, self.depth)
+
+
 class TupleRegionMixin:
     """Per-tuple output region slaved to the input tuple's visibility.
 
@@ -41,36 +57,33 @@ class TupleRegionMixin:
     """
 
     def _init_tuple_region(self, seal: bool) -> None:
-        self.wid: Optional[int] = None
-        self.depth = 0
+        self.state = TupleRegionState()
         self._seal = seal  # retained for introspection; sealing follows
         #                    the source regions' own freezes
         self._region_to_wid: Dict[int, int] = {}
         self._wid_sources: Dict[int, set] = {}
         self._freeze_on_close = False
 
-    def _tuple_region_state(self) -> State:
-        return (self.wid, self.depth)
-
-    def _set_tuple_region_state(self, state: State) -> None:
-        self.wid, self.depth = state
-
     def bracket_anchor(self) -> int:
-        return self.wid if self.wid is not None else self.output_id
+        wid = self.state.wid
+        return wid if wid is not None else self.output_id
 
-    def _open_tuple_region(self) -> List[Event]:
-        self.wid = self.ctx.fresh_id()
-        self.depth = 0
-        return [start_mutable(self.output_id, self.wid)]
+    def _open_tuple_region(self, out: int) -> List[Event]:
+        s = self.state
+        s.wid = self.ctx.fresh_id()
+        s.depth = 0
+        s.home = out
+        return [start_mutable(out, s.wid)]
 
-    def _close_tuple_region(self) -> List[Event]:
-        wid = self.wid
-        self.wid = None
-        out = [end_mutable(self.output_id, wid)]
+    def _close_tuple_region(self, out: int) -> List[Event]:
+        s = self.state
+        wid = s.wid
+        s.wid = None
+        emitted = [end_mutable(out, wid)]
         if self._freeze_on_close:
             self._freeze_on_close = False
-            out.append(freeze_event(wid))
-        return out
+            emitted.append(freeze_event(wid))
+        return emitted
 
     def _register_content(self, e: Event) -> None:
         """Track element depth; link enclosing input regions to wid.
@@ -81,17 +94,18 @@ class TupleRegionMixin:
         the live regions, and a tuple region is never held open by a
         source that can no longer change.
         """
-        if (self.current_region is not None and self.depth == 0
-                and self.wid is not None):
-            sources = self._wid_sources.setdefault(self.wid, set())
+        s = self.state
+        if (self.current_region is not None and s.depth == 0
+                and s.wid is not None):
+            sources = self._wid_sources.setdefault(s.wid, set())
             for region in self.current_region_chain or \
                     (self.current_region,):
-                self._region_to_wid[region] = self.wid
+                self._region_to_wid[region] = s.wid
                 sources.add(region)
         if e.kind == SE:
-            self.depth += 1
+            s.depth += 1
         elif e.kind == EE:
-            self.depth -= 1
+            s.depth -= 1
 
     def on_region_hidden(self, uid: int) -> List[Event]:
         wid = self._region_to_wid.get(uid)
@@ -127,7 +141,7 @@ class TupleRegionMixin:
             if sources:
                 return []
             del self._wid_sources[wid]
-        if wid == self.wid:
+        if wid == self.state.wid:
             self._freeze_on_close = True
             return []
         return [freeze_event(wid)]
@@ -146,9 +160,8 @@ class StreamConstruct(StateTransformer):
     def shape(self) -> Shape:
         return Shape("construct", tag=self.tag, per_stream=True)
 
-    def process(self, e: Event) -> List[Event]:
+    def process(self, e: Event, out: int) -> List[Event]:
         kind = e.kind
-        out = self.output_id
         if kind == SS:
             return [Event(SS, out), Event(SE, out, tag=self.tag)]
         if kind == ES:
@@ -184,27 +197,24 @@ class TupleConstruct(TupleRegionMixin, StateTransformer):
             "per-tuple wrapper element in a region slaved to the tuple's "
             "source regions (sealed when they all freeze)")
 
-    def get_state(self) -> State:
-        return self._tuple_region_state()
-
-    def set_state(self, state: State) -> None:
-        self._set_tuple_region_state(state)
-
-    def process(self, e: Event) -> List[Event]:
+    def process(self, e: Event, out: int) -> List[Event]:
         kind = e.kind
-        out = self.output_id
         if kind in (SS, ES):
             return [e.relabel(out)]
         if kind == ST:
-            opened = self._open_tuple_region()
+            opened = self._open_tuple_region(out)
             return ([e.relabel(out)] + opened
-                    + [Event(SE, self.wid, tag=self.tag)])
+                    + [Event(SE, self.state.wid, tag=self.tag)])
         if kind == ET:
-            closing = [Event(EE, self.wid, tag=self.tag)]
-            closing.extend(self._close_tuple_region())
+            closing = [Event(EE, self.state.wid, tag=self.tag)]
+            closing.extend(self._close_tuple_region(out))
             closing.append(e.relabel(out))
             return closing
         self._register_content(e)
-        if self.wid is None:
+        s = self.state
+        wid = s.wid
+        # A tuple opened while emitting elsewhere is this region's
+        # content as a whole: its events go on ``out``.
+        if wid is None or (out != s.home and out != self.output_id):
             return [e.relabel(out)]
-        return [e.relabel(self.wid)]
+        return [e.relabel(wid)]

@@ -15,8 +15,8 @@ targets the anchor, landing just before the outer copy.  For non-recursive
 frozen) anchors the step degenerates to a plain filter — the paper's
 "as efficient as /tag" — and composes transparently with FLWOR machinery.
 
-State: the depth counter and one substream id per open nesting level; no
-event is ever buffered.  Generated regions are frozen as soon as they
+State (:class:`DescendantState`): the depth counter and one substream id
+per open nesting level; no event is ever buffered.  Generated regions are frozen as soon as they
 close (Section V), so downstream stages and the display drop their state
 immediately; the pooled region ids are re-declared by later siblings.
 
@@ -39,6 +39,61 @@ from ..events.model import (CD, EE, ES, ET, SE, SS, ST, Event,
 from ..core.transformer import Context, Shape, State, StateTransformer
 
 _STRUCTURAL = (SS, ES, ST, ET)
+_new = object.__new__
+
+
+class DescendantState(State):
+    """What a ``//`` step keeps: the paper's depth and open levels.
+
+    ``levels`` holds the copy id of every open selected level, outermost
+    first: ``output_id`` for the outermost (its copy is plain), the id of
+    its own insert-before region for a nested one.  Ids are freshly
+    allocated per match (the paper's "new id"): pooled ids would collide
+    when several update regions are processed concurrently.  ``anchor``
+    is the empty region in front of the outermost level, which the first
+    nested insert-before targets (while a level is open).  ``targets``
+    are the levels the next child event is copied to, a subsequence of
+    ``levels``: all of them (the same tuple) when whole levels are read,
+    else those with a read child of their root open.  ``roots`` is the
+    depth at each level's root — the level whose root is the innermost
+    open element picks its children — and None for a step that copies
+    whole levels.
+
+    ``scoped`` pairs each nested level opened while the step emitted on
+    a translated region with that region's id: such a level is a
+    container of that region's, every other level is content of
+    whichever region is being replayed (not part of the paper's state).
+    """
+
+    __slots__ = ("depth", "levels", "anchor", "roots", "targets", "scoped")
+
+    def __init__(self, whole: bool) -> None:
+        self.depth = 0
+        self.levels: Tuple[int, ...] = ()
+        self.anchor: Optional[int] = None
+        self.roots: Optional[Tuple[int, ...]] = None if whole else ()
+        self.targets: Tuple[int, ...] = ()
+        self.scoped: Tuple[Tuple[int, int], ...] = ()
+
+    def copy(self) -> "DescendantState":
+        new = _new(DescendantState)
+        new.depth = self.depth
+        new.levels = self.levels
+        new.anchor = self.anchor
+        new.roots = self.roots
+        new.targets = self.targets
+        new.scoped = self.scoped
+        return new
+
+    def values(self) -> tuple:
+        if self.roots is None:
+            return (self.depth, self.levels, self.anchor)
+        # Between matches a step that picks holds the paper's state too:
+        # a depth and no level.
+        if not self.levels:
+            return (self.depth, ())
+        return (self.depth, self.levels, self.anchor, self.roots,
+                self.targets)
 
 
 class DescendantStep(StateTransformer):
@@ -57,25 +112,7 @@ class DescendantStep(StateTransformer):
         super().__init__(ctx, (input_id,), output_id)
         self.tag = tag
         self.freeze_regions = freeze_regions
-        self.depth = 0
-        #: The copy id of every open selected level, outermost first:
-        #: ``output_id`` for the outermost (its copy is plain), the id of
-        #: its own insert-before region for a nested one.  Ids are
-        #: freshly allocated per match (the paper's "new id"): pooled ids
-        #: would collide when several update regions are processed
-        #: concurrently.
-        self.levels: Tuple[int, ...] = ()
-        #: The empty region in front of the outermost level, which the
-        #: first nested insert-before targets (while a level is open).
-        self.anchor: Optional[int] = None
-        #: The levels the next child event is copied to, a subsequence of
-        #: ``levels``: all of them (the same tuple) when whole levels
-        #: are read, else those with a read child of their root open.
-        self.targets: Tuple[int, ...] = ()
-        #: ``depth`` at each level's root: the level whose root is the
-        #: innermost open element is the one that picks its children.
-        #: Kept only by a step that picks.
-        self.roots: Tuple[int, ...] = ()
+        self.state = DescendantState(whole=True)
         self.reads = None
 
     @property
@@ -105,6 +142,8 @@ class DescendantStep(StateTransformer):
         self._whole = tags is None and self._deep
         #: The children of a level's root are looked at one by one.
         self._pick = not self._whole and depth != 1
+        # Set before any event: no level is open.
+        self.state.roots = None if self._whole else ()
 
     def shape(self) -> Shape:
         return Shape("step", axis="descendant", tag=self.tag)
@@ -127,109 +166,130 @@ class DescendantStep(StateTransformer):
                   "O(nesting depth) open-level stack",
         )
 
-    def get_state(self) -> State:
-        if self._whole:
-            return (self.depth, self.levels, self.anchor)
-        # Between matches a step that picks holds the paper's state too:
-        # a depth and no level.
-        if not self.levels:
-            return (self.depth, ())
-        return (self.depth, self.levels, self.anchor, self.roots,
-                self.targets)
-
-    def set_state(self, state: State) -> None:
-        if self._whole:
-            self.depth, self.levels, self.anchor = state
-            self.targets = self.levels
-        elif len(state) == 2:
-            self.depth, self.levels = state
-            self.targets = self.roots = ()
-        else:
-            (self.depth, self.levels, self.anchor, self.roots,
-             self.targets) = state
-
-    def _picked(self, tag: Optional[str]) -> bool:
+    def _picked(self, s: DescendantState, tag: Optional[str]) -> bool:
         """Is the element a read child of the innermost level's root?"""
-        roots = self.roots
-        return (bool(roots) and roots[-1] == self.depth
+        roots = s.roots
+        return (bool(roots) and roots[-1] == s.depth
                 and (self._tags is None or tag in self._tags))
 
-    def _region(self, levels: Tuple[int, ...]) -> int:
+    @staticmethod
+    def _region(s: DescendantState, levels: Tuple[int, ...]) -> int:
         """The region an insert-before of the innermost level targets."""
-        return levels[-1] if len(levels) > 1 else self.anchor
+        return levels[-1] if len(levels) > 1 else s.anchor
 
-    def process(self, e: Event) -> List[Event]:
+    @staticmethod
+    def _on(s: DescendantState, cids, out: int) -> List[int]:
+        """Where copies for levels ``cids`` go while the step emits on a
+        translated region ``out``: a level opened while emitting on
+        ``out`` keeps its id, any other is the region's content."""
+        mine = [cid for cid, home in s.scoped if home == out]
+        if not mine:
+            return [out] * len(cids)
+        return [cid if cid in mine else out for cid in cids]
+
+    def process(self, e: Event, out: int) -> List[Event]:
         # Kind tests ordered by frequency (sE/eE/cD dominate); per-level
         # copies go through Event.relabel, the slot-copying fast path.
         kind = e.kind
+        s = self.state
+        live = out == self.output_id
         if kind == SE:
-            targets = self.targets
-            out: List[Event] = \
-                [e.relabel(cid) for cid in targets] if targets else []
-            if self._pick and self._picked(e.tag):
-                cid = self.levels[-1]
-                out.append(e.relabel(cid))
+            targets = s.targets
+            if not targets:
+                emitted: List[Event] = []
+            elif live:
+                emitted = [e.relabel(cid) for cid in targets]
+            elif s.scoped:
+                emitted = [e.relabel(cid) for cid in self._on(s, targets,
+                                                               out)]
+            else:  # the region's content, once per open level
+                emitted = [e.relabel(out) for _ in targets]
+            if self._pick and self._picked(s, e.tag):
+                cid = s.levels[-1]
+                emitted.append(e.relabel(
+                    cid if live else self._on(s, (cid,), out)[0]))
                 if self._deep:
-                    self.targets = targets + (cid,)
-            self.depth = depth = self.depth + 1
+                    s.targets = targets + (cid,)
+            s.depth = depth = s.depth + 1
             if depth >= 2 and (self.tag is None or e.tag == self.tag):
-                levels = self.levels
+                levels = s.levels
                 if not levels:
+                    s.anchor = anchor = self.ctx.fresh_id()
+                    emitted.extend((start_mutable(out, anchor),
+                                    end_mutable(out, anchor),
+                                    e.relabel(out)))
                     nid = self.output_id
-                    self.anchor = anchor = self.ctx.fresh_id()
-                    out.extend((start_mutable(nid, anchor),
-                                end_mutable(nid, anchor),
-                                e.relabel(nid)))
                 else:
                     nid = self.ctx.fresh_id()
-                    out.extend((start_insert_before(self._region(levels),
-                                                    nid),
-                                e.relabel(nid)))
-                self.levels = levels = levels + (nid,)
+                    emitted.extend((start_insert_before(
+                        self._region(s, levels), nid), e.relabel(nid)))
+                    if not live:
+                        s.scoped += ((nid, out),)
+                s.levels = levels = levels + (nid,)
                 if self._whole:
-                    self.targets = levels
+                    s.targets = levels
                 else:
-                    self.roots += (depth,)
-            return out
+                    s.roots += (depth,)
+            return emitted
         if kind == EE:
-            self.depth -= 1
-            levels = self.levels
+            s.depth -= 1
+            levels = s.levels
             if not levels:
                 return []
-            out = []
-            targets = self.targets
-            if self._closes_top(e):
+            emitted = []
+            targets = s.targets
+            if self._closes_top(s, e):
                 copy_id = levels[-1]
-                self.levels = levels = levels[:-1]
+                s.levels = levels = levels[:-1]
                 if self._whole:
-                    self.targets = targets = levels
+                    s.targets = targets = levels
                 else:
-                    self.roots = self.roots[:-1]
-                out.append(e.relabel(copy_id))
+                    s.roots = s.roots[:-1]
+                if live or copy_id == self.output_id:
+                    emitted.append(e.relabel(copy_id if live else out))
+                else:
+                    emitted.append(e.relabel(self._on(s, (copy_id,),
+                                                      out)[0]))
+                    if s.scoped and s.scoped[-1][0] == copy_id:
+                        s.scoped = s.scoped[:-1]
                 if levels:
-                    out.append(end_insert_before(self._region(levels),
-                                                 copy_id))
+                    emitted.append(end_insert_before(
+                        self._region(s, levels), copy_id))
                     if self.freeze_regions:
-                        out.append(freeze(copy_id))
+                        emitted.append(freeze(copy_id))
                 else:
                     if self.freeze_regions:
-                        out.append(freeze(self.anchor))  # seal the anchor
-                    self.anchor = None
-            if self._pick and self._picked(e.tag):
+                        emitted.append(freeze(s.anchor))  # seal the anchor
+                    s.anchor = None
+            if self._pick and self._picked(s, e.tag):
                 if self._deep:
-                    self.targets = targets[:-1]
+                    s.targets = targets[:-1]
                 else:
-                    out.append(e.relabel(levels[-1]))
+                    cid = levels[-1]
+                    emitted.append(e.relabel(
+                        cid if live else self._on(s, (cid,), out)[0]))
             if targets:
-                out.extend(e.relabel(cid) for cid in reversed(targets))
-            return out
+                if live:
+                    emitted.extend(e.relabel(cid)
+                                   for cid in reversed(targets))
+                elif s.scoped:
+                    emitted.extend(e.relabel(cid) for cid in reversed(
+                        self._on(s, targets, out)))
+                else:
+                    emitted.extend(e.relabel(out) for _ in targets)
+            return emitted
         if kind == CD:
-            targets = self.targets
-            return ([e.relabel(cid) for cid in targets]
-                    if targets and self._text else [])
-        return [e.relabel(self.output_id)]  # sS/eS/sT/eT
+            targets = s.targets
+            if not targets or not self._text:
+                return []
+            if live:
+                return [e.relabel(cid) for cid in targets]
+            if s.scoped:
+                return [e.relabel(cid) for cid in self._on(s, targets, out)]
+            return [e.relabel(out) for _ in targets]
+        return [e.relabel(out)]  # sS/eS/sT/eT
 
-    def _closes_top(self, e: Event) -> bool:
+    def _closes_top(self, s: DescendantState, e: Event) -> bool:
         """Does this eE close the innermost open selected level?
 
         Elements nest LIFO; a closing tag that passes the tag test at depth
@@ -237,11 +297,11 @@ class DescendantStep(StateTransformer):
         deeper matches have already closed), mirroring the sE test.  For
         ``//*`` the level count equals the depth, which double-checks it.
         """
-        if self.depth < 1:
+        if s.depth < 1:
             return False
         if self.tag is not None:
             return e.tag == self.tag
-        return len(self.levels) == self.depth
+        return len(s.levels) == s.depth
 
     def __repr__(self) -> str:
         return "DescendantStep(//{}: {} -> {})".format(

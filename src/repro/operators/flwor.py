@@ -50,6 +50,16 @@ class _Spanning:
         self.hidden = False
 
 
+class ForState(State):
+    """The element depth and the open item's region ``wid``."""
+
+    __slots__ = ("depth", "wid")
+
+    def __init__(self) -> None:
+        self.depth = 0
+        self.wid: Optional[int] = None
+
+
 class ForTuples(StateTransformer):
     """Wrap each top-level item of the input forest in sT/eT markers.
 
@@ -61,8 +71,7 @@ class ForTuples(StateTransformer):
 
     def __init__(self, ctx: Context, input_id: int, output_id: int) -> None:
         super().__init__(ctx, (input_id,), output_id)
-        self.depth = 0
-        self.wid: Optional[int] = None
+        self.state = ForState()
         #: Dissolved multi-item brackets, by region number (latest wins).
         self._spanning: Dict[int, _Spanning] = {}
         self._open_spanning: List[int] = []
@@ -94,44 +103,41 @@ class ForTuples(StateTransformer):
                   "and forwarded",
         )
 
-    def get_state(self) -> State:
-        return (self.depth, self.wid)
-
-    def set_state(self, state: State) -> None:
-        self.depth, self.wid = state
-
     # -- item lifecycle -------------------------------------------------------
+    #
+    # The input is RAW: everything arrives against the live state, so
+    # ``out`` is always ``output_id``.
 
-    def _begin_item(self) -> List[Event]:
-        self.wid = self.ctx.fresh_id()
+    def _begin_item(self, out: int) -> List[Event]:
+        wid = self.state.wid = self.ctx.fresh_id()
         pending = set(self._open_spanning)
-        self._pending_seal[self.wid] = pending
+        self._pending_seal[wid] = pending
         hidden = False
         for x in self._open_spanning:
             span = self._spanning[x]
-            span.wids.append(self.wid)
+            span.wids.append(wid)
             hidden = hidden or span.hidden
-        out = [start_tuple(self.output_id),
-               start_mutable(self.output_id, self.wid)]
+        emitted = [start_tuple(out), start_mutable(out, wid)]
         if hidden:
-            out.append(hide_event(self.wid))
-        return out
+            emitted.append(hide_event(wid))
+        return emitted
 
-    def _end_item(self) -> List[Event]:
-        wid = self.wid
-        self.wid = None
-        out = [end_mutable(self.output_id, wid)]
+    def _end_item(self, out: int) -> List[Event]:
+        s = self.state
+        wid = s.wid
+        s.wid = None
+        emitted = [end_mutable(out, wid)]
         if not self._pending_seal.get(wid):
             self._pending_seal.pop(wid, None)
-            out.append(freeze_event(wid))
+            emitted.append(freeze_event(wid))
         else:
             self._closed_tuples.add(wid)
-        out.append(end_tuple(self.output_id))
-        return out
+        emitted.append(end_tuple(out))
+        return emitted
 
     # -- events ------------------------------------------------------------------
 
-    def process(self, e: Event) -> List[Event]:
+    def process(self, e: Event, out: int) -> List[Event]:
         if e.is_update:
             return self._update(e)
         if (self.current_region is not None
@@ -143,25 +149,26 @@ class ForTuples(StateTransformer):
             return [e]
         kind = e.kind
         if kind in (SS, ES):
-            return [e.relabel(self.output_id)]
+            return [e.relabel(out)]
         if kind in (ST, ET):
             return []
+        s = self.state
         if kind == SE:
-            self.depth += 1
-            if self.depth == 1:
-                return self._begin_item() + [e.relabel(self.wid)]
-            return [e.relabel(self.wid)]
+            s.depth += 1
+            if s.depth == 1:
+                return self._begin_item(out) + [e.relabel(s.wid)]
+            return [e.relabel(s.wid)]
         if kind == EE:
-            self.depth -= 1
-            out = [e.relabel(self.wid)]
-            if self.depth == 0:
-                out.extend(self._end_item())
-            return out
+            s.depth -= 1
+            emitted = [e.relabel(s.wid)]
+            if s.depth == 0:
+                emitted.extend(self._end_item(out))
+            return emitted
         # cD
-        if self.depth == 0:
-            return (self._begin_item() + [e.relabel(self.wid)]
-                    + self._end_item())
-        return [e.relabel(self.wid)]
+        if s.depth == 0:
+            return (self._begin_item(out) + [e.relabel(s.wid)]
+                    + self._end_item(out))
+        return [e.relabel(s.wid)]
 
     # -- update handling -------------------------------------------------------------
 
@@ -182,13 +189,13 @@ class ForTuples(StateTransformer):
 
     def _update_start(self, e: Event) -> List[Event]:
         i, j = e.id, e.sub
-        if self.depth > 0:
+        if self.state.depth > 0:
             # A bracket opening inside an item: retarget top-level ones
             # into the item's region and forward.
             self._forwarded.add(j)
             if i in self._forwarded:
                 return [e]
-            return [Event(e.kind, self.wid, sub=j)]
+            return [Event(e.kind, self.state.wid, sub=j)]
         if i in self._forwarded:
             # Late update to a forwarded within-item region (e.g. a stock
             # price replacement): flows through untouched.
@@ -223,8 +230,8 @@ class ForTuples(StateTransformer):
                 self._open_spanning.remove(j)
             return []
         if j in self._forwarded:
-            if self.depth > 0 and e.id not in self._forwarded:
-                return [Event(e.kind, self.wid, sub=j)]
+            if self.state.depth > 0 and e.id not in self._forwarded:
+                return [Event(e.kind, self.state.wid, sub=j)]
             return [e]
         return [e]
 
@@ -273,7 +280,7 @@ class TupleStrip(StateTransformer):
     def shape(self) -> Shape:
         return Shape("copy")
 
-    def process(self, e: Event) -> List[Event]:
+    def process(self, e: Event, out: int) -> List[Event]:
         if e.kind in (ST, ET):
             return []
-        return [e.relabel(self.output_id)]
+        return [e.relabel(out)]

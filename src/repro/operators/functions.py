@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..events.model import CD, EE, ES, ET, SE, SS, ST, Event
-from ..core.transformer import Context, Shape, State, StateTransformer
+from ..core.transformer import Context, Shape, StateTransformer
+from .axes import DepthState
 from .construct import TupleRegionMixin
 
 _STRUCTURAL = (SS, ES, ST, ET)
@@ -65,32 +66,27 @@ class CompareLiteral(StateTransformer):
         super().__init__(ctx, (input_id,), output_id)
         self.op = op
         self.literal = literal
-        self.depth = 0
+        self.state = DepthState()
 
     def shape(self) -> Shape:
         return Shape("flag")
 
-    def get_state(self) -> State:
-        return (self.depth,)
-
-    def set_state(self, state: State) -> None:
-        (self.depth,) = state
-
-    def process(self, e: Event) -> List[Event]:
+    def process(self, e: Event, out: int) -> List[Event]:
         kind = e.kind
         if kind in _STRUCTURAL:
-            return [e.relabel(self.output_id)]
+            return [e.relabel(out)]
+        s = self.state
         if kind == SE:
-            self.depth += 1
+            s.depth += 1
             return []
         if kind == EE:
-            self.depth -= 1
+            s.depth -= 1
             return []
-        if self.depth > 0:
+        if s.depth > 0:
             return []
         flag = "1" if compare_values(self.op, e.text or "",
                                      self.literal) else ""
-        return [Event(CD, self.output_id, text=flag)]
+        return [Event(CD, out, text=flag)]
 
 
 class ContainsLiteral(StateTransformer):
@@ -102,31 +98,26 @@ class ContainsLiteral(StateTransformer):
                  literal: str) -> None:
         super().__init__(ctx, (input_id,), output_id)
         self.literal = literal
-        self.depth = 0
+        self.state = DepthState()
 
     def shape(self) -> Shape:
         return Shape("flag")
 
-    def get_state(self) -> State:
-        return (self.depth,)
-
-    def set_state(self, state: State) -> None:
-        (self.depth,) = state
-
-    def process(self, e: Event) -> List[Event]:
+    def process(self, e: Event, out: int) -> List[Event]:
         kind = e.kind
         if kind in _STRUCTURAL:
-            return [e.relabel(self.output_id)]
+            return [e.relabel(out)]
+        s = self.state
         if kind == SE:
-            self.depth += 1
+            s.depth += 1
             return []
         if kind == EE:
-            self.depth -= 1
+            s.depth -= 1
             return []
-        if self.depth > 0:
+        if s.depth > 0:
             return []
         flag = "1" if self.literal in (e.text or "") else ""
-        return [Event(CD, self.output_id, text=flag)]
+        return [Event(CD, out, text=flag)]
 
 
 class ExistsFlag(StateTransformer):
@@ -140,31 +131,26 @@ class ExistsFlag(StateTransformer):
 
     def __init__(self, ctx: Context, input_id: int, output_id: int) -> None:
         super().__init__(ctx, (input_id,), output_id)
-        self.depth = 0
+        self.state = DepthState()
 
     def shape(self) -> Shape:
         return Shape("flag")
 
-    def get_state(self) -> State:
-        return (self.depth,)
-
-    def set_state(self, state: State) -> None:
-        (self.depth,) = state
-
-    def process(self, e: Event) -> List[Event]:
+    def process(self, e: Event, out: int) -> List[Event]:
         kind = e.kind
         if kind in _STRUCTURAL:
-            return [e.relabel(self.output_id)]
+            return [e.relabel(out)]
+        s = self.state
         if kind == SE:
-            self.depth += 1
-            if self.depth == 1:
-                return [Event(CD, self.output_id, text="1")]
+            s.depth += 1
+            if s.depth == 1:
+                return [Event(CD, out, text="1")]
             return []
         if kind == EE:
-            self.depth -= 1
+            s.depth -= 1
             return []
-        if self.depth == 0:
-            return [Event(CD, self.output_id, text="1")]
+        if s.depth == 0:
+            return [Event(CD, out, text="1")]
         return []
 
 
@@ -196,23 +182,17 @@ class LiteralText(TupleRegionMixin, StateTransformer):
             "per-tuple literal in a region slaved to the tuple's source "
             "regions (sealed when they all freeze)")
 
-    def get_state(self) -> State:
-        return self._tuple_region_state()
-
-    def set_state(self, state: State) -> None:
-        self._set_tuple_region_state(state)
-
-    def process(self, e: Event) -> List[Event]:
+    def process(self, e: Event, out: int) -> List[Event]:
         kind = e.kind
         if kind == ST:
-            opened = self._open_tuple_region()
-            return ([e.relabel(self.output_id)] + opened
-                    + [Event(CD, self.wid, text=self.text)])
+            opened = self._open_tuple_region(out)
+            return ([e.relabel(out)] + opened
+                    + [Event(CD, self.state.wid, text=self.text)])
         if kind == ET:
-            closing = self._close_tuple_region()
-            closing.append(e.relabel(self.output_id))
+            closing = self._close_tuple_region(out)
+            closing.append(e.relabel(out))
             return closing
         if kind in (SS, ES):
-            return [e.relabel(self.output_id)]
+            return [e.relabel(out)]
         self._register_content(e)
         return []

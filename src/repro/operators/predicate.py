@@ -37,6 +37,7 @@ from .functions import (CompareLiteral, ContainsLiteral, ExistsFlag,
                         compare_values)
 
 _STRUCTURAL = (SS, ES, ST, ET)
+_new = object.__new__
 
 #: Predicate scopes: per top-level element (XPath predicate) or per FLWOR
 #: tuple (where clause).
@@ -44,13 +45,29 @@ SCOPE_ITEM = "item"
 SCOPE_TUPLE = "tuple"
 
 
+class InlineState(State):
+    """The states of an :class:`InlinePipeline`'s stages, in order."""
+
+    __slots__ = ("stages",)
+
+    def __init__(self, stages: Tuple[State, ...]) -> None:
+        self.stages = stages
+
+    def copy(self) -> "InlineState":
+        return InlineState(tuple([s.copy() for s in self.stages]))
+
+    def values(self) -> tuple:
+        return tuple([s.values() for s in self.stages])
+
+
 class InlinePipeline:
     """A chain of inert transformers evaluated inside another operator.
 
-    The owner feeds it plain events relabeled to ``input_id``; events the
-    chain emits on ``output_id`` are returned.  The combined stage states
-    are exposed for the owner's get_state/set_state, so region-state
-    copying by the update wrapper extends into the condition evaluation.
+    The owner feeds it plain events of ``input_id`` together with the
+    chain's state (an :class:`InlineState`, part of the owner's own);
+    events the chain emits on ``output_id`` are returned.  Because the
+    state lives in the owner's, the update wrapper's per-region copies
+    extend into the condition evaluation.
     """
 
     def __init__(self, stages: Sequence[StateTransformer], input_id: int,
@@ -68,41 +85,34 @@ class InlinePipeline:
         self._tail = self.stages[1:]
         self.input_id = input_id
         self.output_id = output_id
-        self.initial = self.get_state()
+        self.initial = InlineState(
+            tuple([stage.state.copy() for stage in self.stages]))
 
-    def feed(self, e: Event) -> List[Event]:
-        batch = [e]
-        for stage in self.stages:
-            nxt: List[Event] = []
-            ids = stage.input_ids
-            for ev in batch:
-                if ev.id in ids:
-                    nxt.extend(stage.process(ev))
-                else:
-                    nxt.extend(stage.on_other(ev))
-            if not nxt:
-                return []
-            batch = nxt
-        return [ev for ev in batch if ev.id == self.output_id]
+    def new_state(self) -> InlineState:
+        """The chain's state at the start of an item."""
+        return self.initial.copy()
 
-    def feed_input(self, e: Event) -> List[Event]:
-        """Feed one event already known to be the chain's input.
+    def feed_input(self, e: Event, st: InlineState) -> List[Event]:
+        """Feed one event known to be the chain's input, against ``st``.
 
-        Equivalent to ``feed(e.relabel(self.input_id))`` without allocating
-        the relabeled copy: the first stage processes ``e`` directly (none
-        of the navigation operators read ``e.id``), and later stages pass
-        foreign events through unchanged (the ``passes_foreign`` contract
-        checked at construction).
+        The first stage processes ``e`` as it is (none of the navigation
+        operators read ``e.id``), and later stages pass foreign events
+        through unchanged (the ``passes_foreign`` contract checked at
+        construction).
         """
-        batch = self.stages[0].process(e)
+        first = self.stages[0]
+        states = st.stages
+        first.state = states[0]
+        batch = first.process(e, first.output_id)
         if not batch:
             return []
-        for stage in self._tail:
+        for stage, state in zip(self._tail, states[1:]):
+            stage.state = state
             ids = stage.input_ids
             nxt: List[Event] = []
             for ev in batch:
                 if ev.id in ids:
-                    nxt.extend(stage.process(ev))
+                    nxt.extend(stage.process(ev, stage.output_id))
                 else:
                     nxt.append(ev)
             if not nxt:
@@ -111,17 +121,32 @@ class InlinePipeline:
         out = self.output_id
         return [ev for ev in batch if ev.id == out]
 
-    def get_state(self) -> Tuple:
-        # tuple([listcomp]) beats tuple(genexpr) in CPython; this runs on
-        # every wrapper state-residency switch.
-        return tuple([stage.get_state() for stage in self.stages])
 
-    def set_state(self, state: Tuple) -> None:
-        for stage, s in zip(self.stages, state):
-            stage.set_state(s)
+class ConditionState(State):
+    """A :class:`FusedCondition`'s ``(depth, collecting, parts)``."""
 
-    def reset(self) -> None:
-        self.set_state(self.initial)
+    __slots__ = ("depth", "collecting", "parts")
+
+    def __init__(self) -> None:
+        self.depth = 0
+        self.collecting = False
+        self.parts: tuple = ()
+
+    def copy(self) -> "ConditionState":
+        new = _new(ConditionState)
+        new.depth = self.depth
+        new.collecting = self.collecting
+        new.parts = self.parts
+        return new
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ConditionState:
+            return NotImplemented
+        return (self.depth == other.depth
+                and self.collecting == other.collecting
+                and self.parts == other.parts)
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 class FusedCondition:
@@ -130,10 +155,9 @@ class FusedCondition:
     ``[ChildStep(tag) -> StringValue -> CompareLiteral/ContainsLiteral]``
     and ``[ChildStep(tag) -> ExistsFlag]`` cover every benchmark condition
     (``[location="Albania"]``, ``contains(author, "Smith")``, ...).  Run
-    as three chained transformers they rebuild three nested state tuples
-    on every wrapper residency switch and cross two call layers per item
-    event; fused, the state is one flat ``(depth, collecting, parts)``
-    triple and an item event is a single call.
+    as three chained transformers they copy three nested states per
+    region and cross two call layers per item event; fused, the state is
+    one flat :class:`ConditionState` and an item event is a single call.
 
     Event-for-event equivalent to the unfused chain: the flag cD is
     emitted while processing the matching child's end tag (where
@@ -145,7 +169,7 @@ class FusedCondition:
     """
 
     __slots__ = ("stages", "input_id", "output_id", "tag", "test",
-                 "exists", "depth", "collecting", "parts", "initial")
+                 "exists")
 
     def __init__(self, stages: Sequence[StateTransformer], input_id: int,
                  output_id: int, tag: Optional[str], test, exists: bool
@@ -156,52 +180,38 @@ class FusedCondition:
         self.tag = tag
         self.test = test            # str -> bool (None for exists)
         self.exists = exists
-        self.depth = 0
-        self.collecting = False
-        self.parts: Tuple = ()
-        self.initial = (0, False, ())
 
-    def feed_input(self, e: Event) -> List[Event]:
+    @staticmethod
+    def new_state() -> ConditionState:
+        return ConditionState()
+
+    def feed_input(self, e: Event, st: ConditionState) -> List[Event]:
         kind = e.kind
         if kind == SE:
-            d = self.depth
-            self.depth = d + 1
-            if d == 1 and not self.collecting and (
+            d = st.depth
+            st.depth = d + 1
+            if d == 1 and not st.collecting and (
                     self.tag is None or e.tag == self.tag):
-                self.collecting = True
-                self.parts = ()
+                st.collecting = True
+                st.parts = ()
                 if self.exists:
                     return [Event(CD, self.output_id, text="1")]
             return []
         if kind == EE:
-            d = self.depth - 1
-            self.depth = d
-            if self.collecting and d == 1:
-                self.collecting = False
+            d = st.depth - 1
+            st.depth = d
+            if st.collecting and d == 1:
+                st.collecting = False
                 if self.exists:
                     return []
-                flag = "1" if self.test("".join(self.parts)) else ""
+                flag = "1" if self.test("".join(st.parts)) else ""
                 return [Event(CD, self.output_id, text=flag)]
             return []
         if kind == CD:
-            if self.collecting and not self.exists:
-                self.parts = self.parts + (e.text or "",)
+            if st.collecting and not self.exists:
+                st.parts = st.parts + (e.text or "",)
             return []
         return []
-
-    def feed(self, e: Event) -> List[Event]:
-        if e.id == self.input_id:
-            return self.feed_input(e)
-        return [e]
-
-    def get_state(self) -> Tuple:
-        return (self.depth, self.collecting, self.parts)
-
-    def set_state(self, state: Tuple) -> None:
-        self.depth, self.collecting, self.parts = state
-
-    def reset(self) -> None:
-        self.depth, self.collecting, self.parts = self.initial
 
     def __repr__(self) -> str:
         return "FusedCondition(/{}{}, {} -> {})".format(
@@ -274,6 +284,60 @@ def make_condition(stages: Sequence[StateTransformer], input_id: int,
     return InlinePipeline(stages, input_id, output_id)
 
 
+class PredicateState(State):
+    """``(depth, nid, flags, conds)``: the element depth, the current
+    item's output region, one ``(outcome, fixed_true, fixed_false)``
+    triple per conjunct, and each conjunct's condition state; ``home``
+    is the id the predicate emitted on when it opened ``nid`` (not part
+    of the paper's state)."""
+
+    __slots__ = ("depth", "nid", "flags", "conds", "home")
+
+    def __init__(self, flags: Tuple, conds: Tuple) -> None:
+        self.depth = 0
+        self.nid: Optional[int] = None
+        self.flags = flags
+        self.conds = conds
+        self.home: Optional[int] = None
+
+    def copy(self) -> "PredicateState":
+        new = _new(PredicateState)
+        new.depth = self.depth
+        new.nid = self.nid
+        new.flags = self.flags
+        conds = self.conds
+        new.conds = ((conds[0].copy(),) if len(conds) == 1
+                     else tuple([c.copy() for c in conds]))
+        new.home = self.home
+        return new
+
+    def values(self) -> tuple:
+        return (self.depth, self.nid, self.flags,
+                tuple([c.values() for c in self.conds]))
+
+    def __eq__(self, other: object) -> bool:
+        # ``values()`` equality, field by field (the wrapper compares
+        # states on every commit).
+        if type(other) is not PredicateState:
+            return NotImplemented
+        return (self.nid == other.nid and self.flags == other.flags
+                and self.depth == other.depth and self.conds == other.conds)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def with_flags(self, flags: Tuple) -> "PredicateState":
+        """This state with other ``flags``, sharing the condition states
+        (what :meth:`Predicate.adjust` returns; the wrapper copies it
+        before it is mutated)."""
+        new = _new(PredicateState)
+        new.depth = self.depth
+        new.nid = self.nid
+        new.flags = flags
+        new.conds = self.conds
+        new.home = self.home
+        return new
+
+
 class Predicate(StateTransformer):
     """``e1[e2]`` / where-clause over the ``input_id`` forest stream.
 
@@ -303,19 +367,17 @@ class Predicate(StateTransformer):
         #: a generated (already sealed) update region — set by the compiler
         #: when the source embeds no updates, enabling Section V pruning.
         self.assume_fixed = assume_fixed
-        # Live state (cloned per region by the wrapper):
-        self.depth = 0
-        self.nid: Optional[int] = None   # current item's output region
-        #: One (outcome, fixed_true, fixed_false) triple per conjunct.
-        self.flags: Tuple = tuple((0, False, True)
-                                  for _ in self.conditions)
+        # Live state (one object per region in the wrapper):
+        self.state = PredicateState(
+            tuple((0, False, True) for _ in self.conditions),
+            tuple([c.new_state() for c in self.conditions]))
         #: Authoritative end-of-item flags for revocable (unsealed) items:
         #: completed update transitions merge their deltas here, and the
         #: retroactive show/hide decision compares visibility before and
         #: after (an item's visibility may depend on conjuncts that
         #: resolved *after* the updated region closed).  Instance-level
         #: registers, like the backward join's: they evolve with update
-        #: arrival order, not with state residency.
+        #: arrival order, not with the region whose state is loaded.
         self._item_flags: Dict[int, Tuple] = {}
 
     def shape(self) -> Shape:
@@ -339,42 +401,25 @@ class Predicate(StateTransformer):
                   "frozen",
         )
 
-    # -- state plumbing --------------------------------------------------------
-
-    def get_state(self) -> State:
-        conds = self.conditions
-        if len(conds) == 1:  # single-conjunct fast path (the common case)
-            cs: tuple = (conds[0].get_state(),)
-        else:
-            cs = tuple([c.get_state() for c in conds])
-        return (self.depth, self.nid, self.flags, cs)
-
-    def set_state(self, state: State) -> None:
-        self.depth, self.nid, self.flags, cond_states = state
-        conds = self.conditions
-        if len(conds) == 1:
-            conds[0].set_state(cond_states[0])
-            return
-        for cond, cs in zip(conds, cond_states):
-            cond.set_state(cs)
-
     def bracket_anchor(self) -> int:
-        return self.nid if self.nid is not None else self.output_id
+        nid = self.state.nid
+        return nid if nid is not None else self.output_id
 
     # -- condition intake (the paper's F2, one per conjunct) --------------------
 
-    def _feed_condition(self, e: Event) -> None:
+    def _feed_condition(self, e: Event, s: PredicateState) -> None:
         new_flags = None
         conditions = self.conditions
+        conds = s.conds
         for idx in range(len(conditions)):
-            outs = conditions[idx].feed_input(e)
+            outs = conditions[idx].feed_input(e, conds[idx])
             if not outs:
                 # No condition output: this conjunct's triple is unchanged,
                 # so the flags tuple need not be rebuilt for it.
                 continue
             fixed = self.assume_fixed or not self.region_mutable
             if new_flags is None:
-                new_flags = list(self.flags)
+                new_flags = list(s.flags)
             outcome, ft, ff = new_flags[idx]
             for out in outs:
                 if out.kind != CD:
@@ -388,7 +433,7 @@ class Predicate(StateTransformer):
                         outcome += 1
             new_flags[idx] = (outcome, ft, ff)
         if new_flags is not None:
-            self.flags = tuple(new_flags)
+            s.flags = tuple(new_flags)
 
     # -- decision combination ------------------------------------------------------
 
@@ -414,82 +459,82 @@ class Predicate(StateTransformer):
 
     # -- item lifecycle -----------------------------------------------------------
 
-    def _begin_item(self) -> List[Event]:
-        self.nid = self.ctx.fresh_id()
-        self.flags = tuple((0, False, True) for _ in self.conditions)
-        for cond in self.conditions:
-            cond.reset()
-        return [start_mutable(self.output_id, self.nid)]
+    def _begin_item(self, s: PredicateState, out: int) -> List[Event]:
+        s.nid = self.ctx.fresh_id()
+        s.home = out
+        s.flags = tuple((0, False, True) for _ in self.conditions)
+        s.conds = tuple([c.new_state() for c in self.conditions])
+        return [start_mutable(out, s.nid)]
 
-    def _end_item(self) -> List[Event]:
-        nid = self.nid
-        self.nid = None
-        out: List[Event] = [end_mutable(self.output_id, nid)]
-        if self._sealed_true(self.flags):
-            out.append(freeze_event(nid))
-        elif self._visible_flags(self.flags):
-            self._item_flags[nid] = self.flags  # shown, but revocable
-        elif self._sealed_false(self.flags):
-            out.append(hide_event(nid))
-            out.append(freeze_event(nid))
+    def _end_item(self, s: PredicateState, out: int) -> List[Event]:
+        nid = s.nid
+        s.nid = None
+        flags = s.flags
+        emitted: List[Event] = [end_mutable(out, nid)]
+        if self._sealed_true(flags):
+            emitted.append(freeze_event(nid))
+        elif self._visible_flags(flags):
+            self._item_flags[nid] = flags  # shown, but revocable
+        elif self._sealed_false(flags):
+            emitted.append(hide_event(nid))
+            emitted.append(freeze_event(nid))
         else:
-            out.append(hide_event(nid))
-            self._item_flags[nid] = self.flags
-        return out
+            emitted.append(hide_event(nid))
+            self._item_flags[nid] = flags
+        return emitted
 
     # -- the state modifier F1 -------------------------------------------------------
 
-    def process(self, e: Event) -> List[Event]:
+    def process(self, e: Event, out: int) -> List[Event]:
         kind = e.kind
+        s = self.state
         if self.scope == SCOPE_TUPLE:
             if kind == ST:
-                return [e.relabel(self.output_id)] + self._begin_item()
+                return [e.relabel(out)] + self._begin_item(s, out)
             if kind == ET:
-                return self._end_item() + [e.relabel(self.output_id)]
+                return self._end_item(s, out) + [e.relabel(out)]
             if kind in (SS, ES):
-                return [e.relabel(self.output_id)]
+                return [e.relabel(out)]
         else:
             if kind in _STRUCTURAL:
-                return [e.relabel(self.output_id)]
-        out: List[Event] = []
+                return [e.relabel(out)]
+        emitted: List[Event] = []
         if kind == SE:
-            if self.depth == 0 and self.nid is None:
-                out.extend(self._begin_item())
-            self.depth += 1
-            out.append(e.relabel(self.nid))
-            self._feed_condition(e)
-            return out
-        if kind == EE:
-            self.depth -= 1
-            out.append(e.relabel(self.nid))
-            self._feed_condition(e)
-            if self.depth == 0 and self.scope == SCOPE_ITEM:
-                out.extend(self._end_item())
-            return out
-        # cD
-        if self.depth == 0 and self.nid is None:
+            if s.depth == 0 and s.nid is None:
+                emitted.extend(self._begin_item(s, out))
+            s.depth += 1
+        elif kind == EE:
+            s.depth -= 1
+        elif s.depth == 0 and s.nid is None:
             # A bare top-level text item is a one-event item of its own.
-            out.extend(self._begin_item())
-            out.append(e.relabel(self.nid))
-            self._feed_condition(e)
-            out.extend(self._end_item())
-            return out
-        out.append(e.relabel(self.nid))
-        self._feed_condition(e)
-        return out
+            emitted.extend(self._begin_item(s, out))
+            emitted.append(e.relabel(s.nid))
+            self._feed_condition(e, s)
+            emitted.extend(self._end_item(s, out))
+            return emitted
+        # An item opened while emitting elsewhere is this region's
+        # content as a whole: its events go on ``out``.
+        nid = s.nid
+        emitted.append(e.relabel(
+            nid if out == s.home or out == self.output_id else out))
+        self._feed_condition(e, s)
+        if kind == EE and s.depth == 0 and self.scope == SCOPE_ITEM:
+            emitted.extend(self._end_item(s, out))
+        return emitted
 
     # -- update adjustment --------------------------------------------------------------
 
-    def _visible(self, state: State) -> bool:
-        return self._visible_flags(state[2])
+    def _visible(self, state: PredicateState) -> bool:
+        return self._visible_flags(state.flags)
 
-    def adjust(self, state: State, s1: State, s2: State) -> State:
-        if state[1] != s1[1] or state[1] is None:
+    def adjust(self, state: PredicateState, s1: PredicateState,
+               s2: PredicateState) -> PredicateState:
+        if state.nid != s1.nid or state.nid is None:
             return state  # different item: the reset decouples outcomes
-        depth, nid, flags, cond = state
         # fixed_false merges downward-exactly, upward-conservatively (it
         # only gates sealing, never visibility).
-        return (depth, nid, self._merge_delta(flags, s1[2], s2[2]), cond)
+        return state.with_flags(
+            self._merge_delta(state.flags, s1.flags, s2.flags))
 
     @staticmethod
     def _merge_delta(flags, f1, f2):
@@ -502,16 +547,17 @@ class Predicate(StateTransformer):
             merged.append((outcome, ft, ff))
         return tuple(merged)
 
-    def on_transition(self, uid: int, s1: State, s2: State) -> List[Event]:
-        nid = s2[1]
-        if nid is None or s1[1] != nid:
+    def on_transition(self, uid: int, s1: PredicateState,
+                      s2: PredicateState) -> List[Event]:
+        nid = s2.nid
+        if nid is None or s1.nid != nid:
             return []
         item = self._item_flags.get(nid)
         if item is None:
             # Item still open (the end-of-item decision will see the new
             # state) or already sealed: nothing to retract here.
             return []
-        merged = self._merge_delta(item, s1[2], s2[2])
+        merged = self._merge_delta(item, s1.flags, s2.flags)
         self._item_flags[nid] = merged
         was, now = self._visible_flags(item), self._visible_flags(merged)
         if was == now:

@@ -46,6 +46,25 @@ def sort_key(text: str) -> Tuple:
         return (1, 0.0, text)
 
 
+class SortState(State):
+    """The display-ordered placements ``keys`` (``((key, seq),
+    region_id)`` tuples), the placement counter, and the open tuple:
+    whether its key was seen, its region ``nid``, the region it goes
+    after, and its suspended events."""
+
+    __slots__ = ("keys", "seq", "in_tuple", "found_key", "nid",
+                 "cur_anchor", "queue")
+
+    def __init__(self) -> None:
+        self.keys: tuple = ()
+        self.seq = 0
+        self.in_tuple = False
+        self.found_key = False
+        self.nid: Optional[int] = None
+        self.cur_anchor: Optional[int] = None
+        self.queue: tuple = ()
+
+
 class SortTuples(StateTransformer):
     """Order the tuples of ``input_id`` by the key cDs of ``key_id``."""
 
@@ -60,14 +79,7 @@ class SortTuples(StateTransformer):
         #: The empty region emitted at stream start; every insert-after
         #: chain is ultimately anchored here ("position before all items").
         self.anchor_id = ctx.fresh_id()
-        # Display-ordered placements: ((key, seq), region_id) tuples.
-        self.keys: tuple = ()
-        self.seq = 0
-        self.in_tuple = False
-        self.found_key = False
-        self.nid: Optional[int] = None
-        self.cur_anchor: Optional[int] = None
-        self.queue: tuple = ()
+        self.state = SortState()
         # Brackets that span several tuples (e.g. a predicate region
         # around a whole sequence) cannot survive reordering: the sort
         # dissolves them and mirrors their later hide/show onto every
@@ -101,14 +113,6 @@ class SortTuples(StateTransformer):
                   "mutable so late items can be inserted between them",
         )
 
-    def get_state(self) -> State:
-        return (self.keys, self.seq, self.in_tuple, self.found_key,
-                self.nid, self.cur_anchor, self.queue)
-
-    def set_state(self, state: State) -> None:
-        (self.keys, self.seq, self.in_tuple, self.found_key, self.nid,
-         self.cur_anchor, self.queue) = state
-
     # -- placement ----------------------------------------------------------
 
     def _stays_before(self, placed: Tuple, entry: Tuple) -> bool:
@@ -120,51 +124,52 @@ class SortTuples(StateTransformer):
 
     def _place(self, key_text: str) -> List[Event]:
         """Open the item's insert-after region at its sorted position."""
-        self.seq += 1
-        entry = (sort_key(key_text), self.seq)
-        self.nid = self.ctx.fresh_id()
+        s = self.state
+        s.seq += 1
+        entry = (sort_key(key_text), s.seq)
+        s.nid = self.ctx.fresh_id()
         anchor = self.anchor_id
         index = 0
-        for k, rid in self.keys:
+        for k, rid in s.keys:
             if self._stays_before(k, entry):
                 anchor = rid
                 index += 1
             else:
                 break
-        self.keys = (self.keys[:index] + ((entry, self.nid),)
-                     + self.keys[index:])
-        self.cur_anchor = anchor
-        self.found_key = True
+        s.keys = s.keys[:index] + ((entry, s.nid),) + s.keys[index:]
+        s.cur_anchor = anchor
+        s.found_key = True
         for span in self._open_spanning:
-            self._placed_under.setdefault(span, []).append(self.nid)
-        out = [start_insert_after(anchor, self.nid)]
-        out.extend(self._reissue(ev, relabel)
-                   for ev, relabel in self.queue)
-        self.queue = ()
+            self._placed_under.setdefault(span, []).append(s.nid)
+        out = [start_insert_after(anchor, s.nid)]
+        out.extend(self._reissue(ev, relabel) for ev, relabel in s.queue)
+        s.queue = ()
         return out
 
     def _reissue(self, e: Event, relabel: bool) -> Event:
         """Relabel a suspended event into the item's placed region."""
         if e.is_update:
             if e.id == self.item_id or e.id in self._spanning:
-                return Event(e.kind, self.nid, sub=e.sub)
+                return Event(e.kind, self.state.nid, sub=e.sub)
             return e
         if relabel:
-            return e.relabel(self.nid)
+            return e.relabel(self.state.nid)
         return e
 
     def _enqueue(self, e: Event) -> List[Event]:
         relabel = (not e.is_update
                    and (e.id == self.item_id or e.id in self._spanning))
-        if self.found_key:
+        s = self.state
+        if s.found_key:
             return [self._reissue(e, relabel)]
-        self.queue = self.queue + ((e, relabel),)
+        s.queue = s.queue + ((e, relabel),)
         return []
 
     # -- the state modifiers F1 (items) and F2 (keys) --------------------------
 
-    def process(self, e: Event) -> List[Event]:
+    def process(self, e: Event, out: int) -> List[Event]:
         kind = e.kind
+        s = self.state
         # Route by the *logical* stream: region content arrives with its
         # region number, so the wrapper-provided root decides whether an
         # event belongs to the item or the key stream.
@@ -174,32 +179,32 @@ class SortTuples(StateTransformer):
         if e.is_update and root == self.item_id:
             return self._item_update(e)
         if root == self.key_id:
-            if (not e.is_update and kind == CD and self.in_tuple
-                    and not self.found_key):
+            if (not e.is_update and kind == CD and s.in_tuple
+                    and not s.found_key):
                 return self._place(e.text or "")
             return []  # key-stream structure and updates: pacing only
         if not e.is_update and root == self.item_id:
             if kind == SS:
-                return [Event(SS, self.output_id),
-                        start_mutable(self.output_id, self.anchor_id),
-                        end_mutable(self.output_id, self.anchor_id)]
+                return [Event(SS, out),
+                        start_mutable(out, self.anchor_id),
+                        end_mutable(out, self.anchor_id)]
             if kind == ES:
-                return [Event(ES, self.output_id)]
+                return [Event(ES, out)]
             if kind == ST:
-                self.in_tuple = True
-                self.found_key = False
-                self.queue = ((e, True),)
+                s.in_tuple = True
+                s.found_key = False
+                s.queue = ((e, True),)
                 self._tuple_brackets = set()
                 return []
             if kind == ET:
-                self.in_tuple = False
-                out = [] if self.found_key else self._place("")
-                out.append(self._reissue(e, True))
-                out.append(end_insert_after(self.cur_anchor, self.nid))
-                self.nid = None
-                self.cur_anchor = None
-                self.found_key = False
-                return out
+                s.in_tuple = False
+                emitted = [] if s.found_key else self._place("")
+                emitted.append(self._reissue(e, True))
+                emitted.append(end_insert_after(s.cur_anchor, s.nid))
+                s.nid = None
+                s.cur_anchor = None
+                s.found_key = False
+                return emitted
         # Item content: suspend until the key is known, then stream.
         return self._enqueue(e)
 
@@ -213,8 +218,9 @@ class SortTuples(StateTransformer):
         tuples pass straight through (their targets are live downstream).
         """
         kind = e.kind
+        in_tuple = self.state.in_tuple
         if kind in UPDATE_STARTS:
-            if self.in_tuple:
+            if in_tuple:
                 self._seen_brackets.add(e.sub)
                 self._tuple_brackets.add(e.sub)
                 return self._enqueue(e)
@@ -231,7 +237,7 @@ class SortTuples(StateTransformer):
                 if e.sub in self._open_spanning:
                     self._open_spanning.remove(e.sub)
                 return []
-            if self.in_tuple and e.sub in self._tuple_brackets:
+            if in_tuple and e.sub in self._tuple_brackets:
                 return self._enqueue(e)
             return [e]
         # hide / show / freeze
@@ -245,7 +251,7 @@ class SortTuples(StateTransformer):
             self._placed_under.pop(e.id, None)
             self._spanning.discard(e.id)
             return []
-        if self.in_tuple and e.id in self._tuple_brackets:
+        if in_tuple and e.id in self._tuple_brackets:
             return self._enqueue(e)
         if kind == FREEZE:
             self._seen_brackets.discard(e.id)

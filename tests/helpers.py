@@ -50,12 +50,11 @@ def reachable_records(wrapper) -> list:
 
 
 def record_mentions(rec) -> list:
-    """Everything a record's fields name, its state copies aside: its id
-    and root, the output-space ids of the bracket translation (``info``
-    holds the relabel triple), the chain tuple, the inner containers,
-    and its place in the nesting tree."""
-    return [rec.id, rec.root, rec.out, rec.target, rec.info, rec.chain,
-            rec.inner, rec.parent.id if rec.parent is not None else None,
+    """Everything a record's fields name, its state objects aside: its
+    id and root, the output-space ids of the bracket translation, the
+    chain tuple, and its place in the nesting tree."""
+    return [rec.id, rec.root, rec.out, rec.target, rec.chain,
+            rec.parent.id if rec.parent is not None else None,
             [kid.id for kid in rec.children or ()]]
 
 

@@ -46,9 +46,9 @@ class TestChildStep:
 
     def test_inert_state_restored(self, ctx):
         step = ChildStep(ctx, 0, ctx.ids.reserve(10), "b")
-        before = step.get_state()
+        before = step.state.copy()
         run_sequence(step, tokenize("<r><b>x</b></r>")[1:-1])
-        assert step.get_state() == before
+        assert step.state == before
 
     def test_composition(self, ctx):
         a, b = ctx.ids.reserve(10), ctx.ids.reserve(11)

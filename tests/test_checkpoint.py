@@ -301,14 +301,16 @@ class TestEnvelopeDiagnostics:
         # instance of a class in ``repro.compile.fusion``; the module
         # is gone, and the refusal must come from the version byte,
         # before pickle goes looking for it.  A version-7 shared group
-        # has no prefix recorder and is refused the same way.
+        # has no prefix recorder and is refused the same way, as is a
+        # version-8 blob, whose records and transformers hold tuples.
         blob = encode_checkpoint("pipeline", {}, {})
-        assert blob[4] == 8
+        assert blob[4] == 9
         gone = b"\x80\x02crepro.compile.fusion\nPlan\n."
         with pytest.raises(ImportError):
             pickle.loads(gone)
         for old in (blob[:4] + b"\x05" + blob[5:], blob[:4] + b"\x06" + gone,
-                    blob[:4] + b"\x07" + blob[5:]):
+                    blob[:4] + b"\x07" + blob[5:],
+                    blob[:4] + b"\x08" + blob[5:]):
             with pytest.raises(CheckpointError) as info:
                 decode_checkpoint(old, "pipeline")
             assert info.value.field == "version"

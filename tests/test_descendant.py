@@ -91,9 +91,9 @@ class TestTagged:
 class TestInertness:
     def test_state_restored_after_document(self, ctx):
         step = DescendantStep(ctx, 0, ctx.ids.reserve(10), None)
-        before = step.get_state()
+        before = step.state.copy()
         run_sequence(step, tokenize("<a><b><c>x</c></b></a>")[1:-1])
-        assert step.get_state() == before
+        assert step.state == before
 
     def test_composes_with_itself(self, ctx):
         # //a//b

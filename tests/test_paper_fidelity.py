@@ -11,6 +11,7 @@ from repro.core.transformer import run_sequence
 from repro.core.wrapper import UpdateWrapper
 from repro.events import CD, loads
 from repro.operators import ChildStep, Concat, CountItems, DescendantStep
+from repro.operators.aggregate import CountState
 from repro.xmlio import tokenize, write_events
 
 
@@ -29,10 +30,10 @@ class TestSectionII:
         #  nested XML elements, the final values of depth and pass are
         #  restored to their starting values."
         step = ChildStep(ctx, 0, ctx.fresh_id(), "tag")
-        initial = step.get_state()
+        initial = step.state.copy()
         run_sequence(step, tokenize("<r><tag>a</tag><o><tag>b</tag></o>"
                                     "</r>")[1:-1])
-        assert step.get_state() == initial
+        assert step.state == initial
 
 
 class TestSectionIII:
@@ -78,7 +79,7 @@ class TestSectionIV:
         for e in loads('sS(0) sE(0,"a") eE(0,"a") sM(0,7)'):
             w.dispatch(e)
         assert w.region(7).start == w.region(7).end
-        assert w.region(7).start[0] == 1  # the count so far
+        assert w.region(7).start.count == 1  # the count so far
 
     def test_sR_copies_start_state(self, ctx):
         # sR, sB: start[uid] <- start[id]; end[uid] <- start[id]
@@ -86,7 +87,7 @@ class TestSectionIV:
         for e in loads('sS(0) sM(0,7) sE(7,"a") eE(7,"a") eM(0,7) '
                        'sE(0,"b") eE(0,"b") sR(7,8)'):
             w.dispatch(e)
-        assert w.region(8).start[0] == 0  # the count *before* region 7
+        assert w.region(8).start.count == 0  # the count *before* region 7
         assert w.region(8).end == w.region(8).start
 
     def test_hide_moves_end_to_shadow(self, ctx):
@@ -114,7 +115,8 @@ class TestSectionIV:
     def test_count_adjustment_formula(self, ctx):
         # "count <- count + (s2.count - s1.count)"
         t = CountItems(ctx, 0, ctx.fresh_id())
-        assert t.adjust((10, 0), (3, 0), (5, 0)) == (12, 0)
+        got = t.adjust(CountState(10), CountState(3), CountState(5))
+        assert got.values() == (12, 0)
 
 
 class TestSectionV:
@@ -172,6 +174,6 @@ class TestSectionVI:
         max_levels = 0
         for e in tokenize(deep):
             if not e.is_update and e.id == 0:
-                step.process(e)
-                max_levels = max(max_levels, len(step.levels))
+                step.process(e, step.output_id)
+                max_levels = max(max_levels, len(step.state.levels))
         assert max_levels == 30  # one entry per open level, nothing else

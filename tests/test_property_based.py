@@ -656,9 +656,9 @@ class TestOperatorInvariants:
                      lambda: DescendantStep(ctx, 0, ctx.fresh_id(), None),
                      lambda: StringValue(ctx, 0, ctx.fresh_id())):
             t = make()
-            before = t.get_state()
+            before = t.state.copy()
             run_sequence(t, tokenize(doc)[1:-1])
-            assert t.get_state() == before
+            assert t.state == before
 
     @given(st.lists(st.integers(min_value=0, max_value=99), min_size=1,
                     max_size=12))

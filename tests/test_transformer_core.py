@@ -92,11 +92,11 @@ class TestPipelinePlumbing:
         order = []
 
         class Dup(Identity):
-            def process(self, e):
+            def process(self, e, out):
                 return [e, e.relabel(e.id)]
 
         class Spy(Identity):
-            def process(self, e):
+            def process(self, e, out):
                 order.append(e.text)
                 return [e]
 
@@ -115,11 +115,11 @@ class TestPipelinePlumbing:
         # ahead of the next one (a quarantined or sanitizer-stopped
         # pipeline may be fed again, e.g. to flush it).
         class Dup(Identity):
-            def process(self, e):
+            def process(self, e, out):
                 return [e, e.relabel(e.id)]
 
         class Fuse(Identity):
-            def process(self, e):
+            def process(self, e, out):
                 if e.text == "boom":
                     raise RuntimeError("boom")
                 return [e]

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core import Collector, Context, Display, Pipeline
-from repro.core.transformer import StateTransformer
+from repro.core.transformer import State, StateTransformer
 from repro.core.wrapper import UpdatePolicy, UpdateWrapper
 from repro.events import loads
 from repro.operators import ChildStep, CountItems, Tee
+from repro.operators.aggregate import CountState
 from tests.helpers import assert_nesting_tree_consistent
 
 
@@ -138,13 +139,13 @@ class TestAdjustLaws:
     def test_identity_law(self, ctx):
         # adjust(s1, s2, s2) == s1
         t = self._make(ctx)
-        s1, s2 = (5, 0), (9, 0)
+        s1, s2 = CountState(5), CountState(9)
         assert t.adjust(s1, s2, s2) == s1
 
     def test_replacement_law(self, ctx):
         # adjust(s1, s1, s2) == s2
         t = self._make(ctx)
-        s1, s2 = (5, 0), (9, 0)
+        s1, s2 = CountState(5), CountState(9)
         assert t.adjust(s1, s1, s2) == s2
 
     def test_commutation_law(self, ctx):
@@ -154,13 +155,21 @@ class TestAdjustLaws:
 
         def f_star(state):
             t = self._make(Context())
-            t.set_state(state)
+            t.state = state.copy()
             run_sequence(t, v)
-            return t.get_state()
+            return t.state
 
         t = self._make(ctx)
-        s1, s2, s3 = (4, 0), (1, 0), (7, 0)
+        s1, s2, s3 = CountState(4), CountState(1), CountState(7)
         assert t.adjust(f_star(s1), s2, s3) == f_star(t.adjust(s1, s2, s3))
+
+    def test_adjust_is_pure(self, ctx):
+        # adjust reads its snapshots and returns a new object.
+        t = self._make(ctx)
+        s1, s2, s3 = CountState(4), CountState(1), CountState(7)
+        new = t.adjust(s1, s2, s3)
+        assert (s1.count, s2.count, s3.count) == (4, 1, 7)
+        assert new.count == 10 and new is not s1
 
 
 class TestFreezeSplicesTheNestingTree:
@@ -277,26 +286,27 @@ class TestFreezeSplicesTheNestingTree:
             [(e.id, e.sub) for e in ends]
 
 
+class _JournalState(State):
+    __slots__ = ("seen",)
+
+    def __init__(self):
+        self.seen = ()
+
+
 class _Journal(StateTransformer):
     """State = every event processed, in order; stream 1 is RAW."""
 
     def __init__(self, ctx):
         super().__init__(ctx, (1, 2), ctx.ids.reserve(900))
-        self.seen = ()
+        self.state = _JournalState()
 
     def update_policy(self, stream_id):
         return (UpdatePolicy.RAW if stream_id == 1
                 else UpdatePolicy.TRANSLATE)
 
-    def process(self, e):
-        self.seen += (repr(e),)
+    def process(self, e, out):
+        self.state.seen += (repr(e),)
         return []
-
-    def get_state(self):
-        return self.seen
-
-    def set_state(self, state):
-        self.seen = state
 
 
 class TestRawPolicy:
@@ -310,5 +320,5 @@ class TestRawPolicy:
                        'sM(2,22) freeze(10) cD(20,"z") eM(2,22) eM(2,20)'):
             w.dispatch(e)
         w.on_end()  # loads the live state
-        assert t.seen == tuple(repr(e) for e in loads(
+        assert t.state.seen == tuple(repr(e) for e in loads(
             'sM(1,10) eM(1,10) cD(1,"y") freeze(10)'))
