@@ -162,7 +162,7 @@ def test_descendant_buffering(benchmark):
         disp = Display(out)
         pipe = Pipeline(ctx, [DescendantStep(ctx, 0, out, None)], disp)
         pipe.run(events)
-        return max(len(w.t.levels) + 2 for w in pipe.wrappers), disp
+        return max(len(w.t.state.levels) + 2 for w in pipe.wrappers), disp
 
     def buffered_reference():
         # Classic approach: per open element, buffer the copies of its
