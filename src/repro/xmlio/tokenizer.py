@@ -21,23 +21,28 @@ The tokenizer is incremental: feed it arbitrary chunks with :meth:`feed`;
 it yields events as soon as they are complete, so it can sit behind a
 socket or a file of unbounded size.
 
-Scanning strategy: construct delimiters (``<``, ``-->``, ``]]>``, ``?>``)
-are located with ``str.find`` and whole tags are matched with compiled
-regular expressions, so the per-character work happens in C.  The mode
-machine survives chunk boundaries — a regex that fails on a partial
-construct simply leaves the bytes buffered for the next ``feed``.  The
-original character-level scanner is preserved verbatim in
-:mod:`repro.xmlio.reference_tokenizer` as the differential-testing oracle.
+Scanning strategy: one anchored regex match (``_KERNEL_RE``) consumes a
+text run and the plain tag after it, and the kernel emits their events
+inline.  Whatever it does not match goes to the mode machine for one
+construct: delimiters found with ``str.find``, a partial construct left
+buffered for the next ``feed``.  The original character-level scanner is
+preserved verbatim in :mod:`repro.xmlio.reference_tokenizer` as the
+differential-testing oracle.
 """
 
 from __future__ import annotations
 
 import re
 from time import perf_counter_ns
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator,
+                    List, Optional, Tuple)
 
-from ..events.model import (Event, cdata, end_element, end_stream,
-                            start_element, start_stream)
+from ..events.model import (CD, EE, SE, Event, cdata, end_element,
+                            end_stream, start_element, start_stream)
+
+if TYPE_CHECKING:  # annotations only: no analysis import at runtime
+    from ..analysis.projection import ProjectionMatcher
+    from ..obs.histogram import LogHistogram
 
 
 class XMLSyntaxError(ValueError):
@@ -73,16 +78,14 @@ class ResourceLimitError(XMLSyntaxError):
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 
-# Fast-path tag patterns.  A start tag without attributes and an end tag
-# are by far the most common constructs (XMark/DBLP markup is attribute
-# light), and both can be recognized with a single anchored match instead
-# of find + slice + character loop.  The patterns are deliberately strict:
-# anything they reject (attributes, exotic whitespace, malformed tags,
-# constructs truncated at a chunk boundary) falls through to the general
-# scanner, which reproduces the original character-level semantics and
-# error messages exactly.
-_STAG_RE = re.compile(r"<([^\s<>/!?=][^\s<>/=]*)\s*(/?)>")
-_ETAG_RE = re.compile(r"</([^\s<>/=]+)\s*>")
+# The scan kernel: a text run and the plain (attribute-free) start,
+# self-closing or end tag after it — nearly every XMark/DBLP token.  It
+# is deliberately strict: attributes, comments, CDATA, PIs, DOCTYPE, a
+# construct truncated at a chunk boundary and malformed input all go to
+# the mode machine, whose general classifier stays authoritative for
+# semantics and error messages.
+_KERNEL_RE = re.compile(
+    r"([^<]*)<(?:([^\s<>/!?=][^\s<>/=]*)\s*(/?)|/([^\s<>/=]+)\s*)>")
 # Attribute scanning within a tag body: name up to the first '=' (the
 # non-greedy quantifier reproduces the reference scanner's find('=')
 # semantics), then a quoted value.
@@ -154,7 +157,7 @@ ProjectionMatcher`.  When a start tag opens a subtree no remaining
                  keep_whitespace: bool = False,
                  attribute_handler: Optional[
                      Callable[[str, str, str], None]] = None,
-                 projection=None,
+                 projection: Optional[ProjectionMatcher] = None,
                  max_depth: Optional[int] = None,
                  max_token_bytes: Optional[int] = None,
                  max_attrs: Optional[int] = None) -> None:
@@ -182,7 +185,7 @@ ProjectionMatcher`.  When a start tag opens a subtree no remaining
         #: (like ``projection_stats``) so a shared tokenizer is timed
         #: once regardless of consumer count; None costs one ``is not
         #: None`` test per chunk.
-        self.chunk_histogram = None
+        self.chunk_histogram: Optional[LogHistogram] = None
         self._buf = ""
         self._mode = _TEXT
         self._offset = 0
@@ -191,7 +194,7 @@ ProjectionMatcher`.  When a start tag opens a subtree no remaining
         self._next_oid = 0
         self._started = False
         self._finished = False
-        self._text_parts: List[str] = []
+        self._text_parts: List[Tuple[bool, str]] = []
         self._keep_depth = 0            # inside an accepted subtree
         self._skip_stack: List[str] = []  # open tags of the pruned subtree
         self._skip_sub = _SK_TEXT
@@ -284,6 +287,10 @@ ProjectionMatcher`.  When a start tag opens a subtree no remaining
         n = len(buf)
         while pos < n:
             if self._mode == _TEXT:
+                pos = self._kernel(buf, pos, out)
+                if self._mode != _TEXT or pos == n:
+                    continue
+                # The kernel stopped at a construct it does not match.
                 lt = buf.find("<", pos)
                 if lt < 0:
                     self._text_parts.append((False, buf[pos:]))
@@ -342,49 +349,86 @@ ProjectionMatcher`.  When a start tag opens a subtree no remaining
         self._offset += pos
         self._buf = buf[pos:]
 
+    def _kernel(self, buf: str, pos: int, out: List[Event]) -> int:
+        """Emit text-plus-plain-tag tokens inline; return where it stops.
+
+        That is where ``_KERNEL_RE`` fails or a pruned start tag enters
+        _SKIP mode.  Text follows :meth:`_flush_text`'s rules, and goes
+        through it when it merges with pending parts or is over budget.
+        """
+        match = _KERNEL_RE.match
+        append = out.append
+        new = Event.__new__
+        sid = self.stream_id
+        stack = self._stack
+        oids = self.emit_oids
+        cursor = self._cursor
+        limit = self.max_token_bytes
+        oid = None
+        while True:
+            m = match(buf, pos)
+            if m is None:
+                return pos
+            pos = m.end()
+            text, tag, closed, etag = m.groups()
+            if self._text_parts or (limit is not None and len(text) > limit):
+                if text:
+                    self._text_parts.append((False, text))
+                    self._text_size += len(text)
+                self._flush_text(out)
+            elif text:
+                if "&" in text:
+                    text = _decode_entities(text, self._offset)
+                if not stack:
+                    if not text.isspace():
+                        raise XMLSyntaxError(
+                            "character data outside the root element",
+                            self._offset)
+                elif not text.isspace() or self.keep_whitespace:
+                    if oids:
+                        oid = self._next_oid
+                        self._next_oid += 1
+                    ev = new(Event)
+                    ev.kind, ev.id, ev.sub, ev.tag, ev.text, ev.oid = \
+                        CD, sid, None, None, text, oid
+                    append(ev)
+            if etag is not None:
+                if cursor is not None or not stack or stack[-1][0] != etag:
+                    self._end_tag(etag, out)
+                    continue
+                ev = new(Event)
+                ev.kind, ev.id, ev.sub, ev.tag, ev.text, ev.oid = \
+                    EE, sid, None, etag, None, stack.pop()[1]
+                append(ev)
+                continue
+            if cursor is not None and not self._project_open(
+                    tag, closed == "/", pos - m.end(1)):
+                if self._mode == _SKIP:
+                    return pos
+                continue  # a pruned self-closing element
+            if oids:
+                oid = self._next_oid
+                self._next_oid += 1
+            ev = new(Event)
+            ev.kind, ev.id, ev.sub, ev.tag, ev.text, ev.oid = \
+                SE, sid, None, tag, None, oid
+            append(ev)
+            if closed:
+                ev = new(Event)
+                ev.kind, ev.id, ev.sub, ev.tag, ev.text, ev.oid = \
+                    EE, sid, None, tag, None, oid
+                append(ev)
+            else:
+                if self.max_depth is not None:
+                    self._check_depth()
+                stack.append((tag, oid))
+
     def _scan_markup(self, buf: str, pos: int,
                      out: List[Event]) -> Optional[int]:
         """Classify and consume one markup construct starting at '<'.
 
         Returns the new position, or None when more input is needed.
         """
-        # Fast paths: a plain (attribute-free) start tag or an end tag is
-        # recognized and emitted with one anchored regex match.  A failed
-        # match — attributes, truncation at a chunk boundary, malformed
-        # input — falls through to the general classifier below, which is
-        # authoritative for semantics and error reporting.
-        m = _STAG_RE.match(buf, pos)
-        if m is not None:
-            if self._text_parts:
-                self._flush_text(out)
-            tag = m.group(1)
-            if self._cursor is not None and \
-                    not self._project_open(tag, bool(m.group(2)),
-                                           m.end() - pos):
-                if self._mode != _SKIP:
-                    self._mode = _TEXT  # pruned self-closing element
-                return m.end()
-            if self.emit_oids:
-                oid = self._next_oid
-                self._next_oid += 1
-            else:
-                oid = None
-            out.append(start_element(self.stream_id, tag, oid=oid))
-            if m.group(2):  # self-closing
-                out.append(end_element(self.stream_id, tag, oid=oid))
-            else:
-                if self.max_depth is not None:
-                    self._check_depth()
-                self._stack.append((tag, oid))
-            self._mode = _TEXT
-            return m.end()
-        m = _ETAG_RE.match(buf, pos)
-        if m is not None:
-            if self._text_parts:
-                self._flush_text(out)
-            self._end_tag(m.group(1), out)
-            self._mode = _TEXT
-            return m.end()
         n = len(buf)
         if pos + 1 >= n:
             return None
@@ -492,16 +536,10 @@ ProjectionMatcher`.  When a start tag opens a subtree no remaining
         self._text_size = 0
         # CDATA-section segments are literal; only plain character data
         # gets entity decoding (runs are joined first so an entity split
-        # across feed() chunks still decodes).  Single-segment flushes —
-        # the overwhelmingly common case when whole constructs arrive in
-        # one chunk — skip the merge machinery.
-        if len(parts) == 1:
-            is_cdata, seg = parts[0]
-            text = seg if is_cdata else _decode_entities(seg, self._offset)
-        else:
-            text = "".join(
-                seg if is_cdata else _decode_entities(seg, self._offset)
-                for is_cdata, seg in _merge_runs(parts))
+        # across feed() chunks still decodes).
+        text = "".join(
+            seg if is_cdata else _decode_entities(seg, self._offset)
+            for is_cdata, seg in _merge_runs(parts))
         if not self._stack:
             if text.strip():
                 raise XMLSyntaxError(
@@ -687,7 +725,7 @@ ProjectionMatcher`.  When a start tag opens a subtree no remaining
             self._mode = _TEXT
 
 
-def _merge_runs(parts):
+def _merge_runs(parts: List[Tuple[bool, str]]) -> List[Tuple[bool, str]]:
     """Coalesce adjacent segments of the same kind (cdata vs plain)."""
     merged: List[Tuple[bool, str]] = []
     for is_cdata, seg in parts:
@@ -783,8 +821,9 @@ def _decode_entities(text: str, offset: int) -> str:
 
 
 def tokenize(text: str, stream_id: int = 0, emit_oids: bool = False,
-             keep_whitespace: bool = False, projection=None,
-             **limits) -> List[Event]:
+             keep_whitespace: bool = False,
+             projection: Optional[ProjectionMatcher] = None,
+             **limits: Any) -> List[Event]:
     """Tokenize a complete XML document into a list of events.
 
     ``limits`` (``max_depth`` / ``max_token_bytes`` / ``max_attrs``)
@@ -793,13 +832,14 @@ def tokenize(text: str, stream_id: int = 0, emit_oids: bool = False,
     tok = XMLTokenizer(stream_id=stream_id, emit_oids=emit_oids,
                        keep_whitespace=keep_whitespace,
                        projection=projection, **limits)
-    return list(tok.tokenize(text))
+    return tok.feed(text) + tok.close()
 
 
 def iter_tokenize(chunks: Iterable[str], stream_id: int = 0,
                   emit_oids: bool = False,
                   keep_whitespace: bool = False,
-                  projection=None, **limits) -> Iterator[Event]:
+                  projection: Optional[ProjectionMatcher] = None,
+                  **limits: Any) -> Iterator[Event]:
     """Tokenize XML arriving in chunks, yielding events incrementally."""
     tok = XMLTokenizer(stream_id=stream_id, emit_oids=emit_oids,
                        keep_whitespace=keep_whitespace,

@@ -74,7 +74,7 @@ def _tokenize_document(text: str, source_id: int, needs_oids: bool,
     tok = XMLTokenizer(stream_id=source_id, projection=matcher,
                        emit_oids=needs_oids and matcher is None)
     tok.chunk_histogram = chunk_histogram
-    return list(tok.tokenize(text)), tok.projection_stats
+    return tok.feed(text) + tok.close(), tok.projection_stats
 
 
 def _tokenize_shared(executor, text: str, timed: bool) -> list:
