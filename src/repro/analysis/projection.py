@@ -33,7 +33,9 @@ This module closes that gap statically:
   child tags, how deep, text or not), one reads rule per stage shape,
   and hands every ``//`` step the ``reads`` of its output stream so
   that the per-level copies it makes (paper Section VI-C) hold no more
-  than that (DESIGN.md section 15).
+  than that (DESIGN.md section 15), and every item-scope predicate and
+  ancestor join its own, so that it opens a region only for an item a
+  consumer reads while undecided (DESIGN.md section 17).
 
 Soundness fallbacks (DESIGN.md section 10): the *universal* projection
 (no pruning) is used whenever the plan reads a **mutable update source**
@@ -50,6 +52,7 @@ from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, \
 
 from ..core.transformer import Shape, StateTransformer
 from ..events.model import CD, EE, SE, UPDATE_KINDS, Event
+from ..operators.deferral import ItemGate
 from ..operators.predicate import FusedCondition
 from .dataflow import backward, forward
 from .schema import ElementSchema, known_schema
@@ -362,9 +365,16 @@ def _copies_levels(stage: StateTransformer) -> bool:
     return shape.kind == "step" and shape.axis == DESCENDANT
 
 
+def _gates(stage: StateTransformer) -> bool:
+    """Is ``stage`` an item-scope predicate or an ancestor join, which
+    ``reads`` lets decide before it emits?"""
+    return isinstance(stage, ItemGate) and stage.gated
+
+
 def apply_reads(plan, sink: Optional[Dict[int, Reads]] = None
                 ) -> Dict[int, Reads]:
-    """Hand every ``//`` step of ``plan`` what is read of its output.
+    """Hand every ``//`` step, item-scope predicate and ancestor join of
+    ``plan`` what is read of its output.
 
     One backward pass: ``need[i]`` is what the stages after the current
     one read of stream ``i``.  ``sink`` says what is read of the streams
@@ -376,7 +386,8 @@ def apply_reads(plan, sink: Optional[Dict[int, Reads]] = None
     sink reads on this plan's behalf.
 
     Over a mutable update source every step reads ``ALL`` (and so does
-    the plan, of anything): a bracket can re-parent a region, so no
+    the plan, of anything), and predicates and joins get None, so they
+    emit as the paper's do: a bracket can re-parent a region, so no
     item has a static shape.
     """
     mutable = (Reads.everything("the mutable update source")
@@ -385,6 +396,8 @@ def apply_reads(plan, sink: Optional[Dict[int, Reads]] = None
     def transfer(stage: Any, i: int, out: Reads, later: Reads) -> Reads:
         if _copies_levels(stage):   # a DescendantStep
             stage.reads = mutable or out
+        elif _gates(stage):
+            stage.reads = None if mutable else out
         return mutable or (later | stage_reads(stage, i, out)
                            ).blame(repr(stage))
 
@@ -395,10 +408,24 @@ def apply_reads(plan, sink: Optional[Dict[int, Reads]] = None
 def step_reads(plan) -> List[Tuple[int, Reads]]:
     """``(stage index, reads)`` of each ``//`` step of ``plan``: what
     ``repro analyze`` prints and ``QueryRun.stats()`` carries."""
+    return _told(plan, _copies_levels, "nothing: the plan is as compiled "
+                                       "(optimize=False)")
+
+
+def gate_reads(plan: Any) -> List[Tuple[int, Reads]]:
+    """``(stage index, reads)`` of each item-scope predicate and
+    ancestor join of ``plan``: ``ALL`` where it opens a region for every
+    item, as the paper's operators do."""
+    return _told(plan, _gates, "the mutable update source"
+                 if plan.mutable_source else
+                 "nothing: the plan is as compiled (optimize=False)")
+
+
+def _told(plan: Any, pick: Callable[[StateTransformer], bool], why: str
+          ) -> List[Tuple[int, Reads]]:
     return [(k, stage.reads if stage.reads is not None else
-             Reads.everything("nothing: the plan is as compiled "
-                              "(optimize=False)"))
-            for k, stage in enumerate(plan.stages) if _copies_levels(stage)]
+             Reads.everything(why))
+            for k, stage in enumerate(plan.stages) if pick(stage)]
 
 
 class ProjectionMatcher:

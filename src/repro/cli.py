@@ -243,10 +243,12 @@ def analyze_main(argv, out, err) -> int:
         plan = engine.compile()
         report = analyze_plan(plan)
         from .analysis.projection import (ProjectionMatcher,
-                                          derive_projection, step_reads)
+                                          derive_projection, gate_reads,
+                                          step_reads)
         proj = derive_projection(plan)
         prunable = ProjectionMatcher(proj, schema=args.schema).prunable
         reads = step_reads(plan)
+        gates = gate_reads(plan)
     except Exception as exc:  # parse/compile diagnostics for the user
         print("error: {}".format(exc), file=err)
         return 2
@@ -291,6 +293,14 @@ def analyze_main(argv, out, err) -> int:
                 k, plan.stages[k], r,
                 ", forced by {}".format(r.by) if r.is_all else ""),
                 file=out)
+        if gates:
+            print("reads of each predicate and join (an item gets a "
+                  "region only if read while undecided):", file=out)
+        for k, r in gates:
+            print("  [{}] {!r}: {}".format(
+                k, plan.stages[k],
+                "eager, ALL forced by {}".format(r.by) if r.is_all
+                else "defers, reads {}".format(r)), file=out)
         if args.types and type_report is not None:
             print(type_report.render(), file=out)
         if trie is not None:
@@ -325,6 +335,7 @@ def analyze_main(argv, out, err) -> int:
         print("error: {}".format(exc), file=err)
         return 1
     problems = verify_against_runtime(plan, report)
+    items = {k: plan.stages[k].item_counts() for k, _ in gates}
     type_problems = []
     if check_types and run.recorder is not None:
         from .analysis import verify_types_against_runtime
@@ -332,12 +343,16 @@ def analyze_main(argv, out, err) -> int:
                                                      run.recorder)
     if args.json:
         payload["runtime_check"] = {"agrees": not problems,
-                                    "problems": problems}
+                                    "problems": problems,
+                                    "gate_items": items}
         if check_types:
             payload["runtime_check"]["type_contradictions"] = \
                 type_problems
         print(json.dumps(payload, indent=2), file=out)
         return 1 if (problems or type_problems) else 0
+    for k, counts in items.items():
+        print("[{}] items: {plain} plain, {dropped} never emitted, "
+              "{region} in a region".format(k, **counts), file=out)
     if problems:
         print("runtime fix map DISAGREES with the static analysis:",
               file=out)

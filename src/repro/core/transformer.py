@@ -258,8 +258,23 @@ class StateTransformer:
         """
         return UpdatePolicy.TRANSLATE
 
-    def bracket_anchor(self) -> int:
-        """The output-space container that translated brackets nest into.
+    #: True for a stage that may hold an item's root before it decides
+    #: whether to emit the item (:mod:`repro.operators.deferral`): the
+    #: wrapper asks :meth:`holds` before a bracket opens on a state.
+    defers = False
+
+    def holds(self, state: State) -> bool:
+        """Does ``state`` hold an item's root, nothing of it emitted?"""
+        return False
+
+    def open_held(self, out: int) -> List[Event]:
+        """Open the held item's region in ``self.state``, emitting on
+        ``out``; the events go before a bracket that opens inside it."""
+        return []
+
+    def bracket_anchor(self, uid: int) -> int:
+        """The output-space container the translated bracket of region
+        ``uid``, opening on an input stream, nests into.
 
         By default an update bracket arriving on the input stream is
         re-emitted targeting the operator's output stream.  Operators that

@@ -488,6 +488,15 @@ class UpdateWrapper:
         else:
             src = self._live
             parent = None
+        t = self.t
+        held: Optional[List[Event]] = None
+        if (t.defers and (kind == SM or kind == SA) and policy is not
+                _CONSUME and policy is not _TRANSPARENT
+                and t.holds(src.end)):
+            # The bracket opens inside an item whose root is held: the
+            # item's region opens first, and the bracket nests in it.
+            self._load(src)
+            held = t.open_held(t.output_id if src.out is None else src.out)
         if kind == SM:
             base = src.end
             self._tick += 1
@@ -555,10 +564,9 @@ class UpdateWrapper:
             return [e]
         if policy is _CONSUME:
             return []
-        t = self.t
         j_out = rec.out = self.ctx.ids.fresh()
         if target.facet == 0:
-            out_target = t.bracket_anchor()
+            out_target = t.bracket_anchor(j)
         else:
             out_target = target.out
             if out_target is None:
@@ -569,9 +577,8 @@ class UpdateWrapper:
         elif out_target in not_fixed:
             not_fixed.add(j_out)
         translated = Event(kind, out_target, sub=j_out)
-        if policy is _TEE:
-            return [e, translated]
-        return [translated]
+        emitted = [e, translated] if policy is _TEE else [translated]
+        return emitted if held is None else held + emitted
 
     def _on_update_end(self, e: Event) -> List[Event]:
         self.calls += 1

@@ -66,7 +66,11 @@ MAGIC = b"XFCK"
 #: ``start``/``end``/``shadow``), and a record has an ``owned`` field
 #: and no ``info``/``inner``; a version-8 blob restored into this code
 #: would hand tuples to operators that read attributes.
-VERSION = 9
+#: 10: a ``PredicateState`` and a ``JoinState`` carry ``held`` (the item
+#: root held before any of the item is emitted) and ``inread``, and a
+#: predicate or join pickles its ``reads`` and its item counters; a
+#: version-9 state restored into this code would lack both fields.
+VERSION = 10
 
 #: Kinds the current code base writes; decode rejects unknown kinds.
 KNOWN_KINDS = ("pipeline", "queryrun", "multiquery")

@@ -38,33 +38,41 @@ from typing import Dict, List, Optional
 
 from ..events.model import (CD, EE, ES, ET, SE, SM, SS, ST, Event,
                             end_mutable, freeze as freeze_event,
-                            hide as hide_event, show as show_event,
-                            start_mutable)
+                            hide as hide_event, show as show_event)
 from ..core.transformer import Context, Shape, State, StateTransformer
 from ..core.wrapper import UpdatePolicy
+from .deferral import ItemGate
 
 _FIRST_UPDATE = int(SM)
 
 
 class JoinState(State):
-    """The candidate's ``(depth, nid, outcome)``, and ``home``: the id
-    the join emitted on when it opened ``nid`` (not part of the paper's
-    state)."""
+    """The candidate's ``(depth, nid, outcome)``.  Not part of the
+    paper's state: ``home``, the id the join emitted on when the
+    candidate began; ``held``, its root while nothing of it is emitted;
+    ``inread``, inside a child whose subtree is read."""
 
-    __slots__ = ("depth", "nid", "outcome", "home")
+    __slots__ = ("depth", "nid", "outcome", "home", "held", "inread")
 
     def __init__(self) -> None:
         self.depth = 0
         self.nid: Optional[int] = None
         self.outcome = 0
         self.home: Optional[int] = None
+        self.held: Optional[Event] = None
+        self.inread = False
 
     def values(self) -> tuple:
         return (self.depth, self.nid, self.outcome)
 
 
-class AncestorJoin(StateTransformer):
-    """Join candidate ancestors (cloned+expanded) with incoming results."""
+class AncestorJoin(ItemGate, StateTransformer):
+    """Join candidate ancestors (cloned+expanded) with incoming results.
+
+    Given ``reads``, a candidate is decided before it is emitted
+    (:mod:`repro.operators.deferral`): with ``freeze_decisions`` its
+    first match seals it true, and its end without one seals it false.
+    """
 
     inert = False
 
@@ -86,6 +94,7 @@ class AncestorJoin(StateTransformer):
         #: outer one live, each inner one in its insert-before region),
         #: and each is a top-level item of its own.
         self.incoming_depth: Dict[Optional[int], int] = {}
+        self.reads = None
 
     def update_policy(self, stream_id: int) -> UpdatePolicy:
         if stream_id == self.incoming_id:
@@ -119,10 +128,6 @@ class AncestorJoin(StateTransformer):
                   "registers live outside wrapper state",
         )
 
-    def bracket_anchor(self) -> int:
-        nid = self.state.nid
-        return nid if nid is not None else self.output_id
-
     # -- event handling ---------------------------------------------------------
 
     def process(self, e: Event, out: int) -> List[Event]:
@@ -147,51 +152,65 @@ class AncestorJoin(StateTransformer):
             return []
         # Candidate branch.  Kind tests ordered by frequency: candidate
         # subtrees are almost entirely sE/eE/cD; the structural kinds
-        # close out the rare case.  A candidate opened while emitting
-        # elsewhere is this region's content as a whole: on ``out``.
+        # close out the rare case.
         s = self.state
-        emitted: List[Event] = []
         if kind == SE:
             if s.depth == 0:
-                s.nid = self.ctx.fresh_id()
-                s.outcome = 0
                 s.home = out
-                emitted.append(start_mutable(out, s.nid))
+                s.outcome = 0
+                s.held = e
+                s.inread = False
+                s.depth = 1
+                return self._open(s, out) if self._all else []
             s.depth += 1
-            emitted.append(e.relabel(
-                s.nid if out == s.home or out == self.output_id else out))
-            return emitted
+            return self._emit(e, kind, s, out, False)
         if kind == EE:
-            nid = s.nid
-            if nid is None:
+            if s.depth == 0:
                 return []  # stray close outside any candidate
             s.depth -= 1
-            emitted.append(e.relabel(
-                nid if out == s.home or out == self.output_id else out))
+            sealed = False
             if (e.oid is not None and e.oid == self.right_end_oid
                     and s.depth >= 1
                     and (not self.direct_only or s.depth == 1)):
                 # depth >= 1: the result element closed strictly inside
                 # the candidate (ancestor excludes self, per XPath).
                 s.outcome += 1
-            if s.depth == 0:
-                s.nid = None
-                emitted.append(end_mutable(out, nid))
-                if s.outcome == 0:
-                    emitted.append(hide_event(nid))
-                if self.freeze_decisions:
-                    # Matches can only occur inside the candidate's span;
-                    # with no incoming updates the outcome is final here
-                    # (set freeze_decisions=False for mutable sources).
-                    emitted.append(freeze_event(nid))
-            return emitted
+                sealed = self.freeze_decisions and s.outcome == 1
+            if s.depth:
+                return self._emit(e, kind, s, out, sealed)
+            return self._end(e, s, out)
         if kind == CD:
-            nid = s.nid
-            if nid is None:
+            if s.depth == 0:
                 return []  # stray top-level text is never an ancestor
-            return [e.relabel(
-                nid if out == s.home or out == self.output_id else out)]
+            return self._emit(e, kind, s, out, False)
         return [e.relabel(out)]  # sS/eS/sT/eT
+
+    def _end(self, e: Event, s: JoinState, out: int) -> List[Event]:
+        """The candidate's root closes: emit what its outcome decides."""
+        if s.held is not None:
+            if self.freeze_decisions:
+                # (A match would have sealed it already.)
+                s.held = None
+                self.items_dropped += 1
+                return []
+            emitted = self._open(s, out)
+        elif s.nid is None:
+            return [e.relabel(out)]
+        else:
+            emitted = []
+        nid = s.nid
+        s.nid = None
+        emitted.append(e.relabel(
+            nid if out == s.home or out == self.output_id else out))
+        emitted.append(end_mutable(out, nid))
+        if s.outcome == 0:
+            emitted.append(hide_event(nid))
+        if self.freeze_decisions:
+            # Matches can only occur inside the candidate's span; with
+            # no incoming updates the outcome is final here (set
+            # freeze_decisions=False for mutable sources).
+            emitted.append(freeze_event(nid))
+        return emitted
 
     def on_region_hidden(self, uid: int) -> List[Event]:
         # A hidden incoming item must not match candidates that arrive

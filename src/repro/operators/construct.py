@@ -52,7 +52,8 @@ class TupleRegionMixin:
 
     The operator emits its per-tuple output inside ``sM(out, wid)``; any
     input-side region whose content appears at tuple top level (i.e. a
-    where-clause's whole-tuple region) is remembered, and its later
+    where-clause's whole-tuple region), or that opens on the input at
+    tuple top level with no content at all, is remembered, and its later
     hide/show is mirrored onto ``wid``.
     """
 
@@ -64,9 +65,18 @@ class TupleRegionMixin:
         self._wid_sources: Dict[int, set] = {}
         self._freeze_on_close = False
 
-    def bracket_anchor(self) -> int:
-        wid = self.state.wid
-        return wid if wid is not None else self.output_id
+    def bracket_anchor(self, uid: int) -> int:
+        """Link a region opening on the input at tuple top level to
+        ``wid`` even if no content of the tuple ever arrives in it (a
+        fixed region is no bracket at all, so ``uid`` can still seal)."""
+        s = self.state
+        wid = s.wid
+        if wid is None:
+            return self.output_id
+        if s.depth == 0:
+            self._region_to_wid[uid] = wid
+            self._wid_sources.setdefault(wid, set()).add(uid)
+        return wid
 
     def _open_tuple_region(self, out: int) -> List[Event]:
         s = self.state

@@ -33,6 +33,7 @@ from ..events.model import (CD, EE, ES, ET, SE, SS, ST, Event,
                             start_mutable)
 from ..core.transformer import Context, Shape, State, StateTransformer
 from .axes import ChildStep, StringValue
+from .deferral import ItemGate
 from .functions import (CompareLiteral, ContainsLiteral, ExistsFlag,
                         compare_values)
 
@@ -287,11 +288,12 @@ def make_condition(stages: Sequence[StateTransformer], input_id: int,
 class PredicateState(State):
     """``(depth, nid, flags, conds)``: the element depth, the current
     item's output region, one ``(outcome, fixed_true, fixed_false)``
-    triple per conjunct, and each conjunct's condition state; ``home``
-    is the id the predicate emitted on when it opened ``nid`` (not part
-    of the paper's state)."""
+    triple per conjunct, and each conjunct's condition state.  Not part
+    of the paper's state: ``home``, the id the predicate emitted on when
+    the item began; ``held``, the item's root while nothing of the item
+    is emitted; ``inread``, inside a child whose subtree is read."""
 
-    __slots__ = ("depth", "nid", "flags", "conds", "home")
+    __slots__ = ("depth", "nid", "flags", "conds", "home", "held", "inread")
 
     def __init__(self, flags: Tuple, conds: Tuple) -> None:
         self.depth = 0
@@ -299,16 +301,14 @@ class PredicateState(State):
         self.flags = flags
         self.conds = conds
         self.home: Optional[int] = None
+        self.held: Optional[Event] = None
+        self.inread = False
 
     def copy(self) -> "PredicateState":
-        new = _new(PredicateState)
-        new.depth = self.depth
-        new.nid = self.nid
-        new.flags = self.flags
+        new = self.with_flags(self.flags)
         conds = self.conds
         new.conds = ((conds[0].copy(),) if len(conds) == 1
                      else tuple([c.copy() for c in conds]))
-        new.home = self.home
         return new
 
     def values(self) -> tuple:
@@ -335,16 +335,21 @@ class PredicateState(State):
         new.flags = flags
         new.conds = self.conds
         new.home = self.home
+        new.held = self.held
+        new.inread = self.inread
         return new
 
 
-class Predicate(StateTransformer):
+class Predicate(ItemGate, StateTransformer):
     """``e1[e2]`` / where-clause over the ``input_id`` forest stream.
 
     ``condition`` may be a single :class:`InlinePipeline` or a sequence of
     them combined with ``combine`` ("and"/"or") — the engine's boolean
     conditions.  Each conjunct keeps its own (outcome, fixed_true,
     fixed_false) triple; visibility and sealing combine per the operator.
+    An item-scope predicate given ``reads`` decides before it emits
+    (:mod:`repro.operators.deferral`); a where-clause opens a region
+    per tuple, as the paper's.
     """
 
     inert = False
@@ -363,14 +368,18 @@ class Predicate(StateTransformer):
         self.conditions: List[InlinePipeline] = list(condition)
         self.combine = combine
         self.scope = scope
+        self.gated = scope == SCOPE_ITEM
         #: Treat every condition value as fixed even when it arrives inside
         #: a generated (already sealed) update region — set by the compiler
         #: when the source embeds no updates, enabling Section V pruning.
         self.assume_fixed = assume_fixed
+        self._initial_flags = tuple((0, False, True)
+                                    for _ in self.conditions)
         # Live state (one object per region in the wrapper):
         self.state = PredicateState(
-            tuple((0, False, True) for _ in self.conditions),
+            self._initial_flags,
             tuple([c.new_state() for c in self.conditions]))
+        self.reads = None
         #: Authoritative end-of-item flags for revocable (unsealed) items:
         #: completed update transitions merge their deltas here, and the
         #: retroactive show/hide decision compares visibility before and
@@ -401,13 +410,10 @@ class Predicate(StateTransformer):
                   "frozen",
         )
 
-    def bracket_anchor(self) -> int:
-        nid = self.state.nid
-        return nid if nid is not None else self.output_id
-
     # -- condition intake (the paper's F2, one per conjunct) --------------------
 
-    def _feed_condition(self, e: Event, s: PredicateState) -> None:
+    def _feed_condition(self, e: Event, s: PredicateState) -> bool:
+        """Feed ``e`` to every conjunct; True when a flag changed."""
         new_flags = None
         conditions = self.conditions
         conds = s.conds
@@ -432,8 +438,10 @@ class Predicate(StateTransformer):
                     else:
                         outcome += 1
             new_flags[idx] = (outcome, ft, ff)
-        if new_flags is not None:
-            s.flags = tuple(new_flags)
+        if new_flags is None:
+            return False
+        s.flags = tuple(new_flags)
+        return True
 
     # -- decision combination ------------------------------------------------------
 
@@ -457,20 +465,60 @@ class Predicate(StateTransformer):
             return any(f[2] for f in flags)
         return all(f[2] for f in flags)
 
-    # -- item lifecycle -----------------------------------------------------------
+    # -- item lifecycle (see :mod:`repro.operators.deferral`) ----------------------
 
-    def _begin_item(self, s: PredicateState, out: int) -> List[Event]:
-        s.nid = self.ctx.fresh_id()
+    def _begin_item(self, e: Event, kind, s: PredicateState,
+                    out: int) -> List[Event]:
         s.home = out
-        s.flags = tuple((0, False, True) for _ in self.conditions)
+        s.flags = self._initial_flags
         s.conds = tuple([c.new_state() for c in self.conditions])
-        return [start_mutable(out, s.nid)]
+        s.inread = False
+        if self._all:   # the root is read: its region opens with it
+            s.nid = nid = self.ctx.fresh_id()
+            s.held = None
+            self.items_region += 1
+            emitted = [start_mutable(out, nid), e.relabel(nid)]
+        else:
+            s.held = e
+            emitted = []
+        if kind == SE:
+            s.depth = 1
+        changed = self._feed_condition(e, s)
+        if kind != SE:
+            # A bare top-level text item is a one-event item of its own.
+            return emitted + self._end_item(s, out, None)
+        if changed and s.held is not None and self._sealed_true(s.flags):
+            return self._plain(s, out)
+        return emitted
 
-    def _end_item(self, s: PredicateState, out: int) -> List[Event]:
+    def _end_item(self, s: PredicateState, out: int,
+                  last: Optional[Event]) -> List[Event]:
+        """The decision after the item's last event ``last`` (the root's
+        eE; None for a bare text item, which its root is all of, and at
+        a tuple's end)."""
+        if s.held is not None:
+            flags = s.flags
+            if self._sealed_true(flags):
+                emitted = self._plain(s, out)
+                if last is not None:
+                    emitted.append(last.relabel(out))
+                return emitted
+            if not self._visible_flags(flags) and self._sealed_false(flags):
+                s.held = None
+                self.items_dropped += 1
+                return []
+            emitted = self._open(s, out)   # revocable: it needs a region
+        elif s.nid is None:   # went out plain
+            return [] if last is None else [last.relabel(out)]
+        else:
+            emitted = []
         nid = s.nid
+        if last is not None:
+            emitted.append(last.relabel(
+                nid if out == s.home or out == self.output_id else out))
         s.nid = None
         flags = s.flags
-        emitted: List[Event] = [end_mutable(out, nid)]
+        emitted.append(end_mutable(out, nid))
         if self._sealed_true(flags):
             emitted.append(freeze_event(nid))
         elif self._visible_flags(flags):
@@ -488,39 +536,33 @@ class Predicate(StateTransformer):
     def process(self, e: Event, out: int) -> List[Event]:
         kind = e.kind
         s = self.state
-        if self.scope == SCOPE_TUPLE:
-            if kind == ST:
-                return [e.relabel(out)] + self._begin_item(s, out)
+        if kind in _STRUCTURAL:
+            if self.gated or kind == SS or kind == ES:
+                return [e.relabel(out)]
             if kind == ET:
-                return self._end_item(s, out) + [e.relabel(out)]
-            if kind in (SS, ES):
-                return [e.relabel(out)]
-        else:
-            if kind in _STRUCTURAL:
-                return [e.relabel(out)]
-        emitted: List[Event] = []
+                return self._end_item(s, out, None) + [e.relabel(out)]
+            # A where-clause: each tuple in its own region.
+            s.home = out
+            s.flags = self._initial_flags
+            s.conds = tuple([c.new_state() for c in self.conditions])
+            s.nid = self.ctx.fresh_id()
+            return [e.relabel(out), start_mutable(out, s.nid)]
+        if s.depth == 0 and kind != EE and self.gated:
+            return self._begin_item(e, kind, s, out)
         if kind == SE:
-            if s.depth == 0 and s.nid is None:
-                emitted.extend(self._begin_item(s, out))
             s.depth += 1
         elif kind == EE:
             s.depth -= 1
-        elif s.depth == 0 and s.nid is None:
-            # A bare top-level text item is a one-event item of its own.
-            emitted.extend(self._begin_item(s, out))
-            emitted.append(e.relabel(s.nid))
-            self._feed_condition(e, s)
-            emitted.extend(self._end_item(s, out))
-            return emitted
-        # An item opened while emitting elsewhere is this region's
-        # content as a whole: its events go on ``out``.
-        nid = s.nid
-        emitted.append(e.relabel(
-            nid if out == s.home or out == self.output_id else out))
-        self._feed_condition(e, s)
-        if kind == EE and s.depth == 0 and self.scope == SCOPE_ITEM:
-            emitted.extend(self._end_item(s, out))
-        return emitted
+        changed = self._feed_condition(e, s)
+        if s.depth == 0 and self.gated:
+            return self._end_item(s, out, e)
+        if self._all:
+            # The region opened with the root (or the tuple): every
+            # event is its content, as in the paper's predicate.
+            return [e.relabel(
+                s.nid if out == s.home or out == self.output_id else out)]
+        return self._emit(e, kind, s, out,
+                          changed and self._sealed_true(s.flags))
 
     # -- update adjustment --------------------------------------------------------------
 

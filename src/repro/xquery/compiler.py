@@ -109,6 +109,11 @@ class Compiler:
 
     def _compile(self, expr: ast.Expr, per_tuple: bool) -> int:
         if isinstance(expr, ast.Source):
+            if self._env:
+                raise CompileError(
+                    "a document path inside a FLWOR return is not "
+                    "supported (per-tuple alignment would be lost): "
+                    "{!r}".format(expr))
             return self.source_id
         if isinstance(expr, ast.Prebound):
             return expr.stream_id

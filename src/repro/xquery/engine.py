@@ -235,13 +235,19 @@ class QueryRun:
         ``per_stage`` breaks the aggregate counters down by stage (the
         aggregates are exact sums over it), and says of each ``//`` step
         what it copies per level (``reads``: ``all`` false means the
-        step's copies were pruned); ``metrics`` appears when the run
-        has a telemetry recorder attached.
+        step's copies were pruned), and of each item-scope predicate and
+        ancestor join what is read of its items and how many went out
+        plain, were dropped, or opened a region (``gate``); ``metrics``
+        appears when the run has a telemetry recorder attached.
         """
-        from ..analysis.projection import step_reads
+        from ..analysis.projection import gate_reads, step_reads
         per_stage = self.pipeline.stage_accounts()
         for k, reads in step_reads(self.plan):
             per_stage[k]["reads"] = reads.to_dict()
+        for k, reads in gate_reads(self.plan):
+            per_stage[k]["gate"] = dict(
+                reads=reads.to_dict(),
+                items=self.plan.stages[k].item_counts())
         out = {
             "transformer_calls": self.pipeline.total_calls(),
             "state_cells": sum(a["state_cells"] for a in per_stage),

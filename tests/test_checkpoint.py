@@ -38,6 +38,13 @@ def _events_for(workloads, query):
     return list(workloads.events(dataset, oids=plan.needs_oids))
 
 
+def held_roots(run):
+    """``(stage, root)`` of every stage holding an item's root."""
+    return [(k, w.t.state.held)
+            for k, w in enumerate(run.pipeline.wrappers)
+            if w.t.defers and w.t.holds(w.t.state)]
+
+
 def _boundaries(n_events):
     step = max(1, n_events // BOUNDARIES)
     return list(range(step, n_events, step))
@@ -93,6 +100,24 @@ class TestQueryRunRoundTrip:
         resumed.feed_all(events[half:])
         assert resumed.finish().text() == expected
         assert resumed.metrics() is not None
+
+    def test_round_trip_while_an_item_root_is_held(self, workloads):
+        # Q4's join holds each candidate's root until a match or its
+        # end; its predicate holds each item's until location decides.
+        query = PAPER_QUERIES["Q4"]
+        events = _events_for(workloads, query)
+        expected = XFlux(query).run(events).text()
+        run = XFlux(query).start()
+        cut = 0
+        for cut, event in enumerate(events, 1):
+            run.feed(event)
+            if cut > len(events) // 2 and len(held_roots(run)) == 2:
+                break
+        assert len(held_roots(run)) == 2
+        resumed = XFlux(query).start().restore(run.checkpoint())
+        assert held_roots(resumed) == held_roots(run)
+        resumed.feed_all(events[cut:])
+        assert resumed.finish().text() == expected
 
     def test_wrong_query_rejected(self, workloads):
         events = _events_for(workloads, PAPER_QUERIES["Q1"])
@@ -302,15 +327,18 @@ class TestEnvelopeDiagnostics:
         # is gone, and the refusal must come from the version byte,
         # before pickle goes looking for it.  A version-7 shared group
         # has no prefix recorder and is refused the same way, as is a
-        # version-8 blob, whose records and transformers hold tuples.
+        # version-8 blob, whose records and transformers hold tuples,
+        # and a version-9 one, whose predicate and join states cannot
+        # hold an item's root.
         blob = encode_checkpoint("pipeline", {}, {})
-        assert blob[4] == 9
+        assert blob[4] == 10
         gone = b"\x80\x02crepro.compile.fusion\nPlan\n."
         with pytest.raises(ImportError):
             pickle.loads(gone)
         for old in (blob[:4] + b"\x05" + blob[5:], blob[:4] + b"\x06" + gone,
                     blob[:4] + b"\x07" + blob[5:],
-                    blob[:4] + b"\x08" + blob[5:]):
+                    blob[:4] + b"\x08" + blob[5:],
+                    blob[:4] + b"\x09" + blob[5:]):
             with pytest.raises(CheckpointError) as info:
                 decode_checkpoint(old, "pipeline")
             assert info.value.field == "version"

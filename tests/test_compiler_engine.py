@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import CompileError, XFlux
+from repro import CompileError, XFlux, parse_xml
+from repro.baselines.dom_eval import evaluate_to_xml
 from repro.operators import (AncestorJoin, CountItems, DescendantStep,
                              Predicate, SortTuples, Tee)
 from repro.xquery.compiler import Compiler
@@ -61,6 +62,69 @@ class TestCompileErrors:
     def test_top_level_comparison(self):
         with pytest.raises(CompileError):
             XFlux('X//a = "b"').compile()
+
+    @pytest.mark.parametrize("query", [
+        # answered '' where dom_eval answers <b>x</b>
+        "for $x in X/b return ($x/a, X/b)",
+        # an update into a region the display never saw
+        "for $x in X/b return ($x/a, X/*[b])",
+        "for $x in X/b let $y := X/c return $y",
+        "for $x in X/b return for $y in X/c return $y",
+    ])
+    def test_document_path_in_return(self, query):
+        # Not aligned with the tuples, like the shapes above.
+        with pytest.raises(CompileError, match="document path"):
+            XFlux(query).compile()
+
+
+class TestHiddenTupleConstructor:
+    """A tuple hidden by its where-clause (or its binding path's
+    predicate) takes its constructed element and literals along, even
+    when the content it wraps is empty."""
+
+    @staticmethod
+    def answers(query, doc, optimize):
+        from repro import QueryRun, tokenize
+        run = QueryRun(XFlux(query).compile(optimize=optimize),
+                       sanitize=True)
+        run.feed_all(tokenize(doc))
+        run.finish()
+        return run.text(), evaluate_to_xml(parse(query), parse_xml(doc))
+
+    @pytest.mark.parametrize("doc", [
+        "<root><b>x</b></root>",
+        "<root><b><c>1</c><c><d/></c></b><b>y</b></root>",
+    ])
+    @pytest.mark.parametrize("query", [
+        "for $x in X/b where $x/c return <h>{ $x/c }</h>",
+        "for $x in X/b[c] return <h>{ $x/c }</h>",
+        'for $x in X/b where $x/c return ($x/c, "!")',
+    ])
+    @pytest.mark.parametrize("optimize", [None, False])
+    def test_matches_dom_eval(self, query, doc, optimize):
+        got, expected = self.answers(query, doc, optimize)
+        assert got == expected
+
+    # The constructor follows every region its content shows up in at
+    # tuple top level, and the regions a bracket opens on its input
+    # there: not an item region, nor a region behind a sequence's own.
+    @pytest.mark.xfail(strict=True, reason="an item's hide hides the "
+                       "whole constructed element")
+    @pytest.mark.parametrize("optimize", [None, False])
+    def test_a_hidden_item_hides_only_itself(self, optimize):
+        got, expected = self.answers(
+            "for $x in X/b return <h>{ $x/c[d] }</h>",
+            "<root><b><c>1</c><c><d/></c></b></root>", optimize)
+        assert got == expected
+
+    @pytest.mark.xfail(strict=True, reason="Concat's regions hide the "
+                       "where-clause's from the constructor")
+    @pytest.mark.parametrize("optimize", [None, False])
+    def test_an_empty_sequence_in_a_hidden_tuple(self, optimize):
+        got, expected = self.answers(
+            "for $x in X/b where $x/c return <h>{ $x/c, $x/d }</h>",
+            "<root><b>x</b></root>", optimize)
+        assert got == expected
 
 
 class TestEngineFacade:

@@ -2,12 +2,14 @@
 (DESIGN.md section 15).
 
 ``XFlux.compile()`` tells every ``//`` step what the rest of the plan
-reads of its output; ``compile(optimize=False)`` is the plan as the
-paper's operators make it.  The two must be indistinguishable at the
-sink: same events, same region ids, same text.
+reads of its output, and every item-scope predicate and ancestor join
+what is read of theirs; ``compile(optimize=False)`` is the plan as the
+paper's operators make it.  The two must display the same answer, and
+the pruned plan may send the sink fewer events of a kind, never more.
 """
 
 import os
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -312,13 +314,17 @@ def sink_events(plan, events):
 
 
 def assert_same_at_the_sink(query, doc):
-    """Pruned and as-compiled plan: the same events reach the sink."""
+    """Pruned and as-compiled plan: the same answer, and of no event
+    kind more events at the sink (a predicate or join that decides
+    before it emits sends fewer brackets, and other region ids)."""
     engine = XFlux(query)
     as_compiled = engine.compile(optimize=False)
     pruned = engine.compile()
     events = tokenize(doc, emit_oids=pruned.needs_oids)
-    reference = sink_events(as_compiled, events)
-    assert sink_events(pruned, events) == reference, query
+    reference = Counter(e.kind for e in sink_events(as_compiled, events))
+    for kind, n in Counter(e.kind for e in sink_events(pruned,
+                                                        events)).items():
+        assert n <= reference[kind], (query, kind)
     run = QueryRun(engine.compile(), sanitize=True)
     run.feed_all(events)
     run.finish()
@@ -361,10 +367,7 @@ class TestDifferential:
     @given(xml_trees(), queries())
     @settings(max_examples=150, deadline=None)
     def test_recursive_documents(self, doc, query):
-        engine = XFlux(query)
-        events = tokenize(doc)
-        assert sink_events(engine.compile(), events) == \
-            sink_events(engine.compile(optimize=False), events)
+        assert_same_at_the_sink(query, doc)
 
     @pytest.mark.parametrize("dataset", ["X", "D"])
     def test_executors(self, workloads, dataset):

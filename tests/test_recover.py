@@ -29,6 +29,7 @@ from repro.data.stock import StockTicker
 from repro.fault.inject import FaultPlan
 from repro.fault.recover import recover
 from repro.fault.wal import R_CKPT, iter_wal_records, scan_wal
+from repro.xmlio import tokenize
 from repro.xquery.engine import MultiQueryRun, XFlux
 
 _CTX = multiprocessing.get_context("fork")
@@ -411,6 +412,23 @@ def test_single_query_with_schema_survives_one_crash(
     result = recover(wal_dir, text=text)
     assert result.complete and result.events_resumed > 0
     assert result.texts == [XFlux(query).run_xml(text).text()], name
+
+
+def test_recovery_from_a_checkpoint_holding_an_item_root(xmark_text,
+                                                        tmp_path):
+    # Q4's join holds a candidate's root until it matches or ends; the
+    # document root, a parent of no item, is held from first to last.
+    query = PAPER_QUERIES["Q4"]
+    wal_dir = str(tmp_path / "wal")
+    _crash(_crash_single, wal_dir, query, None, xmark_text, 5)
+    [(seq, _)] = scan_wal(wal_dir).checkpoints.values()
+    run = XFlux(query).start()
+    run.feed_all(tokenize(xmark_text, emit_oids=True)[:seq * BATCH])
+    assert any(w.t.defers and w.t.holds(w.t.state)
+               for w in run.pipeline.wrappers)
+    result = recover(wal_dir, text=xmark_text)
+    assert result.complete and result.events_resumed > 0
+    assert result.texts == [XFlux(query).run_xml(xmark_text).text()]
 
 
 def test_durable_refuses_what_only_a_bare_run_means(xmark_text, tmp_path):

@@ -10,17 +10,8 @@ all of it exactly as it is: ``peak_mem_cells`` and
 
 The snapshot ``tests/data/state_trajectory.json`` is written by
 ``python tests/test_state_trajectory.py --write``; regenerate it only
-for a change that means to move the accounting.
-
-It was taken with the tuple-snapshot state contract, whose accounting
-read a *dormant* wrapper's live state from a cached snapshot that the
-dormant fast path never invalidated: from its second sample until the
-stream ended, a wrapper that had seen no update yet reported the cells
-of its first sample.  State objects have no cache to go stale, so for
-those samples the test compares the snapshot with what that reading
-gave — the cells of the wrapper's first sample — and everything else
-exactly.  A snapshot rewritten by the current code holds true readings
-throughout; drop that substitution with it.
+for a change that means to move the accounting.  It holds true readings
+throughout, dormant wrappers included.
 """
 
 from __future__ import annotations
@@ -58,16 +49,14 @@ def trajectory(plan, events) -> dict:
     after the end), and the total calls, of one plain run."""
     run = QueryRun(plan, sanitize=False, metrics=False, flight=False)
     wrappers = run.pipeline.wrappers
-    samples, dormant = [], []
+    samples = []
     for n, event in enumerate(events, 1):
         run.feed(event)
         if n % INTERVAL == 0:
             samples.append([list(w.account()) for w in wrappers])
-            dormant.append([w._dormant for w in wrappers])
     run.finish()
     samples.append([list(w.account()) for w in wrappers])
-    return {"samples": samples, "total_calls": run.pipeline.total_calls(),
-            "dormant": dormant}
+    return {"samples": samples, "total_calls": run.pipeline.total_calls()}
 
 
 def cases():
@@ -103,11 +92,7 @@ def test_state_trajectory(name, snapshot, computed):
     want, got = snapshot[name], computed[name]
     assert got["total_calls"] == want["total_calls"]
     assert len(got["samples"]) == len(want["samples"])
-    first = got["samples"][0]
     for k, (g, w) in enumerate(zip(got["samples"], want["samples"])):
-        if k < len(got["dormant"]):
-            g = [[first[i][0]] + g[i][1:] if asleep else g[i]
-                 for i, asleep in enumerate(got["dormant"][k])]
         assert g == w, "{}: account moved at sample {}".format(name, k)
 
 
@@ -116,8 +101,5 @@ if __name__ == "__main__":
         raise SystemExit("usage: python tests/test_state_trajectory.py "
                          "--write")
     with open(SNAPSHOT, "w") as f:
-        json.dump({name: {"samples": t["samples"],
-                          "total_calls": t["total_calls"]}
-                   for name, t in compute().items()},
-                  f, separators=(",", ":"))
+        json.dump(compute(), f, separators=(",", ":"))
         f.write("\n")
