@@ -5,8 +5,9 @@
   brackets each stage tracks and declares, the fix map (which region
   numbers stay mutable after end-of-stream), per-stage memory classes,
   and lints (dormant fast paths, no-op stages, undeclared regions).
-* :mod:`~repro.analysis.sanitize` — validate the event protocol at every
-  stage boundary at run time (``sanitize=True`` / ``REPRO_SANITIZE=1``).
+* :mod:`~repro.analysis.sanitize` — check the event protocol at every
+  stage boundary at run time (``sanitize=True`` / ``REPRO_SANITIZE=1``)
+  with the checker of :mod:`repro.events.wellformed`.
 * Three dataflow analyses read each stage's ``shape()`` through one
   table of rules each, driven by :mod:`~repro.analysis.dataflow`
   (DESIGN.md section 16): the path projection and the ``//`` steps'
@@ -22,9 +23,7 @@ from importlib import import_module
 #: compile reaches into ``analysis.projection`` for the reads pass, and
 #: must not pay for the type checker and the telemetry it pulls in.
 _EXPORTS = {
-    "BoundaryChecker": "sanitize",
     "boundary_checkers": "sanitize",
-    "check_stream": "sanitize",
     "BracketFamily": "static_plan",
     "PlanReport": "static_plan",
     "StageReport": "static_plan",

@@ -1,7 +1,7 @@
 """Core framework: state transformers, update wrapper, regions, display."""
 
 from .display import Display
-from .multiplex import EventMultiplexer, NestingGuard
+from .multiplex import EventMultiplexer
 from .pipeline import (Collector, Filter, Pipeline, SinkFilter,
                        build_filter_chain, run_stages)
 from .regions import Region, RegionTree, apply_updates
@@ -17,5 +17,5 @@ __all__ = [
     "run_stages",
     "Region", "RegionTree", "apply_updates",
     "Display",
-    "EventMultiplexer", "NestingGuard",
+    "EventMultiplexer",
 ]

@@ -12,8 +12,10 @@ multiplexer owns the work every consumer would otherwise repeat:
   :class:`~repro.events.model.UpdateStripper` pass — stripping is a
   deterministic function of the input, so its output is computed once
   and fed to every opted-out pipeline;
-* the optional well-formedness guard checks element nesting once for
-  the whole stream instead of once per consumer.
+* with ``validate=True`` the one protocol checker
+  (:class:`~repro.events.wellformed.BoundaryChecker`, the same one the
+  sanitizer puts at every stage boundary) checks the whole shared input
+  once, before any consumer sees a batch, instead of once per consumer.
 
 Each pipeline fed directly does its own (per-query) transformer work —
 the multiplexer never reorders or drops events, so its results and
@@ -29,55 +31,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..events.model import EE, SE, Event, UpdateStripper
-from ..events.wellformed import WellFormednessError
-
-
-class NestingGuard:
-    """Incremental element-nesting check, shared across all consumers.
-
-    Validates the data-event projection of every virtual stream in the
-    input: an ``eE`` must match the innermost open ``sE`` of its stream.
-    Update-control events are ignored (their bracket discipline is the
-    wrappers' concern); this guards against a malformed *source* — a
-    truncated document, a broken producer — before N pipelines ingest it.
-    """
-
-    def __init__(self) -> None:
-        self._stacks: Dict[int, List[str]] = {}
-        self.events_checked = 0
-
-    def check_batch(self, events: Sequence[Event]) -> None:
-        stacks = self._stacks
-        base = self.events_checked
-        self.events_checked += len(events)
-        for pos, e in enumerate(events):
-            kind = e.kind
-            if kind == SE:
-                stacks.setdefault(e.id, []).append(e.tag or "")
-            elif kind == EE:
-                stack = stacks.get(e.id)
-                if not stack:
-                    raise WellFormednessError(
-                        "unmatched eE", rule="element-nesting",
-                        stage="shared input guard", event=e,
-                        index=base + pos, stream=e.id)
-                if stack[-1] != (e.tag or ""):
-                    raise WellFormednessError(
-                        "eE closes open element {!r}".format(stack[-1]),
-                        rule="element-nesting", stage="shared input guard",
-                        event=e, index=base + pos, stream=e.id)
-                stack.pop()
-
-    def finish(self) -> None:
-        open_tags = {sid: stack for sid, stack in self._stacks.items()
-                     if stack}
-        if open_tags:
-            raise WellFormednessError(
-                "stream ended with open elements: {}".format(
-                    {sid: list(s) for sid, s in open_tags.items()}),
-                rule="element-nesting", stage="shared input guard",
-                index=self.events_checked, stream=min(open_tags))
+from ..events.model import Event, UpdateStripper
+from ..events.wellformed import BoundaryChecker
 
 
 class EventMultiplexer:
@@ -87,14 +42,15 @@ class EventMultiplexer:
         runs: the consumers.  A run constructed with ``ignore_updates``
             is detected by its stripper marker and served from the shared
             stripped stream instead of running its own stripper.
-        validate: install a shared :class:`NestingGuard` on the raw
-            input.
+        validate: check the raw input against the whole stream
+            protocol with one shared
+            :class:`~repro.events.wellformed.BoundaryChecker`.
         quarantine: isolate pipeline failures.  An exception escaping
             one pipeline (an operator bug, an injected fault, a
             :class:`~repro.events.errors.ProtocolViolation` from that
             pipeline's sanitizer) detaches *that* pipeline from the
             fan-out and records a captured error report; the siblings
-            keep running.  Failures of the shared input guard stay
+            keep running.  Refusals of the shared input checker stay
             fatal — a malformed source invalidates every consumer.
             With ``quarantine=False`` the first pipeline exception
             propagates (the pre-fault-tolerance behaviour).
@@ -111,8 +67,8 @@ class EventMultiplexer:
                                     if r._stripper is not None]
         self._stripper: Optional[UpdateStripper] = (
             UpdateStripper() if self._stripped_pipelines else None)
-        self.guard: Optional[NestingGuard] = (
-            NestingGuard() if validate else None)
+        self.checker: Optional[BoundaryChecker] = (
+            BoundaryChecker("shared input") if validate else None)
         self.quarantine = quarantine
         #: run index -> captured error report (see repro.fault).
         self.quarantined: Dict[int, dict] = {}
@@ -232,8 +188,10 @@ class EventMultiplexer:
             else list(events)
         self.events_in += len(batch)
         self.batches += 1
-        if self.guard is not None:
-            self.guard.check_batch(batch)
+        if self.checker is not None:
+            feed = self.checker.feed
+            for e in batch:
+                feed(e)
         if self._groups:
             self._feed_groups(batch)
         if self._stripper is not None:
@@ -264,8 +222,8 @@ class EventMultiplexer:
         if self._finished:
             return
         self._finished = True
-        if self.guard is not None:
-            self.guard.finish()
+        if self.checker is not None:
+            self.checker.finish()
         for i, run in enumerate(self.runs):
             if (i in self.quarantined or i in self._grouped
                     or i in self.static_empty):
@@ -302,8 +260,8 @@ class EventMultiplexer:
                 "static_empty_pipelines": len(self.static_empty),
             },
             "shared_strip": self._stripper is not None,
-            "validated_events": (self.guard.events_checked
-                                 if self.guard is not None else 0),
+            "validated_events": (self.checker.count
+                                 if self.checker is not None else 0),
             "transformer_calls": sum(s["transformer_calls"]
                                      for s in per_pipeline),
             "state_cells": sum(s["state_cells"] for s in per_pipeline),

@@ -167,7 +167,7 @@ class Pipeline:
             by differential tests and ablations.  Also turns routing off,
             so per-stage call counts are the paper's "events" column.
         sanitize: interpose a
-            :class:`~repro.analysis.sanitize.BoundaryChecker` at every
+            :class:`~repro.events.wellformed.BoundaryChecker` at every
             stage boundary (source -> stage 0, stage i -> stage i+1,
             last stage -> sink) validating the inter-stage event
             protocol; any violation raises

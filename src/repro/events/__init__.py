@@ -12,9 +12,7 @@ from .model import (ABBREV_TO_KIND, UpdateStripper, strip_updates, CD, DATA_KIND
 from .errors import ProtocolViolation
 from .serialize import (EventSyntaxError, dumps, event_to_text, iter_loads,
                         loads)
-from .wellformed import (WellFormednessError, check_well_formed,
-                         element_balance, is_well_formed, projection,
-                         strip_tuples, validate_document_stream)
+from .wellformed import BoundaryChecker, check_stream, is_well_formed
 
 __all__ = [
     "Event", "Kind", "IdGenerator",
@@ -32,7 +30,6 @@ __all__ = [
     "freeze", "hide", "show",
     "matching_end", "matching_start", "events_of",
     "dumps", "loads", "iter_loads", "event_to_text", "EventSyntaxError",
-    "is_well_formed", "check_well_formed", "element_balance",
-    "validate_document_stream", "projection", "strip_tuples",
-    "WellFormednessError", "ProtocolViolation",
+    "is_well_formed", "BoundaryChecker", "check_stream",
+    "ProtocolViolation",
 ]

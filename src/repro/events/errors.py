@@ -1,11 +1,14 @@
 """Structured stream-protocol errors.
 
-One error shape serves every checker layer — the document-level
-well-formedness validator (:mod:`repro.events.wellformed`), the shared
-multi-query nesting guard (:mod:`repro.core.multiplex`), and the
-inter-stage protocol sanitizer (:mod:`repro.analysis.sanitize`) — so a
-violation always names *where* it happened (stage or boundary), *what*
-event triggered it (repr and position), and *which* substream it was on.
+The stream protocol has one checker,
+:class:`~repro.events.wellformed.BoundaryChecker`, with two entry
+points: the shared input of ``MultiQueryRun(validate=True)``
+(:mod:`repro.core.multiplex`) and every stage boundary under the
+sanitizer (:mod:`repro.analysis.sanitize`).  Every refusal is a
+:class:`ProtocolViolation` carrying one of the checker's rule codes (the
+producer contract, DESIGN.md section 7), so a violation always names
+*where* it happened (stage or boundary), *what* event triggered it
+(repr and position), and *which* substream it was on.
 Tooling can catch :class:`ProtocolViolation` and read the fields instead
 of parsing messages.
 """
@@ -20,7 +23,7 @@ class ProtocolViolation(ValueError):
 
     Attributes:
         rule: short machine-readable name of the violated invariant
-            (e.g. ``"element-nesting"``, ``"update-bracket-match"``).
+            (e.g. ``"element-nesting"``, ``"bracket-discipline"``).
         stage: the pipeline stage or boundary where the violation was
             observed (``None`` for standalone sequence checks).
         stage_index: 0-based index of the pipeline boundary — ``0`` is

@@ -1,4 +1,4 @@
-"""Well-formedness of event sequences (paper Section II).
+"""Well-formedness of event sequences (paper Sections II and III).
 
 A sequence ``v`` is well-formed for stream ``i`` (``v in WF_i``) when the
 sE/eE events carried on stream ``i`` are properly nested with matching tags;
@@ -9,27 +9,44 @@ events of other streams are irrelevant.  The inductive rules are:
 * ``v in WF_i  =>  [sE(i, A)] ++ v ++ [eE(i, A)] in WF_i``
 * ``v1, v2 in WF_i  =>  v1 ++ v2 in WF_i``
 
-This module also provides the stricter document-level validator used by
-tests: streams must open/close with sS/eS, tuples must nest correctly, and
-update brackets must match.
+:func:`is_well_formed` is that membership test.  :class:`BoundaryChecker`
+is the one implementation of the whole stream protocol — ``WF_i`` per
+substream plus the update-bracket, freeze, hide and show rules of
+Section III — and so the producer contract (DESIGN.md section 7).  It
+is fed one event at a time and raises a structured
+:class:`~repro.events.errors.ProtocolViolation` on the first breach:
+
+* **stream discipline** — ``sS(i)`` at most once per stream number, data
+  only on open streams or open update brackets, ``eS`` only with all
+  elements and tuples of that substream closed;
+* **well-nesting** — ``sE``/``eE`` close LIFO per substream with
+  matching tags, ``sT``/``eT`` balance, and an ``eE`` carrying a node
+  identity must close the ``sE`` with the same identity (oid
+  discipline);
+* **bracket discipline** — ``sM/sR/sB/sA`` introduce a fresh (or
+  fully-closed) substream number, never one that is an open stream, an
+  open bracket, or a frozen region; ``eU`` must match the open bracket's
+  kind *and* target; brackets may close non-LIFO (regions interleave by
+  design) but never with dangling elements;
+* **freeze/hide/show ordering** — freeze and toggles only address known
+  region numbers; no data and no toggle ever follows a region's freeze
+  (``freeze`` is irrevocable, Section III).
+
+It has two entry points: every stage boundary under the sanitizer
+(:mod:`repro.analysis.sanitize`), and the shared input of a
+``MultiQueryRun(validate=True)`` (:mod:`repro.core.multiplex`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import (Dict, Iterable, List, NoReturn, Optional, Sequence,
+                    Set, Tuple)
 
 from .errors import ProtocolViolation
-from .model import (CD, EE, ES, ET, SE, SS, ST, UPDATE_ENDS, UPDATE_STARTS,
-                    Event, matching_end)
+from .model import (CD, EE, ES, ET, FREEZE, HIDE, SE, SHOW, SM, SS, ST,
+                    Event, matching_start)
 
-
-class WellFormednessError(ProtocolViolation):
-    """Raised by the checking variants when a sequence is malformed.
-
-    Carries the structured :class:`~repro.events.errors.ProtocolViolation`
-    fields: ``rule``, ``event`` (repr), ``index`` (position in the checked
-    sequence), and ``stream``.
-    """
+_FIRST_UPDATE = int(SM)
 
 
 def is_well_formed(v: Sequence[Event], i: int) -> bool:
@@ -58,157 +75,209 @@ def is_well_formed(v: Sequence[Event], i: int) -> bool:
     return not depth_stack
 
 
-def check_well_formed(v: Sequence[Event], i: int) -> None:
-    """Raise :class:`WellFormednessError` when ``v not in WF_i``."""
-    if not is_well_formed(v, i):
-        raise WellFormednessError(
-            "sequence is not well-formed for stream {}".format(i),
-            rule="wf-projection", stream=i)
+class BoundaryChecker:
+    """Validate one event stream against the protocol, event by event."""
 
+    def __init__(self, label: str,
+                 stage_index: Optional[int] = None) -> None:
+        self.label = label
+        #: Boundary index (0 = source -> stage 0, n = last stage ->
+        #: sink); ``None`` for standalone checks.  Carried into every
+        #: :class:`~repro.events.errors.ProtocolViolation`.
+        self.stage_index = stage_index
+        self.count = 0
+        self.open_streams: Set[int] = set()
+        self.closed_streams: Set[int] = set()
+        #: substream id -> stack of (tag, oid) for its open elements.
+        self.elems: Dict[int, List[Tuple[Optional[str], Optional[int]]]] \
+            = {}
+        self.tuples: Dict[int, int] = {}   # substream id -> open tuples
+        #: open bracket sub -> the sM/sR/sB/sA event that opened it
+        self.open_brackets: Dict[int, Event] = {}
+        self.ever_subs: Set[int] = set()
+        self.frozen: Set[int] = set()
 
-def element_balance(v: Iterable[Event], i: int) -> int:
-    """Net sE minus eE count on stream ``i`` (0 for balanced sequences)."""
-    depth = 0
-    for e in v:
-        if e.id != i:
-            continue
-        if e.kind == SE:
-            depth += 1
-        elif e.kind == EE:
-            depth -= 1
-    return depth
+    # -- error helper -----------------------------------------------------
 
+    def _fail(self, message: str, rule: str, e: Optional[Event],
+              stream: Optional[int] = None) -> NoReturn:
+        raise ProtocolViolation(message, rule=rule, stage=self.label,
+                                event=e, index=self.count, stream=stream,
+                                stage_index=self.stage_index)
 
-def validate_document_stream(v: Sequence[Event],
-                             allow_updates: bool = True) -> None:
-    """Strict validation of a *complete* global stream.
+    def _known(self, i: int) -> bool:
+        return i in self.open_streams or i in self.open_brackets
 
-    Checks, per stream number: sS opens before any content and eS closes it;
-    tuples and elements nest properly with matching tags; update brackets
-    open/close in LIFO order with matching kinds and numbers.  Raises
-    :class:`WellFormednessError` on the first violation.
-    """
-    open_streams: set = set()
-    closed_streams: set = set()
-    elem_stacks: dict = {}
-    tuple_depth: dict = {}
-    update_stack: List[Event] = []
+    def _region_known(self, i: int) -> bool:
+        return (i in self.ever_subs or i in self.open_streams
+                or i in self.closed_streams)
 
-    for pos, e in enumerate(v):
-        if e.is_update:
-            if not allow_updates:
-                raise WellFormednessError(
-                    "update event in a plain stream",
-                    rule="no-updates", event=e, index=pos, stream=e.id)
-            if e.kind in UPDATE_STARTS:
-                update_stack.append(e)
-            elif e.kind in UPDATE_ENDS:
-                if not update_stack:
-                    raise WellFormednessError(
-                        "unmatched update end",
-                        rule="update-bracket-match", event=e, index=pos,
-                        stream=e.sub)
-                top = update_stack.pop()
-                if (matching_end(top.kind) != e.kind or top.id != e.id
-                        or top.sub != e.sub):
-                    raise WellFormednessError(
-                        "update end does not match open bracket {!r}"
-                        .format(top),
-                        rule="update-bracket-match", event=e, index=pos,
-                        stream=e.sub)
-            continue
+    # -- the checker -------------------------------------------------------
 
-        if e.kind == SS:
-            if e.id in open_streams or e.id in closed_streams:
-                raise WellFormednessError(
-                    "stream started twice",
-                    rule="stream-discipline", event=e, index=pos,
-                    stream=e.id)
-            open_streams.add(e.id)
-            elem_stacks[e.id] = []
-            tuple_depth[e.id] = 0
-        elif e.kind == ES:
-            if e.id not in open_streams:
-                raise WellFormednessError(
-                    "endStream without startStream",
-                    rule="stream-discipline", event=e, index=pos,
-                    stream=e.id)
-            if elem_stacks[e.id]:
-                raise WellFormednessError(
-                    "stream ends with open elements {}".format(
-                        elem_stacks[e.id]),
-                    rule="element-nesting", event=e, index=pos, stream=e.id)
-            if tuple_depth[e.id]:
-                raise WellFormednessError(
-                    "stream ends with an open tuple",
-                    rule="tuple-nesting", event=e, index=pos, stream=e.id)
-            open_streams.remove(e.id)
-            closed_streams.add(e.id)
-        elif e.kind == ST:
-            _require_open(e, pos, open_streams, update_stack)
-            tuple_depth[e.id] = tuple_depth.get(e.id, 0) + 1
-        elif e.kind == ET:
-            _require_open(e, pos, open_streams, update_stack)
-            if tuple_depth.get(e.id, 0) <= 0:
-                raise WellFormednessError(
-                    "endTuple without startTuple",
-                    rule="tuple-nesting", event=e, index=pos, stream=e.id)
-            tuple_depth[e.id] -= 1
-        elif e.kind == SE:
-            _require_open(e, pos, open_streams, update_stack)
-            elem_stacks.setdefault(e.id, []).append(e.tag or "")
-        elif e.kind == EE:
-            _require_open(e, pos, open_streams, update_stack)
-            stack = elem_stacks.setdefault(e.id, [])
-            if not stack or stack[-1] != (e.tag or ""):
-                raise WellFormednessError(
-                    "endElement does not match open element {!r}".format(
-                        stack[-1] if stack else None),
-                    rule="element-nesting", event=e, index=pos, stream=e.id)
-            stack.pop()
-        elif e.kind == CD:
-            _require_open(e, pos, open_streams, update_stack)
+    def feed(self, e: Event) -> None:
+        kind = e.kind
+        if kind < _FIRST_UPDATE:
+            self._data(e, kind)
+        elif kind == FREEZE:
+            self._freeze(e)
+        elif kind in (HIDE, SHOW):
+            self._toggle(e)
+        elif kind & 1:  # sM/sR/sB/sA (odd kinds >= 7)
+            self._bracket_start(e)
+        else:
+            self._bracket_end(e)
+        self.count += 1
 
-    if update_stack:
-        raise WellFormednessError(
-            "stream ends with open update brackets: {}".format(update_stack),
-            rule="update-bracket-match", stream=update_stack[-1].sub)
-    if open_streams:
-        raise WellFormednessError(
-            "stream ends with open streams: {}".format(sorted(open_streams)),
-            rule="stream-discipline", stream=min(open_streams))
-
-
-def _require_open(e: Event, pos: int, open_streams: set,
-                  update_stack: List[Event]) -> None:
-    """Content events must belong to an open stream or an open update."""
-    if e.id in open_streams:
-        return
-    for u in update_stack:
-        if u.sub == e.id:
+    def _data(self, e: Event, kind: int) -> None:
+        i = e.id
+        if kind == SS:
+            if i in self.open_streams:
+                self._fail("stream {} opened twice".format(i),
+                           "stream-discipline", e, stream=i)
+            if i in self.closed_streams:
+                self._fail("stream {} reopened after its eS".format(i),
+                           "stream-discipline", e, stream=i)
+            self.open_streams.add(i)
             return
-    raise WellFormednessError(
-        "event on a stream that is not open",
-        rule="stream-discipline", event=e, index=pos, stream=e.id)
+        if i in self.frozen:
+            self._fail("data event on frozen region {}".format(i),
+                       "frozen-region-data", e, stream=i)
+        if not self._known(i):
+            self._fail("event on substream {} which is neither an open "
+                       "stream nor an open update bracket".format(i),
+                       "stream-discipline", e, stream=i)
+        if kind == ES:
+            if self.elems.get(i):
+                self._fail("eS({}) with {} unclosed element(s)".format(
+                    i, len(self.elems[i])), "element-nesting", e,
+                    stream=i)
+            if self.tuples.get(i):
+                self._fail("eS({}) with an open tuple".format(i),
+                           "tuple-nesting", e, stream=i)
+            self.open_streams.discard(i)
+            self.closed_streams.add(i)
+        elif kind == ST:
+            self.tuples[i] = self.tuples.get(i, 0) + 1
+        elif kind == ET:
+            if not self.tuples.get(i):
+                self._fail("eT({}) without an open tuple".format(i),
+                           "tuple-nesting", e, stream=i)
+            self.tuples[i] -= 1
+        elif kind == SE:
+            self.elems.setdefault(i, []).append((e.tag, e.oid))
+        elif kind == EE:
+            stack = self.elems.get(i)
+            if not stack:
+                self._fail("eE({}) with no open element".format(i),
+                           "element-nesting", e, stream=i)
+            tag, oid = stack.pop()
+            if tag is not None and e.tag is not None and tag != e.tag:
+                self._fail("eE tag {!r} closes sE tag {!r} on substream "
+                           "{}".format(e.tag, tag, i), "element-nesting",
+                           e, stream=i)
+            if oid is not None and e.oid is not None and oid != e.oid:
+                self._fail("eE node identity {} closes sE identity {} "
+                           "on substream {}".format(e.oid, oid, i),
+                           "oid-discipline", e, stream=i)
+        # CD: substream membership was the only constraint.
+
+    def _bracket_start(self, e: Event) -> None:
+        sub, target = e.sub, e.id
+        if sub is None:
+            self._fail("update start without a substream number",
+                       "bracket-discipline", e)
+        if sub in self.open_brackets:
+            self._fail("bracket substream {} opened twice".format(sub),
+                       "bracket-discipline", e, stream=sub)
+        if sub in self.frozen:
+            self._fail("bracket reuses frozen region {}".format(sub),
+                       "region-reuse-after-freeze", e, stream=sub)
+        if sub in self.open_streams:
+            self._fail("bracket substream {} clashes with an open "
+                       "stream".format(sub), "bracket-discipline", e,
+                       stream=sub)
+        if self.elems.get(sub):
+            self._fail("bracket substream {} reopened with dangling "
+                       "elements".format(sub), "element-nesting", e,
+                       stream=sub)
+        if not self._region_known(target) and target not in self.frozen:
+            self._fail("update targets unknown region {}".format(target),
+                       "unknown-target", e, stream=target)
+        # Updates targeting frozen regions are void but legal
+        # (Section V: the consumer ignores them downstream).
+        self.open_brackets[sub] = e
+        self.ever_subs.add(sub)
+
+    def _bracket_end(self, e: Event) -> None:
+        sub = e.sub
+        start = self.open_brackets.get(sub) if sub is not None else None
+        if start is None:
+            self._fail("bracket end for substream {} which has no open "
+                       "bracket".format(sub), "bracket-discipline", e,
+                       stream=sub)
+        if matching_start(e.kind) != start.kind:
+            self._fail("{} closes a {} bracket on substream {}".format(
+                e.abbrev, start.abbrev, sub), "bracket-discipline", e,
+                stream=sub)
+        if start.id != e.id:
+            self._fail("bracket on substream {} closes with target {} "
+                       "but opened with target {}".format(sub, e.id,
+                                                          start.id),
+                       "bracket-discipline", e, stream=sub)
+        if self.elems.get(sub):
+            self._fail("bracket {} closes with {} unclosed element(s)"
+                       .format(sub, len(self.elems[sub])),
+                       "element-nesting", e, stream=sub)
+        if self.tuples.get(sub):
+            self._fail("bracket {} closes with an open tuple".format(sub),
+                       "tuple-nesting", e, stream=sub)
+        del self.open_brackets[sub]
+
+    def _freeze(self, e: Event) -> None:
+        i = e.id
+        if i in self.frozen:
+            return  # freeze is idempotent
+        if not self._region_known(i):
+            self._fail("freeze of unknown region {}".format(i),
+                       "unknown-target", e, stream=i)
+        if i in self.open_brackets:
+            self._fail("freeze of region {} while its bracket is still "
+                       "open".format(i), "freeze-ordering", e, stream=i)
+        self.frozen.add(i)
+
+    def _toggle(self, e: Event) -> None:
+        i = e.id
+        if i in self.frozen:
+            self._fail("{} of region {} after its freeze".format(
+                e.abbrev, i), "toggle-after-freeze", e, stream=i)
+        if not self._region_known(i):
+            self._fail("{} of unknown region {}".format(e.abbrev, i),
+                       "unknown-target", e, stream=i)
+
+    def finish(self) -> None:
+        """End-of-stream checks: everything opened must have closed."""
+        if self.open_brackets:
+            self._fail("update bracket(s) left open at end of stream: "
+                       "{}".format(sorted(self.open_brackets)),
+                       "bracket-discipline", None,
+                       stream=min(self.open_brackets))
+        if self.open_streams:
+            self._fail("stream(s) never closed: {}".format(
+                sorted(self.open_streams)), "stream-discipline", None,
+                stream=min(self.open_streams))
+        dangling = {i: len(s) for i, s in self.elems.items() if s}
+        if dangling:
+            self._fail("unclosed elements at end of stream: {}".format(
+                dangling), "element-nesting", None,
+                stream=min(dangling))
 
 
-def projection(v: Sequence[Event], i: int,
-               include_updates: bool = False) -> List[Event]:
-    """Events of ``v`` carried on stream ``i``.
-
-    With ``include_updates`` update brackets targeting or defining stream
-    ``i`` are also kept.
-    """
-    out: List[Event] = []
-    for e in v:
-        if e.is_update:
-            if include_updates and (e.id == i or e.sub == i):
-                out.append(e)
-        elif e.id == i:
-            out.append(e)
-    return out
-
-
-def strip_tuples(v: Sequence[Event]) -> List[Event]:
-    """Drop sT/eT events (tuple boundaries) from a sequence."""
-    return [e for e in v if e.kind not in (ST, ET)]
+def check_stream(events: Iterable[Event], label: str = "stream",
+                 finish: bool = True) -> BoundaryChecker:
+    """Run one checker over a complete event sequence."""
+    checker = BoundaryChecker(label)
+    for e in events:
+        checker.feed(e)
+    if finish:
+        checker.finish()
+    return checker

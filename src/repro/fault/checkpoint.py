@@ -70,7 +70,13 @@ MAGIC = b"XFCK"
 #: root held before any of the item is emitted) and ``inread``, and a
 #: predicate or join pickles its ``reads`` and its item counters; a
 #: version-9 state restored into this code would lack both fields.
-VERSION = 10
+#: 11: an ``EventMultiplexer`` pickles ``checker`` (a ``BoundaryChecker``
+#: of ``repro.events.wellformed``, or None) where version 10 had
+#: ``guard``, an instance of an element-nesting guard class that no
+#: longer exists; a ``BoundaryChecker`` maps each open bracket to its
+#: opening event where version 10 had a (kind, target) pair, and has no
+#: ``hidden`` set.
+VERSION = 11
 
 #: Kinds the current code base writes; decode rejects unknown kinds.
 KNOWN_KINDS = ("pipeline", "queryrun", "multiquery")

@@ -297,7 +297,10 @@ class MultiQueryRun:
             (mixing is fine; engines keep their own flags).
         mutable_source / ignore_updates: defaults applied to queries
             given as text.
-        validate: check element nesting of the shared input once.
+        validate: check the shared input once against the whole stream
+            protocol (the producer contract, DESIGN.md section 7); a
+            refusal is a :class:`~repro.events.errors.ProtocolViolation`
+            and fatal to every query.
         dedup: collapse identical (text, flags) queries onto one
             pipeline.
         always_active: disable wrapper fast paths (differential tests).
@@ -623,7 +626,7 @@ class MultiQueryRun:
         """Snapshot the whole executor mid-stream into one envelope.
 
         The entire object graph — every pipeline, the multiplexer with
-        its shared stripper and guard, dedup aliasing, quarantine
+        its shared stripper and checker, dedup aliasing, quarantine
         records, armed faults — goes into one pickle, so restoring gives
         back an executor whose continued run is byte-identical to never
         having stopped.  This is the blob shard workers ship to their
@@ -852,7 +855,7 @@ class XFlux:
               fuse: Optional[bool] = None,
               flight: Optional[bool] = None) -> QueryRun:
         """Begin a continuous run; feed it events as they arrive
-        (``fuse`` is ignored: ``benchmarks/e2e`` passes it, ROADMAP 4a)."""
+        (``fuse`` is ignored: ``benchmarks/e2e`` passes it, ROADMAP 1(iii))."""
         return QueryRun(self.compile(), on_change=on_change,
                         track_snapshots=track_snapshots,
                         ignore_updates=self.ignore_updates,
@@ -922,7 +925,7 @@ class XFlux:
         periodically (see :meth:`run_durable`; ``durable_opts`` pass
         through).  Durability does not combine with projection — the
         log must hold the full stream a recovery can resume from.
-        ``fuse`` is ignored: ``benchmarks/e2e`` passes it (ROADMAP 4a).
+        ``fuse`` is ignored: ``benchmarks/e2e`` passes it (ROADMAP 1(iii)).
         """
         if durable is not None:
             if projection:

@@ -210,6 +210,30 @@ class TestMultiQueryRunRoundTrip:
         # still served by the very same pipeline object.
         assert restored.query_run(3) is restored.query_run(0)
 
+    def test_validating_executor_round_trip_with_an_element_open(self):
+        # The shared input checker is executor state like any other: a
+        # restore in the middle of <b> still knows <b> and <r> are open.
+        from repro.events import EE, Event, ProtocolViolation
+        from repro.xmlio.tokenizer import tokenize
+        queries = ["count(X//a)", "X//b/a"]
+        events = tokenize("<r><a>x</a><b><a>y</a></b></r>")
+        expected = MultiQueryRun(queries).run(events).texts()
+        cut = [e.tag for e in events].index("b") + 1
+        mq = MultiQueryRun(queries, validate=True)
+        mq.feed_all(events[:cut])
+        blob = mq.checkpoint()
+
+        broken = MultiQueryRun.restore(blob, queries=queries)
+        with pytest.raises(ProtocolViolation) as info:
+            broken.feed_all([Event(EE, mq.source_id, tag="r")])
+        assert info.value.rule == "element-nesting"
+        assert info.value.index == cut
+
+        clean = MultiQueryRun.restore(blob, queries=queries)
+        clean.feed_all(events[cut:])
+        assert clean.finish().texts() == expected
+        assert clean.stats()["validated_events"] == len(events)
+
     def test_query_guard(self, workloads):
         mq = MultiQueryRun([PAPER_QUERIES["Q1"]])
         blob = mq.checkpoint()
@@ -328,17 +352,19 @@ class TestEnvelopeDiagnostics:
         # before pickle goes looking for it.  A version-7 shared group
         # has no prefix recorder and is refused the same way, as is a
         # version-8 blob, whose records and transformers hold tuples,
-        # and a version-9 one, whose predicate and join states cannot
-        # hold an item's root.
+        # a version-9 one, whose predicate and join states cannot
+        # hold an item's root, and a version-10 one, whose executor
+        # pickles a ``NestingGuard`` (that class is gone).
         blob = encode_checkpoint("pipeline", {}, {})
-        assert blob[4] == 10
+        assert blob[4] == 11
         gone = b"\x80\x02crepro.compile.fusion\nPlan\n."
         with pytest.raises(ImportError):
             pickle.loads(gone)
         for old in (blob[:4] + b"\x05" + blob[5:], blob[:4] + b"\x06" + gone,
                     blob[:4] + b"\x07" + blob[5:],
                     blob[:4] + b"\x08" + blob[5:],
-                    blob[:4] + b"\x09" + blob[5:]):
+                    blob[:4] + b"\x09" + blob[5:],
+                    blob[:4] + b"\x0a" + blob[5:]):
             with pytest.raises(CheckpointError) as info:
                 decode_checkpoint(old, "pipeline")
             assert info.value.field == "version"

@@ -5,7 +5,7 @@ import pytest
 from repro import XFlux, parse_xml, tokenize
 from repro.core import Display, Pipeline, RegionTree
 from repro.data import DBLPGenerator, StockTicker, XMarkGenerator
-from repro.events import validate_document_stream
+from repro.events import check_stream
 from repro.operators import CountItems
 
 
@@ -52,7 +52,7 @@ class TestXMark:
 
     def test_valid_xml(self):
         events = tokenize(XMarkGenerator(scale=0.02).text())
-        validate_document_stream(events)
+        check_stream(events)
 
 
 class TestDBLP:
@@ -83,7 +83,7 @@ class TestDBLP:
 
 class TestStockTicker:
     def test_stream_is_valid(self):
-        validate_document_stream(StockTicker(n_updates=20).events())
+        check_stream(StockTicker(n_updates=20).events())
 
     def test_deterministic(self):
         a = StockTicker(seed=4).events()

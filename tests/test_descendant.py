@@ -2,7 +2,7 @@
 
 from repro.core import Collector, Display, Pipeline
 from repro.core.transformer import run_sequence
-from repro.events import UPDATE_STARTS, loads, validate_document_stream
+from repro.events import UPDATE_STARTS, check_stream, loads
 from repro.operators import DescendantStep
 from repro.xmlio import tokenize
 
@@ -85,7 +85,7 @@ class TestTagged:
         col = Collector()
         Pipeline(ctx, [DescendantStep(ctx, 0, out, "part")], col).run(
             tokenize(recursive_xml))
-        validate_document_stream(col.events)
+        check_stream(col.events)
 
 
 class TestInertness:

@@ -17,7 +17,7 @@ import pytest
 
 from repro.bench.harness import PAPER_QUERIES, QUERY_DATASET, Workloads
 from repro.data.stock import StockTicker
-from repro.events.wellformed import WellFormednessError
+from repro.events.errors import ProtocolViolation
 from repro.parallel import ShardedMultiQueryRun, shard_queries
 from repro.xquery.engine import MultiQueryRun, XFlux
 from repro.xquery.parser import parse_cached
@@ -249,17 +249,19 @@ class TestValidation:
         # *event* stream directly (e.g. from a buggy producer).
         from repro.events.model import EE, SE, SS, Event
         mq = MultiQueryRun(["count(X//a)"], validate=True)
-        with pytest.raises(WellFormednessError):
+        with pytest.raises(ProtocolViolation) as info:
             mq.feed_all([Event(SS, 0), Event(SE, 0, tag="doc"),
                          Event(SE, 0, tag="a"), Event(EE, 0, tag="b")])
+        assert info.value.rule == "element-nesting"
 
     def test_unclosed_document_raises_at_finish(self):
         mq = MultiQueryRun(["count(X//a)"], validate=True)
         from repro.xmlio.tokenizer import tokenize
         events = tokenize("<doc><a></a></doc>")
         mq.feed_all(events[:-2])  # drop eE(doc), eS
-        with pytest.raises(WellFormednessError):
+        with pytest.raises(ProtocolViolation) as info:
             mq.finish()
+        assert info.value.rule == "stream-discipline"
 
     def test_disagreeing_source_streams_rejected(self):
         with pytest.raises(ValueError):

@@ -28,11 +28,10 @@ import re
 from hypothesis import example, given, settings, strategies as st
 
 from repro import QueryRun, XFlux, apply_updates, parse_xml, tokenize
-from repro.analysis import check_stream
 from repro.baselines.dom_eval import evaluate_to_xml
 from repro.baselines.spex import run_spex
 from repro.core import Context, Display, Pipeline, RegionTree
-from repro.events import loads, validate_document_stream
+from repro.events import ProtocolViolation, check_stream, loads
 from repro.events.model import (Kind, cdata, end_element, end_insert_after,
                                 end_insert_before, end_mutable, end_replace,
                                 end_stream, freeze, hide, show,
@@ -42,6 +41,7 @@ from repro.events.model import (Kind, cdata, end_element, end_insert_after,
 from repro.operators import (ChildStep, DescendantStep, ForTuples,
                              SortTuples, StringValue, Tee)
 from repro.xmlio import write_events
+from repro.xquery.engine import MultiQueryRun
 from repro.xquery.parser import parse as parse_query
 from tests.helpers import (assert_nesting_tree_consistent,
                            assert_nothing_mentions)
@@ -148,7 +148,7 @@ class TestTokenizerProperties:
     @given(xml_trees())
     @settings(max_examples=40, deadline=None)
     def test_token_stream_is_valid(self, doc):
-        validate_document_stream(tokenize(doc))
+        check_stream(tokenize(doc))
 
 
 class TestQueryEquivalence:
@@ -647,6 +647,35 @@ class TestUpdateLifecycles:
     @settings(max_examples=150, deadline=None)
     def test_generated_streams_obey_the_protocol(self, rng):
         check_stream(lifecycle_events(rng))
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_ingest_refuses_exactly_what_the_checker_refuses(self, rng):
+        # Both entry points of the one protocol checker: a standalone
+        # check, and the shared input of a validating executor.  Over a
+        # valid stream and six single-event deletions of it, they refuse
+        # the same streams with the same rule at the same event.
+        def verdict(check, events):
+            try:
+                check(events)
+            except ProtocolViolation as exc:
+                return exc.rule, exc.index, exc.stream
+            return None
+
+        def ingest(events):
+            mq = MultiQueryRun([XFlux(self.QUERIES[0], mutable_source=True)],
+                               validate=True)
+            mq.feed_all(events)
+            mq.finish()
+
+        events = lifecycle_events(rng)
+        assert verdict(check_stream, events) is None
+        streams = [events]
+        for _ in range(6):
+            k = rng.randrange(len(events))
+            streams.append(events[:k] + events[k + 1:])
+        for stream in streams:
+            assert verdict(ingest, stream) == verdict(check_stream, stream)
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)

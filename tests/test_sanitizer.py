@@ -1,21 +1,27 @@
 """Stream-protocol sanitizer: boundary checking on real and broken streams.
 
-Two halves: (a) the full paper-query suite and the update-stream e2e
+Three parts: (a) the full paper-query suite and the update-stream e2e
 paths run clean with checkers interposed at every stage boundary and
 produce byte-identical results; (b) each protocol rule fires on a
-minimal hand-built violation, with the structured error naming the rule.
+minimal hand-built violation, with the structured error naming the rule;
+(c) those rules are exactly the producer contract DESIGN.md lists.
 """
+
+import inspect
+import pathlib
+import re
 
 import pytest
 
 from repro import tokenize
-from repro.analysis import BoundaryChecker, check_stream
 from repro.bench.harness import PAPER_QUERIES, QUERY_DATASET
 from repro.data import DBLPGenerator, XMarkGenerator
 from repro.data.stock import StockTicker
+from repro.events import BoundaryChecker, check_stream
 from repro.events.errors import ProtocolViolation
-from repro.events.model import (CD, EE, ES, SE, SS, Event, end_mutable,
-                                freeze, hide, show, start_mutable)
+from repro.events.model import (CD, EE, ES, ET, SE, SS, ST, Event,
+                                end_mutable, freeze, hide, show,
+                                start_mutable)
 from repro.xquery.engine import MultiQueryRun, QueryRun, XFlux
 
 
@@ -111,6 +117,7 @@ def _violation(events, rule):
     return info.value
 
 
+
 class TestProtocolRules:
     def test_clean_minimal_stream(self):
         checker = check_stream(tokenize("<a><b>x</b></a>"))
@@ -139,6 +146,13 @@ class TestProtocolRules:
         _violation([Event(SS, 0), Event(SE, 0, tag="a"),
                     Event(SE, 0, tag="b"), Event(EE, 0, tag="b"),
                     Event(ES, 0)], "element-nesting")
+
+    def test_end_tuple_without_start(self):
+        _violation([Event(SS, 0), Event(ET, 0)], "tuple-nesting")
+
+    def test_close_with_open_tuple(self):
+        _violation([Event(SS, 0), Event(ST, 0), Event(ES, 0)],
+                   "tuple-nesting")
 
     def test_oid_mismatch(self):
         _violation([Event(SS, 0), Event(SE, 0, tag="a", oid=5),
@@ -225,3 +239,34 @@ class TestProtocolRules:
         with pytest.raises(ProtocolViolation) as info:
             checker.finish()
         assert info.value.rule == "stream-discipline"
+
+
+def contract_codes():
+    """The rule codes of DESIGN.md's producer contract, in order."""
+    design = pathlib.Path(__file__).resolve().parents[1] / "DESIGN.md"
+    text = design.read_text().split("**The producer contract.**")[1]
+    listing = text.split("\n\n")[1]   # after the lead paragraph
+    return re.findall(r"^\* `([a-z-]+)` — ", listing, re.M)
+
+
+class TestProducerContract:
+    def test_contract_names_every_code_the_checker_raises(self):
+        raised = re.findall(r'"([a-z]+(?:-[a-z]+)+)",\s*(?:e|None)\b',
+                            inspect.getsource(BoundaryChecker))
+        assert sorted(contract_codes()) == sorted(set(raised))
+
+    def test_every_contract_code_is_raised_here(self, monkeypatch):
+        # Run every rule case, recording the rule each one raised.
+        raised = set()
+        real = _violation
+
+        def recording(events, rule):
+            err = real(events, rule)
+            raised.add(err.rule)
+            return err
+        monkeypatch.setitem(globals(), "_violation", recording)
+        cases = TestProtocolRules()
+        for name in dir(cases):
+            if name.startswith("test_"):
+                getattr(cases, name)()
+        assert set(contract_codes()) <= raised

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro import tokenize
-from repro.analysis import check_stream
 from repro.data.stock import StockTicker
+from repro.events import check_stream
 from repro.events.errors import ProtocolViolation
 from repro.events.model import (EE, FREEZE, Event, hide, start_mutable)
 

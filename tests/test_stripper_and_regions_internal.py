@@ -1,8 +1,8 @@
 """Tests for the update stripper and region-tree internals."""
 
 from repro.core.regions import Region, RegionTree
-from repro.events import (UpdateStripper, cdata, loads, strip_updates,
-                          validate_document_stream)
+from repro.events import (UpdateStripper, cdata, check_stream, loads,
+                          strip_updates)
 from repro.xmlio import write_events
 
 
@@ -17,7 +17,8 @@ class TestUpdateStripper:
         out = strip_updates(evs)
         assert write_events(out) == "<a>x</a>"
         assert all(e.id == 0 for e in out)
-        validate_document_stream(out, allow_updates=False)
+        check_stream(out)
+        assert not any(e.is_update for e in out)
 
     def test_replace_content_dropped(self):
         evs = loads('sS(0) sM(0,1) cD(1,"keep") eM(0,1) '

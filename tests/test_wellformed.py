@@ -1,14 +1,26 @@
-"""Tests for the WF_i rules and the strict document validator."""
+"""Tests for the WF_i rules and the one stream-protocol checker."""
 
 import pytest
 
-from repro.events import (WellFormednessError, cdata, check_well_formed,
-                          element_balance, end_element, end_mutable,
-                          end_replace, end_stream, end_tuple,
-                          is_well_formed, loads, projection,
-                          start_element, start_mutable, start_replace,
-                          start_stream, start_tuple, strip_tuples,
-                          validate_document_stream)
+from repro.events import (ProtocolViolation, cdata, check_stream,
+                          end_element, end_mutable, end_replace, end_stream,
+                          end_tuple, is_well_formed, loads, start_element,
+                          start_mutable, start_stream, start_tuple)
+from repro.xquery.engine import MultiQueryRun
+
+#: A bracket that closes with an element of its content still open: its
+#: eager application renders ``<r><a>x</r>``.
+DANGLING = ('sS(0) sE(0,"r") sM(0,1) sE(1,"a") cD(1,"x") eM(0,1) '
+            'eE(0,"r") eS(0)')
+#: Two brackets that close out of LIFO order: legal, regions interleave.
+INTERLEAVED = ('sS(0) sE(0,"r") sM(0,1) sM(0,2) eM(0,1) eM(0,2) '
+               'eE(0,"r") eS(0)')
+
+
+def _rule(events):
+    with pytest.raises(ProtocolViolation) as info:
+        check_stream(events)
+    return info.value.rule
 
 
 class TestWFRules:
@@ -55,23 +67,27 @@ class TestWFRules:
         assert not is_well_formed([start_tuple(0)], 0)
 
     def test_check_raises(self):
-        with pytest.raises(WellFormednessError):
-            check_well_formed([start_element(0, "a")], 0)
+        # The checker holds every substream of a stream to WF_i.
+        assert _rule([start_stream(0), start_element(0, "a"),
+                      end_stream(0)]) == "element-nesting"
 
 
 class TestElementBalance:
+    """Elements balance per substream, whatever the other ones do."""
+
     def test_balanced(self):
-        v = [start_element(0, "a"), end_element(0, "a")]
-        assert element_balance(v, 0) == 0
+        check_stream([start_stream(0), start_element(0, "a"),
+                      end_element(0, "a"), end_stream(0)])
 
     def test_open(self):
-        v = [start_element(0, "a"), start_element(0, "b"),
-             end_element(0, "b")]
-        assert element_balance(v, 0) == 1
+        assert _rule([start_stream(0), start_element(0, "a"),
+                      start_element(0, "b"), end_element(0, "b"),
+                      end_stream(0)]) == "element-nesting"
 
     def test_other_streams_ignored(self):
-        v = [start_element(1, "a")]
-        assert element_balance(v, 0) == 0
+        # Stream 1's open element does not keep stream 0 from closing.
+        check_stream([start_stream(0), start_stream(1),
+                      start_element(1, "a"), end_stream(0)], finish=False)
 
 
 class TestStrictValidator:
@@ -80,67 +96,64 @@ class TestStrictValidator:
                 end_element(0, "a"), end_stream(0)]
 
     def test_valid_document_passes(self):
-        validate_document_stream(self._doc())
+        check_stream(self._doc())
 
     def test_missing_end_stream(self):
-        with pytest.raises(WellFormednessError):
-            validate_document_stream(self._doc()[:-1])
+        assert _rule(self._doc()[:-1]) == "stream-discipline"
 
     def test_double_start_stream(self):
-        with pytest.raises(WellFormednessError):
-            validate_document_stream([start_stream(0), start_stream(0)])
+        assert _rule([start_stream(0), start_stream(0)]) \
+            == "stream-discipline"
 
     def test_content_before_stream_start(self):
-        with pytest.raises(WellFormednessError):
-            validate_document_stream([cdata(0, "x")])
+        assert _rule([cdata(0, "x")]) == "stream-discipline"
 
     def test_unmatched_tuple(self):
-        with pytest.raises(WellFormednessError):
-            validate_document_stream(
-                [start_stream(0), end_tuple(0), end_stream(0)])
+        assert _rule([start_stream(0), end_tuple(0), end_stream(0)]) \
+            == "tuple-nesting"
 
     def test_update_brackets_must_nest(self):
         v = [start_stream(0),
              start_mutable(0, 1), cdata(1, "x"), end_mutable(0, 1),
              end_stream(0)]
-        validate_document_stream(v)
+        check_stream(v)
 
     def test_mismatched_update_end(self):
         v = [start_stream(0), start_mutable(0, 1), end_replace(0, 1),
              end_stream(0)]
-        with pytest.raises(WellFormednessError):
-            validate_document_stream(v)
+        assert _rule(v) == "bracket-discipline"
 
     def test_dangling_update_bracket(self):
         v = [start_stream(0), start_mutable(0, 1), end_stream(0)]
-        with pytest.raises(WellFormednessError):
-            validate_document_stream(v)
-
-    def test_updates_rejected_when_disallowed(self):
-        v = [start_stream(0), start_mutable(0, 1), end_mutable(0, 1),
-             end_stream(0)]
-        with pytest.raises(WellFormednessError):
-            validate_document_stream(v, allow_updates=False)
+        assert _rule(v) == "bracket-discipline"
 
     def test_update_content_is_allowed_within_bracket(self):
         v = loads('sS(0) sM(0,1) sE(1,"a") cD(1,"t") eE(1,"a") eM(0,1) '
                   'eS(0)')
-        validate_document_stream(v)
+        check_stream(v)
 
 
-class TestProjectionHelpers:
-    def test_projection_plain(self):
-        v = loads('sS(0) cD(0,"a") cD(1,"b") eS(0)')
-        assert [e.text for e in projection(v, 0)
-                if e.text is not None] == ["a"]
+def _ingest(events):
+    """Feed ``events`` to a ``validate=True`` executor and finish it."""
+    mq = MultiQueryRun(["count(X//a)"], validate=True)
+    mq.feed_all(events)
+    return mq.finish()
 
-    def test_projection_with_updates(self):
-        v = loads('sM(0,1) cD(1,"x") eM(0,1)')
-        with_updates = projection(v, 1, include_updates=True)
-        assert len(with_updates) == 3
-        without = projection(v, 1)
-        assert len(without) == 1
 
-    def test_strip_tuples(self):
-        v = loads('sT(0) cD(0,"a") eT(0)')
-        assert [e.abbrev for e in strip_tuples(v)] == ["cD"]
+class TestBothEntryPointsAgree:
+    """A bracket closes only over closed content, in any bracket order:
+    a standalone check and a validating executor hold a stream to it
+    alike."""
+
+    def test_bracket_closing_over_an_open_element_is_refused(self):
+        events = loads(DANGLING)
+        assert _rule(events) == "element-nesting"
+        with pytest.raises(ProtocolViolation) as info:
+            _ingest(events)
+        assert info.value.rule == "element-nesting"
+        assert info.value.index == 5  # the eM(0,1)
+
+    def test_interleaved_bracket_close_is_accepted(self):
+        events = loads(INTERLEAVED)
+        check_stream(events)
+        assert _ingest(events).texts() == ["0"]
