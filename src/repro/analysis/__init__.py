@@ -8,10 +8,11 @@
 * :mod:`~repro.analysis.sanitize` — check the event protocol at every
   stage boundary at run time (``sanitize=True`` / ``REPRO_SANITIZE=1``)
   with the checker of :mod:`repro.events.wellformed`.
-* Three dataflow analyses read each stage's ``shape()`` through one
+* Two dataflow analyses read each stage's ``shape()`` through one
   table of rules each, driven by :mod:`~repro.analysis.dataflow`
-  (DESIGN.md section 16): the path projection and the ``//`` steps'
-  reads (:mod:`~repro.analysis.projection`), and schema-aware type
+  (DESIGN.md section 16): the reads pass, what each ``//`` step,
+  item-scope predicate and ancestor join's consumers read
+  (:mod:`~repro.analysis.projection`), and schema-aware type
   inference with emptiness proofs, dead-stage elimination and effect
   checks (:mod:`~repro.analysis.types`, over an
   :class:`~repro.analysis.schema.ElementSchema`).

@@ -2,8 +2,8 @@
 
 A plan is a list of stages, each reading ``input_ids`` and writing
 ``output_id``; an analysis attaches one lattice value to every stream.
-:func:`forward` runs from the source towards the result (path
-projection, type inference), :func:`backward` from the result towards
+:func:`forward` runs from the source towards the result (type
+inference), :func:`backward` from the result towards
 the source (the reads pass).  The transfer function is the analysis's
 own table of rules keyed on the stage's
 :meth:`~repro.core.transformer.StateTransformer.shape` kind.

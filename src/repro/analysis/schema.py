@@ -1,8 +1,8 @@
 """Document schemas: element content models for static analysis.
 
-The projection layer (PR 6) introduced :class:`ElementSchema` as a bare
-``tag -> children`` reachability map with two hand-coded instances
-(xmark / dblp).  The type checker (``analysis/types.py``) needs more —
+:class:`ElementSchema` began as a bare ``tag -> children``
+reachability map with two hand-coded instances (xmark / dblp).  The
+type checker (``analysis/types.py``) needs more —
 content-model *cardinality* (which child positions may repeat, i.e. the
 schema's mutable regions for insert effects), text content, a known
 root, and a closed-world flag that licenses emptiness proofs — and it

@@ -15,8 +15,7 @@ because that is exactly what the three consumers need:
   every downstream forest empty.  The compiler replaces such dead
   stages with :class:`~repro.core.transformer.StructuralRelay` (and a
   statically-empty *plan* with a single relay), the multi-query
-  executor never feeds provably-empty members, and the projection
-  layer's reachability closure is the same judgment in path form.
+  executor never feeds provably-empty members.
 * **per-stage types**: ``repro analyze --types`` surfaces each stage's
   inferred input/output languages next to the kind of its
   :meth:`~repro.core.transformer.StateTransformer.shape`, whose type

@@ -19,9 +19,6 @@ Options:
                        print it as JSON to stderr (also: REPRO_METRICS=1)
     --sanitize         validate the inter-stage event protocol while
                        running (also: REPRO_SANITIZE=1)
-    --projection       derive the plan's path projection and skip
-                       irrelevant subtrees in the tokenizer (add
-                       --schema xmark|dblp to sharpen //-led paths)
     --query-file FILE  read the query text from a file instead of argv
 
 There is also a static plan analyzer that lints a compiled pipeline
@@ -110,13 +107,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--sanitize", action="store_true",
                     help="validate the inter-stage event protocol while "
                          "running (raises on the first violation)")
-    ap.add_argument("--projection", action="store_true",
-                    help="derive the plan's path projection and skip "
-                         "irrelevant subtrees in the tokenizer (XML "
-                         "input only; byte-identical by construction)")
-    ap.add_argument("--schema",
-                    help="schema refinement for --projection: 'xmark', "
-                         "'dblp', or a DTD file path")
     ap.add_argument("--max-depth", type=int, default=None,
                     help="reject documents nesting elements deeper than "
                          "this (structured error instead of unbounded "
@@ -154,12 +144,9 @@ def build_analyze_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--sanitize", action="store_true",
                     help="interpose protocol checkers during the "
                          "--input run")
-    ap.add_argument("--projection", action="store_true",
-                    help="also print the derived stream projection "
-                         "(path set, or the universal fallback and why)")
     ap.add_argument("--schema",
-                    help="schema for the projection and the type "
-                         "checker: 'xmark', 'dblp', or a DTD file path")
+                    help="schema for the type checker: 'xmark', 'dblp', "
+                         "or a DTD file path")
     ap.add_argument("--types", action="store_true",
                     help="also run the static type checker: per-stage "
                          "regular-expression types, emptiness proofs, "
@@ -242,13 +229,12 @@ def analyze_main(argv, out, err) -> int:
         engine = XFlux(query_text, mutable_source=args.mutable_source)
         plan = engine.compile()
         report = analyze_plan(plan)
-        from .analysis.projection import (ProjectionMatcher,
-                                          derive_projection, gate_reads,
-                                          step_reads)
-        proj = derive_projection(plan)
-        prunable = ProjectionMatcher(proj, schema=args.schema).prunable
+        from .analysis.projection import gate_reads, step_reads
         reads = step_reads(plan)
         gates = gate_reads(plan)
+        if args.schema is not None:   # a bad name or DTD path is refused
+            from .analysis import known_schema
+            known_schema(args.schema)
     except Exception as exc:  # parse/compile diagnostics for the user
         print("error: {}".format(exc), file=err)
         return 2
@@ -273,8 +259,6 @@ def analyze_main(argv, out, err) -> int:
     trie = _sharing_report() if args.sharing else None
     payload = report_to_dict(report) if args.json else None
     if payload is not None:
-        payload["projection"] = dict(proj.to_dict(), prunable=prunable,
-                                     schema=args.schema)
         payload["reads"] = [dict(r.to_dict(), stage=k,
                                  step=repr(plan.stages[k]))
                             for k, r in reads]
@@ -305,17 +289,6 @@ def analyze_main(argv, out, err) -> int:
             print(type_report.render(), file=out)
         if trie is not None:
             _render_sharing(trie, out)
-        if args.projection:
-            if proj.universal:
-                print("projection: universal ({})".format(
-                    proj.reason or "paths cover the whole document"),
-                    file=out)
-            else:
-                print("projection paths ({}):".format(
-                    "prunable" if prunable else
-                    "not prunable without a schema"), file=out)
-                for path in proj.describe():
-                    print("  {}".format(path), file=out)
 
     if args.input is None:
         if args.json:
@@ -389,13 +362,6 @@ def _add_telemetry_run_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--sample-interval", type=int, default=256,
                     help="source events between footprint samples "
                          "(default 256)")
-    ap.add_argument("--projection", action="store_true",
-                    help="prune irrelevant subtrees in the tokenizer; "
-                         "the pruning counters land in the metrics JSON "
-                         "(XML input only)")
-    ap.add_argument("--schema",
-                    help="schema refinement for --projection: 'xmark', "
-                         "'dblp', or a DTD file path")
     ap.add_argument("--out", help="write the output here instead of "
                                   "stdout")
 
@@ -476,7 +442,7 @@ def _run_with_telemetry(args, err, tracing: bool):
 
     Shared by the ``stats``/``trace``/``export`` subcommands: resolves
     paper query names, synthesizes the benchmark dataset when no input
-    is given, applies ``--projection``, and runs to completion.
+    is given, and runs to completion.
     Returns ``(exit_code, run, query_text)`` — ``run`` is ``None`` on
     failure.
     """
@@ -520,35 +486,9 @@ def _run_with_telemetry(args, err, tracing: bool):
         tok.chunk_histogram = LogHistogram()
         events = tok.tokenize(text)
 
-    projection_counters = None
-    if args.projection and not args.events:
-        from .analysis.projection import (ProjectionMatcher,
-                                          derive_projection)
-        schema = args.schema
-        if schema is None and args.input is None \
-                and args.query in PAPER_QUERIES:
-            # Synthesized benchmark datasets have a known shape.
-            schema = ("dblp" if QUERY_DATASET[args.query] == "D"
-                      else "xmark")
-        try:
-            matcher = ProjectionMatcher(derive_projection(plan),
-                                        schema=schema)
-        except ValueError as exc:
-            print("error: {}".format(exc), file=err)
-            return 2, None, None
-        if matcher.prunable:
-            tok = XMLTokenizer(projection=matcher)
-            tok.chunk_histogram = LogHistogram()
-            # Materialize so the counters are final before they are
-            # snapshotted into the recorder below.
-            events = list(tok.tokenize(text))
-            projection_counters = tok.projection_stats.counter_dict()
-
     from .xquery.engine import QueryRun
     run = QueryRun(plan, metrics=True, trace=tracing,
                    sample_interval=args.sample_interval)
-    if projection_counters is not None:
-        run.recorder.projection = projection_counters
     try:
         run.feed_all(events)
         run.finish()
@@ -1037,25 +977,6 @@ def main(argv: Optional[Iterable[str]] = None,
         print("error: {}".format(exc), file=err)
         return 2
 
-    proj = None
-    proj_tok = None
-    if args.projection:
-        if args.events:
-            print("error: --projection applies to XML input, not "
-                  "--events streams", file=err)
-            return 2
-        from .analysis.projection import (ProjectionMatcher,
-                                          derive_projection)
-        try:
-            proj = derive_projection(plan)
-            matcher = ProjectionMatcher(proj, schema=args.schema)
-        except ValueError as exc:
-            print("error: {}".format(exc), file=err)
-            return 2
-        if matcher.prunable:
-            proj_tok = XMLTokenizer(projection=matcher,
-                                    **_tokenizer_limits(args))
-
     try:
         text = _read_text(input_path)
     except OSError as exc:
@@ -1065,9 +986,8 @@ def main(argv: Optional[Iterable[str]] = None,
                        metrics=True if args.metrics else None,
                        flight=True if args.flight else None)
     shown: Optional[str] = None
-    source = (proj_tok.tokenize(text) if proj_tok is not None
-              else _event_source(text, args.events, plan.needs_oids,
-                                 limits=_tokenizer_limits(args)))
+    source = _event_source(text, args.events, plan.needs_oids,
+                           limits=_tokenizer_limits(args))
     try:
         for event in source:
             run.feed(event)
@@ -1080,9 +1000,6 @@ def main(argv: Optional[Iterable[str]] = None,
     except Exception as exc:
         print("error: {}".format(exc), file=err)
         return 1
-    if proj_tok is not None and run.recorder is not None:
-        # Counters are final only now — the tokenizer streamed lazily.
-        run.recorder.projection = proj_tok.projection_stats.counter_dict()
 
     final = run.text()
     if not args.follow or final != shown:
@@ -1092,15 +1009,6 @@ def main(argv: Optional[Iterable[str]] = None,
         print("transformer_calls={} state_cells={} stages={}".format(
             stats["transformer_calls"], stats["state_cells"],
             stats["stages"]), file=err)
-        if proj_tok is not None:
-            ps = proj_tok.projection_stats
-            print("projection: events_pruned={} bytes_skipped={} "
-                  "subtrees_skipped={} pruned_ratio={:.4f}".format(
-                      ps.events_pruned, ps.bytes_skipped,
-                      ps.subtrees_skipped, ps.pruned_ratio()), file=err)
-        elif proj is not None:
-            print("projection: universal ({})".format(
-                proj.reason or "not prunable for this input"), file=err)
     if args.metrics:
         import json
         metrics = run.metrics()

@@ -399,10 +399,6 @@ class SharedGroup:
                           for s in cls.slots}
         self.live = set(self.member_indices)
         self.dead = False
-        #: Optional group-level projection mask (the union of member
-        #: *full-plan* projections — suffix plans must not be projected
-        #: individually, their paths are relative to the prefix).
-        self.mask = None
         self.events_fed = 0
 
     # -- feeding --------------------------------------------------------------
@@ -423,8 +419,6 @@ class SharedGroup:
         """
         if self.dead or not self.live:
             return []
-        if self.mask is not None:
-            events = self.mask.filter(events)
         if not isinstance(events, (list, tuple)):
             events = list(events)
         failures: List[tuple] = []

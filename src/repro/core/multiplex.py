@@ -79,10 +79,6 @@ class EventMultiplexer:
         self.raw_events_out = 0
         self.stripped_events_out = 0
         self._finished = False
-        #: run index -> per-query projection mask (see
-        #: :class:`repro.analysis.projection.ProjectionMask`).  Installed
-        #: by the owning executor; a run without one gets the shared batch.
-        self._masks: Dict[int, object] = {}
         #: Shared prefix groups (see
         #: :class:`repro.compile.sharing.SharedGroup`).  Member runs are
         #: removed from the direct fan-out — the group feeds them from
@@ -118,16 +114,6 @@ class EventMultiplexer:
         self._stripped_pipelines = [(i, p)
                                     for i, p in self._stripped_pipelines
                                     if i not in indices]
-
-    def set_masks(self, masks: Dict[int, object]) -> None:
-        """Install per-pipeline projection masks (run index -> mask).
-
-        Masked pipelines receive, per batch, only the events their own
-        query's projection can reach; unmasked pipelines keep the shared
-        by-reference batch.  Masks never apply to update-control events
-        (each mask disables itself on the first one it sees).
-        """
-        self._masks = dict(masks)
 
     def set_groups(self, groups: Sequence) -> None:
         """Install shared prefix groups; detach members from the fan-out."""
@@ -202,21 +188,17 @@ class EventMultiplexer:
         self.raw_events_out += self._fan_out(self._raw_pipelines, batch)
 
     def _fan_out(self, pipelines: Sequence, batch: Sequence[Event]) -> int:
-        """Feed ``batch`` to each pipeline, through its projection mask
-        if it has one; returns the number of events handed over."""
-        masks = self._masks
-        delivered = 0
-        for i, pipeline in list(pipelines):
-            mask = masks.get(i)
-            feed = batch if mask is None else mask.filter(batch)
-            delivered += len(feed)
+        """Feed ``batch`` to each pipeline; returns the number of events
+        handed over."""
+        pipelines = list(pipelines)   # a quarantine detaches from the list
+        for i, pipeline in pipelines:
             try:
-                pipeline.feed_batch(feed)
+                pipeline.feed_batch(batch)
             except Exception as exc:
                 if not self.quarantine:
                     raise
                 self._quarantine(i, exc)
-        return delivered
+        return len(batch) * len(pipelines)
 
     def finish(self) -> None:
         if self._finished:
@@ -255,7 +237,6 @@ class EventMultiplexer:
                 "stripped_pipelines": len(self._stripped_pipelines),
                 "raw_events_out": self.raw_events_out,
                 "stripped_events_out": self.stripped_events_out,
-                "masked_pipelines": len(self._masks),
                 "grouped_pipelines": len(self._grouped),
                 "static_empty_pipelines": len(self.static_empty),
             },

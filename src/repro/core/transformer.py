@@ -289,10 +289,9 @@ class StateTransformer:
     def shape(self) -> "Shape":
         """What this operator *is*, for the plan's static analyses.
 
-        The path projection, the reads pass and type inference
-        (:mod:`repro.analysis`) each keep one transfer rule per kind
-        (DESIGN.md section 16); a kind without a rule gets that
-        analysis's top: the universal projection, ``ALL`` reads, type
+        The reads pass and type inference (:mod:`repro.analysis`) each
+        keep one transfer rule per kind (DESIGN.md section 16); a kind
+        without a rule gets that analysis's top: ``ALL`` reads, type
         ``any*``.  The base class is ``opaque``.
 
         Its ``kind`` is one of:

@@ -107,7 +107,7 @@ def document_schema():
     """The generator's document class, parsed from :data:`DTD`.
 
     Returns a closed :class:`repro.analysis.schema.ElementSchema` (root
-    ``dblp``) for the projection and type analyses.
+    ``dblp``) for the type analysis.
     """
     global _SCHEMA
     if _SCHEMA is None:

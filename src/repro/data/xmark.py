@@ -148,7 +148,7 @@ def document_schema():
 
     Returns a closed :class:`repro.analysis.schema.ElementSchema` (root
     ``site``) carrying child reachability, content-model cardinality,
-    and #PCDATA facts for the projection and type analyses.
+    and #PCDATA facts for the type analysis.
     """
     global _SCHEMA
     if _SCHEMA is None:
@@ -161,9 +161,9 @@ def element_children():
     """The generator's element containment map (tag -> child tags).
 
     Historically a hand-coded map; now derived from :data:`DTD` so the
-    projection analyzer and the type checker consume one source of
-    truth (the fixture test in ``tests/test_types.py`` pins the parse
-    against the original hand-coded expectations).
+    generator and the type checker consume one source of truth (the
+    fixture test in ``tests/test_types.py`` pins the parse against the
+    original hand-coded expectations).
     """
     return {tag: tuple(sorted(kids))
             for tag, kids in document_schema().children_map().items()}

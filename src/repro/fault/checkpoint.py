@@ -76,7 +76,13 @@ MAGIC = b"XFCK"
 #: longer exists; a ``BoundaryChecker`` maps each open bracket to its
 #: opening event where version 10 had a (kind, target) pair, and has no
 #: ``hidden`` set.
-VERSION = 11
+#: 12: an ``EventMultiplexer`` has no ``_masks``, a ``SharedGroup`` no
+#: ``mask``, and a ``MultiQueryRun`` none of the ``projection*``
+#: attributes nor ``_masks`` (stream projection is deleted); a
+#: version-11 blob would restore the stale attributes and, with
+#: projection on, name classes of ``repro.analysis.projection`` that no
+#: longer exist.
+VERSION = 12
 
 #: Kinds the current code base writes; decode rejects unknown kinds.
 KNOWN_KINDS = ("pipeline", "queryrun", "multiquery")

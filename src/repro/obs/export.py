@@ -250,12 +250,6 @@ def metrics_to_openmetrics(metrics: dict, prefix: str = "repro") -> str:
             gauge("stage_peak_cells", s.get("peak_cells", 0),
                   stage=s.get("index"), label=s.get("label"))
 
-    for key, value in sorted(metrics.get("projection", {}).items()):
-        if not out or not out[-1].startswith(
-                "# TYPE {}_projection".format(prefix)):
-            out.append("# TYPE {}_projection counter".format(prefix))
-        counter("projection", value, counter=key)
-
     for name, hist in sorted(metrics.get("histograms", {}).items()):
         _histogram_lines(
             "{}_{}_latency_seconds".format(prefix, name), hist, out)

@@ -193,15 +193,10 @@ class MetricsRecorder:
         #: the flight summary from the pipelines fed the source.
         self.routed = False
         self.sink_counts = [0] * _N_KINDS
-        #: Stream-projection counters (events pruned, bytes skipped,
-        #: mask drops) — a *live* dict reference installed by the owning
-        #: executor, so counter mutations show up in to_dict() without a
-        #: per-event hook here.  None when no projection is active.
-        self.projection: Optional[Dict[str, int]] = None
         #: Latency histograms :meth:`observe_source` feeds.  Executors
-        #: may add more (the tokenizer chunk histogram lives at the
-        #: executor level, exactly like the projection counters, so
-        #: shared-tokenizer latencies are counted once).
+        #: may add more (a multi-query executor keeps the tokenizer
+        #: chunk histogram at its own level, so shared-tokenizer
+        #: latencies are counted once).
         self.histograms: Dict[str, LogHistogram] = {
             DRAIN_BATCH: LogHistogram(),
             UPDATE_LATENCY: LogHistogram(),
@@ -351,8 +346,6 @@ class MetricsRecorder:
         }
         if self.routed:
             out["routed"] = True
-        if self.projection is not None:
-            out["projection"] = dict(self.projection)
         if self.trace is not None:
             out["trace"] = self.trace.to_dict()
         if self.flight is not None:
@@ -390,7 +383,6 @@ def merge_metrics(dicts: Sequence[dict]) -> dict:
         "activations_total": 0,
         "pipelines": 0,
     }
-    projection: Dict[str, int] = {}
     histogram_maps: List[Dict[str, dict]] = []
     flights: List[dict] = []
     traces: List[dict] = []
@@ -411,16 +403,12 @@ def merge_metrics(dicts: Sequence[dict]) -> dict:
         for key in ("peak_cells_total", "cells_reclaimed_total",
                     "freezes_total", "activations_total"):
             merged[key] += d.get(key, 0)
-        for key, value in d.get("projection", {}).items():
-            projection[key] = projection.get(key, 0) + value
         if d.get("histograms"):
             histogram_maps.append(d["histograms"])
         if d.get("flight") and not routed:
             flights.append(d["flight"])
         if d.get("trace"):
             traces.append(d["trace"])
-    if projection:
-        merged["projection"] = projection
     if histogram_maps:
         # Bucket-by-bucket: the merged state equals one histogram fed
         # every observation, so sharded totals are exact.

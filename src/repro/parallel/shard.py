@@ -64,8 +64,8 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
 from ..events import codec
 from ..events.model import Event
 from ..fault import FaultPlan, arm_stage_fault, error_report
-from ..xquery.engine import (MultiQueryRun, _merge_executor_metrics,
-                             _tokenize_shared, env_flag)
+from ..xquery.engine import (MultiQueryRun, _ingest, _merge_executor_metrics,
+                             env_flag)
 
 #: Base of the exponential worker-restart delay (seconds; the k-th
 #: restart of a shard waits ``RESTART_BACKOFF * 2**(k-1)``).
@@ -780,14 +780,6 @@ class ShardedMultiQueryRun:
             environment hook.
         max_restarts: worker respawn budget per shard.
         checkpoint_interval: frames between shipped worker checkpoints.
-        projection: enable plan-driven stream projection.  The parent's
-            tokenizer prunes with the union projection (one pass, like
-            the single-process executor); each worker's ``MultiQueryRun``
-            builds the same per-query masks for its shard, so mask
-            counters shipped home merge to the single-process totals.
-        schema: optional DTD refinement for the projection matchers
-            (name ``"xmark"``/``"dblp"`` or an ``ElementSchema``; must
-            be picklable to cross the fork boundary).
         share_prefixes: forwarded to each worker's ``MultiQueryRun``,
             where sharing is on by default and ``False`` opts out
             (shared prefix tries are per-process — a shard's members
@@ -802,8 +794,6 @@ class ShardedMultiQueryRun:
             the log instead of the in-memory journal.  After SIGKILL
             of the whole parent, :func:`repro.fault.recover.recover`
             on the directory reproduces the run byte-identically.
-            Not combinable with ``projection`` (the log must hold the
-            full stream a recovery can resume from).
         durable_opts: passed to
             :class:`~repro.fault.wal.WriteAheadLog` (``segment_bytes``,
             ``fsync``, ``crash_after_frames``).
@@ -822,8 +812,6 @@ class ShardedMultiQueryRun:
                  fault_plan: Optional[FaultPlan] = None,
                  max_restarts: int = 2,
                  checkpoint_interval: int = 16,
-                 projection: bool = False,
-                 schema=None,
                  share_prefixes: Optional[bool] = None,
                  flight: Optional[bool] = None,
                  durable_dir: Optional[str] = None,
@@ -850,8 +838,6 @@ class ShardedMultiQueryRun:
                              metrics=metrics,
                              sample_interval=sample_interval,
                              quarantine=quarantine,
-                             projection=projection,
-                             schema=schema,
                              share_prefixes=share_prefixes,
                              flight=flight)
         # The parent resolves the telemetry default the same way the
@@ -861,18 +847,12 @@ class ShardedMultiQueryRun:
         self._parent_metrics = env_flag("METRICS", metrics)
         # Compile in the parent first: fail fast on a bad query before
         # any process is forked, and learn the stream metadata the
-        # tokenizer needs (oids, source stream number, projection).  The
-        # probe never runs, so it records nothing.
+        # tokenizer needs (oids, source stream number).  The probe never
+        # runs, so it records nothing.
         probe = MultiQueryRun(self.query_texts,
                               **dict(engine_kwargs, metrics=False))
         self.needs_oids = probe.needs_oids
         self.source_id = probe.source_id
-        #: Union projection / tokenizer matcher, mirrored off the probe
-        #: so the parent's run_xml prunes exactly like the
-        #: single-process executor's would.
-        self.projection = probe.projection
-        self.projection_matcher = probe.projection_matcher
-        self.projection_stats = None
         #: Parent-side tokenizer chunk-latency histogram (run_xml).
         self.chunk_latency = None
         self.shards_indices = shard_queries(len(self.query_texts),
@@ -889,9 +869,6 @@ class ShardedMultiQueryRun:
         self._wal = None
         self._wal_ckpt_logged: Dict[int, int] = {}
         if durable_dir is not None:
-            if projection:
-                raise ValueError("durable runs do not combine with "
-                                 "tokenizer projection")
             from ..fault.wal import WriteAheadLog, jsonable_kwargs
             self._wal = WriteAheadLog(durable_dir,
                                       **(durable_opts or {}))
@@ -1035,8 +1012,10 @@ class ShardedMultiQueryRun:
 
     def run_xml(self, text: str) -> "ShardedMultiQueryRun":
         """Evaluate over an XML document: one parent-side tokenizer pass."""
-        return self.run(_tokenize_shared(self, text,
-                                         timed=self._parent_metrics))
+        events, self.chunk_latency = _ingest(
+            text, self.source_id, self.needs_oids,
+            timed=self._parent_metrics)
+        return self.run(events)
 
     def abort(self) -> None:
         """Tear down workers without collecting results."""
@@ -1111,14 +1090,6 @@ class ShardedMultiQueryRun:
             "statuses": self.statuses(),
             "fault_tolerance": self.fault_stats(),
         }
-        if self.projection is not None:
-            proj = {
-                "union": self.projection.to_dict(),
-                "tokenizer_pruning": self.projection_matcher is not None,
-            }
-            if self.projection_stats is not None:
-                proj["tokenizer"] = self.projection_stats.to_dict()
-            out["projection"] = proj
         merged = self.metrics()
         if merged is not None:
             out["metrics"] = merged

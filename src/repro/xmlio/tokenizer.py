@@ -40,8 +40,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator,
 from ..events.model import (CD, EE, SE, Event, cdata, end_element,
                             end_stream, start_element, start_stream)
 
-if TYPE_CHECKING:  # annotations only: no analysis import at runtime
-    from ..analysis.projection import ProjectionMatcher
+if TYPE_CHECKING:  # annotations only: no telemetry import at runtime
     from ..obs.histogram import LogHistogram
 
 
@@ -99,20 +98,6 @@ _COMMENT = 2
 _CDATA_SECT = 3
 _PI = 4
 _DOCTYPE = 5
-_SKIP = 6         # inside a projection-pruned subtree: raw scan, no events
-
-# Sub-modes of the _SKIP scan (the same construct machine, event-free).
-_SK_TEXT = 0
-_SK_COMMENT = 1
-_SK_CDATA = 2
-_SK_PI = 3
-_SK_BANG = 4      # DOCTYPE-ish "<!...": scan to '>'
-
-# Projection matcher verdicts (mirrors repro.analysis.projection — kept
-# as literals here so the tokenizer never imports the analysis package).
-_PRUNE_SKIP = 0
-_PRUNE_KEEP = 1
-_PRUNE_ACCEPT = 2
 
 
 class XMLTokenizer:
@@ -128,22 +113,10 @@ class XMLTokenizer:
         attribute_handler: optional callback ``(tag, name, value) -> None``
             invoked for each attribute (the event model has no attribute
             events; the XMark generator does not rely on attributes).
-            With a projection installed the handler only fires for kept
-            elements.
-        projection: optional :class:`~repro.analysis.projection.\
-ProjectionMatcher`.  When a start tag opens a subtree no remaining
-            path step can match, the tokenizer drops into a raw
-            depth-tracking scan that still verifies tag nesting but never
-            materializes events; ``projection_stats`` counts what was
-            pruned.  Inside skipped subtrees only tag structure is
-            checked — attribute syntax and entity references there go
-            unvalidated (they can never influence any query).  Mutually
-            exclusive with ``emit_oids`` (skipping would renumber the
-            document-order identities backward axes rely on).
-        max_depth: maximum open-element nesting depth (pruned subtrees
-            included).  A depth bomb raises a structured
-            :class:`ResourceLimitError` at the limit instead of growing
-            the element stack without bound.  ``None`` (default): off.
+        max_depth: maximum open-element nesting depth.  A depth bomb
+            raises a structured :class:`ResourceLimitError` at the limit
+            instead of growing the element stack without bound.
+            ``None`` (default): off.
         max_token_bytes: maximum bytes buffered for one incomplete
             markup construct (a giant tag or attribute spanning feed
             chunks) or one pending character-data run.  Checked after
@@ -157,7 +130,6 @@ ProjectionMatcher`.  When a start tag opens a subtree no remaining
                  keep_whitespace: bool = False,
                  attribute_handler: Optional[
                      Callable[[str, str, str], None]] = None,
-                 projection: Optional[ProjectionMatcher] = None,
                  max_depth: Optional[int] = None,
                  max_token_bytes: Optional[int] = None,
                  max_attrs: Optional[int] = None) -> None:
@@ -168,23 +140,10 @@ ProjectionMatcher`.  When a start tag opens a subtree no remaining
         self.max_depth = max_depth
         self.max_token_bytes = max_token_bytes
         self.max_attrs = max_attrs
-        if projection is not None:
-            if emit_oids:
-                raise ValueError(
-                    "projection cannot be combined with emit_oids: "
-                    "skipping subtrees would renumber document-order "
-                    "oids")
-            from ..analysis.projection import ProjectionStats
-            self._cursor = projection.cursor()
-            self.projection_stats = ProjectionStats()
-        else:
-            self._cursor = None
-            self.projection_stats = None
         #: Optional :class:`~repro.obs.histogram.LogHistogram` recording
-        #: per-feed() scan latency.  Installed at the executor level
-        #: (like ``projection_stats``) so a shared tokenizer is timed
-        #: once regardless of consumer count; None costs one ``is not
-        #: None`` test per chunk.
+        #: per-feed() scan latency.  Installed at the executor level so a
+        #: shared tokenizer is timed once regardless of consumer count;
+        #: None costs one ``is not None`` test per chunk.
         self.chunk_histogram: Optional[LogHistogram] = None
         self._buf = ""
         self._mode = _TEXT
@@ -195,11 +154,6 @@ ProjectionMatcher`.  When a start tag opens a subtree no remaining
         self._started = False
         self._finished = False
         self._text_parts: List[Tuple[bool, str]] = []
-        self._keep_depth = 0            # inside an accepted subtree
-        self._skip_stack: List[str] = []  # open tags of the pruned subtree
-        self._skip_sub = _SK_TEXT
-        self._skip_pending = False      # pruned text accumulated
-        self._skip_nonws = False        # ... containing non-whitespace
 
     # -- public API --------------------------------------------------------
 
@@ -217,8 +171,6 @@ ProjectionMatcher`.  When a start tag opens a subtree no remaining
         self._scan(out)
         if self.max_token_bytes is not None:
             self._check_token_bytes()
-        if self.projection_stats is not None:
-            self.projection_stats.events_emitted += len(out)
         if hist is not None:
             hist.record(perf_counter_ns() - t0)
         return out
@@ -241,8 +193,6 @@ ProjectionMatcher`.  When a start tag opens a subtree no remaining
                 "input ended with unclosed elements: {}".format(
                     [t for t, _ in self._stack]), self._offset)
         out.append(end_stream(self.stream_id))
-        if self.projection_stats is not None:
-            self.projection_stats.events_emitted += len(out)
         return out
 
     def tokenize(self, text: str) -> Iterator[Event]:
@@ -254,7 +204,7 @@ ProjectionMatcher`.  When a start tag opens a subtree no remaining
 
     def _check_depth(self) -> None:
         """Guard one element push against ``max_depth``."""
-        depth = len(self._stack) + len(self._skip_stack)
+        depth = len(self._stack)
         if depth >= self.max_depth:
             raise ResourceLimitError(
                 "element nesting exceeds the configured depth limit",
@@ -340,21 +290,15 @@ ProjectionMatcher`.  When a start tag opens a subtree no remaining
                     break
                 pos = end + 1
                 self._mode = _TEXT
-            elif self._mode == _SKIP:
-                new_pos = self._scan_skip(buf, pos)
-                self.projection_stats.bytes_skipped += new_pos - pos
-                pos = new_pos
-                if self._mode == _SKIP and pos < n:
-                    break  # incomplete construct: wait for more input
         self._offset += pos
         self._buf = buf[pos:]
 
     def _kernel(self, buf: str, pos: int, out: List[Event]) -> int:
         """Emit text-plus-plain-tag tokens inline; return where it stops.
 
-        That is where ``_KERNEL_RE`` fails or a pruned start tag enters
-        _SKIP mode.  Text follows :meth:`_flush_text`'s rules, and goes
-        through it when it merges with pending parts or is over budget.
+        That is where ``_KERNEL_RE`` fails.  Text follows
+        :meth:`_flush_text`'s rules, and goes through it when it merges
+        with pending parts or is over budget.
         """
         match = _KERNEL_RE.match
         append = out.append
@@ -362,7 +306,6 @@ ProjectionMatcher`.  When a start tag opens a subtree no remaining
         sid = self.stream_id
         stack = self._stack
         oids = self.emit_oids
-        cursor = self._cursor
         limit = self.max_token_bytes
         oid = None
         while True:
@@ -393,7 +336,7 @@ ProjectionMatcher`.  When a start tag opens a subtree no remaining
                         CD, sid, None, None, text, oid
                     append(ev)
             if etag is not None:
-                if cursor is not None or not stack or stack[-1][0] != etag:
+                if not stack or stack[-1][0] != etag:
                     self._end_tag(etag, out)
                     continue
                 ev = new(Event)
@@ -401,11 +344,6 @@ ProjectionMatcher`.  When a start tag opens a subtree no remaining
                     EE, sid, None, etag, None, stack.pop()[1]
                 append(ev)
                 continue
-            if cursor is not None and not self._project_open(
-                    tag, closed == "/", pos - m.end(1)):
-                if self._mode == _SKIP:
-                    return pos
-                continue  # a pruned self-closing element
             if oids:
                 oid = self._next_oid
                 self._next_oid += 1
@@ -463,20 +401,17 @@ ProjectionMatcher`.  When a start tag opens a subtree no remaining
         if raw.startswith("/"):
             self._end_tag(raw[1:].strip(), out)
         elif raw.endswith("/"):
-            if self._start_tag(raw[:-1], out, nbytes=gt + 1 - pos,
-                               selfclosing=True):
-                self._pop_tag(out)
+            self._start_tag(raw[:-1], out)
+            self._pop_tag(out)
         else:
-            self._start_tag(raw, out, nbytes=gt + 1 - pos)
-        if self._mode != _SKIP:
-            self._mode = _TEXT
+            self._start_tag(raw, out)
+        self._mode = _TEXT
         return gt + 1
 
     # -- element handling ----------------------------------------------------
 
-    def _start_tag(self, raw: str, out: List[Event], nbytes: int = 0,
-                   selfclosing: bool = False) -> bool:
-        """Handle a start tag body; returns False when projected away."""
+    def _start_tag(self, raw: str, out: List[Event]) -> None:
+        """Handle a start tag body."""
         tag, attrs = _split_tag(raw, self._offset)
         if not tag:
             raise XMLSyntaxError("empty tag name", self._offset)
@@ -484,9 +419,6 @@ ProjectionMatcher`.  When a start tag opens a subtree no remaining
             raise ResourceLimitError(
                 "element <{}> exceeds the attribute limit".format(tag),
                 self._offset, "max_attrs", self.max_attrs, len(attrs))
-        if self._cursor is not None and \
-                not self._project_open(tag, selfclosing, nbytes):
-            return False
         if self.attribute_handler is not None:
             for name, value in attrs:
                 self.attribute_handler(tag, name, value)
@@ -495,7 +427,6 @@ ProjectionMatcher`.  When a start tag opens a subtree no remaining
             self._check_depth()
         self._stack.append((tag, oid))
         out.append(start_element(self.stream_id, tag, oid=oid))
-        return True
 
     def _end_tag(self, tag: str, out: List[Event]) -> None:
         if not self._stack:
@@ -508,11 +439,6 @@ ProjectionMatcher`.  When a start tag opens a subtree no remaining
                 "closing tag </{}> does not match <{}>".format(
                     tag, open_tag), self._offset)
         self._stack.pop()
-        if self._cursor is not None:
-            if self._keep_depth:
-                self._keep_depth -= 1
-            else:
-                self._cursor.leave()
         out.append(end_element(self.stream_id, tag, oid=oid))
 
     def _pop_tag(self, out: List[Event]) -> None:
@@ -555,174 +481,6 @@ ProjectionMatcher`.  When a start tag opens a subtree no remaining
         oid = self._next_oid
         self._next_oid += 1
         return oid
-
-    # -- projection (subtree skipping) ---------------------------------------
-
-    def _project_open(self, tag: str, selfclosing: bool,
-                      nbytes: int) -> bool:
-        """Consult the projection matcher for an opening tag.
-
-        Returns True when the element is kept (the caller emits it
-        normally), False when it is pruned — in which case the tokenizer
-        either consumed a self-closing element in place or switched to
-        the raw _SKIP scan for the whole subtree.
-        """
-        if self._keep_depth:
-            # Inside an accepted subtree: everything is kept verbatim and
-            # the cursor is not consulted (only the depth is tracked).
-            if not selfclosing:
-                self._keep_depth += 1
-            return True
-        verdict = self._cursor.enter(tag)
-        if verdict == _PRUNE_KEEP:
-            if selfclosing:
-                self._cursor.leave()
-            return True
-        if verdict == _PRUNE_ACCEPT:
-            if not selfclosing:
-                self._keep_depth = 1
-            return True
-        # SKIP: the subtree is provably irrelevant to every query.
-        stats = self.projection_stats
-        stats.bytes_skipped += nbytes
-        if selfclosing:
-            stats.events_pruned += 2  # the sE/eE pair
-            stats.subtrees_skipped += 1
-        else:
-            stats.events_pruned += 1  # the sE; the eE counts on close
-            if self.max_depth is not None:
-                self._check_depth()
-            self._skip_stack.append(tag)
-            self._skip_sub = _SK_TEXT
-            self._mode = _SKIP
-        return False
-
-    def _scan_skip(self, buf: str, pos: int) -> int:
-        """Raw depth-tracking scan inside a pruned subtree.
-
-        Verifies tag nesting and construct well-formedness but emits no
-        events; counts what would have been emitted.  Returns the new
-        position; leaves ``self._mode`` at _SKIP when more input is
-        needed mid-construct, or back at _TEXT once the pruned subtree's
-        matching end tag has been consumed.
-        """
-        n = len(buf)
-        stats = self.projection_stats
-        while pos < n:
-            sub = self._skip_sub
-            if sub == _SK_TEXT:
-                lt = buf.find("<", pos)
-                if lt < 0:
-                    self._skip_note_text(buf[pos:])
-                    return n
-                if lt > pos:
-                    self._skip_note_text(buf[pos:lt])
-                pos = lt
-                if pos + 1 >= n:
-                    return pos  # lone '<' at the buffer end
-                c = buf[pos + 1]
-                if c == "/":
-                    gt = buf.find(">", pos)
-                    if gt < 0:
-                        return pos
-                    self._skip_close(buf[pos + 2:gt].strip())
-                    pos = gt + 1
-                    if self._mode != _SKIP:
-                        return pos
-                elif c == "!":
-                    if buf.startswith("<!--", pos):
-                        self._skip_flush_text()
-                        self._skip_sub = _SK_COMMENT
-                        pos += 4
-                    elif buf.startswith("<![CDATA[", pos):
-                        self._skip_sub = _SK_CDATA
-                        pos += 9
-                    elif n - pos < 9:
-                        return pos  # cannot classify "<!..." yet
-                    else:
-                        self._skip_flush_text()
-                        self._skip_sub = _SK_BANG
-                        pos += 2
-                elif c == "?":
-                    self._skip_flush_text()
-                    self._skip_sub = _SK_PI
-                    pos += 2
-                else:
-                    gt = buf.find(">", pos)
-                    if gt < 0:
-                        return pos
-                    raw = buf[pos + 1:gt].strip()
-                    self._skip_flush_text()
-                    selfclosing = raw.endswith("/")
-                    if selfclosing:
-                        raw = raw[:-1].strip()
-                    tag = raw.split(None, 1)[0] if raw else ""
-                    if not tag:
-                        raise XMLSyntaxError("empty tag name", self._offset)
-                    if selfclosing:
-                        stats.events_pruned += 2
-                    else:
-                        stats.events_pruned += 1
-                        if self.max_depth is not None:
-                            self._check_depth()
-                        self._skip_stack.append(tag)
-                    pos = gt + 1
-            elif sub == _SK_COMMENT:
-                end = buf.find("-->", pos)
-                if end < 0:
-                    return max(pos, n - 2)
-                pos = end + 3
-                self._skip_sub = _SK_TEXT
-            elif sub == _SK_CDATA:
-                end = buf.find("]]>", pos)
-                if end < 0:
-                    if n - 2 > pos:
-                        self._skip_note_text(buf[pos:n - 2], cdata=True)
-                    return max(pos, n - 2)
-                self._skip_note_text(buf[pos:end], cdata=True)
-                pos = end + 3
-                self._skip_sub = _SK_TEXT
-            elif sub == _SK_PI:
-                end = buf.find("?>", pos)
-                if end < 0:
-                    return max(pos, n - 1)
-                pos = end + 2
-                self._skip_sub = _SK_TEXT
-            else:  # _SK_BANG
-                end = buf.find(">", pos)
-                if end < 0:
-                    return n
-                pos = end + 1
-                self._skip_sub = _SK_TEXT
-        return pos
-
-    def _skip_note_text(self, seg: str, cdata: bool = False) -> None:
-        """Track pruned character data (counter bookkeeping only)."""
-        if seg or cdata:
-            self._skip_pending = True
-            if seg and not seg.isspace():
-                self._skip_nonws = True
-
-    def _skip_flush_text(self) -> None:
-        """Count one pruned cD, mirroring the main scanner's flush rule."""
-        if self._skip_pending and (self._skip_nonws or self.keep_whitespace):
-            self.projection_stats.events_pruned += 1
-        self._skip_pending = False
-        self._skip_nonws = False
-
-    def _skip_close(self, tag: str) -> None:
-        """Consume a closing tag inside the pruned subtree."""
-        self._skip_flush_text()
-        open_tag = self._skip_stack[-1]
-        if open_tag != tag:
-            raise XMLSyntaxError(
-                "closing tag </{}> does not match <{}>".format(
-                    tag, open_tag), self._offset)
-        self._skip_stack.pop()
-        self.projection_stats.events_pruned += 1
-        if not self._skip_stack:
-            self.projection_stats.subtrees_skipped += 1
-            self._mode = _TEXT
 
 
 def _merge_runs(parts: List[Tuple[bool, str]]) -> List[Tuple[bool, str]]:
@@ -822,7 +580,6 @@ def _decode_entities(text: str, offset: int) -> str:
 
 def tokenize(text: str, stream_id: int = 0, emit_oids: bool = False,
              keep_whitespace: bool = False,
-             projection: Optional[ProjectionMatcher] = None,
              **limits: Any) -> List[Event]:
     """Tokenize a complete XML document into a list of events.
 
@@ -830,20 +587,17 @@ def tokenize(text: str, stream_id: int = 0, emit_oids: bool = False,
     pass through to :class:`XMLTokenizer`.
     """
     tok = XMLTokenizer(stream_id=stream_id, emit_oids=emit_oids,
-                       keep_whitespace=keep_whitespace,
-                       projection=projection, **limits)
+                       keep_whitespace=keep_whitespace, **limits)
     return tok.feed(text) + tok.close()
 
 
 def iter_tokenize(chunks: Iterable[str], stream_id: int = 0,
                   emit_oids: bool = False,
                   keep_whitespace: bool = False,
-                  projection: Optional[ProjectionMatcher] = None,
                   **limits: Any) -> Iterator[Event]:
     """Tokenize XML arriving in chunks, yielding events incrementally."""
     tok = XMLTokenizer(stream_id=stream_id, emit_oids=emit_oids,
-                       keep_whitespace=keep_whitespace,
-                       projection=projection, **limits)
+                       keep_whitespace=keep_whitespace, **limits)
     for chunk in chunks:
         yield from tok.feed(chunk)
     yield from tok.close()

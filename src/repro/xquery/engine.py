@@ -58,62 +58,36 @@ def env_flag(name: str, value: Optional[bool] = None) -> bool:
     raise ValueError("REPRO_{} must be 0 or 1, got {!r}".format(name, raw))
 
 
-def _tokenize_document(text: str, source_id: int, needs_oids: bool,
-                       matcher=None, chunk_histogram=None):
-    """Tokenize one whole document for a ``run_xml``.
+def _ingest(text: str, source_id: int, needs_oids: bool, timed: bool):
+    """Tokenize one whole document: the ingest of :meth:`XFlux.run_xml`,
+    :meth:`MultiQueryRun.run_xml` and the sharded supervisor.
 
-    Returns ``(events, projection_stats)``.  ``matcher`` (a prunable
-    :class:`~repro.analysis.projection.ProjectionMatcher`) turns on the
-    tokenizer's subtree skipping — it never combines with oids, which
-    skipping would renumber — and ``chunk_histogram`` times the scan;
-    with neither the plain :func:`tokenize` path runs.
+    Returns ``(events, chunk_histogram)``.  ``timed`` (a run that
+    records telemetry) times the scan into a fresh
+    :class:`~repro.obs.histogram.LogHistogram`; otherwise the histogram
+    is None and the plain :func:`tokenize` path runs.
     """
-    if matcher is None and chunk_histogram is None:
+    if not timed:
         return tokenize(text, stream_id=source_id,
                         emit_oids=needs_oids), None
-    tok = XMLTokenizer(stream_id=source_id, projection=matcher,
-                       emit_oids=needs_oids and matcher is None)
-    tok.chunk_histogram = chunk_histogram
-    return tok.feed(text) + tok.close(), tok.projection_stats
-
-
-def _tokenize_shared(executor, text: str, timed: bool) -> list:
-    """One shared tokenizer pass for a multi-query ``run_xml``.
-
-    The preamble of :meth:`MultiQueryRun.run_xml` and the sharded
-    supervisor's: prune with the executor's union matcher, time the
-    scan when telemetry is on, and leave both results on the executor
-    (``projection_stats``, ``chunk_latency``) — executor state, counted
-    once however many pipelines consume the events.
-    """
-    hist = None
-    if timed:
-        from ..obs.histogram import LogHistogram
-        hist = LogHistogram()
-    events, executor.projection_stats = _tokenize_document(
-        text, executor.source_id, executor.needs_oids,
-        matcher=executor.projection_matcher, chunk_histogram=hist)
-    executor.chunk_latency = hist
-    return events
+    from ..obs.histogram import LogHistogram
+    tok = XMLTokenizer(stream_id=source_id, emit_oids=needs_oids)
+    tok.chunk_histogram = hist = LogHistogram()
+    return tok.feed(text) + tok.close(), hist
 
 
 def _merge_executor_metrics(executor, dicts: list) -> Optional[dict]:
     """Merge per-pipeline recorder dicts, then add the executor's own
     telemetry exactly once.
 
-    Tokenizer pruning counters and the tokenizer chunk histogram belong
-    to the one shared scan, not to any pipeline, so a sharded run —
-    whose supervisor scans with the same union matcher — merges to the
-    same totals as the single-process executor.
+    The tokenizer chunk histogram belongs to the one shared scan, not
+    to any pipeline, so a sharded run merges to the same totals as the
+    single-process executor.
     """
     if not dicts:
         return None
     from ..obs import merge_metrics
     merged = merge_metrics(dicts)
-    if executor.projection_stats is not None:
-        proj = merged.setdefault("projection", {})
-        for key, value in executor.projection_stats.counter_dict().items():
-            proj[key] = proj.get(key, 0) + value
     if executor.chunk_latency is not None:
         merged.setdefault("histograms", {})["tokenizer_chunk"] = \
             executor.chunk_latency.to_dict()
@@ -157,11 +131,6 @@ class QueryRun:
                                  reclaim_on_freeze=reclaim_on_freeze)
         from ..events.model import UpdateStripper
         self._stripper = UpdateStripper() if ignore_updates else None
-        #: Set by projection-aware drivers (XFlux.run_xml with
-        #: ``projection=True``): the derived QueryProjection and the
-        #: tokenizer's pruning counters.
-        self.projection = None
-        self.projection_stats = None
 
     def feed(self, event: Event) -> None:
         if self._stripper is not None:
@@ -257,11 +226,6 @@ class QueryRun:
             "stages": len(self.pipeline.wrappers),
             "per_stage": per_stage,
         }
-        if self.projection is not None:
-            out["projection"] = self.projection.to_dict()
-            if self.projection_stats is not None:
-                out["projection"]["tokenizer"] = \
-                    self.projection_stats.to_dict()
         if self.recorder is not None:
             out["metrics"] = self.recorder.to_dict()
         return out
@@ -314,14 +278,10 @@ class MultiQueryRun:
         fault_plan: a :class:`~repro.fault.FaultPlan` whose ``raise``
             actions are armed on the matching query pipelines (query
             indices are submission-order positions).
-        projection: derive each plan's path projection
-            (:mod:`repro.analysis.projection`).  The union projection
-            drives the shared tokenizer's subtree skipping in
-            :meth:`run_xml`; per-query masks then cut each pipeline's
-            fan-out dispatch down to the events its own query can
-            reach.  Results are byte-identical by construction.
-        schema: optional DTD refinement for the projection matchers
-            and the type checker (an
+        projection: ignored, like ``fuse``; ``benchmarks/e2e`` and WAL
+            manifests written before stream projection was deleted
+            still pass it (DESIGN.md section 10).
+        schema: the document schema for ``typecheck`` (an
             :class:`~repro.analysis.schema.ElementSchema`, the name
             ``"xmark"``/``"dblp"``, or a DTD file path).
         typecheck: run the static type checker
@@ -467,63 +427,9 @@ class MultiQueryRun:
             self.mux.set_groups(self.groups)
         if self.static_empty_slots:
             self.mux.set_static_empty(self.static_empty_slots)
-        #: Union projection across unique pipelines (None when off).
-        self.projection = None
-        #: Tokenizer-side matcher for run_xml (None when nothing prunes).
-        self.projection_matcher = None
-        #: Tokenizer pruning counters, set by run_xml.
-        self.projection_stats = None
         #: Shared-tokenizer chunk-latency histogram, set by run_xml when
         #: any run records metrics (executor state, counted once).
         self.chunk_latency = None
-        self._masks = {}
-        if projection:
-            from ..analysis.projection import (ProjectionMask,
-                                               ProjectionMatcher,
-                                               derive_projection,
-                                               union_projection)
-            # Grouped members hold suffix plans whose paths are relative
-            # to the shared prefix — deriving a projection from them
-            # would starve the prefix's own steps.  Their projections
-            # come from a throwaway full compile of the query instead.
-            grouped = {s for g in self.groups for s in g.member_indices}
-            projections = []
-            for slot, run in enumerate(self.runs):
-                # Static-empty slots hold the one-relay constant plan,
-                # whose projection is universal — derive from the
-                # query's own (unoptimized) plan so the union stays
-                # prunable for the siblings.
-                if slot in grouped or slot in self.static_empty_slots:
-                    plan = self._slot_engines[slot].compile(
-                        optimize=False)
-                else:
-                    plan = run.plan
-                projections.append(derive_projection(plan))
-            self.projection = union_projection(projections)
-            union_matcher = ProjectionMatcher(self.projection,
-                                              schema=schema)
-            if union_matcher.prunable and not self.needs_oids:
-                self.projection_matcher = union_matcher
-            for i, (run, proj) in enumerate(zip(self.runs, projections)):
-                if i in grouped or i in self.static_empty_slots:
-                    continue
-                matcher = ProjectionMatcher(proj, schema=schema)
-                if not matcher.prunable:
-                    continue
-                mask = ProjectionMask(matcher, self.source_id)
-                self._masks[i] = mask
-                if run.recorder is not None:
-                    run.recorder.projection = mask.counters
-            for g in self.groups:
-                gproj = union_projection(
-                    [projections[s] for s in g.member_indices])
-                gmatcher = ProjectionMatcher(gproj, schema=schema)
-                if gmatcher.prunable:
-                    g.mask = ProjectionMask(gmatcher, self.source_id)
-                    if g.recorder is not None:
-                        g.recorder.projection = g.mask.counters
-            if self._masks:
-                self.mux.set_masks(self._masks)
         self.fault_plan = fault_plan
         self.mux.fault_plan = fault_plan
         if fault_plan:
@@ -600,20 +506,11 @@ class MultiQueryRun:
                 **durable_opts) -> "MultiQueryRun":
         """Evaluate all queries over an XML document — tokenized once.
 
-        With projection enabled the shared tokenizer prunes subtrees no
-        query's path set can reach (the union projection); per-query
-        masks narrow the fan-out further.
-
         With ``durable`` set to a directory path the run journals to a
-        write-ahead log first (see :meth:`run_durable`); projection is
-        not combinable with durability (the log must hold the full
-        event stream a recovery can resume from).
+        write-ahead log first (see :meth:`run_durable`).
         """
-        if durable is not None and self.projection_matcher is not None:
-            raise ValueError("durable runs do not combine with "
-                             "tokenizer projection")
-        events = _tokenize_shared(
-            self, text,
+        events, self.chunk_latency = _ingest(
+            text, self.source_id, self.needs_oids,
             timed=durable is None and any(r.recorder is not None
                                           for r in self.runs))
         if durable is not None:
@@ -735,27 +632,14 @@ class MultiQueryRun:
         elif self._share_blockers:
             stats["sharing"] = {"requested": True, "engaged": False,
                                 "disengaged_by": list(self._share_blockers)}
-        if self.projection is not None:
-            stats["projection"] = self.projection_summary()
         if any(r.recorder is not None for r in self.runs):
             stats["metrics"] = self.metrics()
         return stats
 
     def projection_summary(self) -> Optional[dict]:
-        """Union projection, tokenizer counters, per-mask drop counts."""
-        if self.projection is None:
-            return None
-        out = {
-            "union": self.projection.to_dict(),
-            "tokenizer_pruning": self.projection_matcher is not None,
-            "masked_pipelines": len(self._masks),
-            "mask_events_dropped": sum(
-                m.counters["mask_events_dropped"]
-                for m in self._masks.values()),
-        }
-        if self.projection_stats is not None:
-            out["tokenizer"] = self.projection_stats.to_dict()
-        return out
+        """Always None: stream projection was deleted (DESIGN.md section
+        10).  ``benchmarks/e2e`` still reads it, like ``fuse``."""
+        return None
 
     def metrics(self) -> Optional[dict]:
         """Merged telemetry across unique pipelines (None when off).
@@ -764,8 +648,7 @@ class MultiQueryRun:
         so its stages are counted once, beside the member suffixes
         that read its output.  The members' recorders are ``routed``:
         ``source_events`` and the ``flight`` summary come from the
-        pipelines fed the source, and the group's projection mask
-        counts on the prefix's recorder.
+        pipelines fed the source.
         """
         recorders = ([r.recorder for r in self.runs]
                      + [g.recorder for g in self.groups])
@@ -913,49 +796,24 @@ class XFlux:
                 **kwargs) -> QueryRun:
         """Evaluate over an XML document string (tokenized on the fly).
 
-        With ``projection=True`` the compiled plan's path projection is
-        derived (:mod:`repro.analysis.projection`) and, when it proves
-        prunable, pushed into the tokenizer as a subtree-skip mode; the
-        result is byte-identical by construction and ``schema`` (an
-        :class:`~repro.analysis.schema.ElementSchema` or the name
-        ``"xmark"``/``"dblp"``) sharpens what counts as prunable.
-
         With ``durable`` set to a directory path the run journals every
         frame to a write-ahead log ahead of dispatch and checkpoints
         periodically (see :meth:`run_durable`; ``durable_opts`` pass
-        through).  Durability does not combine with projection — the
-        log must hold the full stream a recovery can resume from.
-        ``fuse`` is ignored: ``benchmarks/e2e`` passes it (ROADMAP 1(iii)).
+        through).  ``projection``, ``schema`` and ``fuse`` are ignored:
+        ``benchmarks/e2e`` passes them (ROADMAP 1(iii); stream
+        projection was deleted, DESIGN.md section 10).
         """
         if durable is not None:
-            if projection:
-                raise ValueError("durable runs do not combine with "
-                                 "tokenizer projection")
             mq = self._journalled(**kwargs)
             return mq.run_xml(text, durable=durable,
                               **(durable_opts or {})).query_run(0)
         plan = self.compile()
         run = QueryRun(plan, **kwargs)
-        matcher = None
-        if projection:
-            from ..analysis.projection import (ProjectionMatcher,
-                                               derive_projection)
-            run.projection = derive_projection(plan)
-            candidate = ProjectionMatcher(run.projection, schema=schema)
-            if candidate.prunable:
-                matcher = candidate
-        tok_hist = None
-        if run.recorder is not None:
-            from ..obs.histogram import TOKENIZER_CHUNK, LogHistogram
-            tok_hist = run.recorder.histograms.setdefault(
-                TOKENIZER_CHUNK, LogHistogram())
-        events, stats = _tokenize_document(
-            text, plan.source_id, plan.needs_oids,
-            matcher=matcher, chunk_histogram=tok_hist)
-        if stats is not None:
-            run.projection_stats = stats
-            if run.recorder is not None:
-                run.recorder.projection = stats.counter_dict()
+        events, hist = _ingest(text, plan.source_id, plan.needs_oids,
+                               timed=run.recorder is not None)
+        if hist is not None:
+            from ..obs.histogram import TOKENIZER_CHUNK
+            run.recorder.histograms[TOKENIZER_CHUNK] = hist
         run.feed_all(events)
         return run.finish()
 

@@ -353,10 +353,11 @@ class TestEnvelopeDiagnostics:
         # has no prefix recorder and is refused the same way, as is a
         # version-8 blob, whose records and transformers hold tuples,
         # a version-9 one, whose predicate and join states cannot
-        # hold an item's root, and a version-10 one, whose executor
-        # pickles a ``NestingGuard`` (that class is gone).
+        # hold an item's root, a version-10 one, whose executor
+        # pickles a ``NestingGuard`` (that class is gone), and a
+        # version-11 one, whose executor may pickle projection masks.
         blob = encode_checkpoint("pipeline", {}, {})
-        assert blob[4] == 11
+        assert blob[4] == 12
         gone = b"\x80\x02crepro.compile.fusion\nPlan\n."
         with pytest.raises(ImportError):
             pickle.loads(gone)
@@ -364,7 +365,8 @@ class TestEnvelopeDiagnostics:
                     blob[:4] + b"\x07" + blob[5:],
                     blob[:4] + b"\x08" + blob[5:],
                     blob[:4] + b"\x09" + blob[5:],
-                    blob[:4] + b"\x0a" + blob[5:]):
+                    blob[:4] + b"\x0a" + blob[5:],
+                    blob[:4] + b"\x0b" + blob[5:]):
             with pytest.raises(CheckpointError) as info:
                 decode_checkpoint(old, "pipeline")
             assert info.value.field == "version"

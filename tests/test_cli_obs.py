@@ -2,8 +2,7 @@
 
 The telemetry subcommands attach a recorder of their own.  These tests
 pin that the CLI keeps working — same result, same payload shape — with
-``REPRO_METRICS`` forced on as well and with ``--projection``, that a
-misspelt switch is refused, and that the export paths emit artifacts
+``REPRO_METRICS`` forced on as well, that a misspelt switch is refused, and that the export paths emit artifacts
 the strict validators accept.
 """
 
@@ -50,14 +49,6 @@ class TestStatsShape:
             <= set(m["histograms"])
         assert all(h["count"] >= 0 for h in m["histograms"].values())
 
-    def test_stats_under_projection(self):
-        payload = _stats("Q1", "--projection")
-        assert set(payload) == STATS_KEYS
-        m = payload["metrics"]
-        assert m["projection"]["events_pruned"] > 0
-        # The chunk histogram rides the projecting tokenizer.
-        assert m["histograms"]["tokenizer_chunk"]["count"] > 0
-
     def test_stats_with_share_forced_on(self, monkeypatch):
         # Sharing is a multi-query concern and on by default; the
         # recording switch forced on by environment must be inert here.
@@ -91,12 +82,6 @@ class TestTraceShape:
         assert (len(flagged["trace"]["hops"])
                 == len(baseline["trace"]["hops"]))
 
-    def test_trace_under_projection(self):
-        # Q1 is the prunable-by-schema query (see test_projection.py).
-        payload = _trace("Q1", "--projection")
-        assert set(payload) == TRACE_KEYS
-        assert payload["metrics"]["projection"]["events_pruned"] > 0
-
     def test_trace_chrome_format(self):
         rc, out, err = _run(["trace", "Q3", "--scale", SCALE,
                              "--format", "chrome"])
@@ -118,15 +103,6 @@ class TestExportCommand:
         assert rc == 0, err
         families = parse_openmetrics(out)
         assert any("drain_batch" in f for f in families)
-
-    def test_export_metrics_under_projection(self):
-        rc, out, err = _run(["export", "metrics", "Q1",
-                             "--scale", SCALE, "--projection"])
-        assert rc == 0, err
-        families = parse_openmetrics(out)
-        rows = {r["labels"]["counter"]: r["value"]
-                for r in families["repro_projection"]}
-        assert rows.get("events_pruned", 0) > 0
 
     def test_export_out_file(self, tmp_path):
         path = str(tmp_path / "q1.prom")

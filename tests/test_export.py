@@ -153,12 +153,3 @@ class TestOpenMetrics:
                     "h_sum 1\nh_count 3\n# EOF")
         with pytest.raises(ValueError):
             parse_openmetrics(bad_hist)
-
-    def test_projection_counters_exported(self):
-        m = {"source_events": 1, "sink_events": {}, "stages": [],
-             "histograms": {},
-             "projection": {"events_pruned": 7, "bytes_skipped": 9}}
-        families = parse_openmetrics(metrics_to_openmetrics(m))
-        rows = {r["labels"]["counter"]: r["value"]
-                for r in families["repro_projection"]}
-        assert rows == {"events_pruned": 7, "bytes_skipped": 9}

@@ -438,9 +438,6 @@ def test_durable_refuses_what_only_a_bare_run_means(xmark_text, tmp_path):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             engine.run_xml(xmark_text, durable=str(tmp_path / "wal"),
                            **kwargs)
-    with pytest.raises(ValueError, match="projection"):
-        engine.run_xml(xmark_text, durable=str(tmp_path / "wal"),
-                       projection=True)
     assert not (tmp_path / "wal").exists()
 
 
@@ -470,13 +467,15 @@ def test_log_cut_after_manifest_rebuilds_the_running_executor(tmp_path):
 def test_manifest_of_an_earlier_build_still_recovers(xmark_text, tmp_path,
                                                      monkeypatch):
     # Builds before PR 24 wrote the executor's ``fuse`` switch into a
-    # sharded manifest, and a log cut before its first checkpoint is
-    # rebuilt from exactly those keywords: the executor has to take it.
+    # sharded manifest, builds before stream projection was deleted its
+    # ``projection`` and ``schema``, and a log cut before its first
+    # checkpoint is rebuilt from exactly those keywords: the executor
+    # has to take them.
     from repro.fault import wal
     from repro.parallel import ShardedMultiQueryRun
     current = wal.jsonable_kwargs
-    monkeypatch.setattr(wal, "jsonable_kwargs",
-                        lambda kwargs: dict(current(kwargs), fuse=True))
+    monkeypatch.setattr(wal, "jsonable_kwargs", lambda kwargs: dict(
+        current(kwargs), fuse=True, projection=False, schema=None))
     queries = [PAPER_QUERIES[n] for n in ["Q1", "Q2", "Q5", "Q7"]]
     wal_dir = str(tmp_path / "wal")
     with ShardedMultiQueryRun(queries, workers=2, batch_events=BATCH,
@@ -488,6 +487,8 @@ def test_manifest_of_an_earlier_build_still_recovers(xmark_text, tmp_path,
         fh.truncate(second.offset)
     state = scan_wal(wal_dir)
     assert state.manifest["engine"]["fuse"] is True
+    assert state.manifest["engine"]["projection"] is False
+    assert state.manifest["engine"]["schema"] is None
     assert state.checkpoints == {}
     result = recover(wal_dir, text=xmark_text)
     assert (result.texts, result.statuses) == _clean(queries, xmark_text)

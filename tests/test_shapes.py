@@ -2,9 +2,9 @@
 
 ``tests/data/analysis_verdicts.json`` records, for a fixed query set,
 every verdict the static analyses reach: the ``repro analyze --json
---types`` payload (fix map, lints, projection paths, ``//`` step reads,
-inferred types and proofs), the per-stage ``reads`` of
-``QueryRun.stats()``, and the stages ``optimize_plan`` leaves.  A change
+--types`` payload (fix map, lints, ``//`` step reads, inferred types
+and proofs), the per-stage ``reads`` of ``QueryRun.stats()``, and the
+stages ``optimize_plan`` leaves.  A change
 to how operators are declared or how the analyses are driven must leave
 all of it identical.  Regenerate the file only for a change that means
 to move a verdict, and say which moved::
@@ -25,8 +25,7 @@ import repro.core.transformer as transformer
 import repro.operators as operators
 from repro import XFlux
 from repro.analysis import infer_types, optimize_plan
-from repro.analysis.projection import (ROOT_ONLY, Reads, derive_projection,
-                                       stage_reads)
+from repro.analysis.projection import ROOT_ONLY, Reads, stage_reads
 from repro.bench.harness import PAPER_QUERIES
 from repro.cli import main as cli_main
 from repro.core import Context
@@ -128,7 +127,7 @@ def test_verdicts_unchanged():
         assert got[key] == expected[key], key
 
 
-# -- one declaration per operator, three rules per kind ------------------------
+# -- one declaration per operator, two rules per kind ------------------------
 
 #: Concrete operators that declare no shape and are opaque on purpose.
 INHERITS_OPAQUE: frozenset = frozenset()
@@ -164,46 +163,38 @@ def _condition(ctx):
                            ExistsFlag(ctx, 11, 12)], 10, 12)
 
 
-#: ``(id, stage over streams 1 and 5 writing 2, projection anchors or
-#: universal reason, reads of each input given OUT, type of the output
-#: over (<a>)*, over the empty language)``.
+#: ``(id, stage over streams 1 and 5 writing 2, reads of each input
+#: given OUT, type of the output over (<a>)*, over the empty language)``.
 ALL = "ALL"
 OUT = Reads(("x",), 3, False)
-ANCHOR = ["/a", "/a/b"]
-PASS = ["/a/b"]
 TEXT = "(#text)*"
 KINDS = [
-    ("step-child", lambda c: ChildStep(c, 1, 2, "x"), ["/a/x/b"],
+    ("step-child", lambda c: ChildStep(c, 1, 2, "x"),
      [Reads(("x",), 4, False)], "(<x>)*", "()"),
     ("step-descendant", lambda c: DescendantStep(c, 1, 2, "x"),
-     ["/a//x/b"], [Reads(None, None, False)], "(<x>)*", "()"),
-    ("step-self", lambda c: SelfStep(c, 1, 2), PASS, [ALL],
-     "(<a>)*", "()"),
-    ("copy", lambda c: Tee(c, 1, 2), PASS, [OUT], "(<a>)*", "()"),
-    ("filter", lambda c: Predicate(c, 1, 2, [_condition(c)]), ANCHOR,
+     [Reads(None, None, False)], "(<x>)*", "()"),
+    ("step-self", lambda c: SelfStep(c, 1, 2), [ALL], "(<a>)*", "()"),
+    ("copy", lambda c: Tee(c, 1, 2), [OUT], "(<a>)*", "()"),
+    ("filter", lambda c: Predicate(c, 1, 2, [_condition(c)]),
      [Reads(("q", "x"), 3, False)], "(<a>)*", "()"),
-    ("text", lambda c: TextStep(c, 1, 2), ANCHOR, [ALL], TEXT, "()"),
-    ("flag", lambda c: ExistsFlag(c, 1, 2), ANCHOR, [ALL], TEXT, "()"),
-    ("literal", lambda c: LiteralText(c, 1, 2, ": "), ANCHOR,
-     [ROOT_ONLY], TEXT, "()"),
-    ("concat", lambda c: Concat(c, 1, 5, 2), PASS, [OUT, OUT],
-     "(<a>)*", "()"),
-    ("construct-per-tuple", lambda c: TupleConstruct(c, 1, 2, "w"), PASS,
+    ("text", lambda c: TextStep(c, 1, 2), [ALL], TEXT, "()"),
+    ("flag", lambda c: ExistsFlag(c, 1, 2), [ALL], TEXT, "()"),
+    ("literal", lambda c: LiteralText(c, 1, 2, ": "), [ROOT_ONLY], TEXT,
+     "()"),
+    ("concat", lambda c: Concat(c, 1, 5, 2), [OUT, OUT], "(<a>)*", "()"),
+    ("construct-per-tuple", lambda c: TupleConstruct(c, 1, 2, "w"),
      [Reads(None, 2, False)], "(<w>)*", "()"),
     ("construct-per-stream", lambda c: StreamConstruct(c, 1, 2, "w"),
-     ANCHOR, [Reads(None, 2, False)], "(<w>)*", "(<w>)*"),
-    ("aggregate-count", lambda c: CountItems(c, 1, 2), ANCHOR,
-     [ROOT_ONLY], TEXT, TEXT),
-    ("aggregate-items", lambda c: NumericAggregate(c, 1, 2), ANCHOR,
-     [ALL], TEXT, TEXT),
-    ("join", lambda c: AncestorJoin(c, 1, 5, 2), "join shape",
+     [Reads(None, 2, False)], "(<w>)*", "(<w>)*"),
+    ("aggregate-count", lambda c: CountItems(c, 1, 2), [ROOT_ONLY], TEXT,
+     TEXT),
+    ("aggregate-items", lambda c: NumericAggregate(c, 1, 2), [ALL], TEXT,
+     TEXT),
+    ("join", lambda c: AncestorJoin(c, 1, 5, 2),
      [Reads(None, None, False), ROOT_ONLY], "(<a>)*", "()"),
-    ("sort", lambda c: SortTuples(c, 1, 5, 2), PASS, [OUT, ALL],
-     "(<a>)*", "()"),
-    ("empty", lambda c: StructuralRelay(c, (1,), 2), PASS, [ALL],
-     "()", "()"),
-    ("opaque", lambda c: Opaque(c, (1,), 2), "opaque shape", [ALL],
-     "any*", "any*"),
+    ("sort", lambda c: SortTuples(c, 1, 5, 2), [OUT, ALL], "(<a>)*", "()"),
+    ("empty", lambda c: StructuralRelay(c, (1,), 2), [ALL], "()", "()"),
+    ("opaque", lambda c: Opaque(c, (1,), 2), [ALL], "any*", "any*"),
 ]
 
 
@@ -215,16 +206,11 @@ def _plan(stage, first_tag="a"):
     return Plan(stages, 0, 3, ctx, needs_oids=False)
 
 
-@pytest.mark.parametrize("kind,make,paths,reads,typed,typed_empty", KINDS,
+@pytest.mark.parametrize("kind,make,reads,typed,typed_empty", KINDS,
                          ids=[row[0] for row in KINDS])
-def test_kind_rules(kind, make, paths, reads, typed, typed_empty):
+def test_kind_rules(kind, make, reads, typed, typed_empty):
     stage = make(Context())
     assert stage.shape().kind == kind.split("-")[0]
-    proj = derive_projection(_plan(stage))
-    if isinstance(paths, list):
-        assert proj.describe() == paths
-    else:
-        assert proj.universal and paths in proj.reason
     for input_id, expected in zip(stage.input_ids, reads):
         got = stage_reads(stage, input_id, OUT)
         if expected == ALL:
@@ -245,8 +231,6 @@ def test_unknown_kind():
             return Shape("telepathy")
     stage = Odd(Context(), (1,), 2)
     assert stage_reads(stage, 1, ROOT_ONLY).is_all
-    proj = derive_projection(_plan(stage))
-    assert proj.universal and "telepathy shape" in proj.reason
     assert infer_types(_plan(stage)).stages[2].output.describe() == "any*"
 
 
@@ -270,8 +254,9 @@ def test_operators_of_a_kind_share_its_rules(make):
     model = dict((r[0], r[1]) for r in KINDS)[row](Context())
     assert stage.shape().kind == model.shape().kind
     assert stage.shape().reads_items == model.shape().reads_items
-    assert derive_projection(_plan(stage)).describe() == \
-        derive_projection(_plan(model)).describe()
+    assert stage_reads(stage, 1, OUT) == stage_reads(model, 1, OUT)
+    assert infer_types(_plan(stage)).stages[2].output.describe() == \
+        infer_types(_plan(model)).stages[2].output.describe()
 
 
 def test_shape_is_json_able():

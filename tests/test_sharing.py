@@ -102,13 +102,6 @@ class TestMultiQueryMatrix:
         for (name, _), text in zip(named, mq.texts()):
             assert text == reference[name], name
 
-    @pytest.mark.parametrize("share", FLAG_MATRIX, ids=FLAG_IDS)
-    def test_projection_stacks(self, workloads, reference, share):
-        named, mq = _run_matrix(workloads, "X", share,
-                                projection=True, schema="xmark")
-        for (name, _), text in zip(named, mq.texts()):
-            assert text == reference[name], name
-
 
 def _sixteen_queries():
     """The e2e ``multi_query`` set: long common prefixes, cheap tails."""
@@ -134,16 +127,6 @@ class TestChunkCuts:
         monkeypatch.setattr(sharing, "CHUNK_EVENTS", chunk)
         named, mq = _run_matrix(workloads, dataset, True)
         assert SANITIZED or mq.groups
-        for (name, _), text in zip(named, mq.texts()):
-            assert text == reference[name], name
-
-    @pytest.mark.parametrize("chunk", [7, 512])
-    def test_projection_stacks_across_chunk_cuts(self, workloads,
-                                                 reference, monkeypatch,
-                                                 chunk):
-        monkeypatch.setattr(sharing, "CHUNK_EVENTS", chunk)
-        named, mq = _run_matrix(workloads, "X", True,
-                                projection=True, schema="xmark")
         for (name, _), text in zip(named, mq.texts()):
             assert text == reference[name], name
 

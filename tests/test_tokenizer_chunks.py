@@ -14,8 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.projection import (CHILD, ProjectionMatcher,
-                                       QueryProjection)
 from repro.xmlio import (ResourceLimitError, XMLSyntaxError, XMLTokenizer,
                          iter_tokenize, tokenize)
 from repro.xmlio.reference_tokenizer import (ReferenceTokenizer,
@@ -235,12 +233,13 @@ class TestConstructsSplitMidway:
         assert [e.text for e in evs if e.text is not None] == ["one & two"]
 
 
-# Document whose *skipped* subtrees contain every construct the raw skip
-# scanner must cross without materializing events: comments with embedded
-# markup and dashes, a PI with angle brackets, CDATA with a fake ``]]``,
-# entities, attributes in both quote styles, self-closing tags, and deep
-# nesting.  The projection keeps only the ``keep`` children of the
-# root (path ``/keep`` — the root element itself consumes no step).
+# Document whose ``skip`` subtrees hold every construct a scanner must
+# cross: comments with embedded markup and dashes, a PI with angle
+# brackets, CDATA with a fake ``]]``, entities, attributes in both quote
+# styles, self-closing tags, and deep nesting.  Stream projection's skip
+# mode once crossed these subtrees with a raw scan of its own; since it
+# was deleted the one scanner tokenizes and validates every byte of
+# them, at every chunk boundary.
 SKIP_DOC = ('<?xml version="1.0"?>'
             '<root>'
             '<keep>hello <b>bold</b> &amp; more</keep>'
@@ -256,128 +255,59 @@ SKIP_DOC = ('<?xml version="1.0"?>'
 
 SKIP_SPLITS = list(range(len(SKIP_DOC) + 1))
 
-KEEP_PROJECTION = QueryProjection(paths=frozenset({
-    ((CHILD, "keep"),),
-}))
 
-
-def _matcher():
-    return ProjectionMatcher(KEEP_PROJECTION)
-
-
-def _pruned_tokenize(chunks):
-    tok = XMLTokenizer(projection=_matcher())
+def _chunked_tokenize(chunks):
+    tok = XMLTokenizer()
     out = []
     for chunk in chunks:
         out.extend(tok.feed(chunk))
     out.extend(tok.close())
-    return out, tok.projection_stats
+    return out
 
 
 class TestSkipModeSplitPoints:
-    """Chunk boundaries landing *inside* skipped subtrees."""
+    """Chunk boundaries inside the subtrees skip mode used to skip."""
 
     @pytest.fixture(scope="class")
-    def pruned_oneshot(self):
-        return _pruned_tokenize([SKIP_DOC])
-
-    @pytest.fixture(scope="class")
-    def full(self):
-        return tokenize(SKIP_DOC)
-
-    def test_projection_rejects_oids(self):
-        with pytest.raises(ValueError):
-            XMLTokenizer(projection=_matcher(), emit_oids=True)
-
-    def test_pruned_plus_emitted_accounts_for_every_event(
-            self, pruned_oneshot, full):
-        events, stats = pruned_oneshot
-        assert stats.events_emitted == len(events)
-        assert stats.events_pruned > 0
-        assert stats.bytes_skipped > 0
-        assert stats.subtrees_skipped == 2
-        assert stats.events_emitted + stats.events_pruned == len(full)
-
-    def test_pruned_events_are_a_subsequence(self, pruned_oneshot, full):
-        events, _ = pruned_oneshot
-        it = iter(full)
-        assert all(any(e == f for f in it) for e in events)
+    def oneshot(self):
+        events = tokenize(SKIP_DOC)
+        assert events == reference_tokenize(SKIP_DOC)
+        return events
 
     @pytest.mark.parametrize("i", SKIP_SPLITS)
-    def test_two_chunks_equal_oneshot(self, i, pruned_oneshot):
-        events, stats = _pruned_tokenize([SKIP_DOC[:i], SKIP_DOC[i:]])
-        assert events == pruned_oneshot[0]
-        assert stats.counter_dict() == pruned_oneshot[1].counter_dict()
+    def test_two_chunks_equal_oneshot(self, i, oneshot):
+        assert _chunked_tokenize([SKIP_DOC[:i], SKIP_DOC[i:]]) == oneshot
 
-    def test_byte_at_a_time(self, pruned_oneshot):
-        events, stats = _pruned_tokenize(list(SKIP_DOC))
-        assert events == pruned_oneshot[0]
-        assert stats.counter_dict() == pruned_oneshot[1].counter_dict()
+    def test_byte_at_a_time(self, oneshot):
+        assert _chunked_tokenize(list(SKIP_DOC)) == oneshot
 
     @pytest.mark.parametrize("needle", [
         "<!-- <not>", "-- > dashes", "-->", "<?pi", "]]> bytes?>",
         "<![CDATA[", "]] ]>stuff", "stuff]]>", "&#65;", "<leaf/>",
         "<inner f=", "b=\'&lt;", "</skip>", "<deeper>", "<solo/>",
     ])
-    def test_split_inside_skipped_construct(self, needle,
-                                            pruned_oneshot):
+    def test_split_inside_skipped_construct(self, needle, oneshot):
         start = SKIP_DOC.index(needle)
         for i in (start, start + len(needle) // 2,
                   start + len(needle)):
-            events, stats = _pruned_tokenize(
-                [SKIP_DOC[:i], SKIP_DOC[i:]])
-            assert events == pruned_oneshot[0]
-            assert stats.counter_dict() == \
-                pruned_oneshot[1].counter_dict()
+            assert _chunked_tokenize([SKIP_DOC[:i], SKIP_DOC[i:]]) \
+                == oneshot
 
     @given(cuts=st.lists(st.integers(0, len(SKIP_DOC)), max_size=8))
     @settings(max_examples=120, deadline=None)
     def test_any_chunking_equals_oneshot(self, cuts):
         bounds = sorted({0, len(SKIP_DOC), *cuts})
         chunks = [SKIP_DOC[a:b] for a, b in zip(bounds, bounds[1:])]
-        expected, exp_stats = _pruned_tokenize([SKIP_DOC])
-        events, stats = _pruned_tokenize(chunks)
-        assert events == expected
-        assert stats.counter_dict() == exp_stats.counter_dict()
+        assert _chunked_tokenize(chunks) == tokenize(SKIP_DOC)
 
     @pytest.mark.parametrize("bad", [
-        # Well-formedness violations *inside* skipped subtrees must
-        # still raise: skip mode verifies structure, it only elides
-        # event materialization.
         '<root><keep/><skip><a></b></skip></root>',
         '<root><keep/><skip><a>unclosed</skip></root>',
         '<root><keep/><skip><></skip></root>',
     ])
     def test_skipped_subtrees_still_wellformed_checked(self, bad):
         with pytest.raises(XMLSyntaxError):
-            _pruned_tokenize([bad])
-
-    def test_matches_unprojected_filter(self, pruned_oneshot, full):
-        # The kept events must be exactly the full stream minus the
-        # skipped subtrees — reconstruct that set by depth tracking.
-        from repro.events.model import EE, SE
-        kept = []
-        depth = 0        # element depth in the full stream
-        skip_until = None  # depth at which the current skip started
-        for e in full:
-            kind = int(e.kind)
-            if kind == int(SE):
-                depth += 1
-                if skip_until is None and depth == 2 \
-                        and e.tag != "keep":
-                    skip_until = depth
-                if skip_until is None:
-                    kept.append(e)
-            elif kind == int(EE):
-                if skip_until is None:
-                    kept.append(e)
-                elif depth == skip_until:
-                    skip_until = None
-                depth -= 1
-            else:            # CD
-                if skip_until is None:
-                    kept.append(e)
-        assert kept == pruned_oneshot[0]
+            _chunked_tokenize([bad])
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from repro import XFlux
 from repro.analysis import (ElementSchema, SchemaError, TypeCheckError,
                             infer_types, known_schema, optimize_plan,
                             verify_types_against_runtime)
-from repro.analysis.projection import ProjectionMatcher, derive_projection
 from repro.bench.harness import PAPER_QUERIES, QUERY_DATASET
 from repro.cli import main as cli_main
 from repro.core.transformer import StructuralRelay
@@ -383,17 +382,6 @@ class TestMultiQueryTypecheck:
         assert not mq.type_reports[0].statically_empty
 
 
-class TestTypedProjectionClosure:
-    def test_descendant_query_prunable_from_dtd(self):
-        """A descendant-led query is prunable purely from a parsed DTD
-        (no hand-coded map involved)."""
-        plan = XFlux(PAPER_QUERIES["Q1"]).compile()
-        proj = derive_projection(plan)
-        assert not ProjectionMatcher(proj).prunable
-        assert ProjectionMatcher(
-            proj, schema=str(XMARK_DTD_PATH)).prunable
-
-
 class TestCLI:
     def _run(self, argv):
         out, err = StringIO(), StringIO()
@@ -452,10 +440,11 @@ class TestCLI:
             assert "unknown paper query name" in err
 
     def test_missing_dtd_fails(self):
-        rc, _, err = self._run(["analyze", "Q1", "--types",
-                                "--schema", "/no/such/file.dtd"])
-        assert rc == 2
-        assert "cannot read DTD" in err
+        for types in (["--types"], []):
+            rc, _, err = self._run(["analyze", "Q1", *types,
+                                    "--schema", "/no/such/file.dtd"])
+            assert rc == 2
+            assert "cannot read DTD" in err
 
     def test_malformed_dtd_fails(self, tmp_path):
         bad = tmp_path / "bad.dtd"
