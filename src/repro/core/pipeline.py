@@ -220,10 +220,9 @@ class Pipeline:
     def _bind(self) -> None:
         """(Re)bind the event loop over the current wrappers and sink.
 
-        Called at construction and whenever the wrappers are replaced
-        (restore, unpickling).  This is the one place observers meet
-        the loop: each may wrap the handler tables and the sink —
-        recorder innermost, so a boundary is checked before it is
+        Called at construction and at unpickling.  This is the one place
+        observers meet the loop: each may wrap the handler tables and the
+        sink — recorder innermost, so a boundary is checked before it is
         counted — and the recorder also wraps the source iterable.
         """
         tables = [w.handlers for w in self.wrappers]
@@ -288,80 +287,7 @@ class Pipeline:
         self.finish()
         return self.sink
 
-    # -- checkpoint / restore ------------------------------------------------
-
-    def checkpoint(self) -> bytes:
-        """Snapshot the pipeline's complete mid-stream state.
-
-        Everything the next event's processing depends on is captured in
-        one versioned envelope (see :mod:`repro.fault.checkpoint`): the
-        shared context (id allocator, fix map), every stage wrapper with
-        its transformer and region tables, the sink (display buffers
-        included), and the boundary checkers when sanitizing.  Restoring
-        the blob into a freshly built pipeline for the same plan and
-        feeding the remaining stream produces byte-identical output to
-        an uninterrupted run (``tests/test_checkpoint.py``).
-        """
-        from ..fault.checkpoint import encode_checkpoint
-        return encode_checkpoint("pipeline", self.checkpoint_schema(),
-                                 self.checkpoint_state())
-
-    def checkpoint_schema(self) -> dict:
-        """Structural identity a restore target must match."""
-        return {
-            "stages": [type(w.t).__name__ for w in self.wrappers],
-            "sink": type(self.sink).__name__,
-        }
-
-    def checkpoint_state(self) -> dict:
-        """The live state graph; callers embed it in their own envelope.
-
-        :class:`~repro.xquery.engine.QueryRun` pickles this dict together
-        with its own extras in ONE pickle so cross-references (the display
-        *is* the sink) survive the round trip via pickle memoization.
-        """
-        return {
-            "ctx": self.ctx,
-            "wrappers": self.wrappers,
-            "sink": self.sink,
-            "checkers": self._checkers,
-            "routing": self._routing,
-            "finished": self._finished,
-        }
-
-    def restore(self, blob: bytes) -> "Pipeline":
-        """Adopt a :meth:`checkpoint` snapshot, replacing current state.
-
-        The receiving pipeline must be structurally compatible — same
-        stage transformer classes in the same order, same sink class —
-        which a fresh compile of the same query guarantees (compilation
-        is deterministic; stream numbers are allocated identically).
-        Raises :class:`~repro.fault.checkpoint.CheckpointError` on any
-        format or schema mismatch.  A recorder attached to this pipeline
-        is re-attached to the restored wrappers; its counters cover the
-        post-restore tail only.
-        """
-        from ..fault.checkpoint import decode_checkpoint, require_schema
-        schema, state = decode_checkpoint(blob, "pipeline")
-        require_schema(schema, self.checkpoint_schema())
-        self.apply_checkpoint_state(state)
-        return self
-
-    def apply_checkpoint_state(self, state: dict) -> None:
-        """Adopt an already-validated :meth:`checkpoint_state` dict."""
-        self.ctx = state["ctx"]
-        self.wrappers = state["wrappers"]
-        self.sink = state["sink"]
-        self._checkers = state["checkers"]
-        self._routing = state["routing"]
-        self._finished = state["finished"]
-        if self._recorder is not None:
-            self._recorder.attach(self.wrappers,
-                                  [w.t for w in self.wrappers])
-        else:
-            for w in self.wrappers:
-                w.obs = None
-        self._bind()
+    # -- pickling ------------------------------------------------------------
 
     def __getstate__(self) -> dict:
         # Strip everything _bind() builds (closures do not pickle);

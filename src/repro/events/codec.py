@@ -23,22 +23,19 @@ Wire layout, little-endian throughout:
 
 * **Batch**: ``<I`` event count, then the packed events.
 
-* **Frame**: ``<I`` payload byte length, then the payload.  A zero
-  length is a valid frame (the sharding layer uses an empty payload as
-  its end-of-stream marker).  :func:`read_frame` distinguishes a clean
-  end of the stream (``None``) from truncation mid-frame
-  (:class:`CodecError`).
-
-* **Checked frame** (format v2): the high bit of the length word is set
-  (:data:`CHECKED_FLAG`), and the payload is preceded by a ``<I`` frame
-  sequence number and followed by a ``<I`` CRC32 trailer covering the
-  sequence number and the payload.  The reader verifies the CRC and
-  surfaces the sequence number, turning silent corruption into a
-  structured :class:`CodecError` (``reason="crc-mismatch"``) the shard
-  supervisor converts into a worker restart + replay, and giving
-  receivers the gap/duplicate discipline replay depends on.  Both
-  readers (:func:`read_frame` / :func:`read_frame_ex`) accept both
-  formats, so v1 frames written by older producers still decode.
+* **Frame**: a ``<I`` length word with its high bit set
+  (:data:`CHECKED_FLAG`) and the payload byte length below it, a ``<I``
+  frame sequence number, the payload, and a ``<I`` CRC32 trailer
+  covering the sequence number and the payload.  The reader verifies
+  the CRC and surfaces the sequence number, turning silent corruption
+  into a structured :class:`CodecError` (``reason="crc-mismatch"``) the
+  shard supervisor converts into a worker restart + replay, and giving
+  receivers the gap/duplicate discipline replay depends on.  An empty
+  payload is a valid frame: the sharding layer's end-of-stream marker.
+  :func:`read_frame_ex` distinguishes a clean end of the stream
+  (``None``) from truncation mid-frame (``reason="truncated"``), and
+  refuses a length word without the flag (``reason="unchecked"``):
+  every frame is a checked frame.
 
 Every :class:`CodecError` carries machine-readable fields — ``reason``,
 ``offset`` (byte position in the stream), ``expected`` and ``got`` —
@@ -60,8 +57,8 @@ class CodecError(ValueError):
 
     Attributes:
         reason: machine-readable failure class (``"truncated"``,
-            ``"crc-mismatch"``, ``"trailing-garbage"``, ``"bad-kind"``,
-            ``"oversized"``, ``"unencodable"``).
+            ``"crc-mismatch"``, ``"unchecked"``, ``"trailing-garbage"``,
+            ``"bad-kind"``, ``"oversized"``, ``"unencodable"``).
         offset: byte offset in the stream/buffer where the failure was
             detected (``None`` when unknown).
         expected: the byte count or value the reader wanted.
@@ -208,24 +205,19 @@ def decode_batch(payload: bytes) -> List[Event]:
 
 # -- framed pipe transport ---------------------------------------------------
 
-#: High bit of the frame length word: marks a v2 (seq + CRC32) frame.
+#: High bit of the frame length word: marks a checked (seq + CRC32)
+#: frame, the only kind there is.
 CHECKED_FLAG = 0x80000000
 _LEN_MASK = CHECKED_FLAG - 1
 
 
-def encode_frame(events: Iterable[Event]) -> bytes:
-    """A complete length-prefixed v1 frame holding one event batch."""
-    payload = encode_batch(events)
-    return _U32.pack(len(payload)) + payload
-
-
 def encode_checked_frame(events: Iterable[Event], seq: int) -> bytes:
-    """A v2 frame: flagged length, sequence number, payload, CRC32."""
+    """A checked frame: flagged length, sequence number, payload, CRC32."""
     return frame_checked(encode_batch(events), seq)
 
 
 def frame_checked(payload: bytes, seq: int) -> bytes:
-    """Wrap an already-encoded batch payload as a v2 checked frame."""
+    """Wrap an already-encoded batch payload as a checked frame."""
     if len(payload) > _LEN_MASK:
         raise CodecError("frame payload too large",
                          reason="oversized", expected=_LEN_MASK,
@@ -236,31 +228,15 @@ def frame_checked(payload: bytes, seq: int) -> bytes:
             + payload + _U32.pack(crc))
 
 
-def write_frame(stream: BinaryIO, payload: bytes) -> None:
-    """Write one length-prefixed v1 frame (payload may be empty)."""
-    stream.write(_U32.pack(len(payload)))
-    stream.write(payload)
-
-
-def read_frame(stream: BinaryIO) -> Optional[bytes]:
-    """Read one frame (either format); ``None`` on clean EOF.
-
-    Checked frames are CRC-verified and their sequence number is
-    discarded; use :func:`read_frame_ex` to observe it.  Raises
-    :class:`CodecError` when the stream ends mid-frame or a CRC fails.
-    """
-    result = read_frame_ex(stream)
-    return None if result is None else result[1]
-
-
 def read_frame_ex(stream: BinaryIO, offset: int = 0
-                  ) -> Optional[Tuple[Optional[int], bytes, int]]:
-    """Read one frame of either format, tracking byte offsets.
+                  ) -> Optional[Tuple[int, bytes, int]]:
+    """Read one checked frame, tracking byte offsets.
 
-    Returns ``(seq, payload, next_offset)`` — ``seq`` is ``None`` for
-    v1 frames — or ``None`` on clean EOF at a frame boundary.  ``offset``
-    is the caller's running byte position, echoed into error fields and
-    advanced in the return value.
+    Returns ``(seq, payload, next_offset)``, or ``None`` on clean EOF at
+    a frame boundary.  ``offset`` is the caller's running byte
+    position, echoed into error fields and advanced in the return
+    value.  Raises :class:`CodecError` when the stream ends mid-frame,
+    a CRC fails, or the length word lacks :data:`CHECKED_FLAG`.
     """
     header = _read_exact(stream, _U32.size, allow_eof=True, offset=offset)
     if header is None:
@@ -268,10 +244,9 @@ def read_frame_ex(stream: BinaryIO, offset: int = 0
     (word,) = _U32.unpack(header)
     pos = offset + _U32.size
     if not word & CHECKED_FLAG:
-        if word == 0:
-            return None, b"", pos
-        payload = _read_exact(stream, word, allow_eof=False, offset=pos)
-        return None, payload, pos + word
+        raise CodecError("unchecked frame (no sequence number or CRC)",
+                         reason="unchecked", offset=offset,
+                         expected=CHECKED_FLAG, got=word)
     length = word & _LEN_MASK
     body = _read_exact(stream, _U32.size + length + _U32.size,
                        allow_eof=False, offset=pos)
@@ -287,14 +262,7 @@ def read_frame_ex(stream: BinaryIO, offset: int = 0
     return seq, payload, pos + len(body)
 
 
-def iter_frames(stream: BinaryIO) -> Iterator[bytes]:
-    """Yield frame payloads until clean EOF or an empty (sentinel) frame."""
-    for _, payload in iter_frames_ex(stream):
-        yield payload
-
-
-def iter_frames_ex(stream: BinaryIO
-                   ) -> Iterator[Tuple[Optional[int], bytes]]:
+def iter_frames_ex(stream: BinaryIO) -> Iterator[Tuple[int, bytes]]:
     """Yield ``(seq, payload)`` pairs until EOF or a sentinel frame.
 
     Maintains a running byte offset so truncation and CRC errors report

@@ -2,10 +2,10 @@
 
 Two halves:
 
-* :mod:`repro.fault.checkpoint` — versioned envelopes around pickled
-  pipeline state; the format worker processes use to ship periodic
-  snapshots to the supervising parent, and the format
-  ``Pipeline.checkpoint()`` / ``MultiQueryRun.checkpoint()`` expose to
+* :mod:`repro.fault.checkpoint` — versioned envelopes around a pickled
+  run; the format worker processes use to ship periodic snapshots to
+  the supervising parent, the write-ahead log stores, and
+  ``QueryRun.checkpoint()`` / ``MultiQueryRun.checkpoint()`` expose to
   embedders.
 * :mod:`repro.fault.inject` — seeded :class:`FaultPlan` scripts (kill a
   worker, corrupt/drop/duplicate a frame, raise inside a stage) that the

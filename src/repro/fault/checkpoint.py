@@ -1,26 +1,29 @@
-"""Versioned checkpoint envelopes for pipeline state snapshots.
+"""Versioned checkpoint envelopes for run snapshots.
 
 A checkpoint is a self-describing byte string: a magic prefix, a format
-version, a *kind* tag naming what was snapshotted (``"pipeline"``,
-``"queryrun"``, ``"multiquery"``), a small schema dict used as a
-structural guard at restore time, and the pickled state itself.  The
+version, a *kind* tag naming what was snapshotted (``"queryrun"`` for a
+:class:`~repro.xquery.engine.QueryRun`, ``"multiquery"`` for a
+:class:`~repro.xquery.engine.MultiQueryRun`), a small schema dict used
+as a structural guard at restore time, and the pickled run itself.  The
 envelope exists so a restore can fail with a precise
 :class:`CheckpointError` — wrong magic, unsupported version, kind
 mismatch, schema mismatch — instead of unpickling garbage into a live
 pipeline.
 
-The payload is a pickle of the live runtime objects (wrappers, region
-tables, display trees, shared context).  Pickle memoization preserves
-the aliasing the runtime depends on — the display *is* the pipeline
-sink, wrappers share one ``Context``, deduplicated queries share one
-pipeline — so a restored graph has exactly the object identities of the
+The payload is a pickle of the whole run object: every run checkpoints
+by pickling itself, so there is no hand-built state dict to keep in
+step with the runtime's fields.  Pickle memoization preserves the
+aliasing the runtime depends on — the display *is* the pipeline sink,
+wrappers share one ``Context``, deduplicated queries share one pipeline
+— so a restored graph has exactly the object identities of the
 original.  Everything reachable from a run is plain Python by
 construction (the one historic exception, the fused predicate's lambda
 tests, was replaced by picklable callables for exactly this reason).
 
-Checkpoints are process-local and version-locked: they are an IPC and
-recovery format for workers of the same interpreter (see
-:mod:`repro.parallel.shard`), not a durable cross-host archive format.
+Checkpoints are version-locked: they are an IPC and recovery format
+for the same build (shard workers, :mod:`repro.parallel.shard`; the
+write-ahead log, :mod:`repro.fault.wal`), not a cross-host archive
+format.
 DESIGN.md §9 spells out what is and is not covered.
 """
 
@@ -82,10 +85,13 @@ MAGIC = b"XFCK"
 #: version-11 blob would restore the stale attributes and, with
 #: projection on, name classes of ``repro.analysis.projection`` that no
 #: longer exist.
-VERSION = 12
+#: 13: a ``"queryrun"`` state is the pickled ``QueryRun`` itself where
+#: version 12 had a ``{"pipeline": dict, "stripper": ...}`` dict of the
+#: pipeline's fields; there is no ``"pipeline"`` kind any more.
+VERSION = 13
 
 #: Kinds the current code base writes; decode rejects unknown kinds.
-KNOWN_KINDS = ("pipeline", "queryrun", "multiquery")
+KNOWN_KINDS = ("queryrun", "multiquery")
 
 #: Recursion headroom for (un)pickling run state.  Blocking stages
 #: (sort, aggregation) retain linked structures whose pickle depth
@@ -180,11 +186,6 @@ def _isolated_dumps(doc: dict) -> bytes:
     return data[9:]
 
 
-def _snapshot_in_process() -> bool:
-    return not hasattr(os, "fork") \
-        or os.environ.get("REPRO_CKPT_INPROC") == "1"
-
-
 def encode_checkpoint(kind: str, schema: dict, state: object) -> bytes:
     """Wrap ``state`` in a versioned envelope.
 
@@ -195,13 +196,12 @@ def encode_checkpoint(kind: str, schema: dict, state: object) -> bytes:
 
     The pickle itself is taken in a forked child (see
     :func:`_isolated_dumps`) so snapshotting never perturbs the live
-    run; set ``REPRO_CKPT_INPROC=1`` to force the in-process path
-    (platforms without ``fork``, or debugging).
+    run; on platforms without ``fork`` it is taken in-process.
     """
     if kind not in KNOWN_KINDS:
         raise CheckpointError("unknown checkpoint kind {!r}".format(kind))
     doc = {"kind": kind, "schema": schema, "state": state}
-    if not _snapshot_in_process():
+    if hasattr(os, "fork"):
         return MAGIC + bytes([VERSION]) + _isolated_dumps(doc)
     try:
         with _deep_pickle():

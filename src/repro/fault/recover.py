@@ -33,7 +33,6 @@ and repaired.
 
 from __future__ import annotations
 
-import struct
 from typing import List, Optional
 
 from ..events import codec
@@ -122,8 +121,7 @@ def _events_consumed(state: WalState, batch_events: int) -> int:
     happens), so missing sequence numbers each stand for exactly
     ``batch_events`` events.
     """
-    consumed = sum(struct.unpack_from("<I", p)[0]
-                   for p in state.frames.values())
+    consumed = state.events_logged()
     missing = state.last_frame - len(
         [s for s in state.frames if s <= state.last_frame])
     return consumed + missing * batch_events

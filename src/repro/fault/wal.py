@@ -10,7 +10,7 @@ interleaved with periodic checkpoint envelopes
 exact pre-crash state: restore the newest checkpoint, replay the logged
 frame suffix (:mod:`repro.fault.recover`).
 
-Record format — every record is a codec-v2 checked frame
+Record format — every record is a codec checked frame
 (:func:`repro.events.codec.frame_checked`: flagged length word,
 sequence number, payload, CRC32 trailer) whose payload is one record
 type byte followed by the record body:
@@ -126,8 +126,7 @@ class WriteAheadLog:
             default flush-only already survives process SIGKILL.
         crash_after_frames: test/chaos hook — SIGKILL this process the
             moment that frame sequence number has been durably logged
-            (before it is dispatched to any consumer).  Reads the
-            ``REPRO_CRASH_AFTER`` environment variable when None.
+            (before it is dispatched to any consumer).
     """
 
     def __init__(self, directory: str, segment_bytes: int = 4 << 20,
@@ -136,9 +135,6 @@ class WriteAheadLog:
         self.directory = directory
         self.segment_bytes = segment_bytes
         self.fsync = fsync
-        if crash_after_frames is None:
-            env = os.environ.get("REPRO_CRASH_AFTER", "")
-            crash_after_frames = int(env) if env.strip() else None
         self.crash_after_frames = crash_after_frames
         os.makedirs(directory, exist_ok=True)
         if list_segments(directory):
@@ -391,7 +387,7 @@ def iter_wal_records(directory: str, repair: bool = False):
                 if not payload:
                     raise WalError("empty record", reason="bad-record",
                                    segment=path, offset=offset)
-                yield WalRecord(payload[0], seq or 0, payload[1:],
+                yield WalRecord(payload[0], seq, payload[1:],
                                 path, offset)
                 offset = next_offset
 

@@ -240,15 +240,13 @@ class _ShardEngine:
         self.applied = start_seq
         self.duplicates_dropped = 0
 
-    def apply(self, seq: Optional[int], payload: bytes) -> bool:
+    def apply(self, seq: int, payload: bytes) -> bool:
         """Apply one frame; False if it was a duplicate.
 
         Raises :class:`~repro.events.codec.CodecError` on a sequence
         gap — the caller treats that exactly like a corrupt frame
         (restart + replay fills the hole from the journal).
         """
-        if seq is None:
-            seq = self.applied + 1      # legacy unchecked frame
         if seq <= self.applied:
             self.duplicates_dropped += 1
             return False
@@ -262,7 +260,7 @@ class _ShardEngine:
         return True
 
     def apply_frame_bytes(self, frame: bytes) -> bool:
-        """Decode one raw frame (either format) and apply it."""
+        """Decode one raw checked frame and apply it."""
         result = codec.read_frame_ex(io.BytesIO(frame))
         if result is None or not result[1]:
             return False
@@ -630,7 +628,7 @@ class _Shard:
 
     def _send_eos(self) -> bool:
         try:
-            codec.write_frame(self.writer, b"")
+            self.writer.write(codec.frame_checked(b"", self.seq_target + 1))
             self.writer.flush()
             return True
         except OSError:

@@ -155,39 +155,44 @@ class QueryRun:
     # -- checkpoint / restore --------------------------------------------------
 
     def checkpoint(self) -> bytes:
-        """Snapshot the run — pipeline, display, stripper — mid-stream.
+        """Snapshot the run mid-stream: the whole run, pickled.
 
-        Everything goes into ONE pickle so shared structure survives:
-        the display object in the envelope *is* the pipeline's sink, and
-        restoring keeps them identical.  ``on_change`` callbacks ride
-        along and must therefore be picklable (module-level functions;
-        no closures) — a non-picklable callback raises
+        One pickle keeps shared structure: the display in the envelope
+        *is* the pipeline's sink, and the plan's stages are the
+        wrappers' transformers.  ``on_change`` callbacks ride along and
+        must therefore be picklable (module-level functions; no
+        closures) — a non-picklable callback raises
         :class:`~repro.fault.checkpoint.CheckpointError` at checkpoint
         time, never silently drops state.
         """
         from ..fault.checkpoint import encode_checkpoint
-        schema = dict(self.pipeline.checkpoint_schema(),
-                      stripper=self._stripper is not None)
-        state = {
-            "pipeline": self.pipeline.checkpoint_state(),
-            "stripper": self._stripper,
-        }
-        return encode_checkpoint("queryrun", schema, state)
+        return encode_checkpoint("queryrun", self._schema(), self)
 
     def restore(self, blob: bytes) -> "QueryRun":
-        """Adopt a :meth:`checkpoint` snapshot in place.
+        """Adopt a :meth:`checkpoint` snapshot in place; returns ``self``.
 
-        The receiving run must come from a fresh compile of the same
-        query with the same flags (schema-guarded).  Returns ``self``.
+        The receiving run must have the same stages, sink and stripper
+        (schema-guarded), which a fresh compile of the same query with
+        the same flags guarantees.  It takes the checkpointed run's
+        attributes whole, observers included: the recorder, flight
+        ring, sanitizer checkers and the display's ``on_change`` are
+        the checkpointed run's, so a restored recorder counts the whole
+        stream, not the tail.  :meth:`MultiQueryRun.restore` works the
+        same way.
         """
         from ..fault.checkpoint import decode_checkpoint, require_schema
-        schema, state = decode_checkpoint(blob, "queryrun")
-        require_schema(schema, dict(self.pipeline.checkpoint_schema(),
-                                    stripper=self._stripper is not None))
-        self.pipeline.apply_checkpoint_state(state["pipeline"])
-        self.display = self.pipeline.sink
-        self._stripper = state["stripper"]
+        schema, run = decode_checkpoint(blob, "queryrun")
+        require_schema(schema, self._schema())
+        self.__dict__.update(vars(run))
         return self
+
+    def _schema(self) -> dict:
+        """Structural identity a restore target must match."""
+        return {
+            "stages": [type(w.t).__name__ for w in self.pipeline.wrappers],
+            "sink": type(self.pipeline.sink).__name__,
+            "stripper": self._stripper is not None,
+        }
 
     # -- results ---------------------------------------------------------------
 
@@ -265,8 +270,6 @@ class MultiQueryRun:
             protocol (the producer contract, DESIGN.md section 7); a
             refusal is a :class:`~repro.events.errors.ProtocolViolation`
             and fatal to every query.
-        dedup: collapse identical (text, flags) queries onto one
-            pipeline.
         always_active: disable wrapper fast paths (differential tests).
         quarantine: isolate per-query failures (the default).  An
             exception escaping one query's pipeline — an operator bug, a
@@ -310,7 +313,7 @@ class MultiQueryRun:
 
     def __init__(self, queries, mutable_source: bool = False,
                  ignore_updates: bool = False, validate: bool = False,
-                 dedup: bool = True, always_active: bool = False,
+                 always_active: bool = False,
                  sanitize: Optional[bool] = None,
                  metrics: Optional[bool] = None,
                  sample_interval: int = 256,
@@ -349,8 +352,7 @@ class MultiQueryRun:
         seen = {}
         unique = []             # first engine of each unique slot
         for e in self.engines:
-            key = ((e.query_text, e.mutable_source, e.ignore_updates)
-                   if dedup else len(self._slots))
+            key = (e.query_text, e.mutable_source, e.ignore_updates)
             slot = seen.get(key)
             if slot is None:
                 slot = len(unique)

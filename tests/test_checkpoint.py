@@ -101,12 +101,30 @@ class TestQueryRunRoundTrip:
         assert resumed.finish().text() == expected
         assert resumed.metrics() is not None
 
+    def test_restored_run_takes_the_checkpointed_recorder(self, workloads):
+        # The run is adopted whole, observers included: a receiver
+        # started without a recorder reports the checkpointed run's,
+        # which has counted the whole stream, not just the tail.
+        query = PAPER_QUERIES["Q1"]
+        events = _events_for(workloads, query)
+        half = len(events) // 2
+        run = XFlux(query).start(metrics=True)
+        run.feed_all(events[:half])
+        resumed = XFlux(query).start(metrics=False)
+        assert resumed.metrics() is None
+        resumed.restore(run.checkpoint())
+        resumed.feed_all(events[half:])
+        resumed.finish()
+        assert resumed.metrics()["source_events"] == len(events)
+        assert resumed.display is resumed.pipeline.sink
+
     def test_round_trip_while_an_item_root_is_held(self, workloads):
         # Q4's join holds each candidate's root until a match or its
         # end; its predicate holds each item's until location decides.
         query = PAPER_QUERIES["Q4"]
         events = _events_for(workloads, query)
-        expected = XFlux(query).run(events).text()
+        whole = XFlux(query).run(events)
+        expected = whole.text()
         run = XFlux(query).start()
         cut = 0
         for cut, event in enumerate(events, 1):
@@ -118,6 +136,10 @@ class TestQueryRunRoundTrip:
         assert held_roots(resumed) == held_roots(run)
         resumed.feed_all(events[cut:])
         assert resumed.finish().text() == expected
+        # The plan's stages are the restored transformers, so the gate
+        # counters cover the whole stream.
+        assert [k.get("gate") for k in resumed.stats()["per_stage"]] == \
+            [k.get("gate") for k in whole.stats()["per_stage"]]
 
     def test_wrong_query_rejected(self, workloads):
         events = _events_for(workloads, PAPER_QUERIES["Q1"])
@@ -130,10 +152,11 @@ class TestQueryRunRoundTrip:
 
 
 class TestRegionRecordsRoundTrip:
-    """A wrapper's region records through ``Pipeline.checkpoint()`` /
-    ``restore()``, cut where every kind of field is in use: a bracket
-    still open inside a nested region, a hidden region (shadow), the
-    order mirror (built by the sA), a loaded region."""
+    """A wrapper's region records through ``pickle`` — what every
+    checkpoint does to the pipeline it snapshots — cut where every kind
+    of field is in use: a bracket still open inside a nested region, a
+    hidden region (shadow), the order mirror (built by the sA), a loaded
+    region."""
 
     HEAD = ('sS(0) sM(0,1) sE(1,"a") sM(1,2) sE(2,"b") eE(2,"b") eM(1,2) '
             'sA(2,3) sE(3,"c") eE(3,"c") eA(2,3) hide(3) '
@@ -164,7 +187,7 @@ class TestRegionRecordsRoundTrip:
         from tests.helpers import assert_nesting_tree_consistent
         primary = self.pipeline(Context())
         primary.feed_batch(loads(self.HEAD))
-        resumed = self.pipeline(Context()).restore(primary.checkpoint())
+        resumed = pickle.loads(pickle.dumps(primary))
         for before, after in zip(primary.wrappers, resumed.wrappers):
             assert set(after.tracked) == set(before.tracked)
             for uid, rec in before.tracked.items():
@@ -286,35 +309,45 @@ class TestMultiQueryRunRoundTrip:
 
 class TestEnvelope:
     def test_round_trip(self):
-        blob = encode_checkpoint("pipeline", {"a": 1}, {"x": [1, 2]})
-        schema, state = decode_checkpoint(blob, "pipeline")
+        blob = encode_checkpoint("queryrun", {"a": 1}, {"x": [1, 2]})
+        schema, state = decode_checkpoint(blob, "queryrun")
         assert schema == {"a": 1} and state == {"x": [1, 2]}
 
     def test_bad_magic(self):
-        blob = encode_checkpoint("pipeline", {}, {})
+        blob = encode_checkpoint("queryrun", {}, {})
         with pytest.raises(CheckpointError) as info:
-            decode_checkpoint(b"XXXX" + blob[4:], "pipeline")
+            decode_checkpoint(b"XXXX" + blob[4:], "queryrun")
         assert "magic" in str(info.value)
 
     def test_wrong_kind(self):
-        blob = encode_checkpoint("pipeline", {}, {})
+        blob = encode_checkpoint("queryrun", {}, {})
         with pytest.raises(CheckpointError):
             decode_checkpoint(blob, "multiquery")
 
     def test_unknown_version(self):
-        blob = encode_checkpoint("pipeline", {}, {})
+        blob = encode_checkpoint("queryrun", {}, {})
         bumped = blob[:4] + bytes([blob[4] + 1]) + blob[5:]
         with pytest.raises(CheckpointError):
-            decode_checkpoint(bumped, "pipeline")
+            decode_checkpoint(bumped, "queryrun")
 
     def test_truncated_payload(self):
-        blob = encode_checkpoint("pipeline", {}, {"k": "v"})
+        blob = encode_checkpoint("queryrun", {}, {"k": "v"})
         with pytest.raises(CheckpointError):
-            decode_checkpoint(blob[:8], "pipeline")
+            decode_checkpoint(blob[:8], "queryrun")
 
     def test_unpicklable_state(self):
         with pytest.raises(CheckpointError):
-            encode_checkpoint("pipeline", {}, {"f": lambda: None})
+            encode_checkpoint("queryrun", {}, {"f": lambda: None})
+
+    def test_in_process_snapshot_without_fork(self, monkeypatch):
+        # Platforms without fork pickle in-process: same envelope, same
+        # refusal of unpicklable state.
+        monkeypatch.delattr(os, "fork")
+        blob = encode_checkpoint("queryrun", {"a": 1}, {"x": [1, 2]})
+        assert decode_checkpoint(blob, "queryrun") == ({"a": 1},
+                                                      {"x": [1, 2]})
+        with pytest.raises(CheckpointError):
+            encode_checkpoint("queryrun", {}, {"f": lambda: None})
 
 
 class TestEnvelopeDiagnostics:
@@ -324,24 +357,24 @@ class TestEnvelopeDiagnostics:
     FIELDS = ("magic", "version", "payload", "kind", "schema")
 
     def test_bad_magic_reports_offset_zero(self):
-        blob = encode_checkpoint("pipeline", {}, {})
+        blob = encode_checkpoint("queryrun", {}, {})
         with pytest.raises(CheckpointError) as info:
-            decode_checkpoint(b"YYYY" + blob[4:], "pipeline")
+            decode_checkpoint(b"YYYY" + blob[4:], "queryrun")
         assert info.value.field == "magic"
         assert info.value.offset == 0
         assert "[field=magic, byte offset 0]" in str(info.value)
 
     def test_short_magic_reports_blob_length(self):
         with pytest.raises(CheckpointError) as info:
-            decode_checkpoint(b"XF", "pipeline")
+            decode_checkpoint(b"XF", "queryrun")
         assert info.value.field == "magic"
         assert info.value.offset == 2
 
     def test_bad_version_reports_version_offset(self):
-        blob = encode_checkpoint("pipeline", {}, {})
+        blob = encode_checkpoint("queryrun", {}, {})
         bumped = blob[:4] + bytes([blob[4] + 7]) + blob[5:]
         with pytest.raises(CheckpointError) as info:
-            decode_checkpoint(bumped, "pipeline")
+            decode_checkpoint(bumped, "queryrun")
         assert info.value.field == "version"
         assert info.value.offset == 4
 
@@ -355,9 +388,10 @@ class TestEnvelopeDiagnostics:
         # a version-9 one, whose predicate and join states cannot
         # hold an item's root, a version-10 one, whose executor
         # pickles a ``NestingGuard`` (that class is gone), and a
-        # version-11 one, whose executor may pickle projection masks.
-        blob = encode_checkpoint("pipeline", {}, {})
-        assert blob[4] == 12
+        # version-11 one, whose executor may pickle projection masks,
+        # and a version-12 one, whose ``"queryrun"`` state is a dict.
+        blob = encode_checkpoint("queryrun", {}, {})
+        assert blob[4] == 13
         gone = b"\x80\x02crepro.compile.fusion\nPlan\n."
         with pytest.raises(ImportError):
             pickle.loads(gone)
@@ -366,21 +400,36 @@ class TestEnvelopeDiagnostics:
                     blob[:4] + b"\x08" + blob[5:],
                     blob[:4] + b"\x09" + blob[5:],
                     blob[:4] + b"\x0a" + blob[5:],
-                    blob[:4] + b"\x0b" + blob[5:]):
+                    blob[:4] + b"\x0b" + blob[5:],
+                    blob[:4] + b"\x0c" + blob[5:]):
             with pytest.raises(CheckpointError) as info:
-                decode_checkpoint(old, "pipeline")
+                decode_checkpoint(old, "queryrun")
             assert info.value.field == "version"
 
+    def test_version_12_queryrun_is_refused_on_its_version_byte(self):
+        # Version 12 wrapped a QueryRun's fields in a dict; restoring
+        # one into this code must fail on the version byte, before the
+        # dict could be adopted as a run.
+        run = XFlux(PAPER_QUERIES["Q1"]).start()
+        schema = run._schema()
+        old = b"XFCK" + b"\x0c" + pickle.dumps(
+            {"kind": "queryrun", "schema": schema,
+             "state": {"pipeline": {}, "stripper": None}})
+        with pytest.raises(CheckpointError) as info:
+            XFlux(PAPER_QUERIES["Q1"]).start().restore(old)
+        assert info.value.field == "version"
+        assert info.value.offset == 4
+
     def test_corrupt_payload_reports_payload_offset(self):
-        blob = encode_checkpoint("pipeline", {}, {"k": "v"})
+        blob = encode_checkpoint("queryrun", {}, {"k": "v"})
         mangled = blob[:5] + b"\x00" + blob[6:]
         with pytest.raises(CheckpointError) as info:
-            decode_checkpoint(mangled, "pipeline")
+            decode_checkpoint(mangled, "queryrun")
         assert info.value.field == "payload"
         assert info.value.offset == 5
 
     def test_kind_mismatch_reports_kind_field(self):
-        blob = encode_checkpoint("pipeline", {}, {})
+        blob = encode_checkpoint("queryrun", {}, {})
         with pytest.raises(CheckpointError) as info:
             decode_checkpoint(blob, "multiquery")
         assert info.value.field == "kind"
@@ -388,7 +437,7 @@ class TestEnvelopeDiagnostics:
 
     def test_non_bytes_blob(self):
         with pytest.raises(CheckpointError) as info:
-            decode_checkpoint("not bytes", "pipeline")
+            decode_checkpoint("not bytes", "queryrun")
         assert info.value.field == "magic"
         assert info.value.offset == 0
 
@@ -396,11 +445,11 @@ class TestEnvelopeDiagnostics:
         # Exhaustive: chopping the envelope at ANY byte must produce a
         # CheckpointError (never a bare pickle/struct exception) whose
         # offset and field point inside the blob.
-        blob = encode_checkpoint("pipeline", {"q": "Q1"},
+        blob = encode_checkpoint("queryrun", {"q": "Q1"},
                                  {"state": [1, 2, 3]})
         for cut in range(len(blob)):
             with pytest.raises(CheckpointError) as info:
-                decode_checkpoint(blob[:cut], "pipeline")
+                decode_checkpoint(blob[:cut], "queryrun")
             assert info.value.field in self.FIELDS, cut
             assert info.value.offset is not None, cut
             assert 0 <= info.value.offset <= cut, cut
@@ -409,7 +458,7 @@ class TestEnvelopeDiagnostics:
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
-        blob = encode_checkpoint("pipeline", {"q": "Q1"},
+        blob = encode_checkpoint("queryrun", {"q": "Q1"},
                                  {"state": list(range(16))})
 
         @settings(max_examples=80, deadline=None)
@@ -419,7 +468,7 @@ class TestEnvelopeDiagnostics:
             mangled = (blob[:pos] + bytes([blob[pos] ^ flip])
                        + blob[pos + 1:])
             try:
-                schema, state = decode_checkpoint(mangled, "pipeline")
+                schema, state = decode_checkpoint(mangled, "queryrun")
             except CheckpointError as exc:
                 assert exc.field in self.FIELDS
             else:

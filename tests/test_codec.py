@@ -7,14 +7,16 @@ including every update kind and arbitrarily hostile text.
 """
 
 import io
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.events import Event, Kind, dumps, loads
 from repro.events.codec import (CodecError, decode_batch, decode_event,
-                                encode_batch, encode_event, encode_frame,
-                                iter_frames, read_frame, write_frame)
+                                encode_batch, encode_checked_frame,
+                                encode_event, frame_checked, iter_frames_ex,
+                                read_frame_ex)
 from repro.events.model import (cdata, end_element, end_insert_after,
                                 end_insert_before, end_mutable, end_replace,
                                 end_stream, end_tuple, freeze, hide, show,
@@ -171,41 +173,51 @@ class TestErrors:
 
 class TestFrames:
     def test_frame_roundtrip(self):
-        buf = io.BytesIO()
-        write_frame(buf, encode_batch(ALL_KINDS_SAMPLE))
-        write_frame(buf, encode_batch([freeze(1)]))
-        buf.seek(0)
+        buf = io.BytesIO(encode_checked_frame(ALL_KINDS_SAMPLE, 1)
+                         + encode_checked_frame([freeze(1)], 2))
         frames = []
+        offset = 0
         while True:
-            p = read_frame(buf)
-            if p is None:
+            result = read_frame_ex(buf, offset)
+            if result is None:
                 break
-            frames.append(decode_batch(p))
-        assert frames == [ALL_KINDS_SAMPLE, [freeze(1)]]
-
-    def test_encode_frame_matches_write_frame(self):
-        buf = io.BytesIO()
-        write_frame(buf, encode_batch(ALL_KINDS_SAMPLE))
-        assert buf.getvalue() == encode_frame(ALL_KINDS_SAMPLE)
+            seq, payload, offset = result
+            frames.append((seq, decode_batch(payload)))
+        assert frames == [(1, ALL_KINDS_SAMPLE), (2, [freeze(1)])]
+        assert offset == len(buf.getvalue())
 
     def test_empty_frame_is_sentinel(self):
-        buf = io.BytesIO()
-        write_frame(buf, encode_batch([freeze(1)]))
-        write_frame(buf, b"")
-        write_frame(buf, encode_batch([hide(2)]))
-        buf.seek(0)
-        # iter_frames stops at the sentinel, not at EOF.
-        assert [decode_batch(p) for p in iter_frames(buf)] == [[freeze(1)]]
+        buf = io.BytesIO(encode_checked_frame([freeze(1)], 1)
+                         + frame_checked(b"", 2)
+                         + encode_checked_frame([hide(2)], 3))
+        # iter_frames_ex stops at the checked empty frame, not at EOF.
+        assert [(seq, decode_batch(p)) for seq, p in iter_frames_ex(buf)] \
+            == [(1, [freeze(1)])]
 
     def test_clean_eof_returns_none(self):
-        assert read_frame(io.BytesIO(b"")) is None
+        assert read_frame_ex(io.BytesIO(b"")) is None
 
     def test_truncated_frame_header(self):
-        with pytest.raises(CodecError):
-            read_frame(io.BytesIO(b"\x10\x00"))
+        with pytest.raises(CodecError) as info:
+            read_frame_ex(io.BytesIO(b"\x10\x00"))
+        assert info.value.reason == "truncated"
 
     def test_truncated_frame_payload(self):
-        whole = encode_frame(ALL_KINDS_SAMPLE)
+        whole = encode_checked_frame(ALL_KINDS_SAMPLE, 7)
         for cut in (5, len(whole) // 2, len(whole) - 1):
-            with pytest.raises(CodecError):
-                read_frame(io.BytesIO(whole[:cut]))
+            with pytest.raises(CodecError) as info:
+                read_frame_ex(io.BytesIO(whole[:cut]))
+            assert info.value.reason == "truncated"
+
+    def test_unchecked_length_word_is_refused(self):
+        # A length word without CHECKED_FLAG would leave the frame
+        # without sequence number and CRC: every reader refuses it.
+        payload = encode_batch([freeze(1)])
+        old = struct.pack("<I", len(payload)) + payload
+        with pytest.raises(CodecError) as info:
+            read_frame_ex(io.BytesIO(old), offset=12)
+        assert info.value.reason == "unchecked"
+        assert info.value.offset == 12
+        with pytest.raises(CodecError) as info:
+            list(iter_frames_ex(io.BytesIO(struct.pack("<I", 0))))
+        assert info.value.reason == "unchecked"

@@ -230,11 +230,6 @@ class TestDedup:
         assert mq.texts()[0] == mq.texts()[1] == independent["Q1"][0]
         assert (stats["per_query"][0] is stats["per_query"][1])
 
-    def test_dedup_off(self):
-        q = PAPER_QUERIES["Q1"]
-        mq = MultiQueryRun([q, q], dedup=False)
-        assert len(mq.runs) == 2
-
     def test_different_flags_not_deduped(self):
         q = 'stream()//quote/price'
         mq = MultiQueryRun([XFlux(q, mutable_source=True),
